@@ -4,24 +4,21 @@
 // track them PR-over-PR.
 //
 //   * dtm_update_*: one full Update() — minibatch gather from the replay
-//     buffer, forward/backward, losses, Chamfer, Adam — across the
-//     {portable, avx2, avx512-when-available} kernel backends x {serial,
-//     4-thread} split;
-//   * dtm_predict_pool_*: candidate-pool PredictBatch;
+//     buffer, forward/backward, losses, Chamfer, Adam — on the portable and
+//     avx2 kernel backends;
 //   * dtm_add_sample: replay-buffer append;
 //   * propose_*: one full DeepTuneSearcher::Propose over the Linux space —
-//     sharded pool assembly (line search + mutation + random + encode) plus
-//     the batched DTM ranking pass — across {serial, 4-thread} pool
-//     generation.
+//     pool assembly (line search + mutation + random + encode) plus the
+//     batched DTM ranking pass.
 //
 // The kernel backends are bit-identical by construction (src/nn/kernels.h),
 // so every variant of a bench computes the same numbers — only the speed
-// differs. A summary record reports the update speedups; on pre-AVX2
-// hardware the avx2 variants fall back to portable and the speedup is ~1.
-// The avx512 variants (emitted only where the backend is available) are the
-// measurement behind the backend's opt-in default — see docs/perf.md.
+// differs. A summary record reports the avx2 update speedup; on pre-AVX2
+// hardware the avx2 variant falls back to portable and the speedup is ~1.
+// Candidate-pool PredictBatch is measured by bench_micro_matmul
+// (predict_batch_*).
 //
-// Usage: bench_micro_dtm [--dim D] [--samples N] [--threads T]
+// Usage: bench_micro_dtm [--dim D] [--samples N]
 //   WF_FAST=1 shortens the measurement window (smoke mode, the
 //   run_benches.sh default).
 #include <algorithm>
@@ -90,20 +87,20 @@ void SeedReplayBuffer(DeepTuneModel& model, size_t dim, size_t samples) {
   }
 }
 
-double BenchUpdate(size_t dim, size_t samples, KernelBackend backend, size_t threads) {
-  // Best over several model instances, like BenchPredictPool below: the
-  // scalar (portable) Update walks the same pool-sized workspaces and a
-  // single instance's throughput swings ~15% with the heap addresses it
-  // happens to get. One placement was enough until PR 10's static-init
-  // instrument allocations moved the base heap and A/B-identical portable
-  // Update code read 0.85x between binaries (the SIMD backends, less
-  // cache-set-bound, stayed flat) — so Update gets the placement sweep too.
+double BenchUpdate(size_t dim, size_t samples, KernelBackend backend) {
+  // Best over several model instances, like bench_micro_matmul's
+  // BenchPredict: the scalar (portable) Update walks the same pool-sized
+  // workspaces and a single instance's throughput swings ~15% with the heap
+  // addresses it happens to get. One placement was enough until the obs
+  // registry's static-init instrument allocations moved the base heap and
+  // A/B-identical portable Update code read 0.85x between binaries (the SIMD
+  // backends, less cache-set-bound, stayed flat) — so Update gets the
+  // placement sweep too.
   double best = 0.0;
   std::vector<std::vector<double>> pad;
   for (size_t instance = 0; instance < 6; ++instance) {
     DtmOptions options;
     options.kernels = backend;
-    options.threads = threads;
     auto model = std::make_unique<DeepTuneModel>(dim, options);
     SeedReplayBuffer(*model, dim, samples);
     best = std::max(best, OpsPerSec([&] { model->Update(); }));
@@ -112,49 +109,15 @@ double BenchUpdate(size_t dim, size_t samples, KernelBackend backend, size_t thr
   return best;
 }
 
-double BenchPredictPool(size_t dim, size_t pool, KernelBackend backend, size_t threads) {
-  // Best over several model instances: pool-sized workspaces sit on a
-  // cache-set cliff where throughput swings with the heap addresses a
-  // single instance happens to get (see bench_micro_matmul's BenchPredict,
-  // including why eight quadratically-padded placements, not four).
-  double best = 0.0;
-  std::vector<std::vector<double>> pad;
-  for (size_t instance = 0; instance < 8; ++instance) {
-    DtmOptions options;
-    options.kernels = backend;
-    options.threads = threads;
-    auto model = std::make_unique<DeepTuneModel>(dim, options);
-    SeedReplayBuffer(*model, dim, 64);
-    model->Update();
-    Rng rng(2);
-    Matrix candidates(pool, dim);
-    for (double& v : candidates.data()) {
-      v = rng.Uniform();
-    }
-    best = std::max(best, OpsPerSec([&] { model->PredictBatch(candidates); }));
-    pad.emplace_back(769 + 331 * instance + 97 * instance * instance, 0.0);
-  }
-  return best;
-}
-
-std::string VariantName(KernelBackend backend, size_t threads) {
-  std::string name = KernelBackendName(backend);
-  if (threads > 1) {
-    name += "_t" + std::to_string(threads);
-  }
-  return name;
-}
-
-// Full Propose — sharded pool assembly + batched prediction + scoring — on
-// a warm searcher over the Linux space with a realistic history window.
-double BenchPropose(size_t pool, size_t threads) {
+// Full Propose — pool assembly + batched prediction + scoring — on a warm
+// searcher over the Linux space with a realistic history window.
+double BenchPropose(size_t pool) {
   ConfigSpace space = BuildLinuxSearchSpace();
   DeepTuneOptions options;
   options.pool_size = pool;
   options.warmup = 8;
   options.update_every = 4;
   options.model.steps_per_update = 4;  // Keep searcher warm-up cheap.
-  options.model.threads = threads;
   DeepTuneSearcher searcher(&space, options);
 
   Rng rng(11);
@@ -189,14 +152,11 @@ int main(int argc, char** argv) {
   using namespace wayfinder;
   size_t dim = 263;  // The Linux space's feature width.
   size_t samples = 100;
-  size_t threads = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dim") == 0 && i + 1 < argc) {
       dim = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--samples") == 0 && i + 1 < argc) {
       samples = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     }
   }
   if (const char* fast = std::getenv("WF_FAST")) {
@@ -206,85 +166,26 @@ int main(int argc, char** argv) {
   }
 
   const bool has_avx2 = KernelBackendAvailable(KernelBackend::kAvx2);
-  const bool has_avx512 = KernelBackendAvailable(KernelBackend::kAvx512);
-  std::printf("{\"bench\": \"kernel_backend\", \"default\": \"%s\", \"avx2_available\": %s, "
-              "\"avx512_available\": %s}\n",
-              KernelBackendName(DefaultKernelBackend()), has_avx2 ? "true" : "false",
-              has_avx512 ? "true" : "false");
+  std::printf("{\"bench\": \"kernel_backend\", \"default\": \"%s\", \"avx2_available\": %s}\n",
+              KernelBackendName(DefaultKernelBackend()), has_avx2 ? "true" : "false");
 
-  // Full Update across kernel backend x thread split. `--threads 0|1` means
-  // serial-only: the threaded variants (and their summary ratios) are
-  // dropped rather than emitting duplicate or zero records. The avx512
-  // variants only appear where the backend is genuinely available, so the
-  // anchor set stays machine-honest (and the gate never sees a fallback
-  // measured under the wrong name).
+  // Full Update on each kernel backend.
   const std::string update_bench =
       "dtm_update_" + std::to_string(dim) + "d_" + std::to_string(samples) + "s";
-  std::vector<size_t> thread_variants = {0};
-  if (threads > 1) {
-    thread_variants.push_back(threads);
-  }
-  std::vector<KernelBackend> backends = {KernelBackend::kPortable, KernelBackend::kAvx2};
-  if (has_avx512) {
-    backends.push_back(KernelBackend::kAvx512);
-  }
-  double portable_serial = 0.0, avx2_serial = 0.0, avx512_serial = 0.0,
-         portable_threaded = 0.0, avx2_threaded = 0.0;
-  for (KernelBackend backend : backends) {
-    for (size_t t : thread_variants) {
-      double ops = BenchUpdate(dim, samples, backend, t);
-      Report(update_bench, VariantName(backend, t), ops);
-      if (backend == KernelBackend::kPortable) {
-        (t == 0 ? portable_serial : portable_threaded) = ops;
-      } else if (backend == KernelBackend::kAvx2) {
-        (t == 0 ? avx2_serial : avx2_threaded) = ops;
-      } else if (t == 0) {
-        avx512_serial = ops;
-      }
-    }
-  }
-  if (portable_serial > 0.0) {
-    std::printf("{\"bench\": \"dtm_update_speedup\", \"avx2_over_portable\": %.2f",
-                avx2_serial / portable_serial);
-    if (avx512_serial > 0.0 && avx2_serial > 0.0) {
-      std::printf(", \"avx512_over_portable\": %.2f, \"avx512_over_avx2\": %.2f",
-                  avx512_serial / portable_serial, avx512_serial / avx2_serial);
-    }
-    if (portable_threaded > 0.0) {
-      std::printf(", \"threads_over_serial\": %.2f, "
-                  "\"avx2_threads_over_portable_serial\": %.2f",
-                  portable_threaded / portable_serial, avx2_threaded / portable_serial);
-    }
-    std::printf("}\n");
+  double portable_ops = BenchUpdate(dim, samples, KernelBackend::kPortable);
+  Report(update_bench, KernelBackendName(KernelBackend::kPortable), portable_ops);
+  double avx2_ops = BenchUpdate(dim, samples, KernelBackend::kAvx2);
+  Report(update_bench, KernelBackendName(KernelBackend::kAvx2), avx2_ops);
+  if (portable_ops > 0.0) {
+    std::printf("{\"bench\": \"dtm_update_speedup\", \"avx2_over_portable\": %.2f}\n",
+                avx2_ops / portable_ops);
   }
 
-  // Full Propose — pool assembly + batched prediction — serial vs sharded
-  // pool generation. The `propose_*` family gates in bench_compare.py like
-  // the other micro anchors.
-  {
-    double serial_ops = BenchPropose(128, 0);
-    Report("propose_pool128", "serial", serial_ops);
-    double threaded_ops = 0.0;
-    if (threads > 1) {
-      threaded_ops = BenchPropose(128, threads);
-      Report("propose_pool128", "t" + std::to_string(threads), threaded_ops);
-    }
-    if (serial_ops > 0.0 && threaded_ops > 0.0) {
-      std::printf("{\"bench\": \"propose_speedup\", \"threads_over_serial\": %.2f}\n",
-                  threaded_ops / serial_ops);
-    }
-  }
+  // Full Propose — pool assembly + batched prediction. The `propose_*`
+  // family gates in bench_compare.py like the other micro anchors.
+  Report("propose_pool128", "serial", BenchPropose(128));
 
-  // Candidate-pool prediction and replay append (serial, default backend).
-  // The dtm_predict_pool records are informational, not anchors: the same
-  // PredictBatch op gates via bench_micro_matmul's predict_batch_* family,
-  // and interleaved A/B runs showed this binary's copy swings 0.75-1.0x
-  // with code layout (same library objects, bit-identical outputs) — it
-  // measures the binary, not the kernel.
-  for (size_t pool : {size_t{128}, size_t{256}}) {
-    Report("dtm_predict_pool_" + std::to_string(pool), "fast",
-           BenchPredictPool(dim, pool, KernelBackend::kAuto, 0));
-  }
+  // Replay append (default backend).
   {
     // Fresh model per measurement window: AddSample grows the replay buffer,
     // so a single long-lived model measures ever-larger reallocation costs —

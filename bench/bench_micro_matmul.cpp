@@ -5,11 +5,10 @@
 //     k-unrolled, row-streaming, fused bias);
 //   * the fused dense-layer forward;
 //   * DeepTuneModel::PredictBatch at pool sizes 64 / 256 / 1024, fast path
-//     vs the --naive allocation-per-op reference, serial vs threaded.
+//     vs the --naive allocation-per-op reference.
 //
-// Usage: bench_micro_matmul [--naive] [--threads N] [--dim D]
+// Usage: bench_micro_matmul [--naive] [--dim D]
 //   --naive     only measure the reference path (the seed implementation)
-//   --threads   also measure the fast path with the shared-pool row split
 //
 // Output: one JSON object per line ({"bench": ..., "ops_per_sec": ...}),
 // then a summary object with the pool-1024 fast-vs-naive speedup.
@@ -76,7 +75,7 @@ void Report(const std::string& bench, const std::string& variant, double ops_per
               bench.c_str(), variant.c_str(), ops_per_sec);
 }
 
-double BenchPredict(size_t dim, size_t pool, bool naive, size_t threads) {
+double BenchPredict(size_t dim, size_t pool, bool naive) {
   // Measured over several model instances, keeping the best: mid-size pools
   // (256 x 263 doubles) sit on a cache-set cliff where throughput swings
   // ~30% with the heap addresses the workspace happens to get, so a single
@@ -100,7 +99,6 @@ double BenchPredict(size_t dim, size_t pool, bool naive, size_t threads) {
   for (size_t instance = 0; instance < 20; ++instance) {
     DtmOptions options;
     options.naive = naive;
-    options.threads = threads;
     auto model = std::make_unique<DeepTuneModel>(dim, options);
     Rng rng(7);
     for (size_t i = 0; i < 64; ++i) {
@@ -123,13 +121,10 @@ double BenchPredict(size_t dim, size_t pool, bool naive, size_t threads) {
 int main(int argc, char** argv) {
   using namespace wayfinder;
   bool naive_only = false;
-  size_t threads = 0;
   size_t dim = 263;  // The Linux space's feature width.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--naive") == 0) {
       naive_only = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--dim") == 0 && i + 1 < argc) {
       dim = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     }
@@ -150,7 +145,7 @@ int main(int argc, char** argv) {
     Report("matmul_fused_bias_256x" + std::to_string(dim) + "x64", "fast",
            OpsPerSec([&] { MatMulAddBiasInto(a, b, bias, out); }));
     if (KernelBackendAvailable(KernelBackend::kAvx2)) {
-      Parallelism portable{nullptr, 1, &KernelsFor(KernelBackend::kPortable)};
+      const KernelOps* portable = &KernelsFor(KernelBackend::kPortable);
       Report("matmul_256x" + std::to_string(dim) + "x64", "fast_portable",
              OpsPerSec([&] { MatMulInto(a, b, out, portable); }));
       Report("matmul_fused_bias_256x" + std::to_string(dim) + "x64", "fast_portable",
@@ -164,20 +159,16 @@ int main(int argc, char** argv) {
   double fast_1024 = 0.0;
   for (size_t pool : {size_t{64}, size_t{256}, size_t{1024}}) {
     std::string bench = "predict_batch_" + std::to_string(pool);
-    double naive_ops = BenchPredict(dim, pool, /*naive=*/true, 0);
+    double naive_ops = BenchPredict(dim, pool, /*naive=*/true);
     Report(bench, "naive", naive_ops);
     if (pool == 1024) {
       naive_1024 = naive_ops;
     }
     if (!naive_only) {
-      double fast_ops = BenchPredict(dim, pool, /*naive=*/false, 0);
+      double fast_ops = BenchPredict(dim, pool, /*naive=*/false);
       Report(bench, "fast", fast_ops);
       if (pool == 1024) {
         fast_1024 = fast_ops;
-      }
-      if (threads > 1) {
-        Report(bench, "fast_t" + std::to_string(threads),
-               BenchPredict(dim, pool, /*naive=*/false, threads));
       }
     }
   }

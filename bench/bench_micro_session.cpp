@@ -7,9 +7,9 @@
 //     strictly serial §3.1 loop; this variant gates PR-over-PR like the
 //     other micro anchors.
 //   * session_trials_per_sec/parallel4: parallel_evaluations=4 on the
-//     shared ThreadPool. Tracked but NEVER gated (like the avx512 kernel
-//     variants): on a 1-core box the batch path measures pure overhead, and
-//     a baseline recorded on a wide machine must not fail a narrow one.
+//     shared ThreadPool. Tracked but NEVER gated: on a 1-core box the batch
+//     path measures pure overhead, and a baseline recorded on a wide machine
+//     must not fail a narrow one.
 //   * session_trials_per_sec/fault10: the serial loop under a ~10%
 //     mixed-fault plan with one transient retry — the hostile-world
 //     overhead (fault draws, retry re-measurement, taxonomy bookkeeping).

@@ -109,8 +109,7 @@ class ConfigSpace {
   // ApplyConstraints, IsValid, Encode/EncodeInto/EncodeParam/DecodeParam and
   // the *Into variants below are pure over the space's immutable members
   // (params_, frozen_, index_by_name_), so concurrent calls on one space are
-  // safe as long as each caller owns its Rng and output Configuration — the
-  // contract the threaded proposal pipeline (src/core/proposal.h) relies on.
+  // safe as long as each caller owns its Rng and output Configuration.
   // EncodeMemoized is the one exception: it mutates the shared encode cache
   // and must stay on a single thread.
   Configuration RandomConfiguration(Rng& rng, const SampleOptions& opts = SampleOptions()) const;

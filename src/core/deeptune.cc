@@ -28,17 +28,14 @@ std::vector<double> DeepTuneSearcher::ScorePool(SearchContext& context) {
   // which the model then ranks (model-guided coordinate descent); (b) small
   // multi-parameter mutations of the elites; (c) fresh random samples.
   //
-  // Assembly is sharded over the thread pool by the shared proposal pipeline
-  // (src/core/proposal.h): candidates mutate and encode in parallel on
-  // counter-derived RNG streams, so the pool — and the whole trajectory — is
-  // bit-identical at any thread count. The session RNG contributes exactly
-  // one serial draw of per-iteration entropy, independent of partitioning.
+  // Assembly runs through the shared proposal pipeline (src/core/proposal.h):
+  // candidates mutate and encode on counter-derived RNG streams, and the
+  // session RNG contributes exactly one serial draw of per-iteration entropy.
   ProposalPoolSpec spec;
   spec.pool_size = options_.pool_size;
   spec.exploit_fraction = options_.exploit_fraction;
   spec.max_mutations = options_.max_mutations;
   spec.line_search = true;
-  spec.threads = options_.model.threads;
   AssembleProposalPool(*space_, elites_, context.sample_options, spec,
                        proposal_.NextPoolSeed(*context.rng), proposal_.pool,
                        proposal_.encoded);

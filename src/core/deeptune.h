@@ -100,8 +100,8 @@ class DeepTuneSearcher : public Searcher {
 
   // Proposal pipeline state (seeding recipe + persistent pool/encode/ring
   // scratch): candidate streams are counter-derived, never the shared
-  // session RNG per candidate, so the pool is bit-identical at any thread
-  // count. Shared shape with MultiMetricSearcher via ProposalState.
+  // session RNG per candidate. Shared shape with MultiMetricSearcher via
+  // ProposalState.
   static constexpr size_t kHistoryWindow = 128;
   ProposalState proposal_;
 };

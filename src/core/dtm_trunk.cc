@@ -5,7 +5,6 @@
 #include "src/nn/serialize.h"
 #include "src/obs/metrics.h"
 #include "src/util/stats.h"
-#include "src/util/thread_pool.h"
 
 namespace wayfinder {
 
@@ -98,29 +97,21 @@ double DtmTrunk::DenormalizeObjective(size_t head, double normalized) const {
   return normalized * head_std_[head] + head_mean_[head];
 }
 
-Parallelism DtmTrunk::Par() const {
-  if (options_.threads <= 1) {
-    return Parallelism{nullptr, 1, kernels_};
-  }
-  return Parallelism{&ThreadPool::Shared(), options_.threads, kernels_};
-}
-
 // wf-hot-path: workspace-arena — every buffer is a ws_ member reshaped in
 // place; nn_test pins workspace_grow_count() stable across warm rounds.
 void DtmTrunk::Forward(const Matrix& x, bool training) {
-  Parallelism par = Par();
-  ws_.Count(dense1_.ForwardInto(x, ws_.h1, par));  // Fused x W + b.
-  relu1_.ForwardInPlace(ws_.h1, par);
+  ws_.Count(dense1_.ForwardInto(x, ws_.h1, kernels_));  // Fused x W + b.
+  relu1_.ForwardInPlace(ws_.h1, kernels_);
   dropout_.ForwardInPlace(ws_.h1, rng_, training);
-  ws_.Count(dense2_.ForwardInto(ws_.h1, ws_.h2, par));
-  relu2_.ForwardInPlace(ws_.h2, par);
-  ws_.Count(crash_head_.ForwardInto(ws_.h2, ws_.crash_logits, par));
-  ws_.Count(perf_head_.ForwardInto(ws_.h2, ws_.yhat, par));
-  ws_.Count(rbf0_.ForwardInto(x, ws_.phi0, par));
-  ws_.Count(rbf1_.ForwardInto(ws_.h1, ws_.phi1, par));
-  ws_.Count(rbf2_.ForwardInto(ws_.h2, ws_.phi2, par));
+  ws_.Count(dense2_.ForwardInto(ws_.h1, ws_.h2, kernels_));
+  relu2_.ForwardInPlace(ws_.h2, kernels_);
+  ws_.Count(crash_head_.ForwardInto(ws_.h2, ws_.crash_logits, kernels_));
+  ws_.Count(perf_head_.ForwardInto(ws_.h2, ws_.yhat, kernels_));
+  ws_.Count(rbf0_.ForwardInto(x, ws_.phi0, kernels_));
+  ws_.Count(rbf1_.ForwardInto(ws_.h1, ws_.phi1, kernels_));
+  ws_.Count(rbf2_.ForwardInto(ws_.h2, ws_.phi2, kernels_));
   ws_.Count(ConcatCols3Into(ws_.phi0, ws_.phi1, ws_.phi2, ws_.phi));
-  ws_.Count(unc_head_.ForwardInto(ws_.phi, ws_.s, par));
+  ws_.Count(unc_head_.ForwardInto(ws_.phi, ws_.s, kernels_));
 }
 
 // wf-hot-path: workspace-arena — the whole training loop (gather, forward,
@@ -131,20 +122,16 @@ double DtmTrunk::Update() {
   }
   obs::ScopedTimerNs update_timer(g_trunk_update_ns);
   RefreshNormalizers();
-  Parallelism par = Par();
   double last_loss = 0.0;
   size_t batch = std::min(options_.batch_size, xs_.size());
   ws_.Count(ws_.x.Reshape(batch, input_dim_) ? 1 : 0);
   ws_.Count(ws_.y.Reshape(batch, head_count_) ? 1 : 0);
   ws_.ReserveGather(batch);
   for (size_t step = 0; step < options_.steps_per_update; ++step) {
-    // Sample a minibatch (with replacement) from the replay buffer. Indices
-    // and targets are drawn serially (the RNG stream and the vector<bool>
-    // mask are order-sensitive); only the wide row copies go parallel.
+    // Sample a minibatch (with replacement) from the replay buffer.
     for (size_t b = 0; b < batch; ++b) {
       size_t i = static_cast<size_t>(
           rng_.UniformInt(0, static_cast<int64_t>(xs_.size()) - 1));
-      ws_.batch_index[b] = i;
       ws_.crash_target[b] = crashed_[i] ? 1 : 0;
       ws_.mask[b] = false;
       for (size_t k = 0; k < head_count_; ++k) {
@@ -156,13 +143,9 @@ double DtmTrunk::Update() {
         }
         ws_.mask[b] = true;
       }
+      const std::vector<double>& row = xs_[i];
+      std::copy(row.begin(), row.end(), ws_.x.Row(b));
     }
-    ParallelFor(par.pool, batch, /*grain=*/8, par.max_ways, [&](size_t b0, size_t b1) {
-      for (size_t b = b0; b < b1; ++b) {
-        const std::vector<double>& row = xs_[ws_.batch_index[b]];
-        std::copy(row.begin(), row.end(), ws_.x.Row(b));
-      }
-    });
 
     Forward(ws_.x, /*training=*/true);
 
@@ -171,34 +154,34 @@ double DtmTrunk::Update() {
         SoftmaxCrossEntropy(ws_.crash_logits, ws_.crash_target, &ws_.dlogits, ws_.probs);
     double loss_reg =
         HeteroscedasticLossMulti(ws_.yhat, ws_.s, ws_.y, ws_.mask, &ws_.dyhat, &ws_.ds);
-    double loss_cham = rbf0_.AccumulateChamferGradient(options_.chamfer_weight, par) +
-                       rbf1_.AccumulateChamferGradient(options_.chamfer_weight, par) +
-                       rbf2_.AccumulateChamferGradient(options_.chamfer_weight, par);
+    double loss_cham = rbf0_.AccumulateChamferGradient(options_.chamfer_weight, kernels_) +
+                       rbf1_.AccumulateChamferGradient(options_.chamfer_weight, kernels_) +
+                       rbf2_.AccumulateChamferGradient(options_.chamfer_weight, kernels_);
     last_loss = loss_cce + loss_reg + options_.chamfer_weight * loss_cham;
 
     // --- Backward -----------------------------------------------------------
-    ws_.Count(unc_head_.BackwardInto(ws_.ds, &ws_.dphi, par));
+    ws_.Count(unc_head_.BackwardInto(ws_.ds, &ws_.dphi, kernels_));
     size_t k = options_.rbf_centroids;
     ws_.Count(SliceColsInto(ws_.dphi, 0, k, ws_.dphi0));
     ws_.Count(SliceColsInto(ws_.dphi, k, 2 * k, ws_.dphi1));
     ws_.Count(SliceColsInto(ws_.dphi, 2 * k, 3 * k, ws_.dphi2));
 
-    ws_.Count(crash_head_.BackwardInto(ws_.dlogits, &ws_.dh2, par));
-    ws_.Count(perf_head_.BackwardInto(ws_.dyhat, &ws_.dh2_scratch, par));
+    ws_.Count(crash_head_.BackwardInto(ws_.dlogits, &ws_.dh2, kernels_));
+    ws_.Count(perf_head_.BackwardInto(ws_.dyhat, &ws_.dh2_scratch, kernels_));
     for (size_t i = 0; i < ws_.dh2.size(); ++i) {
       ws_.dh2.data()[i] += ws_.dh2_scratch.data()[i];
     }
-    rbf2_.BackwardInto(ws_.dphi2, &ws_.dh2, /*accumulate=*/true, par);
+    rbf2_.BackwardInto(ws_.dphi2, &ws_.dh2, /*accumulate=*/true, kernels_);
     relu2_.BackwardInPlace(ws_.dh2);
-    ws_.Count(dense2_.BackwardInto(ws_.dh2, &ws_.dh1, par));
-    rbf1_.BackwardInto(ws_.dphi1, &ws_.dh1, /*accumulate=*/true, par);
+    ws_.Count(dense2_.BackwardInto(ws_.dh2, &ws_.dh1, kernels_));
+    rbf1_.BackwardInto(ws_.dphi1, &ws_.dh1, /*accumulate=*/true, kernels_);
     dropout_.BackwardInPlace(ws_.dh1);
     relu1_.BackwardInPlace(ws_.dh1);
-    dense1_.BackwardInto(ws_.dh1, /*dx=*/nullptr, par);
+    dense1_.BackwardInto(ws_.dh1, /*dx=*/nullptr, kernels_);
     // Input gradient discarded.
-    rbf0_.BackwardInto(ws_.dphi0, /*dz=*/nullptr, /*accumulate=*/false, par);
+    rbf0_.BackwardInto(ws_.dphi0, /*dz=*/nullptr, /*accumulate=*/false, kernels_);
 
-    adam_->Step(par);
+    adam_->Step(kernels_);
   }
   return last_loss;
 }
@@ -287,11 +270,10 @@ bool DtmTrunk::Load(const std::string& path) {
 }
 
 void DtmTrunk::Workspace::ReserveGather(size_t batch) {
-  size_t caps = batch_index.capacity() + crash_target.capacity() + mask.capacity();
-  batch_index.resize(batch);
+  size_t caps = crash_target.capacity() + mask.capacity();
   crash_target.resize(batch);
   mask.resize(batch);
-  size_t caps_after = batch_index.capacity() + crash_target.capacity() + mask.capacity();
+  size_t caps_after = crash_target.capacity() + mask.capacity();
   if (caps_after != caps) {
     ++grow_count;
   }
@@ -306,8 +288,7 @@ size_t DtmTrunk::Workspace::Bytes() const {
   for (const Matrix* m : buffers) {
     bytes += m->size() * sizeof(double);
   }
-  bytes += batch_index.size() * sizeof(size_t) + crash_target.size() * sizeof(int) +
-           mask.size() / 8;
+  bytes += crash_target.size() * sizeof(int) + mask.size() / 8;
   return bytes;
 }
 

@@ -18,11 +18,13 @@
 // by the trunk itself:
 //
 //   * `workspace_grow_count()` is stable across repeated same-shaped
-//     forward/update rounds (zero heap allocation once warm);
-//   * `Update()` and inference are bit-identical at any `DtmOptions::threads`
-//     value (row/block partitioning never changes per-element arithmetic);
+//     forward/update rounds, and a warm `Update()` or `PredictRows(Matrix)`
+//     makes no heap allocation at all (nn_test counts operator new);
 //   * results are bit-identical across SIMD kernel backends (the backends
 //     evaluate the same expression trees — src/nn/kernels.h).
+//
+// The math runs serially on the calling thread. A process spends its cores
+// on concurrent sessions, not inside one model's Update.
 //
 // Updates are incremental — a constant number of gradient steps per new
 // observation — so per-iteration model cost stays O(1) and O(n) overall,
@@ -58,15 +60,9 @@ struct DtmOptions {
   size_t steps_per_update = 32;  // Constant per observation: O(n) total.
   double chamfer_weight = 0.05;
   uint64_t seed = 0xd7a1;
-  // Parallelism of forward/backward row blocks, the training-loop minibatch
-  // gather, per-block Adam updates, and the searchers' candidate-pool
-  // generation over the process-wide shared ThreadPool: number of concurrent
-  // chunks, 0 (or 1) = fully serial. Partitioning never changes per-element
-  // arithmetic, so any value gives bit-identical results.
-  size_t threads = 0;
   // SIMD kernel backend for this model's forward/backward/update math.
-  // kAuto follows the process default (WF_KERNELS env, else CPUID). Backends
-  // are bit-identical by construction, so this only changes speed.
+  // kAuto follows the process default (CPUID). Backends are bit-identical by
+  // construction, so this only changes speed.
   KernelBackend kernels = KernelBackend::kAuto;
   // Route inference through the scalar, allocation-per-op reference path
   // (textbook kernels, one fresh matrix per op — the seed implementation).
@@ -147,8 +143,7 @@ class DtmTrunk {
     Matrix dlogits, dyhat, ds;         // Loss gradients.
     Matrix dphi, dphi0, dphi1, dphi2;  // Uncertainty-branch gradients.
     Matrix dh2, dh2_scratch, dh1;      // Trunk gradients.
-    // Training-loop gather scratch: minibatch replay indices and targets.
-    std::vector<size_t> batch_index;
+    // Training-loop gather scratch: minibatch targets.
     std::vector<int> crash_target;
     std::vector<bool> mask;
     size_t grow_count = 0;
@@ -168,7 +163,6 @@ class DtmTrunk {
   // fast path uses. Correctness/perf baseline for equivalence tests and the
   // --naive benchmarks.
   void ForwardNaive(const Matrix& xs);
-  Parallelism Par() const;
   void RefreshNormalizers();
 
   size_t input_dim_;

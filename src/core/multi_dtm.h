@@ -10,9 +10,8 @@
 //
 // Like `DeepTuneModel`, this is a thin head over the shared `DtmTrunk`
 // (src/core/dtm_trunk.h) — the same single Forward/Backward/Update/Workspace
-// implementation at K = metric_count. The zero-alloc workspace arena, the
-// dispatched SIMD kernel backend, and bit-identical threading all come from
-// the trunk.
+// implementation at K = metric_count. The zero-alloc workspace arena and the
+// dispatched SIMD kernel backend both come from the trunk.
 #ifndef WAYFINDER_SRC_CORE_MULTI_DTM_H_
 #define WAYFINDER_SRC_CORE_MULTI_DTM_H_
 

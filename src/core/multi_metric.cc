@@ -78,15 +78,13 @@ std::vector<double> MultiMetricSearcher::ScorePool(SearchContext& context) {
   // Candidate pool: elite mutations + fresh random samples (the multi-metric
   // variant skips DeepTune's coordinate line search — elites already encode
   // the trade-off frontier the weights select). Assembly runs through the
-  // shared proposal pipeline: sharded over the thread pool on counter-derived
-  // RNG streams, encoded straight into the pool batch matrix, bit-identical
-  // at any thread count.
+  // shared proposal pipeline: counter-derived RNG streams, encoded straight
+  // into the pool batch matrix.
   ProposalPoolSpec spec;
   spec.pool_size = options_.pool_size;
   spec.exploit_fraction = options_.exploit_fraction;
   spec.max_mutations = options_.max_mutations;
   spec.line_search = false;
-  spec.threads = options_.model.threads;
   AssembleProposalPool(*space_, elites_, context.sample_options, spec,
                        proposal_.NextPoolSeed(*context.rng), proposal_.pool,
                        proposal_.encoded);

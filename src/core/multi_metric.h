@@ -109,9 +109,9 @@ class MultiMetricSearcher : public Searcher {
   std::vector<double> elite_scores_;
 
   // Proposal pipeline state (see DeepTuneSearcher): counter-derived candidate
-  // streams keep the pool bit-identical at any thread count, and the scratch
-  // containers persist so the warm path reuses their buffers. The history
-  // ring is synced incrementally — one encode per new trial, ever.
+  // streams, and scratch containers that persist so the warm path reuses
+  // their buffers. The history ring is synced incrementally — one encode per
+  // new trial, ever.
   static constexpr size_t kHistoryWindow = 128;
   ProposalState proposal_;
 };

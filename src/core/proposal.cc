@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "src/obs/metrics.h"
-#include "src/util/thread_pool.h"
 
 namespace wayfinder {
 namespace {
@@ -25,8 +24,7 @@ constexpr uint64_t kMutateSalt = 0x2317ab9d;
 constexpr uint64_t kRandomSalt = 0x35e0d3c7;
 
 // The per-candidate generator: seeded from (pool_seed, salt, index) only, so
-// candidate i's draws are independent of every other candidate and of the
-// thread that happens to run it.
+// candidate i's draws are independent of every other candidate.
 Rng StreamFor(uint64_t pool_seed, uint64_t salt, uint64_t index) {
   return Rng(HashCombine(HashCombine(pool_seed, salt), index));
 }
@@ -47,8 +45,8 @@ void AssembleProposalPool(const ConfigSpace& space,
     return;
   }
 
-  // --- pool layout (pure arithmetic; identical at any thread count) --------
-  // Phase-biased parameter weights, shared read-only by every shard.
+  // --- pool layout (pure arithmetic over the spec) --------------------------
+  // Phase-biased parameter weights, shared read-only by every candidate.
   const std::vector<double> weights = space.MutationWeights(sample_options);
   double weight_total = 0.0;
   for (double w : weights) {
@@ -68,43 +66,38 @@ void AssembleProposalPool(const ConfigSpace& space,
   }
   const size_t mutate_end = std::max(line_total, exploit);
 
-  // --- sharded generation ---------------------------------------------------
-  // Each candidate mutates and encodes independently: ConfigSpace's sampling
-  // and encoding methods are pure over immutable space state (see the
-  // thread-safety note in config_space.h), every candidate has its own RNG
-  // stream, and each shard writes disjoint pool entries / encoded rows.
-  ThreadPool* tp = spec.threads > 1 ? &ThreadPool::Shared() : nullptr;
-  ParallelFor(tp, pool_size, /*grain=*/8, spec.threads, [&](size_t i0, size_t i1) {
-    for (size_t i = i0; i < i1; ++i) {
-      Configuration& out = pool[i];
-      if (i < line_total) {
-        size_t group = i / kGridPoints;
-        const Configuration& base = elites[group % elites.size()];
-        // Every member of a group re-derives the group's parameter lottery —
-        // cheap, and it keeps the draw off any shared stream.
-        Rng group_rng = StreamFor(pool_seed, kLineGroupSalt, group);
-        size_t param = group_rng.WeightedIndex(weights);
-        out = base;
-        double code = static_cast<double>(i % kGridPoints) /
-                      static_cast<double>(kGridPoints - 1);
-        out.SetRaw(param, space.DecodeParam(param, code));
-        space.ApplyConstraints(&out);
-      } else if (i < mutate_end) {
-        const Configuration& base = elites[i % elites.size()];
-        Rng rng = StreamFor(pool_seed, kMutateSalt, i);
-        size_t mutations = 1 + static_cast<size_t>(rng.UniformInt(
-                                   0, static_cast<int64_t>(spec.max_mutations) - 1));
-        space.NeighborInto(base, rng, mutations, weights, &out);
-      } else {
-        Rng rng = StreamFor(pool_seed, kRandomSalt, i);
-        if (out.space() != &space) {
-          out = space.DefaultConfiguration();  // Bind once; reused when warm.
-        }
-        space.RandomConfigurationInto(rng, sample_options, &out);
+  // --- generation -----------------------------------------------------------
+  // Each candidate mutates and encodes independently, on its own RNG stream,
+  // into its own pool entry and encoded row.
+  for (size_t i = 0; i < pool_size; ++i) {
+    Configuration& out = pool[i];
+    if (i < line_total) {
+      size_t group = i / kGridPoints;
+      const Configuration& base = elites[group % elites.size()];
+      // Every member of a group re-derives the group's parameter lottery —
+      // cheap, and it keeps the draw off any shared stream.
+      Rng group_rng = StreamFor(pool_seed, kLineGroupSalt, group);
+      size_t param = group_rng.WeightedIndex(weights);
+      out = base;
+      double code = static_cast<double>(i % kGridPoints) /
+                    static_cast<double>(kGridPoints - 1);
+      out.SetRaw(param, space.DecodeParam(param, code));
+      space.ApplyConstraints(&out);
+    } else if (i < mutate_end) {
+      const Configuration& base = elites[i % elites.size()];
+      Rng rng = StreamFor(pool_seed, kMutateSalt, i);
+      size_t mutations = 1 + static_cast<size_t>(rng.UniformInt(
+                                 0, static_cast<int64_t>(spec.max_mutations) - 1));
+      space.NeighborInto(base, rng, mutations, weights, &out);
+    } else {
+      Rng rng = StreamFor(pool_seed, kRandomSalt, i);
+      if (out.space() != &space) {
+        out = space.DefaultConfiguration();  // Bind once; reused when warm.
       }
-      space.EncodeInto(out, encoded.Row(i));
+      space.RandomConfigurationInto(rng, sample_options, &out);
     }
-  });
+    space.EncodeInto(out, encoded.Row(i));
+  }
 }
 
 void EncodedHistoryRing::Sync(const ConfigSpace& space,

@@ -1,27 +1,23 @@
-// The parallel proposal pipeline: deterministic, optionally-threaded
-// candidate-pool assembly shared by the DTM-backed searchers
-// (DeepTuneSearcher and MultiMetricSearcher).
+// The proposal pipeline: deterministic candidate-pool assembly shared by
+// the DTM-backed searchers (DeepTuneSearcher and MultiMetricSearcher).
 //
 // Once DTM prediction is batched (one fused forward pass per pool), pool
 // *assembly* — line-search decode, elite mutation, random sampling, and
-// feature encoding — is the dominant serial fraction of a searcher
-// iteration. This helper shards that work across the process-wide thread
-// pool while keeping the paper's determinism guarantee intact:
+// feature encoding — is the other half of a searcher iteration. This helper
+// builds the pool while keeping the paper's determinism guarantee intact:
 //
 //   * every candidate index draws from its own counter-derived RNG stream,
 //     seeded from (pool_seed, block salt, candidate index) — never from the
-//     session's shared `SearchContext::rng` — so the produced pool does not
-//     depend on how candidates were partitioned across threads;
+//     session's shared `SearchContext::rng` — so candidate i does not depend
+//     on the order in which the others were generated;
 //   * the pool layout (which indices are line-search, mutation, or random
-//     candidates) is pure arithmetic over the spec, computed identically at
-//     any thread count;
+//     candidates) is pure arithmetic over the spec;
 //   * each candidate is encoded directly into its row of the caller's
 //     persistent `encoded` matrix, so the warm path allocates nothing for
 //     staging.
 //
-// The result: the full search trajectory is bit-identical at any
-// `threads` value — including fully serial (0) — which is what the
-// trajectory-pinning tests assert.
+// The result: the full search trajectory is a pure function of the seeds,
+// which is what the trajectory-pinning tests assert.
 #ifndef WAYFINDER_SRC_CORE_PROPOSAL_H_
 #define WAYFINDER_SRC_CORE_PROPOSAL_H_
 
@@ -43,8 +39,6 @@ struct ProposalPoolSpec {
   // Emit the model-guided coordinate line-search block (DeepTune's pool head;
   // the multi-metric searcher skips it).
   bool line_search = true;
-  // Concurrent shards over the shared ThreadPool; 0/1 = fully serial.
-  size_t threads = 0;
 };
 
 // Fills `pool` (resized to spec.pool_size) and `encoded` (reshaped to
@@ -56,7 +50,7 @@ struct ProposalPoolSpec {
 // `pool_seed` must change per iteration (the searchers hash their seed, an
 // iteration counter, and one serial draw from the session RNG). Both output
 // containers should persist across calls so the warm path reuses their
-// buffers. Bit-identical at any spec.threads value.
+// buffers.
 void AssembleProposalPool(const ConfigSpace& space,
                           const std::vector<Configuration>& elites,
                           const SampleOptions& sample_options,
@@ -111,9 +105,7 @@ struct ProposalState {
       : search_seed(HashCombine(model_seed, StableHash("proposal-pipeline"))) {}
 
   // Pool seed for the next Propose: mixes the searcher seed, an iteration
-  // counter, and exactly one serial draw of session entropy. All three are
-  // independent of thread partitioning, which is what keeps the trajectory
-  // bit-identical at any thread count.
+  // counter, and exactly one serial draw of session entropy.
   uint64_t NextPoolSeed(Rng& session_rng) {
     return HashCombine(HashCombine(search_seed, ++iteration), session_rng.Next());
   }

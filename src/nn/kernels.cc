@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 namespace wayfinder {
@@ -163,45 +162,7 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool CpuHasAvx512f() {
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-}
-
 KernelBackend ResolveAuto() {
-  // The one sanctioned environment read in the model core: the backend
-  // override seam (docs/perf.md). Backends are bit-identical by
-  // construction, so this changes speed, never results.
-  // wf-lint: allow(det-banned-call) — WF_KERNELS backend override, results invariant.
-  if (const char* env = std::getenv("WF_KERNELS")) {
-    if (std::strcmp(env, "portable") == 0) {
-      return KernelBackend::kPortable;
-    }
-    if (std::strcmp(env, "avx2") == 0) {
-      // Coerce to portable when the CPU or build lacks AVX2, so the reported
-      // default backend always names the table actually running.
-      return KernelBackendAvailable(KernelBackend::kAvx2) ? KernelBackend::kAvx2
-                                                          : KernelBackend::kPortable;
-    }
-    if (std::strcmp(env, "avx512") == 0) {
-      // AVX-512 is opt-in: only an explicit request reaches it. Coerce down
-      // the chain when the CPU or build lacks it.
-      if (KernelBackendAvailable(KernelBackend::kAvx512)) {
-        return KernelBackend::kAvx512;
-      }
-      return KernelBackendAvailable(KernelBackend::kAvx2) ? KernelBackend::kAvx2
-                                                          : KernelBackend::kPortable;
-    }
-    // Unknown value: fall through to CPUID (don't crash a tuning run over a
-    // typo; the chosen backend is observable via KernelBackendName).
-  }
-  // CPUID auto-resolution deliberately stops at AVX2: 512-bit execution can
-  // drop the core's frequency license on client parts, so AVX-512 must be
-  // requested explicitly (WF_KERNELS=avx512 / DtmOptions::kernels). The
-  // bench_micro_dtm measurement behind this default lives in docs/perf.md.
   return KernelBackendAvailable(KernelBackend::kAvx2) ? KernelBackend::kAvx2
                                                       : KernelBackend::kPortable;
 }
@@ -217,8 +178,6 @@ bool KernelBackendAvailable(KernelBackend backend) {
       return true;
     case KernelBackend::kAvx2:
       return Avx2KernelOps() != nullptr && CpuHasAvx2();
-    case KernelBackend::kAvx512:
-      return Avx512KernelOps() != nullptr && CpuHasAvx512f();
   }
   return false;
 }
@@ -234,15 +193,6 @@ const KernelOps& KernelsFor(KernelBackend backend) {
         return *Avx2KernelOps();
       }
       return kPortableOps;  // Requested but unavailable: safe fallback.
-    case KernelBackend::kAvx512:
-      if (KernelBackendAvailable(KernelBackend::kAvx512)) {
-        return *Avx512KernelOps();
-      }
-      // Requested but unavailable: fall down the chain, widest first.
-      if (KernelBackendAvailable(KernelBackend::kAvx2)) {
-        return *Avx2KernelOps();
-      }
-      return kPortableOps;
   }
   return kPortableOps;
 }
@@ -260,15 +210,8 @@ KernelBackend DefaultKernelBackend() {
 const KernelOps& DefaultKernels() { return KernelsFor(DefaultKernelBackend()); }
 
 void SetDefaultKernelBackend(KernelBackend backend) {
-  if (backend == KernelBackend::kAuto) {
-    g_default_backend.store(static_cast<int>(ResolveAuto()), std::memory_order_relaxed);
-    return;
-  }
-  if (!KernelBackendAvailable(backend)) {
-    backend = backend == KernelBackend::kAvx512 &&
-                      KernelBackendAvailable(KernelBackend::kAvx2)
-                  ? KernelBackend::kAvx2
-                  : KernelBackend::kPortable;
+  if (backend == KernelBackend::kAuto || !KernelBackendAvailable(backend)) {
+    backend = ResolveAuto();
   }
   g_default_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
 }
@@ -281,8 +224,6 @@ const char* KernelBackendName(KernelBackend backend) {
       return "portable";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }

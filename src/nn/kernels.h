@@ -9,20 +9,12 @@
 //   * avx2     — 256-bit vector implementations, compiled in a separate
 //     translation unit with `-mavx2 -mfma` (gated per-file in CMake so the
 //     rest of the build stays portable), selected only when CPUID reports
-//     AVX2 support;
-//   * avx512   — 512-bit implementations of the elementwise kernels (per-
-//     index math is width-invariant, so they stay bit-identical), with the
-//     order-sensitive reductions kept on the 256-bit 4-lane structure.
-//     Opt-in only: CPUID auto-resolution never picks it, because 512-bit
-//     execution can downclock client cores (see docs/perf.md for the
-//     measurement); select it explicitly via `WF_KERNELS=avx512` or
-//     `DtmOptions::kernels`.
+//     AVX2 support.
 //
-// The backend is resolved once, on first use:
-// `WF_KERNELS=portable|avx2|avx512` overrides, otherwise CPUID picks the
-// widest available implementation up to AVX2. Models can pin a backend
-// per-instance via `DtmOptions::kernels`, which flows to the kernels
-// through `Parallelism::kernels`.
+// The process default is resolved once, on first use: CPUID picks AVX2 when
+// both the CPU and the build have it, portable otherwise. Models can pin a
+// backend per-instance via `DtmOptions::kernels`, which reaches the kernels
+// as the `const KernelOps* ops` argument every matrix and layer call takes.
 //
 // Bit-exactness contract: both backends evaluate the *same* floating-point
 // expression tree. The portable kernels are written in the lane structure
@@ -40,10 +32,9 @@
 namespace wayfinder {
 
 enum class KernelBackend {
-  kAuto = 0,  // WF_KERNELS env override, else widest CPUID-supported (<= AVX2).
+  kAuto = 0,  // The process default: AVX2 when CPUID reports it, else portable.
   kPortable,
   kAvx2,
-  kAvx512,    // Opt-in only; never chosen by CPUID auto-resolution.
 };
 
 // Scalar constants of one Adam step, precomputed once per Step() call so the
@@ -61,7 +52,7 @@ struct AdamScalars {
 // The dispatched inner loops. All pointers are to dense double arrays; no
 // kernel allocates or assumes alignment (loads are unaligned).
 struct KernelOps {
-  const char* name;  // "portable" | "avx2" | "avx512"
+  const char* name;  // "portable" | "avx2"
 
   // One full output row of the streamed matmul:
   //   out[j] = (bias ? bias[j] : 0) + sum over k-blocks-of-4 of
@@ -101,7 +92,7 @@ struct KernelOps {
 // back to portable when the CPU or build lacks AVX2.
 const KernelOps& KernelsFor(KernelBackend backend);
 
-// Process default: resolved once from WF_KERNELS / CPUID on first call.
+// Process default: resolved once from CPUID on first call.
 const KernelOps& DefaultKernels();
 KernelBackend DefaultKernelBackend();
 
@@ -118,13 +109,8 @@ const char* KernelBackendName(KernelBackend backend);
 // compiled without AVX2 support.
 const KernelOps* Avx2KernelOps();
 
-// Defined in kernels_avx512.cc: the AVX-512 table, or nullptr when that TU
-// was compiled without AVX-512F support.
-const KernelOps* Avx512KernelOps();
-
-// The one resolution rule for optional per-call backend pointers (e.g.
-// Parallelism::kernels): an explicit table wins, nullptr means the process
-// default.
+// The one resolution rule for the optional `ops` argument of the matrix and
+// layer kernels: an explicit table wins, nullptr means the process default.
 inline const KernelOps& ResolveKernels(const KernelOps* ops) {
   return ops != nullptr ? *ops : DefaultKernels();
 }

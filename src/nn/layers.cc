@@ -6,13 +6,8 @@
 #include <limits>
 
 #include "src/nn/kernels.h"
-#include "src/util/thread_pool.h"
 
 namespace wayfinder {
-
-namespace {
-inline const KernelOps& Ops(const Parallelism& par) { return ResolveKernels(par.kernels); }
-}  // namespace
 
 DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, Rng& rng) {
   weight_.value = Matrix::Xavier(in_dim, out_dim, rng);
@@ -21,21 +16,21 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, Rng& rng) {
   bias_.grad.Resize(1, out_dim);
 }
 
-size_t DenseLayer::ForwardInto(const Matrix& x, Matrix& y, const Parallelism& par) {
+size_t DenseLayer::ForwardInto(const Matrix& x, Matrix& y, const KernelOps* ops) {
   assert(x.cols() == weight_.value.rows());
   last_input_ = &x;
-  return MatMulAddBiasInto(x, weight_.value, bias_.value, y, par);
+  return MatMulAddBiasInto(x, weight_.value, bias_.value, y, ops);
 }
 
-size_t DenseLayer::BackwardInto(const Matrix& dy, Matrix* dx, const Parallelism& par) {
+size_t DenseLayer::BackwardInto(const Matrix& dy, Matrix* dx, const KernelOps* ops) {
   // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
   assert(last_input_ != nullptr);
-  MatMulAtAccum(*last_input_, dy, weight_.grad, par.kernels);
-  ColSumAccum(dy, bias_.grad, par.kernels);
+  MatMulAtAccum(*last_input_, dy, weight_.grad, ops);
+  ColSumAccum(dy, bias_.grad, ops);
   if (dx == nullptr) {
     return 0;
   }
-  return MatMulBtInto(dy, weight_.value, *dx, par);
+  return MatMulBtInto(dy, weight_.value, *dx, ops);
 }
 
 Matrix DenseLayer::Forward(const Matrix& x) {
@@ -53,8 +48,8 @@ Matrix DenseLayer::Backward(const Matrix& dy) {
 
 // wf-hot-path: workspace-arena — clamps the caller's matrix in place; the
 // mask is a pointer into it, never a copy.
-void ReluLayer::ForwardInPlace(Matrix& x, const Parallelism& par) {
-  ReluInPlace(x, par.kernels);
+void ReluLayer::ForwardInPlace(Matrix& x, const KernelOps* ops) {
+  ReluInPlace(x, ops);
   mask_source_ = &x;
 }
 
@@ -128,7 +123,7 @@ RbfLayer::RbfLayer(size_t in_dim, size_t centroids, double gamma, Rng& rng)
   centroids_.grad.Resize(centroids, in_dim);
 }
 
-size_t RbfLayer::ForwardInto(const Matrix& z, Matrix& phi, const Parallelism& par) {
+size_t RbfLayer::ForwardInto(const Matrix& z, Matrix& phi, const KernelOps* ops) {
   assert(z.cols() == centroids_.value.cols());
   assert(&z != &phi);
   last_input_ = &z;
@@ -138,36 +133,34 @@ size_t RbfLayer::ForwardInto(const Matrix& z, Matrix& phi, const Parallelism& pa
   // ||z - c||^2 = ||z||^2 + ||c||^2 - 2 z·c: the cross term is a fast
   // matmul instead of K x N scalar distance loops. Rounding can push a
   // near-zero distance slightly negative, hence the max with 0.
-  size_t grew = MatMulBtInto(z, centroids_.value, phi, par);
-  const KernelOps& ops = Ops(par);
+  size_t grew = MatMulBtInto(z, centroids_.value, phi, ops);
+  const KernelOps& k_ops = ResolveKernels(ops);
   if (centroid_sq_norms_.size() != k) {
     centroid_sq_norms_.resize(k);
   }
   for (size_t c = 0; c < k; ++c) {
-    centroid_sq_norms_[c] = ops.sqnorm(centroids_.value.Row(c), d);
+    centroid_sq_norms_[c] = k_ops.sqnorm(centroids_.value.Row(c), d);
   }
   double inv = 1.0 / (2.0 * gamma_ * gamma_);
-  ParallelFor(par.pool, z.rows(), /*grain=*/8, par.max_ways, [&](size_t r0, size_t r1) {
-    for (size_t n = r0; n < r1; ++n) {
-      double z_sq = ops.sqnorm(z.Row(n), d);
-      double* phirow = phi.Row(n);
-      for (size_t c = 0; c < k; ++c) {
-        double dist = std::max(0.0, z_sq + centroid_sq_norms_[c] - 2.0 * phirow[c]);
-        phirow[c] = std::exp(-dist * inv);
-      }
+  for (size_t n = 0; n < z.rows(); ++n) {
+    double z_sq = k_ops.sqnorm(z.Row(n), d);
+    double* phirow = phi.Row(n);
+    for (size_t c = 0; c < k; ++c) {
+      double dist = std::max(0.0, z_sq + centroid_sq_norms_[c] - 2.0 * phirow[c]);
+      phirow[c] = std::exp(-dist * inv);
     }
-  });
+  }
   return grew;
 }
 
 size_t RbfLayer::BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate,
-                              const Parallelism& par) {
+                              const KernelOps* ops) {
   // dphi/dz_n   = phi_nc * (c - z_n) / gamma^2
   // dphi/dc     = phi_nc * (z_n - c) / gamma^2
   assert(last_input_ != nullptr && last_phi_ != nullptr);
   const Matrix& z = *last_input_;
   const Matrix& phi = *last_phi_;
-  const KernelOps& ops = Ops(par);
+  const KernelOps& k_ops = ResolveKernels(ops);
   size_t k = centroids_.value.rows();
   size_t d = centroids_.value.cols();
   size_t grew = 0;
@@ -186,9 +179,9 @@ size_t RbfLayer::BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate,
       }
       const double* crow = centroids_.value.Row(c);
       if (dzrow != nullptr) {
-        ops.axpy_diff(scale, crow, zrow, dzrow, d);  // dz += scale * (c - z)
+        k_ops.axpy_diff(scale, crow, zrow, dzrow, d);  // dz += scale * (c - z)
       }
-      ops.axpy_diff(scale, zrow, crow, centroids_.grad.Row(c), d);  // dc += scale * (z - c)
+      k_ops.axpy_diff(scale, zrow, crow, centroids_.grad.Row(c), d);  // dc += scale * (z - c)
     }
   }
   return grew;
@@ -206,7 +199,7 @@ Matrix RbfLayer::Backward(const Matrix& dphi) {
   return dz;
 }
 
-double RbfLayer::AccumulateChamferGradient(double weight, const Parallelism& par) {
+double RbfLayer::AccumulateChamferGradient(double weight, const KernelOps* ops) {
   // Chamfer distance between the centroid set C and the cached batch Z:
   //   L = 1/K sum_c min_n ||c - z_n||^2  +  1/N sum_n min_c ||z_n - c||^2.
   // Gradient w.r.t. C only (prototypes chase the data distribution).
@@ -216,7 +209,7 @@ double RbfLayer::AccumulateChamferGradient(double weight, const Parallelism& par
   if (z.rows() == 0) {
     return 0.0;
   }
-  const KernelOps& ops = Ops(par);
+  const KernelOps& k_ops = ResolveKernels(ops);
   size_t k = c.rows();
   size_t n = z.rows();
   size_t d = c.cols();
@@ -227,7 +220,7 @@ double RbfLayer::AccumulateChamferGradient(double weight, const Parallelism& par
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (size_t ni = 0; ni < n; ++ni) {
-      double dist = ops.sqdist(c.Row(ci), z.Row(ni), d);
+      double dist = k_ops.sqdist(c.Row(ci), z.Row(ni), d);
       if (dist < best_dist) {
         best_dist = dist;
         best = ni;
@@ -235,14 +228,14 @@ double RbfLayer::AccumulateChamferGradient(double weight, const Parallelism& par
     }
     loss += best_dist / static_cast<double>(k);
     double scale = weight * 2.0 / static_cast<double>(k);
-    ops.axpy_diff(scale, c.Row(ci), z.Row(best), centroids_.grad.Row(ci), d);
+    k_ops.axpy_diff(scale, c.Row(ci), z.Row(best), centroids_.grad.Row(ci), d);
   }
   // Term 2: every batch point pulls its nearest centroid toward itself.
   for (size_t ni = 0; ni < n; ++ni) {
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (size_t ci = 0; ci < k; ++ci) {
-      double dist = ops.sqdist(z.Row(ni), c.Row(ci), d);
+      double dist = k_ops.sqdist(z.Row(ni), c.Row(ci), d);
       if (dist < best_dist) {
         best_dist = dist;
         best = ci;
@@ -250,7 +243,7 @@ double RbfLayer::AccumulateChamferGradient(double weight, const Parallelism& par
     }
     loss += best_dist / static_cast<double>(n);
     double scale = weight * 2.0 / static_cast<double>(n);
-    ops.axpy_diff(scale, c.Row(best), z.Row(ni), centroids_.grad.Row(best), d);
+    k_ops.axpy_diff(scale, c.Row(best), z.Row(ni), centroids_.grad.Row(best), d);
   }
   return loss;
 }

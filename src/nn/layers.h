@@ -38,9 +38,9 @@ class DenseLayer {
   DenseLayer(size_t in_dim, size_t out_dim, Rng& rng);
 
   // Fast path. Caches `x` by pointer; returns `y` buffer growths.
-  size_t ForwardInto(const Matrix& x, Matrix& y, const Parallelism& par = {});
+  size_t ForwardInto(const Matrix& x, Matrix& y, const KernelOps* ops = nullptr);
   // Accumulates dL/dW, dL/db; writes dL/dX into `dx` unless null.
-  size_t BackwardInto(const Matrix& dy, Matrix* dx, const Parallelism& par = {});
+  size_t BackwardInto(const Matrix& dy, Matrix* dx, const KernelOps* ops = nullptr);
 
   Matrix Forward(const Matrix& x);
   Matrix Backward(const Matrix& dy);
@@ -65,7 +65,7 @@ class ReluLayer {
   // Fast path: clips in place and caches `x` by pointer. Backward masks on
   // the *output* (y > 0 ⟺ pre-activation > 0), so callers may keep mutating
   // zero entries (e.g. dropout) without breaking the mask.
-  void ForwardInPlace(Matrix& x, const Parallelism& par = {});
+  void ForwardInPlace(Matrix& x, const KernelOps* ops = nullptr);
   // dy is masked in place.
   void BackwardInPlace(Matrix& dy);
 
@@ -111,11 +111,11 @@ class RbfLayer {
   // Fast path. Caches `z` and `phi` by pointer; returns `phi` growths.
   // `z` and `phi` must stay unmodified until Backward /
   // AccumulateChamferGradient runs.
-  size_t ForwardInto(const Matrix& z, Matrix& phi, const Parallelism& par = {});
+  size_t ForwardInto(const Matrix& z, Matrix& phi, const KernelOps* ops = nullptr);
   // Accumulates the centroid gradient; unless `dz` is null, writes (or with
   // `accumulate`, adds) dL/dZ into it.
   size_t BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate = false,
-                      const Parallelism& par = {});
+                      const KernelOps* ops = nullptr);
 
   Matrix Forward(const Matrix& z);
   Matrix Backward(const Matrix& dphi);
@@ -130,7 +130,7 @@ class RbfLayer {
   // to the centroid gradient and returns the loss value. Call between
   // Forward and the optimizer step. The gradient is not propagated into the
   // batch (the regularizer shapes centroids, not the trunk).
-  double AccumulateChamferGradient(double weight, const Parallelism& par = {});
+  double AccumulateChamferGradient(double weight, const KernelOps* ops = nullptr);
 
  private:
   ParamBlock centroids_;  // K x in_dim

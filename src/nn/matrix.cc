@@ -1,19 +1,12 @@
 #include "src/nn/matrix.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 
 #include "src/nn/kernels.h"
-#include "src/util/thread_pool.h"
 
 namespace wayfinder {
-
-namespace {
-inline const KernelOps& Ops(const KernelOps* ops) { return ResolveKernels(ops); }
-inline const KernelOps& Ops(const Parallelism& par) { return ResolveKernels(par.kernels); }
-}  // namespace
 
 Matrix::Matrix(size_t rows, size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
@@ -55,65 +48,49 @@ Matrix Matrix::FromRow(const std::vector<double>& row) {
 
 namespace {
 
-// Picks a row grain so one chunk carries at least ~32k flops; below that the
-// pool handoff costs more than it buys.
-size_t RowGrain(size_t flops_per_row) {
-  constexpr size_t kMinFlopsPerChunk = 32 * 1024;
-  return std::max<size_t>(1, kMinFlopsPerChunk / std::max<size_t>(1, flops_per_row));
-}
-
-// Shared inner loop of MatMulInto / MatMulAddBiasInto over rows [r0, r1):
-// one fused gemm_row kernel call per output row (4x k-unrolled inside, bias
-// init fused, b rows streamed) on the dispatched backend.
-void MatMulRowRange(const Matrix& a, const Matrix& b, const double* bias, Matrix& out,
-                    const KernelOps& ops, size_t r0, size_t r1) {
-  const size_t k_dim = a.cols();
-  const size_t m_dim = b.cols();
-  const double* b_base = b.Row(0);
-  for (size_t i = r0; i < r1; ++i) {
-    ops.gemm_row(a.Row(i), k_dim, b_base, m_dim, bias, out.Row(i), m_dim);
-  }
-}
-
+// Shared body of MatMulInto / MatMulAddBiasInto: one fused gemm_row kernel
+// call per output row (4x k-unrolled inside, bias init fused, b rows
+// streamed) on the dispatched backend.
 size_t MatMulImpl(const Matrix& a, const Matrix& b, const double* bias, Matrix& out,
-                  const Parallelism& par) {
+                  const KernelOps* ops) {
   assert(a.cols() == b.rows());
   assert(&out != &a && &out != &b);
   size_t grew = out.Reshape(a.rows(), b.cols()) ? 1 : 0;
-  const KernelOps& ops = Ops(par);
-  ParallelFor(par.pool, a.rows(), RowGrain(a.cols() * b.cols()), par.max_ways,
-              [&](size_t r0, size_t r1) { MatMulRowRange(a, b, bias, out, ops, r0, r1); });
+  const KernelOps& k_ops = ResolveKernels(ops);
+  const size_t k_dim = a.cols();
+  const size_t m_dim = b.cols();
+  const double* b_base = b.Row(0);
+  for (size_t i = 0; i < a.rows(); ++i) {
+    k_ops.gemm_row(a.Row(i), k_dim, b_base, m_dim, bias, out.Row(i), m_dim);
+  }
   return grew;
 }
 
 }  // namespace
 
-size_t MatMulInto(const Matrix& a, const Matrix& b, Matrix& out, const Parallelism& par) {
-  return MatMulImpl(a, b, /*bias=*/nullptr, out, par);
+size_t MatMulInto(const Matrix& a, const Matrix& b, Matrix& out, const KernelOps* ops) {
+  return MatMulImpl(a, b, /*bias=*/nullptr, out, ops);
 }
 
 size_t MatMulAddBiasInto(const Matrix& a, const Matrix& b, const Matrix& bias, Matrix& out,
-                         const Parallelism& par) {
+                         const KernelOps* ops) {
   assert(bias.rows() == 1 && bias.cols() == b.cols());
-  return MatMulImpl(a, b, bias.Row(0), out, par);
+  return MatMulImpl(a, b, bias.Row(0), out, ops);
 }
 
-size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const Parallelism& par) {
+size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const KernelOps* ops) {
   assert(a.cols() == b.cols());
   assert(&out != &a && &out != &b);
   size_t grew = out.Reshape(a.rows(), b.rows()) ? 1 : 0;
   const size_t k_dim = a.cols();
-  const KernelOps& ops = Ops(par);
-  ParallelFor(par.pool, a.rows(), RowGrain(k_dim * b.rows()), par.max_ways,
-              [&](size_t r0, size_t r1) {
-                for (size_t i = r0; i < r1; ++i) {
-                  const double* arow = a.Row(i);
-                  double* orow = out.Row(i);
-                  for (size_t j = 0; j < b.rows(); ++j) {
-                    orow[j] = ops.dot(arow, b.Row(j), k_dim);
-                  }
-                }
-              });
+  const KernelOps& k_ops = ResolveKernels(ops);
+  for (size_t i = 0; i < a.rows(); ++i) {
+    const double* arow = a.Row(i);
+    double* orow = out.Row(i);
+    for (size_t j = 0; j < b.rows(); ++j) {
+      orow[j] = k_ops.dot(arow, b.Row(j), k_dim);
+    }
+  }
   return grew;
 }
 
@@ -129,7 +106,7 @@ size_t MatMulAtInto(const Matrix& a, const Matrix& b, Matrix& out) {
 void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const KernelOps* ops) {
   assert(a.rows() == b.rows());
   assert(acc.rows() == a.cols() && acc.cols() == b.cols());
-  const KernelOps& k_ops = Ops(ops);
+  const KernelOps& k_ops = ResolveKernels(ops);
   for (size_t k = 0; k < a.rows(); ++k) {
     const double* arow = a.Row(k);
     const double* brow = b.Row(k);
@@ -145,7 +122,7 @@ void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const KernelOp
 
 void ColSumAccum(const Matrix& m, Matrix& acc, const KernelOps* ops) {
   assert(acc.rows() == 1 && acc.cols() == m.cols());
-  const KernelOps& k_ops = Ops(ops);
+  const KernelOps& k_ops = ResolveKernels(ops);
   double* out = acc.Row(0);
   for (size_t i = 0; i < m.rows(); ++i) {
     k_ops.vadd(m.Row(i), out, m.cols());
@@ -153,7 +130,7 @@ void ColSumAccum(const Matrix& m, Matrix& acc, const KernelOps* ops) {
 }
 
 void ReluInPlace(Matrix& m, const KernelOps* ops) {
-  Ops(ops).relu(m.data().data(), m.size());
+  ResolveKernels(ops).relu(m.data().data(), m.size());
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

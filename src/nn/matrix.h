@@ -5,9 +5,8 @@
 //     caller-provided output so the hot path (DTM forward/backward rounds)
 //     never allocates after warmup. Their inner loops run on the dispatched
 //     SIMD backend (src/nn/kernels.h: portable or AVX2, selected at runtime;
-//     backends are bit-identical by construction). Large row ranges can
-//     optionally be split over a ThreadPool; row partitioning leaves per-row
-//     arithmetic untouched, so threaded results are bit-identical to serial.
+//     backends are bit-identical by construction). Every fast kernel takes
+//     an optional `const KernelOps* ops` (nullptr = DefaultKernels()).
 //   * `Naive*` reference kernels — textbook triple loops, kept as the
 //     correctness baseline for tests and the `--naive` benchmark fallback.
 // The allocating wrappers (MatMul &c.) call the fast kernels and remain the
@@ -22,7 +21,6 @@
 
 namespace wayfinder {
 
-class ThreadPool;
 struct KernelOps;
 
 class Matrix {
@@ -65,27 +63,18 @@ class Matrix {
   std::vector<double> data_;
 };
 
-// Execution policy for a kernel call: how output rows may spread across
-// threads, and which SIMD backend runs the inner loops. Defaults: serial,
-// process-default backend. Row partitioning never changes per-row
-// arithmetic, and backends are bit-identical by construction, so any policy
-// produces bit-identical results.
-struct Parallelism {
-  ThreadPool* pool = nullptr;
-  size_t max_ways = 1;  // Chunk count cap, caller's chunk included.
-  const KernelOps* kernels = nullptr;  // nullptr = DefaultKernels().
-};
-
 // --- fast kernels (write into `out`, reshaping it as needed) ---------------
 // Each returns the number of buffer growths `out` needed (0 after warmup).
 
 // out = a * b              (a: NxK, b: KxM)
-size_t MatMulInto(const Matrix& a, const Matrix& b, Matrix& out, const Parallelism& par = {});
+size_t MatMulInto(const Matrix& a, const Matrix& b, Matrix& out,
+                  const KernelOps* ops = nullptr);
 // out = a * b + bias       (bias: 1 x M broadcast over rows) — fused.
 size_t MatMulAddBiasInto(const Matrix& a, const Matrix& b, const Matrix& bias, Matrix& out,
-                         const Parallelism& par = {});
+                         const KernelOps* ops = nullptr);
 // out = a * b^T            (a: NxK, b: MxK)
-size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const Parallelism& par = {});
+size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out,
+                    const KernelOps* ops = nullptr);
 // out = a^T * b            (a: KxN, b: KxM)
 size_t MatMulAtInto(const Matrix& a, const Matrix& b, Matrix& out);
 // acc += a^T * b — gradient accumulation without a temporary (acc: NxM).

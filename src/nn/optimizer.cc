@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/nn/kernels.h"
-#include "src/util/thread_pool.h"
 
 namespace wayfinder {
 
@@ -23,23 +22,21 @@ void Adam::ZeroGrad() {
   }
 }
 
-void Adam::Step(const Parallelism& par) {
+void Adam::Step(const KernelOps* ops) {
   ++step_;
-  const KernelOps& ops = ResolveKernels(par.kernels);
+  const KernelOps& k_ops = ResolveKernels(ops);
   // Optional global-norm gradient clipping for stability on small batches.
-  // The norm is reduced serially over blocks *before* the parallel section,
-  // so the clip factor — and therefore every update — is independent of the
-  // thread split.
+  // The norm is reduced over every block before any block is updated.
   if (options_.grad_clip > 0.0) {
     double sq = 0.0;
     for (ParamBlock* p : params_) {
-      sq += ops.sqnorm(p->grad.data().data(), p->grad.size());
+      sq += k_ops.sqnorm(p->grad.data().data(), p->grad.size());
     }
     double norm = std::sqrt(sq);
     if (norm > options_.grad_clip) {
       double scale = options_.grad_clip / norm;
       for (ParamBlock* p : params_) {
-        ops.scal(scale, p->grad.data().data(), p->grad.size());
+        k_ops.scal(scale, p->grad.data().data(), p->grad.size());
       }
     }
   }
@@ -51,16 +48,11 @@ void Adam::Step(const Parallelism& par) {
   scalars.weight_decay = options_.weight_decay;
   scalars.bias1 = 1.0 - std::pow(options_.beta1, static_cast<double>(step_));
   scalars.bias2 = 1.0 - std::pow(options_.beta2, static_cast<double>(step_));
-  // Per-block updates are independent and serial within a block, so the
-  // block partition can go wide without changing a single bit.
-  ParallelFor(par.pool, params_.size(), /*grain=*/1, par.max_ways,
-              [&](size_t p0, size_t p1) {
-                for (size_t p = p0; p < p1; ++p) {
-                  ops.adam_update(params_[p]->value.data().data(),
-                                  params_[p]->grad.data().data(), m_[p].data().data(),
-                                  v_[p].data().data(), params_[p]->value.size(), scalars);
-                }
-              });
+  for (size_t p = 0; p < params_.size(); ++p) {
+    k_ops.adam_update(params_[p]->value.data().data(), params_[p]->grad.data().data(),
+                      m_[p].data().data(), v_[p].data().data(), params_[p]->value.size(),
+                      scalars);
+  }
 }
 
 }  // namespace wayfinder

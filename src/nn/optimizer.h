@@ -1,9 +1,8 @@
 // Adam optimizer over parameter blocks.
 //
-// Step() runs on the dispatched kernel backend (src/nn/kernels.h) and can
-// split parameter blocks across the shared thread pool: the global-norm clip
-// factor is computed once up front and each block's update is serial per
-// block, so results are bit-identical for any thread count.
+// Step() runs on the dispatched kernel backend (src/nn/kernels.h): the
+// global-norm clip factor is computed once up front, then each parameter
+// block is updated in order.
 #ifndef WAYFINDER_SRC_NN_OPTIMIZER_H_
 #define WAYFINDER_SRC_NN_OPTIMIZER_H_
 
@@ -27,9 +26,8 @@ class Adam {
   explicit Adam(std::vector<ParamBlock*> params, const AdamOptions& options = {});
 
   // Applies one update from the accumulated gradients, then zeroes them.
-  // `par` spreads per-block updates over the pool; any value of
-  // `par.max_ways` gives bit-identical results.
-  void Step(const Parallelism& par = {});
+  // `ops` selects the kernel backend (nullptr = DefaultKernels()).
+  void Step(const KernelOps* ops = nullptr);
 
   // Zeroes gradients without stepping (e.g. after a skipped batch).
   void ZeroGrad();

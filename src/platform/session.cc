@@ -341,7 +341,7 @@ size_t SearchSession::StepBatch() {
   }
   size_t ways = options_.eval_threads == 0 ? n : options_.eval_threads;
   span_start = obs::Enabled() ? obs::NowNs() : 0;
-  ParallelFor(&ThreadPool::Shared(), n, /*grain=*/1, ways, [&](size_t begin, size_t end) {
+  ThreadPool::Shared().ParallelFor(n, /*grain=*/1, ways, [&](size_t begin, size_t end) {
     for (size_t slot = begin; slot < end; ++slot) {
       PendingTrial& pending = pending_[slot];
       Rng trial_rng(pending.rng_seed);
@@ -463,7 +463,7 @@ void SearchSession::RefillSlidingSlots() {
   proposed_count_ += n;
   size_t ways = options_.eval_threads == 0 ? n : options_.eval_threads;
   span_start = obs::Enabled() ? obs::NowNs() : 0;
-  ParallelFor(&ThreadPool::Shared(), n, /*grain=*/1, ways, [&](size_t begin, size_t end) {
+  ThreadPool::Shared().ParallelFor(n, /*grain=*/1, ways, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       InFlight& flight = in_flight_[first + i];
       Rng trial_rng(flight.trial.rng_seed);

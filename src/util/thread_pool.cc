@@ -7,11 +7,11 @@ namespace wayfinder {
 
 namespace {
 // Set for the lifetime of a pool worker thread. A ParallelFor issued from a
-// worker (e.g. a kernel that parallelizes inside an already-parallel row
-// chunk) must not block on the queue it is itself draining: with every
-// worker busy the nested round's chunks would never be picked up and the
-// worker would wait forever. Nested calls run inline instead — correct for
-// any body (chunking is only a performance split) and deadlock-free.
+// worker (a parallel region nested inside an already-parallel chunk) must
+// not block on the queue it is itself draining: with every worker busy the
+// nested round's chunks would never be picked up and the worker would wait
+// forever. Nested calls run inline instead — correct for any body (chunking
+// is only a performance split) and deadlock-free.
 thread_local bool tls_pool_worker = false;
 }  // namespace
 
@@ -127,17 +127,6 @@ ThreadPool& ThreadPool::Shared() {
                                                  ? std::thread::hardware_concurrency() - 1
                                                  : 1));
   return pool;
-}
-
-void ParallelFor(ThreadPool* pool, size_t n, size_t grain, size_t max_ways,
-                 const std::function<void(size_t, size_t)>& body) {
-  if (pool == nullptr || max_ways <= 1 || n <= grain) {
-    if (n > 0) {
-      body(0, n);
-    }
-    return;
-  }
-  pool->ParallelFor(n, grain, max_ways, body);
 }
 
 }  // namespace wayfinder

@@ -1,11 +1,10 @@
-// A small fixed-size thread pool with a blocking ParallelFor helper.
+// A small fixed-size thread pool with a blocking ParallelFor.
 //
-// Wayfinder's hot paths (batched DTM inference, large matmul row ranges)
-// are data-parallel over independent row blocks, so a plain chunked
-// parallel-for over a shared worker pool is all we need — no work stealing,
-// no futures. The pool is opt-in everywhere (a null pool or a single-way
-// split runs inline on the caller), and row partitioning never changes the
-// per-row arithmetic, so results are bit-identical with and without threads.
+// The session executor evaluates the slots of one batch concurrently on the
+// process-wide shared pool (src/platform/session.cc); every slot owns its
+// testbench clone, RNG stream, and clock, so chunking never changes results.
+// No work stealing, no futures: a plain chunked parallel-for is all it
+// needs.
 #ifndef WAYFINDER_SRC_UTIL_THREAD_POOL_H_
 #define WAYFINDER_SRC_UTIL_THREAD_POOL_H_
 
@@ -43,7 +42,7 @@ class ThreadPool {
   // Process-wide pool, created on first use with hardware_concurrency - 1
   // workers (at least 1). Callers bound their own parallelism via the
   // `max_ways` argument of ParallelFor, so one shared pool serves every
-  // model and searcher in the process.
+  // session in the process.
   static ThreadPool& Shared();
 
  private:
@@ -55,11 +54,6 @@ class ThreadPool {
   std::condition_variable wake_;
   bool stop_ = false;
 };
-
-// Convenience wrapper: chunked parallel-for on `pool`, or a plain serial
-// loop when `pool` is null or the range is below one grain.
-void ParallelFor(ThreadPool* pool, size_t n, size_t grain, size_t max_ways,
-                 const std::function<void(size_t, size_t)>& body);
 
 }  // namespace wayfinder
 

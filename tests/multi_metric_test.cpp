@@ -246,39 +246,6 @@ TEST(MultiDtmTest, NoAllocationAfterWarmup) {
   EXPECT_EQ(model.workspace_grow_count(), warm);
 }
 
-TEST(MultiDtmTest, ThreadedTrainingBitIdenticalToSerial) {
-  DtmOptions serial_options;
-  serial_options.seed = 17;
-  DtmOptions threaded_options;
-  threaded_options.seed = 17;
-  threaded_options.threads = 4;
-  MultiDtm serial(6, 2, serial_options);
-  MultiDtm threaded(6, 2, threaded_options);
-  FeedSamples(serial, 40);
-  FeedSamples(threaded, 40);
-  serial.Update();
-  threaded.Update();
-
-  std::vector<std::vector<double>> pool(33, std::vector<double>(6));
-  Rng rng(36);
-  for (auto& x : pool) {
-    for (double& v : x) {
-      v = rng.Uniform();
-    }
-  }
-  auto serial_pred = serial.PredictBatch(pool);
-  auto threaded_pred = threaded.PredictBatch(pool);
-  ASSERT_EQ(serial_pred.size(), threaded_pred.size());
-  for (size_t i = 0; i < serial_pred.size(); ++i) {
-    // Partitioning never changes per-element arithmetic: exact equality.
-    EXPECT_EQ(serial_pred[i].crash_prob, threaded_pred[i].crash_prob) << i;
-    for (size_t k = 0; k < 2; ++k) {
-      EXPECT_EQ(serial_pred[i].objectives[k], threaded_pred[i].objectives[k]) << i;
-      EXPECT_EQ(serial_pred[i].sigmas[k], threaded_pred[i].sigmas[k]) << i;
-    }
-  }
-}
-
 TEST(MultiDtmTest, TrainingUnchangedByKernelBackend) {
   DtmOptions portable_options;
   portable_options.seed = 19;

@@ -1,8 +1,13 @@
 // Tests for the NN building blocks: matrix kernels, layers (including
-// gradient checks against finite differences), losses, Adam, serialization.
+// gradient checks against finite differences), losses, Adam, serialization,
+// and the DTM trunk's zero-allocation hot path (counted via a global
+// operator new hook).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 
 #include "src/core/dtm.h"
@@ -11,7 +16,28 @@
 #include "src/nn/matrix.h"
 #include "src/nn/optimizer.h"
 #include "src/nn/serialize.h"
-#include "src/util/thread_pool.h"
+
+// Global operator new replacement so the zero-alloc test can count heap
+// activity on the trunk's hot path. Counting is relaxed-atomic; the hook is
+// live for the whole binary, which is fine — every other test ignores it.
+namespace {
+std::atomic<uint64_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace wayfinder {
 namespace {
@@ -410,29 +436,6 @@ TEST(DtmEquivalence, FastPredictBatchMatchesNaiveReference) {
   }
 }
 
-TEST(DtmEquivalence, ThreadedPredictBatchBitIdenticalToSerial) {
-  const size_t dim = 29;
-  DtmOptions serial_options;
-  DtmOptions threaded_options;
-  threaded_options.threads = 4;
-  DeepTuneModel serial(dim, serial_options);
-  DeepTuneModel threaded(dim, threaded_options);
-  TrainModel(serial);
-  TrainModel(threaded);
-
-  Rng rng(11);
-  auto pool = RandomPool(rng, 257, dim);  // Odd size: uneven chunking.
-  auto serial_pred = serial.PredictBatch(pool);
-  auto threaded_pred = threaded.PredictBatch(pool);
-  ASSERT_EQ(serial_pred.size(), threaded_pred.size());
-  for (size_t i = 0; i < serial_pred.size(); ++i) {
-    // Row partitioning never changes per-row arithmetic: exact equality.
-    EXPECT_EQ(serial_pred[i].crash_prob, threaded_pred[i].crash_prob) << i;
-    EXPECT_EQ(serial_pred[i].objective, threaded_pred[i].objective) << i;
-    EXPECT_EQ(serial_pred[i].sigma, threaded_pred[i].sigma) << i;
-  }
-}
-
 TEST(DtmEquivalence, SinglePredictMatchesBatchRow) {
   const size_t dim = 21;
   DeepTuneModel model(dim, {});
@@ -468,6 +471,34 @@ TEST(DtmWorkspace, NoAllocationAfterWarmup) {
     model.Update();
   }
   EXPECT_EQ(model.workspace_grow_count(), warm);
+
+  // The same contract, counted at operator new: a warm trunk's training
+  // round and its batched inference make no heap allocation at all. The
+  // trunk is driven directly because PredictBatch returns a fresh vector.
+  DtmTrunk trunk(dim, /*head_count=*/1, DtmOptions{});
+  for (const std::vector<double>& x : RandomPool(rng, 48, dim)) {
+    double objective = rng.Normal(0.0, 1.0);
+    trunk.AddSample(x, rng.Bernoulli(0.25), &objective);
+  }
+  Matrix candidates(128, dim);
+  for (double& v : candidates.data()) {
+    v = rng.Uniform();
+  }
+  trunk.Update();
+  trunk.PredictRows(candidates);
+  uint64_t update_news = 0;
+  uint64_t predict_news = 0;
+  for (int round = 0; round < 3; ++round) {
+    uint64_t before = g_news.load(std::memory_order_relaxed);
+    trunk.Update();
+    uint64_t after_update = g_news.load(std::memory_order_relaxed);
+    trunk.PredictRows(candidates);
+    predict_news += g_news.load(std::memory_order_relaxed) - after_update;
+    update_news += after_update - before;
+  }
+  EXPECT_EQ(update_news, 0u) << "warm Update() allocated " << update_news << " times";
+  EXPECT_EQ(predict_news, 0u) << "warm PredictRows() allocated " << predict_news
+                              << " times";
 }
 
 TEST(MatrixTest, ReshapeReportsGrowthOnlyWhenBufferGrows) {

@@ -95,23 +95,10 @@ def load_obs_ratio(path):
 
 
 def is_anchor(key):
-    if "avx512" in key[1]:
-        # The AVX-512 backend is opt-in and hardware-dependent: its variants
-        # are only emitted where CPUID reports avx512f, so they are tracked
-        # but never gate (a baseline recorded on an AVX-512 box must not fail
-        # a candidate measured on a narrower machine).
-        return False
     if "parallel" in key[1]:
         # Batch-concurrent session variants measure real speedup only on
         # multi-core boxes; on a 1-core container they read as pure overhead.
-        # Tracked, never gated — same policy as avx512.
-        return False
-    if key[1] == "t4" or key[1].endswith("_t4"):
-        # Threaded variants show real speedup only on multi-core boxes (the
-        # ROADMAP policy: t4/parallel4 anchors deliberately never gate). On
-        # the 1-core container they time scheduler handoffs: interleaved A/B
-        # of identical library code read portable_t4 ~15% apart on binary
-        # layout alone. Tracked, never gated — same policy as parallel.
+        # Tracked, never gated.
         return False
     if key[1] == "fault10":
         # The hostile-world session variant runs under a ~10% mixed-fault
@@ -133,15 +120,9 @@ def is_anchor(key):
     if key[0] == "obs_record":
         # Raw record-path rates are a few ns per op: at that scale the
         # number is dominated by binary code layout and cycle jitter, not by
-        # the code under review (the dtm_predict_pool lesson). Tracked,
-        # never gated — the end-to-end obs_overhead pair is the gate.
-        return False
-    if key[0].startswith("dtm_predict_pool"):
-        # Duplicate measurement of PredictBatch in a second binary
-        # (bench_micro_dtm); the op gates via bench_micro_matmul's
-        # predict_batch_* anchors. Interleaved A/B of identical library
-        # objects showed this copy swinging 0.75-1.0x with binary code
-        # layout alone, so as a gate it measures the linker, not the code.
+        # the code under review (a duplicate PredictBatch record in a second
+        # binary once swung 0.75-1.0x on layout alone). Tracked, never
+        # gated — the end-to-end obs_overhead pair is the gate.
         return False
     return key[0].startswith(ANCHOR_PREFIXES)
 
