@@ -11,6 +11,12 @@
 //     pool assembly (line search + mutation + random + encode) plus the
 //     batched DTM ranking pass.
 //
+// A dtm_update_* model makes under a thousand Adam steps per instance (32
+// per Update), far short of the ~6,500 after which dead units' Adam moments
+// used to go subnormal and slow every step ~9x (docs/perf.md, "The
+// subnormal cliff"). These anchors therefore never reach that cliff; the
+// guard against it is KernelBackend.AdamFlushKeepsMomentsNormal.
+//
 // The kernel backends are bit-identical by construction (src/nn/kernels.h),
 // so every variant of a bench computes the same numbers — only the speed
 // differs. A summary record reports the avx2 update speedup; on pre-AVX2

@@ -303,7 +303,10 @@ size_t DtmTrunk::MemoryBytes() const {
     bytes += x.size() * sizeof(double);
   }
   bytes += crashed_.size() / 8 + objectives_.size() * sizeof(double);
-  bytes += ws_.Bytes();  // The scratch arena is live model state too.
+  // The scratch arena and the layers' own reused scratch are live state too.
+  bytes += ws_.Bytes();
+  bytes += dropout_.ScratchBytes() + rbf0_.ScratchBytes() + rbf1_.ScratchBytes() +
+           rbf2_.ScratchBytes();
   return bytes;
 }
 

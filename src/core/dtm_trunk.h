@@ -28,7 +28,12 @@
 //
 // Updates are incremental — a constant number of gradient steps per new
 // observation — so per-iteration model cost stays O(1) and O(n) overall,
-// unlike Gaussian-process or causal-graph refits (§2.3, Figure 7).
+// unlike Gaussian-process or causal-graph refits (§2.3, Figure 7). The
+// constant holds step for step, too: Adam never lets a moment go subnormal
+// (kAdamGradFloor / kAdamMomentFloor in src/nn/kernels.h), so the decaying
+// moments of dead units cannot slow late steps ~9x with microcode assists.
+// KernelBackend.AdamFlushKeepsMomentsNormal pins the flush, and its
+// bit-exact weights, on both backends.
 #ifndef WAYFINDER_SRC_CORE_DTM_TRUNK_H_
 #define WAYFINDER_SRC_CORE_DTM_TRUNK_H_
 
@@ -117,7 +122,7 @@ class DtmTrunk {
   bool Load(const std::string& path);
 
   // Live state footprint (weights + optimizer moments + replay buffer +
-  // workspace arena).
+  // workspace arena + the dropout mask and RBF scratch the layers hold).
   size_t MemoryBytes() const;
 
   const DtmOptions& options() const { return options_; }

@@ -45,9 +45,17 @@ void PortableGemmRow(const double* a, size_t k_dim, const double* b, size_t b_st
   }
 }
 
-void PortableAxpy(double a, const double* x, double* y, size_t n) {
-  for (size_t j = 0; j < n; ++j) {
-    y[j] += a * x[j];
+void PortableGemmAtRow(const double* a, size_t a_stride, size_t k_dim, const double* b,
+                       size_t b_stride, double* acc, size_t m) {
+  for (size_t k = 0; k < k_dim; ++k) {
+    const double ak = a[k * a_stride];
+    if (ak == 0.0) {
+      continue;
+    }
+    const double* brow = b + k * b_stride;
+    for (size_t j = 0; j < m; ++j) {
+      acc[j] += ak * brow[j];
+    }
   }
 }
 
@@ -130,12 +138,17 @@ void PortableRelu(double* x, size_t n) {
   }
 }
 
+// |x| < floor -> +0.0; NaN compares false and passes through.
+inline double FlushBelow(double x, double floor) { return std::abs(x) < floor ? 0.0 : x; }
+
 void PortableAdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
                         const AdamScalars& k) {
+  const bool unbiased1 = k.bias1 == 1.0;
   for (size_t i = 0; i < n; ++i) {
-    m[i] = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
-    v[i] = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
-    double m_hat = m[i] / k.bias1;
+    const double g = FlushBelow(grad[i], kAdamGradFloor);
+    m[i] = FlushBelow(k.beta1 * m[i] + (1.0 - k.beta1) * g, kAdamMomentFloor);
+    v[i] = FlushBelow(k.beta2 * v[i] + (1.0 - k.beta2) * g * g, kAdamMomentFloor);
+    double m_hat = unbiased1 ? m[i] : m[i] / k.bias1;
     double v_hat = v[i] / k.bias2;
     double update = m_hat / (std::sqrt(v_hat) + k.epsilon);
     if (k.weight_decay > 0.0) {
@@ -147,8 +160,8 @@ void PortableAdamUpdate(double* value, double* grad, double* m, double* v, size_
 }
 
 constexpr KernelOps kPortableOps = {
-    "portable",     PortableGemmRow, PortableAxpy, PortableAxpyDiff,
-    PortableVadd,   PortableDot,     PortableSqDist, PortableSqNorm,
+    "portable",     PortableGemmRow, PortableGemmAtRow, PortableAxpyDiff,
+    PortableVadd,   PortableDot,     PortableSqDist,    PortableSqNorm,
     PortableScal,   PortableRelu,    PortableAdamUpdate,
 };
 

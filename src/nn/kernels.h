@@ -1,9 +1,9 @@
 // Runtime-dispatched SIMD kernel backend.
 //
 // Every inner loop the DTM hot path runs — the streamed 4-row matmul body,
-// dot products, gradient axpys, the RBF distance/gradient loops, ReLU, and
-// the per-block Adam update — is reached through a `KernelOps` vtable of raw
-// pointer kernels. Two backends implement the table:
+// the weight-gradient rows, dot products, the RBF distance/gradient loops,
+// ReLU, and the per-block Adam update — is reached through a `KernelOps`
+// vtable of raw pointer kernels. Two backends implement the table:
 //
 //   * portable — plain C++, compiled with the base flags, runs anywhere;
 //   * avx2     — 256-bit vector implementations, compiled in a separate
@@ -37,6 +37,21 @@ enum class KernelBackend {
   kAvx2,
 };
 
+// Subnormal flush thresholds of `adam_update`. Units whose gradient stops
+// (dead ReLUs) have first moments that decay as beta1^t into the subnormal
+// range after ~6.5k steps, where every multiply and divide on them takes a
+// microcode assist and the Adam step runs ~9x slower. So the kernel treats a
+// gradient with |g| < kAdamGradFloor as 0 and stores a moment whose
+// magnitude is below kAdamMomentFloor as 0. Then no operand or result of the
+// update's multiplies and divides is subnormal. The weights do not change:
+// what the floors drop moves a weight by less than 1e-140, far below half an
+// ulp of any weight with |w| >= 1e-6 (pinned against an unflushed reference
+// by KernelBackend.AdamFlushKeepsMomentsNormal). The flush is written into
+// the kernels rather than set through MXCSR FTZ/DAZ, which is x86-only,
+// thread-global state that would also flush the simulator's math.
+inline constexpr double kAdamGradFloor = 0x1p-500;
+inline constexpr double kAdamMomentFloor = 0x1p-1000;
+
 // Scalar constants of one Adam step, precomputed once per Step() call so the
 // per-block kernel is pure elementwise math.
 struct AdamScalars {
@@ -45,7 +60,7 @@ struct AdamScalars {
   double learning_rate = 1e-3;
   double epsilon = 1e-8;
   double weight_decay = 0.0;  // Decoupled (AdamW); 0 disables.
-  double bias1 = 1.0;         // 1 - beta1^t
+  double bias1 = 1.0;         // 1 - beta1^t; exactly 1.0 after ~350 steps.
   double bias2 = 1.0;         // 1 - beta2^t
 };
 
@@ -65,8 +80,13 @@ struct KernelOps {
   // block. `b` is row-major with stride `b_stride` (>= m).
   void (*gemm_row)(const double* a, size_t k_dim, const double* b, size_t b_stride,
                    const double* bias, double* out, size_t m);
-  // y[j] += a * x[j].
-  void (*axpy)(double a, const double* x, double* y, size_t n);
+  // One row of a transposed-A gradient product:
+  //   acc[j] += a[k*a_stride] * b[k*b_stride + j]   for k = 0 .. k_dim-1,
+  // added per k in ascending order, skipping a[k*a_stride] == 0. Each acc[j]
+  // therefore sees the same sequence of adds as in a k-outer loop, while a
+  // 16-wide tile of acc stays in registers across the whole k loop.
+  void (*gemm_at_row)(const double* a, size_t a_stride, size_t k_dim, const double* b,
+                      size_t b_stride, double* acc, size_t m);
   // out[j] += a * (x[j] - y[j]) — RBF centroid/input gradient body.
   void (*axpy_diff)(double a, const double* x, const double* y, double* out, size_t n);
   // y[j] += x[j].
@@ -84,6 +104,9 @@ struct KernelOps {
   void (*relu)(double* x, size_t n);
   // One Adam update over a parameter block; zeroes the gradient. Elementwise
   // and independent per index, so any vector width is bit-identical.
+  // Gradients with |g| < kAdamGradFloor count as 0 and moments below
+  // kAdamMomentFloor are stored as 0 (NaN passes through unflushed); the
+  // m / bias1 division is skipped once bias1 == 1.0, which is exact.
   void (*adam_update)(double* value, double* grad, double* m, double* v, size_t n,
                       const AdamScalars& k);
 };

@@ -123,15 +123,57 @@ void Avx2GemmRow(const double* a, size_t k_dim, const double* b, size_t b_stride
   }
 }
 
-void Avx2Axpy(double a, const double* x, double* y, size_t n) {
-  const __m256d va = _mm256_set1_pd(a);
+void Avx2GemmAtRow(const double* a, size_t a_stride, size_t k_dim, const double* b,
+                   size_t b_stride, double* acc, size_t m) {
   size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d t = _mm256_mul_pd(va, _mm256_loadu_pd(x + j));
-    _mm256_storeu_pd(y + j, _mm256_add_pd(_mm256_loadu_pd(y + j), t));
+  // 16-wide j tiles: four accumulators live in registers across the entire
+  // k loop, so acc[] is loaded and stored once instead of once per k.
+  for (; j + 16 <= m; j += 16) {
+    __m256d acc0 = _mm256_loadu_pd(acc + j);
+    __m256d acc1 = _mm256_loadu_pd(acc + j + 4);
+    __m256d acc2 = _mm256_loadu_pd(acc + j + 8);
+    __m256d acc3 = _mm256_loadu_pd(acc + j + 12);
+    for (size_t k = 0; k < k_dim; ++k) {
+      const double ak = a[k * a_stride];
+      if (ak == 0.0) {
+        continue;
+      }
+      const __m256d vak = _mm256_set1_pd(ak);
+      const double* brow = b + k * b_stride + j;
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(vak, _mm256_loadu_pd(brow)));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + 4)));
+      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + 8)));
+      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + 12)));
+    }
+    _mm256_storeu_pd(acc + j, acc0);
+    _mm256_storeu_pd(acc + j + 4, acc1);
+    _mm256_storeu_pd(acc + j + 8, acc2);
+    _mm256_storeu_pd(acc + j + 12, acc3);
   }
-  for (; j < n; ++j) {
-    y[j] += a * x[j];
+  // 4-wide tiles.
+  for (; j + 4 <= m; j += 4) {
+    __m256d acc0 = _mm256_loadu_pd(acc + j);
+    for (size_t k = 0; k < k_dim; ++k) {
+      const double ak = a[k * a_stride];
+      if (ak == 0.0) {
+        continue;
+      }
+      acc0 = _mm256_add_pd(
+          acc0, _mm256_mul_pd(_mm256_set1_pd(ak), _mm256_loadu_pd(b + k * b_stride + j)));
+    }
+    _mm256_storeu_pd(acc + j, acc0);
+  }
+  // Scalar tail, same sequence of adds.
+  for (; j < m; ++j) {
+    double s = acc[j];
+    for (size_t k = 0; k < k_dim; ++k) {
+      const double ak = a[k * a_stride];
+      if (ak == 0.0) {
+        continue;
+      }
+      s += ak * b[k * b_stride + j];
+    }
+    acc[j] = s;
   }
 }
 
@@ -226,6 +268,15 @@ void Avx2Relu(double* x, size_t n) {
   }
 }
 
+// The portable FlushBelow on four lanes: |x| < floor -> +0.0. NaN compares
+// unordered, which _CMP_NLT_UQ counts as "not below", so it passes through.
+inline __m256d FlushBelow(__m256d x, __m256d floor) {
+  const __m256d abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+  return _mm256_and_pd(x, _mm256_cmp_pd(abs, floor, _CMP_NLT_UQ));
+}
+
+inline double FlushBelow(double x, double floor) { return std::abs(x) < floor ? 0.0 : x; }
+
 void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
                     const AdamScalars& k) {
   const __m256d beta1 = _mm256_set1_pd(k.beta1);
@@ -238,18 +289,23 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
   const __m256d lr = _mm256_set1_pd(k.learning_rate);
   const __m256d wd = _mm256_set1_pd(k.weight_decay);
   const __m256d zero = _mm256_setzero_pd();
+  const __m256d grad_floor = _mm256_set1_pd(kAdamGradFloor);
+  const __m256d moment_floor = _mm256_set1_pd(kAdamMomentFloor);
   const bool use_wd = k.weight_decay > 0.0;
+  const bool unbiased1 = k.bias1 == 1.0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    __m256d g = _mm256_loadu_pd(grad + i);
+    __m256d g = FlushBelow(_mm256_loadu_pd(grad + i), grad_floor);
     __m256d vm = _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_loadu_pd(m + i)),
                                _mm256_mul_pd(one_minus_beta1, g));
+    vm = FlushBelow(vm, moment_floor);
     // (1 - beta2) * g * g is left-associative in the portable kernel.
     __m256d g2 = _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g);
     __m256d vv = _mm256_add_pd(_mm256_mul_pd(beta2, _mm256_loadu_pd(v + i)), g2);
+    vv = FlushBelow(vv, moment_floor);
     _mm256_storeu_pd(m + i, vm);
     _mm256_storeu_pd(v + i, vv);
-    __m256d m_hat = _mm256_div_pd(vm, bias1);
+    __m256d m_hat = unbiased1 ? vm : _mm256_div_pd(vm, bias1);
     __m256d v_hat = _mm256_div_pd(vv, bias2);
     __m256d update = _mm256_div_pd(m_hat, _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
     __m256d val = _mm256_loadu_pd(value + i);
@@ -260,9 +316,10 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
     _mm256_storeu_pd(grad + i, zero);
   }
   for (; i < n; ++i) {
-    m[i] = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
-    v[i] = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
-    double m_hat = m[i] / k.bias1;
+    const double gi = FlushBelow(grad[i], kAdamGradFloor);
+    m[i] = FlushBelow(k.beta1 * m[i] + (1.0 - k.beta1) * gi, kAdamMomentFloor);
+    v[i] = FlushBelow(k.beta2 * v[i] + (1.0 - k.beta2) * gi * gi, kAdamMomentFloor);
+    double m_hat = unbiased1 ? m[i] : m[i] / k.bias1;
     double v_hat = v[i] / k.bias2;
     double update = m_hat / (std::sqrt(v_hat) + k.epsilon);
     if (use_wd) {
@@ -274,8 +331,8 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",   Avx2GemmRow, Avx2Axpy, Avx2AxpyDiff, Avx2Vadd, Avx2Dot,
-    Avx2SqDist, Avx2SqNorm, Avx2Scal, Avx2Relu,    Avx2AdamUpdate,
+    "avx2",     Avx2GemmRow, Avx2GemmAtRow, Avx2AxpyDiff, Avx2Vadd,       Avx2Dot,
+    Avx2SqDist, Avx2SqNorm,  Avx2Scal,      Avx2Relu,     Avx2AdamUpdate,
 };
 
 }  // namespace

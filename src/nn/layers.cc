@@ -100,6 +100,8 @@ void DropoutLayer::BackwardInPlace(Matrix& dy) {
   }
 }
 
+size_t DropoutLayer::ScratchBytes() const { return last_mask_.size() * sizeof(double); }
+
 Matrix DropoutLayer::Forward(const Matrix& x, Rng& rng, bool training) {
   Matrix y = x;
   ForwardInPlace(y, rng, training);
@@ -199,6 +201,10 @@ Matrix RbfLayer::Backward(const Matrix& dphi) {
   return dz;
 }
 
+size_t RbfLayer::ScratchBytes() const {
+  return (centroid_sq_norms_.size() + chamfer_dist_.size()) * sizeof(double);
+}
+
 double RbfLayer::AccumulateChamferGradient(double weight, const KernelOps* ops) {
   // Chamfer distance between the centroid set C and the cached batch Z:
   //   L = 1/K sum_c min_n ||c - z_n||^2  +  1/N sum_n min_c ||z_n - c||^2.
@@ -215,12 +221,23 @@ double RbfLayer::AccumulateChamferGradient(double weight, const KernelOps* ops) 
   size_t d = c.cols();
   double loss = 0.0;
 
+  // Both terms read one K x N distance table. sqdist(c, z) == sqdist(z, c)
+  // bit for bit (a - b is exactly -(b - a)), so this is the two-pass result.
+  chamfer_dist_.Reshape(k, n);
+  for (size_t ci = 0; ci < k; ++ci) {
+    double* row = chamfer_dist_.Row(ci);
+    for (size_t ni = 0; ni < n; ++ni) {
+      row[ni] = k_ops.sqdist(c.Row(ci), z.Row(ni), d);
+    }
+  }
+
   // Term 1: every centroid is pulled toward its nearest batch point.
   for (size_t ci = 0; ci < k; ++ci) {
+    const double* row = chamfer_dist_.Row(ci);
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (size_t ni = 0; ni < n; ++ni) {
-      double dist = k_ops.sqdist(c.Row(ci), z.Row(ni), d);
+      double dist = row[ni];
       if (dist < best_dist) {
         best_dist = dist;
         best = ni;
@@ -235,7 +252,7 @@ double RbfLayer::AccumulateChamferGradient(double weight, const KernelOps* ops) 
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (size_t ci = 0; ci < k; ++ci) {
-      double dist = k_ops.sqdist(z.Row(ni), c.Row(ci), d);
+      double dist = chamfer_dist_.At(ci, ni);
       if (dist < best_dist) {
         best_dist = dist;
         best = ci;

@@ -90,6 +90,8 @@ class DropoutLayer {
   Matrix Backward(const Matrix& dy);
 
   double rate() const { return rate_; }
+  // Bytes held by the cached mask (batch x width doubles once trained).
+  size_t ScratchBytes() const;
 
  private:
   double rate_;
@@ -132,6 +134,9 @@ class RbfLayer {
   // batch (the regularizer shapes centroids, not the trunk).
   double AccumulateChamferGradient(double weight, const KernelOps* ops = nullptr);
 
+  // Bytes held by the reused scratch: centroid norms and the Chamfer table.
+  size_t ScratchBytes() const;
+
  private:
   ParamBlock centroids_;  // K x in_dim
   double gamma_;
@@ -140,6 +145,7 @@ class RbfLayer {
   Matrix input_copy_;
   Matrix phi_copy_;
   std::vector<double> centroid_sq_norms_;  // Forward scratch.
+  Matrix chamfer_dist_;                    // K x N centroid-to-batch distances.
 };
 
 }  // namespace wayfinder

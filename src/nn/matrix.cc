@@ -106,17 +106,16 @@ size_t MatMulAtInto(const Matrix& a, const Matrix& b, Matrix& out) {
 void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const KernelOps* ops) {
   assert(a.rows() == b.rows());
   assert(acc.rows() == a.cols() && acc.cols() == b.cols());
+  if (a.rows() == 0) {
+    return;  // An empty a has no row 0 to take column pointers from.
+  }
+  // Row i of acc is column i of a against all of b: one gemm_at_row call
+  // keeps a tile of acc row i in registers across the k (batch) loop, where
+  // a k-outer loop would stream the whole of acc through memory per k.
   const KernelOps& k_ops = ResolveKernels(ops);
-  for (size_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.Row(k);
-    const double* brow = b.Row(k);
-    for (size_t i = 0; i < a.cols(); ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) {
-        continue;
-      }
-      k_ops.axpy(aki, brow, acc.Row(i), b.cols());
-    }
+  for (size_t i = 0; i < a.cols(); ++i) {
+    k_ops.gemm_at_row(a.Row(0) + i, a.cols(), a.rows(), b.Row(0), b.cols(), acc.Row(i),
+                      b.cols());
   }
 }
 

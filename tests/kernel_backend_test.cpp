@@ -11,12 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/configspace/linux_space.h"
 #include "src/core/deeptune.h"
 #include "src/core/dtm.h"
 #include "src/nn/kernels.h"
+#include "src/nn/layers.h"
 #include "src/nn/matrix.h"
 #include "src/platform/session.h"
 #include "src/simos/testbench.h"
@@ -39,6 +43,17 @@ Matrix RandomMatrix(Rng& rng, size_t rows, size_t cols) {
     v = rng.Normal();
   }
   return m;
+}
+
+// Bit-for-bit equality, which unlike operator== also holds for NaN.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Both backends, portable first. Without AVX2 the second is portable again.
+std::vector<const KernelOps*> BothBackends() {
+  return {&KernelsFor(KernelBackend::kPortable), &KernelsFor(KernelBackend::kAvx2)};
 }
 
 TEST(KernelBackend, DispatchResolvesToARealBackend) {
@@ -71,13 +86,23 @@ TEST(KernelBackend, PrimitivesMatchPortableBitwise) {
         << n;
     EXPECT_EQ(portable.sqnorm(a.data(), n), simd.sqnorm(a.data(), n)) << n;
 
-    std::vector<double> y1 = b, y2 = b;
-    portable.axpy(1.7, a.data(), y1.data(), n);
-    simd.axpy(1.7, a.data(), y2.data(), n);
-    EXPECT_EQ(y1, y2) << "axpy n=" << n;
+    // gemm_at_row down column 1 of a 3-wide row-major `a` (a_stride 3), into
+    // a b with row stride n + 2, across k_dim with zeros in a to hit the
+    // skip. The n sweep covers every j tile (16-wide, 4-wide, scalar tail).
+    for (size_t k_dim : {1u, 5u, 32u}) {
+      std::vector<double> amat = RandomArray(rng, 3 * k_dim);
+      for (size_t k = 1; k < k_dim; k += 3) {
+        amat[3 * k + 1] = 0.0;
+      }
+      std::vector<double> bmat = RandomArray(rng, k_dim * (n + 2));
+      std::vector<double> acc1 = RandomArray(rng, n);
+      std::vector<double> acc2 = acc1;
+      portable.gemm_at_row(amat.data() + 1, 3, k_dim, bmat.data(), n + 2, acc1.data(), n);
+      simd.gemm_at_row(amat.data() + 1, 3, k_dim, bmat.data(), n + 2, acc2.data(), n);
+      EXPECT_EQ(acc1, acc2) << "gemm_at_row k=" << k_dim << " m=" << n;
+    }
 
-    y1 = b;
-    y2 = b;
+    std::vector<double> y1 = b, y2 = b;
     portable.axpy_diff(-0.9, a.data(), b.data(), y1.data(), n);
     simd.axpy_diff(-0.9, a.data(), b.data(), y2.data(), n);
     EXPECT_EQ(y1, y2) << "axpy_diff n=" << n;
@@ -137,6 +162,277 @@ TEST(KernelBackend, PrimitivesMatchPortableBitwise) {
     EXPECT_EQ(vv, vv2) << "adam v n=" << n;
     for (double x : g2) {
       EXPECT_EQ(x, 0.0);  // Gradients zeroed by the update.
+    }
+  }
+
+  // Adam at the flush thresholds: gradients at +-kAdamGradFloor and one ulp
+  // below, moments at +-kAdamMomentFloor and one ulp below, -0.0 and NaN, in
+  // every combination (395 lanes: vector body plus a scalar tail). Run with
+  // the usual scalars and with beta1 = beta2 = 1, bias1 = 1, where moments
+  // pass through unchanged and the m / bias1 division is skipped.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double g_below = std::nextafter(kAdamGradFloor, 0.0);
+  const double m_below = std::nextafter(kAdamMomentFloor, 0.0);
+  const std::vector<double> g_values = {kAdamGradFloor, -kAdamGradFloor, g_below, -g_below,
+                                        -0.0,           nan,             0.7};
+  const std::vector<double> m_values = {kAdamMomentFloor, -kAdamMomentFloor, m_below, -m_below,
+                                        -0.0,             nan,               0.3};
+  const std::vector<double> v_values = {kAdamMomentFloor, m_below, -0.0, nan, 0.2};
+  std::vector<double> g0, m0, v0;
+  for (double gv : g_values) {
+    for (double mv : m_values) {
+      for (double vv : v_values) {
+        g0.push_back(gv);
+        m0.push_back(mv);
+        v0.push_back(vv);
+      }
+    }
+  }
+  for (size_t tail = 0; tail < 3; ++tail) {
+    g0.push_back(g_values[tail]);
+    m0.push_back(m_values[tail + 2]);
+    v0.push_back(v_values[tail]);
+  }
+  const std::vector<double> w0 = RandomArray(rng, g0.size());
+  AdamScalars usual;
+  usual.bias1 = 0.19;
+  usual.bias2 = 0.002;
+  usual.weight_decay = 1e-5;
+  AdamScalars pass_through = usual;
+  pass_through.beta1 = 1.0;
+  pass_through.beta2 = 1.0;
+  pass_through.bias1 = 1.0;
+  for (const AdamScalars& scalars : {usual, pass_through}) {
+    std::vector<double> w1 = w0, g1 = g0, m1 = m0, v1 = v0;
+    std::vector<double> w2 = w0, g2 = g0, m2 = m0, v2 = v0;
+    portable.adam_update(w1.data(), g1.data(), m1.data(), v1.data(), w1.size(), scalars);
+    simd.adam_update(w2.data(), g2.data(), m2.data(), v2.data(), w2.size(), scalars);
+    EXPECT_TRUE(SameBits(w1, w2)) << "adam threshold value beta1=" << scalars.beta1;
+    EXPECT_TRUE(SameBits(m1, m2)) << "adam threshold m beta1=" << scalars.beta1;
+    EXPECT_TRUE(SameBits(v1, v2)) << "adam threshold v beta1=" << scalars.beta1;
+    for (size_t i = 0; i < m1.size(); ++i) {
+      EXPECT_NE(std::fpclassify(m1[i]), FP_SUBNORMAL) << i;
+      EXPECT_NE(std::fpclassify(v1[i]), FP_SUBNORMAL) << i;
+    }
+  }
+  // Under pass-through the floors act on the inputs directly: a moment at
+  // the floor is kept, one ulp below is stored as +0.0, NaN passes.
+  std::vector<double> w = w0, g = g0, m = m0, v = v0;
+  portable.adam_update(w.data(), g.data(), m.data(), v.data(), w.size(), pass_through);
+  for (size_t i = 0; i < m0.size(); ++i) {
+    if (std::isnan(m0[i]) || std::isnan(g0[i])) {
+      EXPECT_TRUE(std::isnan(m[i])) << i;
+    } else if (std::abs(m0[i]) < kAdamMomentFloor) {
+      EXPECT_TRUE(m[i] == 0.0 && !std::signbit(m[i])) << i;
+    } else {
+      EXPECT_EQ(m[i], m0[i]) << i;
+    }
+  }
+}
+
+// The unflushed Adam update, written out in scalar code: what adam_update
+// computed before the subnormal floors.
+void UnflushedAdam(std::vector<double>& value, const std::vector<double>& grad,
+                   std::vector<double>& m, std::vector<double>& v, const AdamScalars& k) {
+  for (size_t i = 0; i < value.size(); ++i) {
+    m[i] = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
+    v[i] = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
+    double update = (m[i] / k.bias1) / (std::sqrt(v[i] / k.bias2) + k.epsilon);
+    if (k.weight_decay > 0.0) {
+      update += k.weight_decay * value[i];
+    }
+    value[i] -= k.learning_rate * update;
+  }
+}
+
+size_t CountSubnormal(const std::vector<double>& xs) {
+  size_t count = 0;
+  for (double x : xs) {
+    count += std::fpclassify(x) == FP_SUBNORMAL ? 1 : 0;
+  }
+  return count;
+}
+
+// The subnormal cliff. A dead unit's gradient stops, and its first moment
+// decays as beta1^t into the subnormal range after ~6.5k steps. Fed through
+// adam_update on caller-owned arrays, no moment may ever be subnormal, and the
+// weights (|w| >= 1e-6) must equal the unflushed update bit for bit, with and
+// without weight decay. The unflushed reference must really reach subnormal
+// moments, or the case would pin nothing.
+TEST(KernelBackend, AdamFlushKeepsMomentsNormal) {
+  struct Case {
+    const char* name;
+    size_t live_steps;    // Steps fed `scale`-sized random gradients...
+    size_t dead_steps;    // ...then steps fed zero gradients.
+    double scale;
+  };
+  const Case cases[] = {
+      {"stops-after-50", 50, 8000, 1.0},
+      {"tiny-gradients", 3000, 0, 1e-160},
+  };
+  const size_t n = 39;  // Vector body and scalar tail.
+  for (const KernelOps* ops : BothBackends()) {
+    for (const Case& c : cases) {
+      for (double weight_decay : {0.0, 1e-5}) {
+        SCOPED_TRACE(std::string(ops->name) + " " + c.name + " wd=" +
+                     std::to_string(weight_decay));
+        Rng rng(83);
+        // |w| in [0.5, 1.5] outlives ~0.1 of Adam travel; a second group
+        // sits just above 1e-6 and only ever gets tiny gradients.
+        std::vector<double> w(n);
+        for (size_t i = 0; i < n; ++i) {
+          double magnitude = c.scale < 1e-100 && i % 2 == 0 ? 1e-6 * (1.0 + rng.Uniform())
+                                                           : 0.5 + rng.Uniform();
+          w[i] = rng.Bernoulli(0.5) ? magnitude : -magnitude;
+        }
+        std::vector<double> ref_w = w, ref_m(n, 0.0), ref_v(n, 0.0);
+        std::vector<double> m(n, 0.0), v(n, 0.0), grad(n), ref_grad(n);
+        // Per-lane gradient scales (1 to 1e-6) stagger when each lane's first
+        // moment crosses the floor, over ~130 steps.
+        std::vector<double> lane_scale(n);
+        for (size_t i = 0; i < n; ++i) {
+          lane_scale[i] = c.scale * std::pow(10.0, -static_cast<double>(i % 7));
+        }
+        size_t ref_subnormal_steps = 0;
+        AdamScalars k;
+        k.learning_rate = 2e-3;
+        k.weight_decay = weight_decay;
+        for (size_t t = 1; t <= c.live_steps + c.dead_steps; ++t) {
+          for (size_t i = 0; i < n; ++i) {
+            grad[i] = t <= c.live_steps ? rng.Normal() * lane_scale[i] : 0.0;
+          }
+          ref_grad = grad;
+          k.bias1 = 1.0 - std::pow(k.beta1, static_cast<double>(t));
+          k.bias2 = 1.0 - std::pow(k.beta2, static_cast<double>(t));
+          ops->adam_update(w.data(), grad.data(), m.data(), v.data(), n, k);
+          UnflushedAdam(ref_w, ref_grad, ref_m, ref_v, k);
+          ASSERT_EQ(CountSubnormal(m), 0u) << "step " << t;
+          ASSERT_EQ(CountSubnormal(v), 0u) << "step " << t;
+          if (c.scale < kAdamGradFloor) {  // Every gradient counts as 0.
+            ASSERT_EQ(m, std::vector<double>(n, 0.0)) << "step " << t;
+            ASSERT_EQ(v, std::vector<double>(n, 0.0)) << "step " << t;
+          }
+          ref_subnormal_steps += CountSubnormal(ref_m) + CountSubnormal(ref_v) > 0 ? 1 : 0;
+          ASSERT_EQ(w, ref_w) << "step " << t;
+        }
+        EXPECT_GT(ref_subnormal_steps, 0u);
+        for (double x : w) {
+          EXPECT_GE(std::abs(x), 1e-6);
+        }
+      }
+    }
+  }
+}
+
+// MatMulAtAccum (acc += a^T b) must add, per acc element, a[k][i] * b[k][j]
+// for k ascending and skip a[k][i] == 0: the k-ordered scalar loop below.
+TEST(KernelBackend, MatMulAtAccumMatchesKOrderedLoop) {
+  Rng rng(79);
+  const size_t k_dim = 32;
+  const size_t n = 7;
+  for (const KernelOps* ops : BothBackends()) {
+    for (size_t m : {1u, 3u, 4u, 5u, 16u, 17u, 64u}) {
+      Matrix a = RandomMatrix(rng, k_dim, n);
+      for (size_t idx = 0; idx < a.size(); idx += 3) {
+        a.data()[idx] = 0.0;
+      }
+      Matrix b = RandomMatrix(rng, k_dim, m);
+      Matrix acc = RandomMatrix(rng, n, m);
+      Matrix expected = acc;
+      for (size_t k = 0; k < k_dim; ++k) {
+        for (size_t i = 0; i < n; ++i) {
+          if (a.At(k, i) == 0.0) {
+            continue;
+          }
+          for (size_t j = 0; j < m; ++j) {
+            expected.At(i, j) += a.At(k, i) * b.At(k, j);
+          }
+        }
+      }
+      MatMulAtAccum(a, b, acc, ops);
+      EXPECT_EQ(acc.data(), expected.data()) << ops->name << " m=" << m;
+    }
+  }
+}
+
+// The textbook two-pass Chamfer loop: each term computes its own distances
+// (centroid-to-point, then point-to-centroid) on the backend's sqdist.
+double TwoPassChamfer(const Matrix& c, const Matrix& z, double weight, Matrix& grad,
+                      const KernelOps& ops) {
+  const size_t k = c.rows();
+  const size_t n = z.rows();
+  const size_t d = c.cols();
+  double loss = 0.0;
+  for (size_t ci = 0; ci < k; ++ci) {
+    size_t best = 0;
+    double best_dist = std::numeric_limits<double>::max();
+    for (size_t ni = 0; ni < n; ++ni) {
+      double dist = ops.sqdist(c.Row(ci), z.Row(ni), d);
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = ni;
+      }
+    }
+    loss += best_dist / static_cast<double>(k);
+    double scale = weight * 2.0 / static_cast<double>(k);
+    for (size_t j = 0; j < d; ++j) {
+      grad.At(ci, j) += scale * (c.At(ci, j) - z.At(best, j));
+    }
+  }
+  for (size_t ni = 0; ni < n; ++ni) {
+    size_t best = 0;
+    double best_dist = std::numeric_limits<double>::max();
+    for (size_t ci = 0; ci < k; ++ci) {
+      double dist = ops.sqdist(z.Row(ni), c.Row(ci), d);
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = ci;
+      }
+    }
+    loss += best_dist / static_cast<double>(n);
+    double scale = weight * 2.0 / static_cast<double>(n);
+    for (size_t j = 0; j < d; ++j) {
+      grad.At(best, j) += scale * (c.At(best, j) - z.At(ni, j));
+    }
+  }
+  return loss;
+}
+
+// AccumulateChamferGradient reads one shared distance table; its loss and
+// every centroid-gradient entry must equal the two-pass loop bit for bit.
+// The tied batch makes both argmins see exact ties whose winner changes the
+// gradient, so the lowest index must win, as in the two-pass loop:
+// centroid 0 sits at the origin between batch points +u and -u, and two
+// equal centroids both sit on two batch points.
+TEST(KernelBackend, ChamferTableMatchesTwoPassLoop) {
+  const size_t d = 13;
+  const size_t centroids = 6;
+  for (const KernelOps* ops : BothBackends()) {
+    for (bool tied : {false, true}) {
+      Rng rng(89);
+      RbfLayer layer(d, centroids, 0.7, rng);
+      Matrix z = RandomMatrix(rng, 9, d);
+      if (tied) {
+        Matrix& c = layer.centroids().value;
+        for (size_t j = 0; j < d; ++j) {
+          c.At(0, j) = 0.0;
+          z.At(7, j) = 0.01 * z.At(0, j);
+          z.At(8, j) = -z.At(7, j);
+          c.At(4, j) = c.At(1, j);
+          z.At(2, j) = c.At(1, j);
+          z.At(6, j) = c.At(1, j);
+        }
+      }
+      Matrix phi;
+      layer.ForwardInto(z, phi, ops);
+      Matrix expected_grad(centroids, d, 0.25);
+      layer.centroids().grad = expected_grad;
+      double expected_loss =
+          TwoPassChamfer(layer.centroid_values(), z, 0.05, expected_grad, *ops);
+      double loss = layer.AccumulateChamferGradient(0.05, ops);
+      EXPECT_EQ(loss, expected_loss) << ops->name << " tied=" << tied;
+      EXPECT_EQ(layer.centroids().grad.data(), expected_grad.data())
+          << ops->name << " tied=" << tied;
     }
   }
 }
