@@ -6,10 +6,9 @@
 //   * session_trials_per_sec/serial: parallel_evaluations=1 — the paper's
 //     strictly serial §3.1 loop; this variant gates PR-over-PR like the
 //     other micro anchors.
-//   * session_trials_per_sec/parallel4: parallel_evaluations=4 on the
-//     shared ThreadPool. Tracked but NEVER gated: on a 1-core box the batch
-//     path measures pure overhead, and a baseline recorded on a wide machine
-//     must not fail a narrow one.
+//   * session_trials_per_sec/parallel4: parallel_evaluations=4, the batch
+//     executor (lock-step window, evaluated inline). Gates like serial: it
+//     prices the refill / commit-wave machinery on one thread.
 //   * session_trials_per_sec/fault10: the serial loop under a ~10%
 //     mixed-fault plan with one transient retry — the hostile-world
 //     overhead (fault draws, retry re-measurement, taxonomy bookkeeping).
@@ -22,8 +21,8 @@
 //     (tmpfs vs SSD vs spinning CI disk), not of the code under review.
 //
 // A cheap searcher (random) keeps the measurement on the session machinery —
-// dedup, build-skip, virtual-time merge, thread-pool dispatch — rather than
-// on model updates, which bench_micro_dtm already anchors.
+// dedup, build-skip, virtual-time merge — rather than on model updates,
+// which bench_micro_dtm already anchors.
 //
 // Usage: bench_micro_session [--iterations N] [--parallel K]
 //   WF_FAST=1 shortens the measurement window (smoke mode).
@@ -52,7 +51,7 @@ double g_measure_seconds = 0.4;
 template <typename Op>
 double TrialsPerSec(size_t trials_per_op, Op&& op) {
   using Clock = std::chrono::steady_clock;
-  op();  // Warm up (thread pool spawn, testbench clone construction).
+  op();  // Warm up: first-touch page faults and allocator growth stay untimed.
   double best = 0.0;
   for (int window = 0; window < 3; ++window) {
     size_t iters = 0;

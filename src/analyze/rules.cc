@@ -49,10 +49,6 @@ bool IsDurableWriterFile(const std::string& path) {
          path == "src/service/trial_store.cc";
 }
 
-bool IsThreadSeamFile(const std::string& path) {
-  return path == "src/util/thread_pool.h" || path == "src/util/thread_pool.cc";
-}
-
 bool InLockOrderScope(const std::string& path) {
   // The subsystems with real multi-lock interplay (manager mutex +
   // transport loop + observer pushes), plus src/obs/ whose leaf mutexes are
@@ -498,17 +494,16 @@ void CheckConcThread(const std::string& path, bool thread_rule_in_scope,
         v.IsPunct(i - 1, "::") && v.IsIdent(i - 2, "std")) {
       out->push_back(
           {path, t.line, "conc-thread-seam",
-           "std::thread outside src/util/thread_pool.*; parallel work "
-           "belongs on the shared ThreadPool so thread counts stay bounded "
-           "and bit-determinism contracts hold"});
+           "std::thread in src/; the library runs on its callers' threads, "
+           "so thread counts stay bounded and bit-determinism contracts "
+           "hold (the session driver is the one suppressed exception)"});
     }
     if (t.text == "detach" && i >= 1 &&
         (v.IsPunct(i - 1, ".") || v.IsPunct(i - 1, "->")) &&
         i + 1 < v.size() && v.IsPunct(i + 1, "(")) {
       out->push_back({path, t.line, "conc-detach",
                       "detach() orphans a thread past shutdown; every thread "
-                      "must be joined (ThreadPool workers / session driver "
-                      "join on drain)"});
+                      "must be joined (session drivers join on drain)"});
     }
   }
 }
@@ -616,7 +611,7 @@ const std::vector<RuleInfo>& AllRules() {
       {"dur-ofstream-seam",
        "service/platform writes go through AtomicWriteFile or the durable "
        "writers"},
-      {"conc-thread-seam", "std::thread only inside ThreadPool"},
+      {"conc-thread-seam", "no std::thread in src/ outside suppressed drivers"},
       {"conc-detach", "no detached threads, ever"},
       {"conc-lock-order-comment",
        "session_manager/transport/obs mutex members document lock ordering"},
@@ -654,10 +649,9 @@ bool RuleAppliesTo(const std::string& rule_id, const std::string& path) {
   if (rule_id == "dur-ofstream-seam") {
     return InDurabilityDirs(path) && !IsDurableWriterFile(path);
   }
-  if (rule_id == "conc-thread-seam") {
-    return StartsWith(path, "src/") && !IsThreadSeamFile(path);
+  if (rule_id == "conc-thread-seam" || rule_id == "conc-detach") {
+    return StartsWith(path, "src/");
   }
-  if (rule_id == "conc-detach") return StartsWith(path, "src/");
   if (rule_id == "conc-lock-order-comment") return InLockOrderScope(path);
   if (rule_id == "obs-clock-seam") {
     return StartsWith(path, "src/") && !StartsWith(path, "src/obs/");

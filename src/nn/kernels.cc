@@ -1,6 +1,5 @@
 #include "src/nn/kernels.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -180,8 +179,6 @@ KernelBackend ResolveAuto() {
                                                       : KernelBackend::kPortable;
 }
 
-std::atomic<int> g_default_backend{static_cast<int>(KernelBackend::kAuto)};
-
 }  // namespace
 
 bool KernelBackendAvailable(KernelBackend backend) {
@@ -211,23 +208,11 @@ const KernelOps& KernelsFor(KernelBackend backend) {
 }
 
 KernelBackend DefaultKernelBackend() {
-  int raw = g_default_backend.load(std::memory_order_relaxed);
-  if (raw == static_cast<int>(KernelBackend::kAuto)) {
-    KernelBackend resolved = ResolveAuto();
-    g_default_backend.store(static_cast<int>(resolved), std::memory_order_relaxed);
-    return resolved;
-  }
-  return static_cast<KernelBackend>(raw);
+  static const KernelBackend resolved = ResolveAuto();
+  return resolved;
 }
 
 const KernelOps& DefaultKernels() { return KernelsFor(DefaultKernelBackend()); }
-
-void SetDefaultKernelBackend(KernelBackend backend) {
-  if (backend == KernelBackend::kAuto || !KernelBackendAvailable(backend)) {
-    backend = ResolveAuto();
-  }
-  g_default_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
-}
 
 const char* KernelBackendName(KernelBackend backend) {
   switch (backend) {

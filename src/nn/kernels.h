@@ -122,10 +122,6 @@ KernelBackend DefaultKernelBackend();
 // True when `backend` has a real implementation on this CPU and build.
 bool KernelBackendAvailable(KernelBackend backend);
 
-// Overrides the process default (benches and tests that compare backends in
-// one process). Not thread-safe against concurrent kernel use; call at setup.
-void SetDefaultKernelBackend(KernelBackend backend);
-
 const char* KernelBackendName(KernelBackend backend);
 
 // Defined in kernels_avx2.cc: the AVX2 table, or nullptr when that TU was

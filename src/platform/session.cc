@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
 #include "src/simos/apps.h"
 #include "src/util/stats.h"
-#include "src/util/thread_pool.h"
 
 namespace wayfinder {
 
@@ -100,9 +98,9 @@ void SearchSession::DedupProposal(SearchContext& context, Configuration* config)
 void SearchSession::CommitTrial(PendingTrial&& pending, double end_time,
                                 int64_t stamp_ns) {
   // Trial-scoped trace instants, stamped in deterministic commit order (the
-  // batch executors call CommitTrial serially from the merge). Retries are
-  // stamped here rather than inside the concurrent evaluation policy, so the
-  // ring sees the same order the history does.
+  // batch executor calls CommitTrial from the commit wave). Retries are
+  // stamped here rather than inside the evaluation policy, so the ring sees
+  // the same order the history does.
   if (obs::Enabled()) {
     const uint64_t iteration = history_.size();
     const int64_t now_ns = stamp_ns != 0 ? stamp_ns : obs::NowNs();
@@ -153,22 +151,7 @@ void SearchSession::CommitTrial(PendingTrial&& pending, double end_time,
   retries_ += pending.retries;
   if (!outcome.ok()) {
     ++crashes_;
-    switch (outcome.status) {
-      case TrialOutcome::Status::kBuildFailed:
-        ++build_failed_;
-        break;
-      case TrialOutcome::Status::kBootFailed:
-        ++boot_failed_;
-        break;
-      case TrialOutcome::Status::kRunCrashed:
-        ++run_crashed_;
-        break;
-      case TrialOutcome::Status::kTimeout:
-        ++timeouts_;
-        break;
-      case TrialOutcome::Status::kOk:
-        break;
-    }
+    failures_.Add(outcome.status);
   }
   history_.push_back(std::move(record));
 }
@@ -234,21 +217,19 @@ bool SearchSession::Step() {
   // seed base matches the batch slot formula at slot 0.
   pending.rng_seed = HashCombine(HashCombine(options_.seed, 0xba7c4),
                                  static_cast<uint64_t>(history_.size()));
-  size_t retries = 0;
   // The evaluate span chains off the propose span's end stamp: the
   // bookkeeping between them is tens of nanoseconds, so sharing the stamp
   // costs no fidelity, and only the span's end pays a fresh clock read.
   const int64_t evaluate_start_ns = timer.start_ns() + propose_ns;
   pending.outcome = EvaluateWithPolicy(bench_, pending.config, rng_, &clock_,
                                        pending.skip_build, boot_only, pending.rng_seed,
-                                       &retries);
+                                       &pending.retries);
   int64_t evaluate_end_ns = 0;
   if (tracing) {
     evaluate_end_ns = obs::NowNs();
     trace_.Record(obs::TraceKind::kEvaluate, trace_iter, evaluate_start_ns,
                   evaluate_end_ns - evaluate_start_ns);
   }
-  pending.retries = retries;
 
   CommitTrial(std::move(pending), clock_.Now(), evaluate_end_ns);
   if (options_.objective == ObjectiveKind::kScore) {
@@ -269,144 +250,16 @@ bool SearchSession::Step() {
   return true;
 }
 
-void SearchSession::EnsureBenchClones(size_t n) {
-  while (bench_clones_.size() < n) {
-    bench_clones_.push_back(std::make_unique<Testbench>(*bench_));
-  }
-}
-
 size_t SearchSession::StepBatch() {
   if (options_.parallel_evaluations <= 1) {
     return Step() ? 1 : 0;
   }
-  if (options_.sliding_window) {
-    return StepSlidingWave();
-  }
-  if (history_.size() >= options_.max_iterations || clock_.Now() >= options_.max_sim_seconds) {
-    return 0;
-  }
-  size_t n = std::min(options_.parallel_evaluations,
-                      options_.max_iterations - history_.size());
-  SearchContext context = MakeContext();
-  // Batch rounds draw proposal entropy from a counter-derived per-round
-  // stream instead of the serial session stream: the round's randomness is
-  // then a pure function of (seed, trials committed so far), so a session
-  // Resume()d at a round boundary proposes exactly what the uninterrupted
-  // run would have — replaying history never has to reconstruct how many
-  // draws past proposals consumed.
-  Rng round_rng(HashCombine(HashCombine(options_.seed, 0x6a7cb), history_.size()));
-  context.rng = &round_rng;
-
-  // --- Propose one batch, dedup each slot against history and earlier
-  // slots (DedupProposal marks hashes seen as it goes). ---------------------
-  const uint64_t trace_iter = history_.size();
-  int64_t span_start = obs::Enabled() ? obs::NowNs() : 0;
-  WallTimer timer;
-  std::vector<Configuration> batch;
-  searcher_->ProposeBatch(context, n, &batch);
-  if (batch.empty()) {
-    batch.push_back(searcher_->Propose(context));
-  }
-  n = std::min(n, batch.size());
-  for (size_t slot = 0; slot < n; ++slot) {
-    DedupProposal(context, &batch[slot]);
-  }
-  double propose_seconds = timer.ElapsedSeconds();
-  if (span_start != 0) {
-    trace_.Record(obs::TraceKind::kPropose, trace_iter, span_start,
-                  obs::NowNs() - span_start);
-  }
-
-  // --- Evaluate the K slots concurrently. ----------------------------------
-  // Each slot gets (a) its own Testbench clone — slot i of every round runs
-  // on clone i, so any model-internal state evolves identically at any
-  // thread count; (b) its own counter-derived RNG stream, seeded from the
-  // session seed and the trial's global index; (c) its own SimClock. No
-  // state is shared across slots, which is what makes the round — and the
-  // whole history — independent of how slots land on physical threads.
-  EnsureBenchClones(n);
-  const double round_start = clock_.Now();
-  const bool boot_only = options_.objective == ObjectiveKind::kMemoryFootprint;
-  pending_.clear();
-  pending_.resize(n);
-  for (size_t slot = 0; slot < n; ++slot) {
-    PendingTrial& pending = pending_[slot];
-    pending.config = std::move(batch[slot]);
-    // Every slot compares against the image built before the round: the
-    // virtual testbenches start the round with the same cached image.
-    pending.skip_build = last_built_image_.has_value() &&
-                         SameImageParams(pending.config, *last_built_image_);
-    pending.rng_seed = HashCombine(HashCombine(options_.seed, 0xba7c4),
-                                   static_cast<uint64_t>(history_.size() + slot));
-  }
-  size_t ways = options_.eval_threads == 0 ? n : options_.eval_threads;
-  span_start = obs::Enabled() ? obs::NowNs() : 0;
-  ThreadPool::Shared().ParallelFor(n, /*grain=*/1, ways, [&](size_t begin, size_t end) {
-    for (size_t slot = begin; slot < end; ++slot) {
-      PendingTrial& pending = pending_[slot];
-      Rng trial_rng(pending.rng_seed);
-      SimClock local_clock;
-      // Clone clocks start at 0: anchor them at the round start so
-      // scheduled faults (drift_at) see global simulated time.
-      bench_clones_[slot]->SetSimTimeOrigin(round_start);
-      size_t retries = 0;
-      pending.outcome = EvaluateWithPolicy(bench_clones_[slot].get(), pending.config,
-                                           trial_rng, &local_clock, pending.skip_build,
-                                           boot_only, pending.rng_seed, &retries);
-      pending.retries = retries;
-      pending.sim_seconds = local_clock.Now();
-    }
-  });
-  if (span_start != 0) {
-    // One wave-scoped evaluate span for the whole concurrent round.
-    trace_.Record(obs::TraceKind::kEvaluate, trace_iter, span_start,
-                  obs::NowNs() - span_start);
-  }
-
-  // --- Virtual-time merge: commit completions in the order the simulated
-  // testbenches would have finished, ties broken by batch index. ------------
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return pending_[a].sim_seconds < pending_[b].sim_seconds;
-  });
-  double round_span = 0.0;
-  for (size_t slot : order) {
-    round_span = std::max(round_span, pending_[slot].sim_seconds);
-    CommitTrial(std::move(pending_[slot]), round_start + pending_[slot].sim_seconds);
-  }
-  // The round ends when its slowest virtual testbench finishes.
-  clock_.Advance(round_span);
-  if (options_.objective == ObjectiveKind::kScore) {
-    RefreshScores();
-  }
-
-  // --- Feed the committed round back, in commit order. ---------------------
-  span_start = obs::Enabled() ? obs::NowNs() : 0;
-  timer.Restart();
-  searcher_->ObserveBatch(Span<const TrialRecord>(history_.data() + history_.size() - n, n),
-                          context);
-  if (span_start != 0) {
-    trace_.Record(obs::TraceKind::kObserve, trace_iter, span_start,
-                  obs::NowNs() - span_start);
-  }
-  double per_trial_seconds = (propose_seconds + timer.ElapsedSeconds()) / static_cast<double>(n);
-  for (size_t i = history_.size() - n; i < history_.size(); ++i) {
-    history_[i].searcher_seconds = per_trial_seconds;
-  }
-  MaybeDetectDrift(context);
-  return n;
+  RefillWindow();
+  return CommitWave();
 }
 
-void SearchSession::RefillSlidingSlots() {
-  size_t window = options_.parallel_evaluations;
-  EnsureBenchClones(window);
-  if (free_clones_.empty() && in_flight_.empty()) {
-    // First refill: every clone is free, in slot order.
-    for (size_t i = 0; i < window; ++i) {
-      free_clones_.push_back(i);
-    }
-  }
+void SearchSession::RefillWindow() {
+  const size_t window = options_.parallel_evaluations;
   if (clock_.Now() >= options_.max_sim_seconds ||
       history_.size() + in_flight_.size() >= options_.max_iterations) {
     return;
@@ -416,14 +269,19 @@ void SearchSession::RefillSlidingSlots() {
   if (n == 0) {
     return;
   }
+  // Batch proposals draw entropy from a counter-derived stream instead of
+  // the serial session stream, so a session Resume()d at a commit boundary
+  // proposes exactly what the uninterrupted run would have. Lock-step keys
+  // it on trials committed and sliding on proposals launched: the two agree
+  // except after a drift re-validation trial, which commits without being
+  // proposed.
+  const uint64_t key = options_.sliding_window ? proposed_count_ : history_.size();
   SearchContext context = MakeContext();
-  // Same counter-derived entropy recipe as the lock-step round, keyed on
-  // proposals launched instead of trials committed: the two counts agree
-  // whenever commits happen in full waves, which is exactly the
-  // equal-duration case the bit-for-bit pin covers.
-  sliding_rng_ = Rng(HashCombine(HashCombine(options_.seed, 0x6a7cb), proposed_count_));
-  context.rng = &sliding_rng_;
+  batch_rng_ = Rng(HashCombine(HashCombine(options_.seed, 0x6a7cb), key));
+  context.rng = &batch_rng_;
 
+  // --- Propose one batch, dedup each slot against history and earlier
+  // slots (DedupProposal marks hashes seen as it goes). ---------------------
   int64_t span_start = obs::Enabled() ? obs::NowNs() : 0;
   WallTimer timer;
   std::vector<Configuration> batch;
@@ -437,90 +295,85 @@ void SearchSession::RefillSlidingSlots() {
   }
   pending_propose_seconds_ += timer.ElapsedSeconds();
   if (span_start != 0) {
-    trace_.Record(obs::TraceKind::kPropose, proposed_count_, span_start,
-                  obs::NowNs() - span_start);
+    trace_.Record(obs::TraceKind::kPropose, key, span_start, obs::NowNs() - span_start);
   }
 
-  // Launch the refills: each takes the oldest free clone, its own
-  // counter-derived RNG stream, and its own local clock, exactly like a
-  // lock-step slot. The physical evaluation happens eagerly — virtual time
-  // decides when the result is allowed to commit.
+  // --- Launch and evaluate, slot by slot. ----------------------------------
+  // Each trial gets its own counter-derived RNG stream, seeded from the
+  // session seed and the entropy key, and its own SimClock starting at 0.
+  // The bench's time origin anchors that clock at the launch time, so
+  // scheduled faults (drift_at) see global simulated time. The evaluation
+  // happens eagerly; virtual time decides when the result may commit. Every
+  // slot compares against the image built before the launch: the virtual
+  // testbenches start with the same cached image.
   const double start_time = clock_.Now();
   const bool boot_only = options_.objective == ObjectiveKind::kMemoryFootprint;
-  size_t first = in_flight_.size();
-  for (size_t slot = 0; slot < n; ++slot) {
-    InFlight flight;
-    flight.trial.config = std::move(batch[slot]);
-    flight.trial.skip_build = last_built_image_.has_value() &&
-                              SameImageParams(flight.trial.config, *last_built_image_);
-    flight.trial.rng_seed = HashCombine(HashCombine(options_.seed, 0xba7c4),
-                                        static_cast<uint64_t>(proposed_count_ + slot));
-    flight.sequence = proposed_count_ + slot;
-    flight.clone = free_clones_.front();
-    free_clones_.erase(free_clones_.begin());
-    in_flight_.push_back(std::move(flight));
-  }
-  proposed_count_ += n;
-  size_t ways = options_.eval_threads == 0 ? n : options_.eval_threads;
   span_start = obs::Enabled() ? obs::NowNs() : 0;
-  ThreadPool::Shared().ParallelFor(n, /*grain=*/1, ways, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      InFlight& flight = in_flight_[first + i];
-      Rng trial_rng(flight.trial.rng_seed);
-      SimClock local_clock;
-      bench_clones_[flight.clone]->SetSimTimeOrigin(start_time);
-      size_t retries = 0;
-      flight.trial.outcome = EvaluateWithPolicy(bench_clones_[flight.clone].get(),
-                                                flight.trial.config, trial_rng, &local_clock,
-                                                flight.trial.skip_build, boot_only,
-                                                flight.trial.rng_seed, &retries);
-      flight.trial.retries = retries;
-      flight.trial.sim_seconds = local_clock.Now();
-      flight.finish_time = start_time + flight.trial.sim_seconds;
-    }
-  });
+  bench_->SetSimTimeOrigin(start_time);
+  for (size_t slot = 0; slot < n; ++slot) {
+    PendingTrial trial;
+    trial.config = std::move(batch[slot]);
+    trial.skip_build = last_built_image_.has_value() &&
+                       SameImageParams(trial.config, *last_built_image_);
+    trial.rng_seed = HashCombine(HashCombine(options_.seed, 0xba7c4), key + slot);
+    Rng trial_rng(trial.rng_seed);
+    SimClock local_clock;
+    trial.outcome = EvaluateWithPolicy(bench_, trial.config, trial_rng, &local_clock,
+                                       trial.skip_build, boot_only, trial.rng_seed,
+                                       &trial.retries);
+    trial.sim_seconds = local_clock.Now();
+    trial.finish_time = start_time + trial.sim_seconds;
+    in_flight_.push_back(std::move(trial));
+  }
+  // Serial steps and drift re-validation evaluate on the session clock.
+  bench_->SetSimTimeOrigin(0.0);
+  proposed_count_ += n;
   if (span_start != 0) {
-    trace_.Record(obs::TraceKind::kEvaluate, proposed_count_ - n, span_start,
-                  obs::NowNs() - span_start);
+    trace_.Record(obs::TraceKind::kEvaluate, key, span_start, obs::NowNs() - span_start);
   }
 }
 
-size_t SearchSession::StepSlidingWave() {
-  RefillSlidingSlots();
+size_t SearchSession::CommitWave() {
   if (in_flight_.empty()) {
     return 0;
   }
-  // The commit wave: every in-flight trial tying the earliest virtual finish
-  // time, in proposal order — the same order the lock-step merge's
-  // stable_sort produces when a whole round finishes simultaneously.
-  double earliest = in_flight_.front().finish_time;
-  for (const InFlight& flight : in_flight_) {
-    earliest = std::min(earliest, flight.finish_time);
-  }
-  std::vector<InFlight> wave;
-  for (size_t i = 0; i < in_flight_.size();) {
-    if (in_flight_[i].finish_time == earliest) {
-      wave.push_back(std::move(in_flight_[i]));
-      in_flight_.erase(in_flight_.begin() + i);
-    } else {
-      ++i;
+  // The wave is moved to the front of the window, in commit order.
+  auto wave_end = in_flight_.end();
+  double advance = 0.0;
+  if (options_.sliding_window) {
+    // The trials tied at the earliest virtual finish, in proposal order.
+    double earliest = in_flight_.front().finish_time;
+    for (const PendingTrial& trial : in_flight_) {
+      earliest = std::min(earliest, trial.finish_time);
     }
+    wave_end = std::stable_partition(
+        in_flight_.begin(), in_flight_.end(),
+        [earliest](const PendingTrial& trial) { return trial.finish_time == earliest; });
+    advance = earliest - clock_.Now();
+  } else {
+    // The barrier: the whole window, in the order the simulated testbenches
+    // finish — ascending own duration, ties by batch index. The round ends
+    // when its slowest testbench does.
+    std::stable_sort(in_flight_.begin(), in_flight_.end(),
+                     [](const PendingTrial& a, const PendingTrial& b) {
+                       return a.sim_seconds < b.sim_seconds;
+                     });
+    advance = in_flight_.back().sim_seconds;
   }
-  std::stable_sort(wave.begin(), wave.end(), [](const InFlight& a, const InFlight& b) {
-    return a.sequence < b.sequence;
-  });
-  size_t n = wave.size();
-  for (InFlight& flight : wave) {
-    free_clones_.push_back(flight.clone);
-    CommitTrial(std::move(flight.trial), flight.finish_time);
+  const size_t n = static_cast<size_t>(wave_end - in_flight_.begin());
+  for (auto it = in_flight_.begin(); it != wave_end; ++it) {
+    const double finish_time = it->finish_time;
+    CommitTrial(std::move(*it), finish_time);
   }
-  clock_.Advance(earliest - clock_.Now());
+  in_flight_.erase(in_flight_.begin(), wave_end);
+  clock_.Advance(advance);
   if (options_.objective == ObjectiveKind::kScore) {
     RefreshScores();
   }
 
+  // --- Feed the wave back, in commit order. --------------------------------
   SearchContext context = MakeContext();
-  context.rng = &sliding_rng_;
+  context.rng = &batch_rng_;
   int64_t span_start = obs::Enabled() ? obs::NowNs() : 0;
   WallTimer timer;
   searcher_->ObserveBatch(Span<const TrialRecord>(history_.data() + history_.size() - n, n),
@@ -535,8 +388,8 @@ size_t SearchSession::StepSlidingWave() {
   for (size_t i = history_.size() - n; i < history_.size(); ++i) {
     history_[i].searcher_seconds = per_trial_seconds;
   }
-  // Only at an empty window: a re-validation trial committed mid-window
-  // would reorder against in-flight proposals.
+  // Only at an empty window (always, under lock-step): a re-validation
+  // trial committed mid-window would reorder against in-flight proposals.
   if (in_flight_.empty()) {
     MaybeDetectDrift(context);
   }
@@ -609,12 +462,10 @@ void SearchSession::MaybeDetectDrift(SearchContext& context) {
   pending.skip_build =
       last_built_image_.has_value() && SameImageParams(pending.config, *last_built_image_);
   Rng revalidate_rng(pending.rng_seed);
-  size_t retries = 0;
   bool boot_only = options_.objective == ObjectiveKind::kMemoryFootprint;
   pending.outcome = EvaluateWithPolicy(bench_, pending.config, revalidate_rng, &clock_,
                                        pending.skip_build, boot_only, pending.rng_seed,
-                                       &retries);
-  pending.retries = retries;
+                                       &pending.retries);
   CommitTrial(std::move(pending), clock_.Now());
   if (options_.objective == ObjectiveKind::kScore) {
     RefreshScores();
@@ -629,10 +480,10 @@ SessionResult SearchSession::Finish() {
   result.crashes = crashes_;
   result.builds = builds_;
   result.builds_skipped = builds_skipped_;
-  result.build_failures = build_failed_;
-  result.boot_failures = boot_failed_;
-  result.run_crashes = run_crashed_;
-  result.timeouts = timeouts_;
+  result.build_failures = failures_.build_failed;
+  result.boot_failures = failures_.boot_failed;
+  result.run_crashes = failures_.run_crashed;
+  result.timeouts = failures_.timeouts;
   result.transient_retries = retries_;
   result.drift_events = drift_events_;
   for (size_t i = 0; i < result.history.size(); ++i) {
@@ -656,22 +507,7 @@ void SearchSession::Resume(const std::vector<TrialRecord>& prior) {
     seen_hashes_.insert(trial.config.Hash());
     if (trial.crashed()) {
       ++crashes_;
-      switch (trial.outcome.status) {
-        case TrialOutcome::Status::kBuildFailed:
-          ++build_failed_;
-          break;
-        case TrialOutcome::Status::kBootFailed:
-          ++boot_failed_;
-          break;
-        case TrialOutcome::Status::kRunCrashed:
-          ++run_crashed_;
-          break;
-        case TrialOutcome::Status::kTimeout:
-          ++timeouts_;
-          break;
-        case TrialOutcome::Status::kOk:
-          break;
-      }
+      failures_.Add(trial.outcome.status);
     }
     // The build-skip cache warms from the last image that actually built —
     // mirroring CommitTrial exactly, so a resumed session's cache state

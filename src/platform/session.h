@@ -8,15 +8,18 @@
 // by test.
 //
 // Batch mode (parallel_evaluations = K > 1): the session models K virtual
-// testbenches racing in simulated time. Each round it asks the searcher for
-// one batch (Searcher::ProposeBatch), evaluates the K trials concurrently on
-// the shared ThreadPool against per-slot Testbench clones, and commits the
-// completions in deterministic virtual-time order — ascending simulated
-// duration, ties broken by batch index — before feeding them back through
-// Searcher::ObserveBatch. Every trial draws from its own counter-derived RNG
-// stream and its own SimClock, so the history is bit-identical at any
-// eval_threads value (physical concurrency never leaks into results); only
-// K itself, which is part of the experiment, shapes the trajectory.
+// testbenches racing in simulated time with one batch executor. A refill
+// asks the searcher for one batch (Searcher::ProposeBatch) covering the free
+// slots of a K-wide window and evaluates each trial on the calling thread,
+// in slot order, with its own counter-derived RNG stream and its own
+// SimClock anchored at the launch time. A commit wave then commits
+// completions in virtual-time order and feeds them back through
+// Searcher::ObserveBatch. Lock-step (the default schedule) is that window
+// with a barrier: every wave commits the whole window in ascending
+// simulated duration, ties broken by batch index. The sliding schedule
+// commits only the earliest finishers and refills their slots. K and the
+// schedule are part of the experiment and shape the trajectory; physical
+// threads play no part (one evaluation costs microseconds of wall time).
 //
 // Runs until an iteration or simulated-time budget is exhausted and returns
 // the full history plus the best configuration found.
@@ -25,7 +28,6 @@
 
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -60,28 +62,26 @@ struct SessionOptions {
   // Virtual testbenches evaluating concurrently. 1 = the serial loop,
   // bit-identical to the pre-batch session. K > 1 proposes K-wide batches
   // and merges completions in virtual-time order; K is part of the
-  // experiment (it shapes the trajectory), unlike eval_threads below.
+  // experiment (it shapes the trajectory). The K testbenches race in
+  // simulated time only: their evaluations run one after another on the
+  // calling thread.
   size_t parallel_evaluations = 1;
-  // Physical threads evaluating one batch (0 = one per batch slot). Purely
-  // an execution knob: histories are bit-identical at any value, pinned by
-  // test.
-  size_t eval_threads = 0;
-  // Sliding-window executor (parallel_evaluations > 1 only): instead of
-  // lock-step K-wide rounds, commit the earliest virtual finisher(s) and
-  // refill just the freed slots, keeping K trials in flight at all times —
+  // Sliding-window schedule (parallel_evaluations > 1 only). Lock-step, the
+  // default, commits the whole K-wide window at once, like a barrier. The
+  // sliding schedule instead commits the earliest virtual finisher(s) and
+  // refills just the freed slots, keeping K trials in flight at all times —
   // higher utilization when trial durations vary widely. Trials that finish
   // at exactly the same virtual time commit as one wave (ties by proposal
   // order), so with equal-duration trials the schedule degenerates to
-  // lock-step rounds and the history is bit-identical to the default
-  // executor, pinned by test. Off by default: lock-step is the
-  // deterministic baseline the PR-4 pins were written against.
+  // lock-step rounds and the history is bit-identical to lock-step, pinned
+  // by test. Off by default: lock-step is the deterministic baseline the
+  // original batch pins were written against.
   bool sliding_window = false;
   // §3.5 "more comprehensive benchmarks": an optional user check of the
   // deployment (e.g. run a test suite against the booted image). Returning
   // false demotes an otherwise-successful trial to a run crash, so the
   // searcher learns the configurations that cause the misbehavior. In batch
-  // mode the check runs serially at commit time, so it need not be
-  // thread-safe.
+  // mode the check runs at commit time, in commit order.
   std::function<bool(const Configuration&, const TrialOutcome&)> deploy_check;
   // --- Re-measurement policy (robustness under fault injection) ------------
   // Retry a transient-class failure (timeout, hang, infrastructure flake —
@@ -169,7 +169,8 @@ class SearchSession {
   CheckpointLiveState ExportLiveState() const;
 
   // True when every proposed trial has committed: after Run(), between
-  // serial/lock-step steps, or between sliding waves with an empty window.
+  // serial/lock-step steps (a lock-step wave always drains the window), or
+  // between sliding waves with an empty window.
   bool AtCommitBoundary() const { return in_flight_.empty(); }
 
   // Runs a single serial iteration; exposed for fine-grained tests and for
@@ -177,17 +178,19 @@ class SearchSession {
   // exhausted.
   bool Step();
 
-  // Runs one proposal round at the configured parallelism and returns the
+  // Runs one batch step at the configured parallelism and returns the
   // number of trials committed (0 = budget exhausted). At
   // parallel_evaluations = 1 this is exactly one Step(); above it, one
-  // ProposeBatch / concurrent-evaluate / virtual-time-merge / ObserveBatch
-  // round of up to parallel_evaluations trials.
+  // refill of the free window slots (ProposeBatch, then inline evaluation)
+  // and one commit wave (virtual-time merge, ObserveBatch): the whole
+  // window under lock-step, the earliest finishers under sliding_window.
   size_t StepBatch();
 
   const std::vector<TrialRecord>& history() const { return history_; }
   const SimClock& clock() const { return clock_; }
   size_t transient_retries() const { return retries_; }
   size_t drift_events() const { return drift_events_; }
+  const FailureTally& failures() const { return failures_; }
   // Per-session trace ring (src/obs/trace.h). Recording self-gates on
   // obs::Enabled(), so a metrics-off run never reads the wall clock here.
   // Exposed non-const so the service layer can stamp durability events
@@ -196,22 +199,15 @@ class SearchSession {
   SessionResult Finish();
 
  private:
-  // One in-flight slot of a concurrent evaluation round.
+  // One evaluated trial waiting to commit.
   struct PendingTrial {
     Configuration config;
     TrialOutcome outcome;
-    double sim_seconds = 0.0;  // Virtual duration of this trial alone.
+    double sim_seconds = 0.0;  // Batch only: virtual duration of this trial.
+    double finish_time = 0.0;  // Batch only: launch time + sim_seconds.
     bool skip_build = false;
     uint64_t rng_seed = 0;
     size_t retries = 0;  // Transient retries this trial consumed.
-  };
-
-  // One trial in flight under the sliding-window executor.
-  struct InFlight {
-    PendingTrial trial;
-    double finish_time = 0.0;  // Absolute virtual time it completes.
-    size_t clone = 0;          // Testbench clone evaluating it.
-    uint64_t sequence = 0;     // Proposal order; breaks finish-time ties.
   };
 
   double ComputeObjective(const TrialOutcome& outcome) const;
@@ -234,23 +230,23 @@ class SearchSession {
   // transient failures up to retry_transient times on counter-derived
   // streams keyed off `seed_base`, then median-of-measure_repeats the
   // metric of a success. Every attempt advances `clock` (budget-charged).
-  // Thread-safe: touches only options_ and its arguments, so batch slots
-  // call it concurrently.
   TrialOutcome EvaluateWithPolicy(Testbench* bench, const Configuration& config, Rng& rng,
                                   SimClock* clock, bool skip_build, bool boot_only,
                                   uint64_t seed_base, size_t* retries_used) const;
   // Drift detector + elite re-validation; runs after each observation wave
   // when options_.drift_detection is set.
   void MaybeDetectDrift(SearchContext& context);
-  void EnsureBenchClones(size_t n);
-  // Sliding-window executor: one commit wave (simultaneous finishers) plus
-  // the refill that precedes it. Returns trials committed, 0 when drained.
-  size_t StepSlidingWave();
-  // Proposes and launches trials for every free slot, respecting the
-  // iteration/time budget. Proposal entropy is keyed on proposed_count_ so
-  // that with equal-duration trials the streams line up with the lock-step
-  // executor's exactly.
-  void RefillSlidingSlots();
+  // Batch executor, first half of a step: proposes one batch for the free
+  // window slots, respecting the iteration/time budget, and evaluates it
+  // inline in slot order. Lock-step keys the proposal and per-trial
+  // entropy on trials committed, sliding on proposals launched; the keys
+  // differ only after a drift re-validation trial.
+  void RefillWindow();
+  // Batch executor, second half: commits one wave — the whole window in
+  // ascending duration under lock-step, the trials tied at the earliest
+  // finish under sliding_window — advances the clock, and feeds the wave
+  // back through ObserveBatch. Returns trials committed, 0 when drained.
+  size_t CommitWave();
 
   Testbench* bench_;
   Searcher* searcher_;
@@ -263,33 +259,22 @@ class SearchSession {
   // keeps dedup flat at 250+ iterations x dedup_retries and under batching.
   std::unordered_set<uint64_t> seen_hashes_;
   std::optional<Configuration> last_built_image_;
-  // Per-slot Testbench clones for concurrent evaluation (slot i of every
-  // batch always evaluates on clone i, so physical scheduling cannot leak
-  // into any model-internal state).
-  std::vector<std::unique_ptr<Testbench>> bench_clones_;
-  std::vector<PendingTrial> pending_;  // Batch scratch, reused per round.
-  // Sliding-window state: trials in flight, the clone indices free to host a
-  // refill (FIFO, so the equal-duration schedule reuses clones exactly like
-  // lock-step), proposals launched so far, and the wall-clock proposal cost
-  // accrued since the last commit wave.
-  std::vector<InFlight> in_flight_;
-  std::vector<size_t> free_clones_;
+  // Batch executor state: the trials in flight, in proposal order (refills
+  // append, commit waves erase), proposals launched so far, and the
+  // wall-clock proposal cost accrued since the last commit wave.
+  std::vector<PendingTrial> in_flight_;
   size_t proposed_count_ = 0;
   double pending_propose_seconds_ = 0.0;
-  // The sliding executor's proposal entropy stream: re-seeded at each refill
-  // from (seed, proposed_count_) and left live for the following commit
-  // wave's ObserveBatch — mirroring how a lock-step round's single RNG
-  // carries from its proposals into its observation.
-  Rng sliding_rng_{0};
+  // The batch proposal entropy stream: re-seeded at each refill from the
+  // seed and the entropy key, and left live for the following commit
+  // wave's ObserveBatch and drift check.
+  Rng batch_rng_{0};
   size_t crashes_ = 0;
   size_t builds_ = 0;
   size_t builds_skipped_ = 0;
   // Failure taxonomy + robustness policy counters (surfaced in
   // SessionResult and the daemon's session status).
-  size_t build_failed_ = 0;
-  size_t boot_failed_ = 0;
-  size_t run_crashed_ = 0;
-  size_t timeouts_ = 0;
+  FailureTally failures_;
   size_t retries_ = 0;
   size_t drift_events_ = 0;
   // Successful-trial count at the last drift event; the detector waits a

@@ -32,6 +32,35 @@ struct TrialRecord {
   bool HasObjective() const { return !std::isnan(objective); }
 };
 
+// The failure taxonomy: crashed trials counted by class. One tally type for
+// the session and the daemon's status mirror, so the classes are counted in
+// one place.
+struct FailureTally {
+  size_t build_failed = 0;
+  size_t boot_failed = 0;
+  size_t run_crashed = 0;
+  size_t timeouts = 0;
+
+  void Add(TrialOutcome::Status status) {
+    switch (status) {
+      case TrialOutcome::Status::kBuildFailed:
+        ++build_failed;
+        break;
+      case TrialOutcome::Status::kBootFailed:
+        ++boot_failed;
+        break;
+      case TrialOutcome::Status::kRunCrashed:
+        ++run_crashed;
+        break;
+      case TrialOutcome::Status::kTimeout:
+        ++timeouts;
+        break;
+      case TrialOutcome::Status::kOk:
+        break;
+    }
+  }
+};
+
 }  // namespace wayfinder
 
 #endif  // WAYFINDER_SRC_PLATFORM_TRIAL_H_

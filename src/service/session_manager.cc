@@ -190,7 +190,7 @@ void SessionManager::FillRunningSlots() {
       managed->state = State::kRunning;
       ++running_;
       // wf-lint: allow(conc-thread-seam) — see ManagedSession::driver: one
-      // joined driver per session, not pool work.
+      // joined driver per session.
       managed->driver = std::thread(&SessionManager::Drive, this, managed.get());
     }
   }
@@ -233,29 +233,8 @@ void SessionManager::PersistNewTrials(Managed* managed) {
   if (!history.empty()) {
     managed->sim_seconds = history.back().sim_time_end;
   }
-  // Failure taxonomy: recomputed wholesale per wave (histories are small
-  // and this keeps the score-session wholesale path and the incremental
-  // path on one code path); retry/drift counters mirror session state.
-  managed->build_failed = managed->boot_failed = 0;
-  managed->run_crashed = managed->timeouts = 0;
-  for (const TrialRecord& trial : history) {
-    switch (trial.outcome.status) {
-      case TrialOutcome::Status::kBuildFailed:
-        ++managed->build_failed;
-        break;
-      case TrialOutcome::Status::kBootFailed:
-        ++managed->boot_failed;
-        break;
-      case TrialOutcome::Status::kRunCrashed:
-        ++managed->run_crashed;
-        break;
-      case TrialOutcome::Status::kTimeout:
-        ++managed->timeouts;
-        break;
-      case TrialOutcome::Status::kOk:
-        break;
-    }
-  }
+  // Failure taxonomy and retry/drift counters mirror session state.
+  managed->failures = managed->session->failures();
   managed->retries = managed->session->transient_retries();
   managed->drift_events = managed->session->drift_events();
   if (obs::Enabled()) {
@@ -400,30 +379,29 @@ void SessionManager::SeedMirrorLocked(Managed* managed, std::vector<TrialRecord>
   managed->journaled = managed->committed.size();
   managed->trials = managed->committed.size();
   managed->has_best = false;
-  managed->build_failed = managed->boot_failed = 0;
-  managed->run_crashed = managed->timeouts = 0;
   for (const TrialRecord& trial : managed->committed) {
     if (trial.HasObjective() && (!managed->has_best || trial.objective > managed->best)) {
       managed->has_best = true;
       managed->best = trial.objective;
     }
-    switch (trial.outcome.status) {
-      case TrialOutcome::Status::kBuildFailed: ++managed->build_failed; break;
-      case TrialOutcome::Status::kBootFailed: ++managed->boot_failed; break;
-      case TrialOutcome::Status::kRunCrashed: ++managed->run_crashed; break;
-      case TrialOutcome::Status::kTimeout: ++managed->timeouts; break;
-      case TrialOutcome::Status::kOk: break;
-    }
   }
   if (!managed->committed.empty()) {
     managed->sim_seconds = managed->committed.back().sim_time_end;
   }
-  // Retry/drift counters live in the session, not the trial records; a
-  // resumed session re-counts from the replay point (documented in
-  // docs/robustness.md).
+  // Counters mirror the session, which Resume() has already tallied the
+  // history into. Retry/drift counters live in the session, not the trial
+  // records; a resumed session re-counts them from the replay point
+  // (documented in docs/robustness.md). A recovered terminal session has
+  // no session object, so its taxonomy is counted from its history.
   if (managed->session != nullptr) {
+    managed->failures = managed->session->failures();
     managed->retries = managed->session->transient_retries();
     managed->drift_events = managed->session->drift_events();
+  } else {
+    managed->failures = FailureTally();
+    for (const TrialRecord& trial : managed->committed) {
+      managed->failures.Add(trial.outcome.status);
+    }
   }
 }
 
@@ -641,9 +619,8 @@ void SessionManager::Drive(Managed* managed) {
         NotifyLocked(*managed);        // ... and the resume.
       }
     }
-    // The step runs unlocked: it is the long pole (proposals, concurrent
-    // evaluations on the shared pool) and other sessions/requests must not
-    // wait on it. The manager only ever observes the session between steps.
+    // The step runs unlocked: it is the long pole (proposals, evaluations,
+    // model updates) and other sessions/requests must not wait on it. The manager only ever observes the session between steps.
     size_t committed = 0;
     int64_t wave_start_ns = obs::Enabled() ? obs::NowNs() : 0;
     if (wave_start_ns != 0 && managed->run_start_ns == 0) {
@@ -729,10 +706,10 @@ SessionStatus SessionManager::Snapshot(const Managed& managed) const {
   status.best = managed.best;
   status.sim_seconds = managed.sim_seconds;
   status.warm_started = managed.warm_started;
-  status.build_failed = managed.build_failed;
-  status.boot_failed = managed.boot_failed;
-  status.run_crashed = managed.run_crashed;
-  status.timeouts = managed.timeouts;
+  status.build_failed = managed.failures.build_failed;
+  status.boot_failed = managed.failures.boot_failed;
+  status.run_crashed = managed.failures.run_crashed;
+  status.timeouts = managed.failures.timeouts;
   status.retries = managed.retries;
   status.drift_events = managed.drift_events;
   status.recovered = managed.recovered;

@@ -1,9 +1,8 @@
 // The multi-session tuning service core: owns N concurrent SearchSessions,
-// multiplexed onto the shared ThreadPool (each session's
-// parallel_evaluations is honored per session — its evaluation rounds fan
-// out on the same pool every other session uses), with the
-// submitted → running → paused → done lifecycle and a graceful drain on
-// shutdown.
+// each stepped by its own joined driver thread (at most max_running run at
+// once; each session's parallel_evaluations is honored per session, in
+// simulated time on that driver), with the submitted → running → paused →
+// done lifecycle and a graceful drain on shutdown.
 //
 // Deliberately a thin, testable shell over the deterministic session core:
 // the manager never reaches into a session between StepBatch boundaries, so
@@ -182,10 +181,9 @@ class SessionManager {
     State state = State::kSubmitted;
     std::string error;
     bool failed = false;  // A StepBatch threw; error holds the what().
-    // One long-lived driver per session, joined on drain — deliberately not
-    // a ThreadPool task: a driver blocks for the session's whole lifetime,
-    // and parking it in the pool would starve the evaluation work the pool
-    // exists for. Searcher math still runs on the shared pool.
+    // One long-lived driver per session, joined on drain. It runs the
+    // session's every step — proposals, evaluations, observations — so
+    // cores are spent across sessions, bounded by max_running.
     // wf-lint: allow(conc-thread-seam) — session driver, joined in Drain/dtor.
     std::thread driver;
     bool pause_requested = false;
@@ -201,10 +199,7 @@ class SessionManager {
     double sim_seconds = 0.0;
     // Failure taxonomy + robustness counters, mirrored from the session at
     // wave boundaries like the fields above.
-    size_t build_failed = 0;
-    size_t boot_failed = 0;
-    size_t run_crashed = 0;
-    size_t timeouts = 0;
+    FailureTally failures;
     size_t retries = 0;
     size_t drift_events = 0;
     // Observability mirror (SessionStatus gauges), refreshed at wave

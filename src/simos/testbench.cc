@@ -99,8 +99,9 @@ TrialOutcome Testbench::EvaluateImpl(const Configuration& config, Rng& rng, SimC
                                      bool skip_build, bool boot_only) {
   TrialOutcome outcome;
   const FaultPlan& faults = options_.faults;
-  // Global simulated time at which this trial starts (clones carry the
-  // round start as their origin); decides whether scheduled drift applies.
+  // Global simulated time at which this trial starts (batch slots carry
+  // their launch time as the origin); decides whether scheduled drift
+  // applies.
   const double trial_start = sim_time_origin_ + (clock != nullptr ? clock->Now() : 0.0);
   CrashOutcome crash = crash_model_.Check(app_, config, rng);
 

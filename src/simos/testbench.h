@@ -108,9 +108,9 @@ class Testbench {
 
   // Where this bench's clock sits in the session's global simulated
   // timeline. A serial session evaluates on the global clock directly
-  // (origin 0); batch executors evaluate on per-slot clones with local
-  // clocks starting at 0, and set the round's start time here so scheduled
-  // faults (FaultPlan::drift_at) see global time.
+  // (origin 0). The batch executor evaluates each slot on a local clock
+  // starting at 0, sets the slots' launch time here so scheduled faults
+  // (FaultPlan::drift_at) see global time, and resets it to 0 afterwards.
   void SetSimTimeOrigin(double t) { sim_time_origin_ = t; }
 
  private:
@@ -125,7 +125,7 @@ class Testbench {
   CrashModel crash_model_;
   MemoryModel memory_model_;
   // The post-drift landscape (FaultPlan::drift_at > 0 only). Shared and
-  // immutable, so Testbench clones stay cheaply copyable.
+  // immutable, so copies of a Testbench stay cheap.
   std::shared_ptr<const PerfModel> drifted_perf_;
   double sim_time_origin_ = 0.0;
 };

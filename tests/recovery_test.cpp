@@ -365,7 +365,9 @@ TEST(RecoveryTest, DisabledJournalChangesNothing) {
 TEST(RecoveryTest, Kill9MidSearchConvergesToUninterruptedResult) {
   std::string crash_dir = FreshDir("wf-rec-kill9");
   std::string clean_dir = FreshDir("wf-rec-kill9-clean");
-  std::string job = DeterministicJob("kill9", 24, 777);
+  // Long enough that the kill lands mid-search even on a fast box: a short
+  // job can finish before the first 5 ms poll below sees its waves.
+  std::string job = DeterministicJob("kill9", 400, 777);
   std::string journal_path = crash_dir + "/store/journal.wfj";
 
   pid_t child = fork();
@@ -379,8 +381,9 @@ TEST(RecoveryTest, Kill9MidSearchConvergesToUninterruptedResult) {
       _exit(10);
     }
     manager.WaitDone(id, 60000);
-    // Unexpectedly finished before the kill landed: still fine — recovery
-    // then resurrects a done session and the comparison below holds.
+    // Finishing before the kill lands would fail the comparison below: a
+    // recovered finished session renders replay-only, without the live
+    // RNG lines the control's result carries.
     for (;;) {
       std::this_thread::sleep_for(std::chrono::seconds(1));
     }

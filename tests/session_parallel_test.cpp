@@ -1,13 +1,14 @@
-// Determinism contract of the batch-concurrent session executor:
+// Determinism contract of the batch session executor:
 //
 //   * parallel_evaluations = 1 is the serial loop, bit for bit (StepBatch
 //     dispatches straight to Step);
-//   * at fixed parallel_evaluations, histories are bit-identical at any
-//     eval_threads value — physical concurrency never leaks into results —
-//     pinned for DeepTune, random, and multi-metric sessions;
+//   * at fixed parallel_evaluations, two runs give bit-identical histories,
+//     pinned for DeepTune, random, and multi-metric sessions under lock-step
+//     and for DeepTune and random under the sliding schedule;
 //   * rounds commit in virtual-time order with ties broken by batch index;
 //   * Resume() at a round boundary followed by batched Step()s reproduces
-//     the uninterrupted batched run.
+//     the uninterrupted batched run, also right after a drift re-validation
+//     trial (lock-step keys its entropy on trials committed).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -44,7 +45,7 @@ void ExpectSameHistory(const std::vector<TrialRecord>& a,
 }
 
 SessionResult RunLinuxSession(const std::string& algorithm, size_t parallel,
-                              size_t eval_threads, size_t iterations = 24) {
+                              size_t iterations = 24) {
   ConfigSpace space = BuildLinuxSearchSpace();
   TestbenchOptions bench_options;
   bench_options.seed = 0x7e57;
@@ -54,7 +55,6 @@ SessionResult RunLinuxSession(const std::string& algorithm, size_t parallel,
   options.max_iterations = iterations;
   options.seed = 0x90;
   options.parallel_evaluations = parallel;
-  options.eval_threads = eval_threads;
   return RunSearch(&bench, searcher.get(), options);
 }
 
@@ -85,30 +85,27 @@ TEST(SessionParallel, ParallelOneIsExactlyTheSerialLoop) {
   EXPECT_EQ(stepped.total_sim_seconds, batched.total_sim_seconds);
 }
 
-// The acceptance pin: at parallel_evaluations=4, worker counts {1, 2, 4}
-// produce bit-identical histories for DeepTune, random, and multi-metric
-// sessions. Physical threads are an execution detail only.
-class WorkerInvarianceTest : public ::testing::TestWithParam<const char*> {};
+// At parallel_evaluations=4, two lock-step runs produce bit-identical
+// histories for DeepTune, random, and multi-metric sessions.
+class LockStepDeterminismTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(WorkerInvarianceTest, HistoryInvariantAcrossEvalThreads) {
-  SessionResult t1 = RunLinuxSession(GetParam(), 4, 1);
-  SessionResult t2 = RunLinuxSession(GetParam(), 4, 2);
-  SessionResult t4 = RunLinuxSession(GetParam(), 4, 4);
-  ExpectSameHistory(t2.history, t1.history, std::string(GetParam()) + " t2-vs-t1");
-  ExpectSameHistory(t2.history, t4.history, std::string(GetParam()) + " t2-vs-t4");
-  EXPECT_EQ(t2.builds, t4.builds) << GetParam();
-  EXPECT_EQ(t2.crashes, t4.crashes) << GetParam();
-  EXPECT_EQ(t2.total_sim_seconds, t4.total_sim_seconds) << GetParam();
+TEST_P(LockStepDeterminismTest, TwoRunsAreBitIdentical) {
+  SessionResult first = RunLinuxSession(GetParam(), 4);
+  SessionResult second = RunLinuxSession(GetParam(), 4);
+  ExpectSameHistory(first.history, second.history, std::string(GetParam()) + " repeat");
+  EXPECT_EQ(first.builds, second.builds) << GetParam();
+  EXPECT_EQ(first.crashes, second.crashes) << GetParam();
+  EXPECT_EQ(first.total_sim_seconds, second.total_sim_seconds) << GetParam();
 }
 
-INSTANTIATE_TEST_SUITE_P(Searchers, WorkerInvarianceTest,
+INSTANTIATE_TEST_SUITE_P(Searchers, LockStepDeterminismTest,
                          ::testing::Values("deeptune", "random"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
 
-TEST(SessionParallel, MultiMetricHistoryInvariantAcrossEvalThreads) {
-  auto run = [](size_t eval_threads) {
+TEST(SessionParallel, MultiMetricHistoryIsDeterministic) {
+  auto run = [] {
     ConfigSpace space = BuildLinuxSearchSpace();
     TestbenchOptions bench_options;
     bench_options.seed = 0x7e58;
@@ -120,16 +117,15 @@ TEST(SessionParallel, MultiMetricHistoryInvariantAcrossEvalThreads) {
     options.seed = 0x91;
     options.objective = ObjectiveKind::kScore;
     options.parallel_evaluations = 4;
-    options.eval_threads = eval_threads;
     return RunSearch(&bench, &searcher, options);
   };
-  SessionResult t2 = run(2);
-  SessionResult t4 = run(4);
-  ExpectSameHistory(t2.history, t4.history, "multi t2-vs-t4");
+  SessionResult first = run();
+  SessionResult second = run();
+  ExpectSameHistory(first.history, second.history, "multi repeat");
 }
 
 TEST(SessionParallel, RoundsCommitInVirtualTimeOrder) {
-  SessionResult result = RunLinuxSession("random", 4, 4, 24);
+  SessionResult result = RunLinuxSession("random", 4, 24);
   ASSERT_EQ(result.history.size(), 24u);
   for (size_t round = 0; round < 24; round += 4) {
     double previous = -1.0;
@@ -146,7 +142,7 @@ TEST(SessionParallel, RoundsCommitInVirtualTimeOrder) {
 
 TEST(SessionParallel, BatchBudgetIsExact) {
   // A budget that is not a multiple of the batch width still lands exactly.
-  SessionResult result = RunLinuxSession("random", 4, 0, 22);
+  SessionResult result = RunLinuxSession("random", 4, 22);
   EXPECT_EQ(result.history.size(), 22u);
   size_t builds_accounted = result.builds + result.builds_skipped;
   EXPECT_EQ(builds_accounted, 22u);
@@ -226,7 +222,7 @@ TEST(SessionParallel, ResumeThenBatchedStepsIsReproducible) {
 // ---------------------------------------------------------------------------
 // Sliding-window executor (SessionOptions::sliding_window).
 
-SessionResult RunSliding(const std::string& algorithm, bool sliding, size_t eval_threads,
+SessionResult RunSliding(const std::string& algorithm, bool sliding,
                          double fixed_trial_seconds, size_t iterations = 24) {
   ConfigSpace space = BuildLinuxSearchSpace();
   TestbenchOptions bench_options;
@@ -238,7 +234,6 @@ SessionResult RunSliding(const std::string& algorithm, bool sliding, size_t eval
   options.max_iterations = iterations;
   options.seed = 0x92;
   options.parallel_evaluations = 4;
-  options.eval_threads = eval_threads;
   options.sliding_window = sliding;
   return RunSearch(&bench, searcher.get(), options);
 }
@@ -249,8 +244,8 @@ SessionResult RunSliding(const std::string& algorithm, bool sliding, size_t eval
 class SlidingLockStepTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SlidingLockStepTest, EqualDurationTrialsMatchLockStepBitForBit) {
-  SessionResult lock_step = RunSliding(GetParam(), /*sliding=*/false, 1, 10.0);
-  SessionResult sliding = RunSliding(GetParam(), /*sliding=*/true, 1, 10.0);
+  SessionResult lock_step = RunSliding(GetParam(), /*sliding=*/false, 10.0);
+  SessionResult sliding = RunSliding(GetParam(), /*sliding=*/true, 10.0);
   ExpectSameHistory(lock_step.history, sliding.history,
                     std::string(GetParam()) + " sliding-vs-lockstep");
   EXPECT_EQ(lock_step.builds, sliding.builds) << GetParam();
@@ -270,7 +265,7 @@ TEST(SlidingWindow, VariedDurationsFillTheBudgetInVirtualTimeOrder) {
   // budget still lands, commits are monotone in virtual time, and the
   // window refills from the commit clock (no trial finishes before it
   // could have started).
-  SessionResult result = RunSliding("random", /*sliding=*/true, 0, 0.0, 22);
+  SessionResult result = RunSliding("random", /*sliding=*/true, 0.0, 22);
   ASSERT_EQ(result.history.size(), 22u);
   double previous = 0.0;
   for (const TrialRecord& trial : result.history) {
@@ -281,19 +276,16 @@ TEST(SlidingWindow, VariedDurationsFillTheBudgetInVirtualTimeOrder) {
   EXPECT_EQ(result.total_sim_seconds, result.history.back().sim_time_end);
 }
 
-TEST(SlidingWindow, HistoryInvariantAcrossEvalThreads) {
-  // Physical workers stay an execution detail under the sliding executor
-  // too: same pin as the lock-step WorkerInvarianceTest.
-  SessionResult t1 = RunSliding("deeptune", true, 1, 0.0);
-  SessionResult t2 = RunSliding("deeptune", true, 2, 0.0);
-  SessionResult t4 = RunSliding("deeptune", true, 4, 0.0);
-  ExpectSameHistory(t2.history, t1.history, "sliding t2-vs-t1");
-  ExpectSameHistory(t2.history, t4.history, "sliding t2-vs-t4");
+TEST(SlidingWindow, DeepTuneHistoryIsDeterministic) {
+  // Same pin as LockStepDeterminismTest, under the sliding schedule.
+  SessionResult first = RunSliding("deeptune", true, 0.0);
+  SessionResult second = RunSliding("deeptune", true, 0.0);
+  ExpectSameHistory(first.history, second.history, "sliding deeptune repeat");
 }
 
 TEST(SlidingWindow, DeterministicAcrossRuns) {
-  SessionResult first = RunSliding("random", true, 0, 0.0);
-  SessionResult second = RunSliding("random", true, 0, 0.0);
+  SessionResult first = RunSliding("random", true, 0.0);
+  SessionResult second = RunSliding("random", true, 0.0);
   ExpectSameHistory(first.history, second.history, "sliding repeat");
 }
 
@@ -302,8 +294,8 @@ TEST(SlidingWindow, KeepsTheWindowFullerThanLockStep) {
   // for the round's straggler, so the same trial count finishes in no more
   // virtual time than lock-step gives it. (Same proposals cannot be
   // guaranteed — the schedules diverge — so compare makespan, not content.)
-  SessionResult lock_step = RunSliding("random", false, 0, 0.0, 32);
-  SessionResult sliding = RunSliding("random", true, 0, 0.0, 32);
+  SessionResult lock_step = RunSliding("random", false, 0.0, 32);
+  SessionResult sliding = RunSliding("random", true, 0.0, 32);
   ASSERT_EQ(lock_step.history.size(), 32u);
   ASSERT_EQ(sliding.history.size(), 32u);
   EXPECT_LE(sliding.total_sim_seconds, lock_step.total_sim_seconds * 1.05);
@@ -328,30 +320,66 @@ TEST(SessionParallel, DedupAppliesWithinABatch) {
 }
 
 TEST(SessionParallel, DeployCheckRunsAtCommitTime) {
-  // The deploy check executes serially during the merge, and demotions are
-  // identical at any worker count.
-  auto run = [](size_t eval_threads) {
-    ConfigSpace space = BuildLinuxSearchSpace();
-    Testbench bench(&space, AppId::kNginx);
-    RandomSearcher searcher;
-    SessionOptions options;
-    options.max_iterations = 12;
-    options.seed = 0x7a;
-    options.parallel_evaluations = 4;
-    options.eval_threads = eval_threads;
-    options.deploy_check = [](const Configuration&, const TrialOutcome& outcome) {
-      return outcome.metric >= 60000.0;  // Demote the slower half.
-    };
-    return RunSearch(&bench, &searcher, options);
+  // The deploy check executes during the commit wave and demotes a failed
+  // deployment to a run crash.
+  ConfigSpace space = BuildLinuxSearchSpace();
+  Testbench bench(&space, AppId::kNginx);
+  RandomSearcher searcher;
+  SessionOptions options;
+  options.max_iterations = 12;
+  options.seed = 0x7a;
+  options.parallel_evaluations = 4;
+  options.deploy_check = [](const Configuration&, const TrialOutcome& outcome) {
+    return outcome.metric >= 60000.0;  // Demote the slower half.
   };
-  SessionResult t1 = run(1);
-  SessionResult t4 = run(4);
-  ExpectSameHistory(t1.history, t4.history, "deploy-check");
-  EXPECT_GT(t1.crashes, 0u);
-  for (const TrialRecord& trial : t1.history) {
+  SessionResult result = RunSearch(&bench, &searcher, options);
+  EXPECT_GT(result.crashes, 0u);
+  for (const TrialRecord& trial : result.history) {
     if (trial.crashed() && trial.outcome.failure_reason == "deployment check failed") {
       EXPECT_EQ(trial.outcome.status, TrialOutcome::Status::kRunCrashed);
     }
+  }
+}
+
+TEST(SessionParallel, LockStepRoundAfterDriftKeysOnCommittedTrials) {
+  // A drift re-validation trial commits without being proposed, so trials
+  // committed and proposals launched differ by one after it. Lock-step keys
+  // its round entropy on trials committed, which is all a Resume()d session
+  // knows: the round after the drift must be the same whether the session
+  // ran on or was resumed from the history at that commit boundary.
+  ConfigSpace space = BuildLinuxSearchSpace();
+  TestbenchOptions bench_options;
+  bench_options.seed = 0x5ef1;
+  bench_options.faults.drift_at = 720.0;
+  SessionOptions options;
+  options.max_iterations = 48;
+  options.seed = 0x91c;
+  options.objective = ObjectiveKind::kMemoryFootprint;
+  options.parallel_evaluations = 4;
+  options.drift_detection = true;
+  options.drift_window = 4;
+
+  Testbench bench_a(&space, AppId::kNginx, bench_options);
+  auto searcher_a = MakeSearcher("random", &space, 0xabc);
+  SearchSession uninterrupted(&bench_a, searcher_a.get(), options);
+  while (uninterrupted.drift_events() == 0 || !uninterrupted.AtCommitBoundary()) {
+    ASSERT_GT(uninterrupted.StepBatch(), 0u) << "drift never fired";
+  }
+  std::vector<TrialRecord> prefix = uninterrupted.history();
+  ASSERT_EQ(uninterrupted.StepBatch(), 4u);
+  const std::vector<TrialRecord>& ran_on = uninterrupted.history();
+
+  Testbench bench_b(&space, AppId::kNginx, bench_options);
+  auto searcher_b = MakeSearcher("random", &space, 0xabc);
+  SearchSession resumed(&bench_b, searcher_b.get(), options);
+  resumed.Resume(prefix);
+  ASSERT_EQ(resumed.StepBatch(), 4u);
+  const std::vector<TrialRecord>& continued = resumed.history();
+
+  ASSERT_EQ(continued.size(), ran_on.size());
+  for (size_t i = prefix.size(); i < ran_on.size(); ++i) {
+    EXPECT_EQ(continued[i].config.Hash(), ran_on[i].config.Hash()) << "trial " << i;
+    EXPECT_EQ(continued[i].sim_time_end, ran_on[i].sim_time_end) << "trial " << i;
   }
 }
 

@@ -288,14 +288,16 @@ TEST(DurOfstreamSeam, HistoricalSeedCheckpointFires) {
 
 // --- concurrency: conc-thread-seam / conc-detach ----------------------------
 
-TEST(ConcThread, FiresOutsideThreadPool) {
+TEST(ConcThread, FiresAnywhereUnderSrc) {
+  // No file under src/ is exempt; outside src/ the rule does not apply.
   std::string bad =
       "void f() {\n"
       "  std::thread t([] {});\n"
       "  t.join();\n"
       "}\n";
   EXPECT_EQ(CountRule(Lint("src/core/fixture.cc", bad), "conc-thread-seam"), 1);
-  EXPECT_TRUE(Lint("src/util/thread_pool.cc", bad).empty());
+  EXPECT_EQ(CountRule(Lint("src/util/fixture.cc", bad), "conc-thread-seam"), 1);
+  EXPECT_TRUE(Lint("tools/fixture.cpp", bad).empty());
 }
 
 TEST(ConcThread, HistoricalSessionDriverFires) {
@@ -313,9 +315,9 @@ TEST(ConcThread, HistoricalSessionDriverFires) {
 
 TEST(ConcDetach, FiresAnywhere) {
   std::string bad = "void f(std::thread& t) {\n  t.detach();\n}\n";
-  EXPECT_EQ(CountRule(Lint("src/util/thread_pool.cc", bad), "conc-detach"), 1);
+  EXPECT_EQ(CountRule(Lint("src/util/fixture.cc", bad), "conc-detach"), 1);
   std::string good = "void f(std::thread& t) {\n  t.join();\n}\n";
-  EXPECT_EQ(CountRule(Lint("src/util/thread_pool.cc", good), "conc-detach"), 0);
+  EXPECT_EQ(CountRule(Lint("src/util/fixture.cc", good), "conc-detach"), 0);
 }
 
 // --- concurrency: conc-lock-order-comment -----------------------------------
@@ -331,7 +333,7 @@ TEST(ConcLockOrder, FiresOnUndocumentedMutexMember) {
       CountRule(Lint("src/transport/event_loop.h", bad), "conc-lock-order-comment"),
       1);
   // Out-of-scope subsystems document locking in prose instead.
-  EXPECT_TRUE(Lint("src/util/thread_pool.h", bad).empty());
+  EXPECT_TRUE(Lint("src/util/fixture.h", bad).empty());
 }
 
 TEST(ConcLockOrder, CommentBlockAboveOrTrailingSatisfies) {

@@ -95,11 +95,6 @@ def load_obs_ratio(path):
 
 
 def is_anchor(key):
-    if "parallel" in key[1]:
-        # Batch-concurrent session variants measure real speedup only on
-        # multi-core boxes; on a 1-core container they read as pure overhead.
-        # Tracked, never gated.
-        return False
     if key[1] == "fault10":
         # The hostile-world session variant runs under a ~10% mixed-fault
         # plan with retries: its committed-trials/sec rate shifts whenever
