@@ -1,27 +1,16 @@
-// Micro-benchmark of the event-driven transport (src/transport/) against
-// the blocking accept loop it replaced, plus the binary-vs-YAML codec
-// anchor. One JSON object per line for tools/run_benches.sh and
-// tools/bench_compare.py.
+// Micro-benchmark of the event-driven transport (src/transport/) and the
+// binary TLV wire codec. One JSON object per line for tools/run_benches.sh
+// and tools/bench_compare.py.
 //
 //   * transport_roundtrip/clients64_epoll: sustained fleet-status round
 //     trips per second with 64 concurrent clients holding persistent
-//     binary-codec connections to a real wfd daemon carrying four finished
-//     sessions — the gated anchor for the new service plane end to end
-//     (event loop + negotiated TLV codec + manager snapshot).
-//   * transport_roundtrip/clients64_blocking: the same 64 clients asking
-//     for the same four-session status from an in-bench replica of the
-//     PR-5 service plane: the blocking accept loop (serve one connection
-//     to EOF, then accept the next) speaking YAML. Persistent connections
-//     would starve 63 of the 64 clients forever under that loop, so these
-//     clients speak the only concurrency-safe dialect PR-5 supported:
-//     connect per call. Deliberately slow reference — tracked, never gated
-//     (bench_compare skips "blocking" variants).
-//   * transport_roundtrip_speedup: the epoll/blocking ratio, informational.
+//     connections to a real wfd daemon carrying four finished sessions —
+//     the gated anchor for the service plane end to end (event loop + TLV
+//     codec + manager snapshot).
 //   * transport_latency/clients64_epoll: p99 round-trip latency (ms) seen
 //     by one of the 64 clients, informational (no ops_per_sec key).
-//   * transport_codec/{yaml,binary}: encode+decode round trips per second
-//     of a realistic 8-session fleet status response through each codec.
-//     Both gate; the binary/yaml ratio is the >=2x acceptance anchor.
+//   * transport_codec/binary: encode+decode round trips per second of a
+//     realistic 8-session fleet status response through the TLV codec.
 //
 // Usage: bench_micro_transport   (WF_FAST=1 shortens the windows, smoke mode)
 #include <algorithm>
@@ -36,7 +25,6 @@
 
 #include "src/service/binary_codec.h"
 #include "src/service/client.h"
-#include "src/service/protocol.h"
 #include "src/service/wfd.h"
 #include "src/util/socket.h"
 
@@ -85,13 +73,11 @@ struct ConcurrentResult {
 };
 
 // 64 client threads hammer `socket_path` with fleet-status round trips
-// (full client-side encode + server round trip + client-side decode);
-// throughput is the best of three sampled windows of the shared completion
-// counter. `persistent` clients negotiate the binary codec once and hold
-// the connection for the whole run; otherwise each round trip pays
-// connect+accept+close in YAML, the PR-5 client dialect.
+// (full client-side encode + server round trip + client-side decode), each
+// over one connection held for the whole run; throughput is the best of
+// three sampled windows of the shared completion counter.
 ConcurrentResult MeasureClients(size_t clients, const std::string& socket_path,
-                                bool persistent, size_t expect_sessions) {
+                                size_t expect_sessions) {
   ServiceRequest status;
   status.command = "status";
 
@@ -108,37 +94,20 @@ ConcurrentResult MeasureClients(size_t clients, const std::string& socket_path,
     threads.emplace_back([&, c] {
       ServiceConnection held;
       std::string error;
-      if (persistent) {
-        if (!held.Connect(socket_path, /*binary=*/true, &error) || !held.binary()) {
-          ++errors;
-          return;
-        }
-        SetRecvTimeout(held.fd(), 10000);
+      if (!held.Connect(socket_path, true, &error)) {
+        ++errors;
+        return;
       }
+      SetRecvTimeout(held.fd(), 10000);
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       while (!stop.load(std::memory_order_relaxed)) {
         auto begin = (c == 0) ? Clock::now() : Clock::time_point{};
-        bool ok;
-        if (persistent) {
-          ServiceCallResult result = held.Call(status);
-          ok = result.ok && result.response.sessions.size() == expect_sessions;
-        } else {
-          ServiceConnection conn;
-          ok = conn.Connect(socket_path, /*binary=*/false, &error);
-          if (ok) {
-            SetRecvTimeout(conn.fd(), 10000);
-            ServiceCallResult result = conn.Call(status);
-            ok = result.ok && result.response.sessions.size() == expect_sessions;
-          }
-        }
-        if (!ok) {
+        ServiceCallResult result = held.Call(status);
+        if (!result.ok || result.response.sessions.size() != expect_sessions) {
           ++errors;
-          if (persistent) {
-            return;  // The held connection is dead; nothing left to measure.
-          }
-          continue;
+          return;  // The held connection is dead; nothing left to measure.
         }
         completed.fetch_add(1, std::memory_order_relaxed);
         if (c == 0 && latencies_ms.size() < latencies_ms.capacity()) {
@@ -204,93 +173,15 @@ ConcurrentResult BenchEpollRoundtrip(size_t clients) {
       Die("fleet session failed", submitted.error);
     }
   }
-  ConcurrentResult result = MeasureClients(clients, options.socket_path,
-                                           /*persistent=*/true,
-                                           /*expect_sessions=*/4);
+  ConcurrentResult result =
+      MeasureClients(clients, options.socket_path, /*expect_sessions=*/4);
   server.Stop();
   serve.join();
   return result;
 }
 
-// The PR-5 service loop, reproduced: accept with a poll timeout, serve that
-// ONE connection until EOF while everyone else waits, repeat. It answers
-// `status` with a canned four-session fleet (sparing it the manager
-// snapshot the real daemon also pays — generous to the baseline), encoded
-// in YAML per request exactly as PR-5 did.
-void BlockingServe(UnixListener* listener, const ServiceResponse* fleet,
-                   std::atomic<bool>* stop) {
-  while (!stop->load()) {
-    UnixConn conn = listener->AcceptFor(1);
-    if (!conn.ok()) {
-      continue;
-    }
-    SetRecvTimeout(conn.fd(), 2000);
-    SetSendTimeout(conn.fd(), 2000);
-    for (;;) {
-      std::string text;
-      if (ReadFrame(conn.fd(), &text) != FrameStatus::kOk) {
-        break;
-      }
-      ServiceRequest request;
-      std::string error;
-      std::string reply;
-      if (DecodeRequest(text, &request, &error) && request.command == "status") {
-        reply = EncodeResponse(*fleet);
-      } else {
-        ServiceResponse response;
-        response.error = error.empty() ? "unimplemented" : error;
-        reply = EncodeResponse(response);
-      }
-      if (!WriteFrame(conn.fd(), reply)) {
-        break;
-      }
-    }
-  }
-}
-
-// Mirrors the field shapes of the real daemon's status reply for the four
-// finished bench-fleet sessions, so both variants serialize the same
-// amount of content.
-ServiceResponse MakeDoneFleet(size_t sessions) {
-  ServiceResponse response;
-  response.ok = true;
-  response.state = "fleet";
-  for (size_t i = 0; i < sessions; ++i) {
-    SessionStatus session;
-    session.id = "s" + std::to_string(i + 1);
-    session.name = "bench-fleet-" + std::to_string(i + 1);
-    session.algorithm = "random";
-    session.state = "done";
-    session.trials = 4;
-    session.iterations = 4;
-    session.has_best = true;
-    session.best = 1234.5678901234567 + 3.25 * static_cast<double>(i);
-    session.sim_seconds = 86000.0 + 1000.0 * static_cast<double>(i);
-    session.warm_started = 0;
-    response.sessions.push_back(session);
-  }
-  return response;
-}
-
-ConcurrentResult BenchBlockingRoundtrip(size_t clients) {
-  std::string socket_path = TempPath("wf_bench_transport_blocking.sock");
-  UnixListener listener;
-  if (!listener.Listen(socket_path, /*backlog=*/128)) {
-    Die("blocking listener start failed", listener.error());
-  }
-  const ServiceResponse fleet = MakeDoneFleet(4);
-  std::atomic<bool> stop{false};
-  std::thread serve([&] { BlockingServe(&listener, &fleet, &stop); });
-  ConcurrentResult result = MeasureClients(clients, socket_path,
-                                           /*persistent=*/false,
-                                           /*expect_sessions=*/4);
-  stop.store(true);
-  serve.join();
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// Codec throughput: a realistic fleet status response through each codec.
+// Codec throughput: a realistic fleet status response through the codec.
 
 ServiceResponse MakeFleetResponse() {
   ServiceResponse response;
@@ -317,14 +208,14 @@ ServiceResponse MakeFleetResponse() {
   return response;
 }
 
-double BenchCodec(bool binary) {
+double BenchCodec() {
   const ServiceResponse fleet = MakeFleetResponse();
   size_t checksum = 0;
   double rate = OpsPerSec(1, [&] {
-    std::string wire = EncodeResponseWire(fleet, binary);
+    std::string wire = EncodeResponseBinary(fleet);
     ServiceResponse decoded;
     std::string error;
-    if (!DecodeResponseWire(wire, binary, &decoded, &error) ||
+    if (!DecodeResponseBinary(wire, &decoded, &error) ||
         decoded.sessions.size() != fleet.sessions.size()) {
       Die("codec round trip failed", error);
     }
@@ -352,20 +243,7 @@ int main() {
               "\"ops_per_sec\": %.2f}\n", epoll.ops_per_sec);
   std::printf("{\"bench\": \"transport_latency\", \"variant\": \"clients64_epoll\", "
               "\"p99_ms\": %.4f}\n", epoll.p99_ms);
-  ConcurrentResult blocking = BenchBlockingRoundtrip(kClients);
-  std::printf("{\"bench\": \"transport_roundtrip\", \"variant\": \"clients64_blocking\", "
-              "\"ops_per_sec\": %.2f}\n", blocking.ops_per_sec);
-  std::printf("{\"bench\": \"transport_roundtrip_speedup\", "
-              "\"variant\": \"epoll_vs_blocking\", \"speedup\": %.2f}\n",
-              blocking.ops_per_sec > 0 ? epoll.ops_per_sec / blocking.ops_per_sec : 0.0);
-  double yaml = BenchCodec(/*binary=*/false);
-  std::printf("{\"bench\": \"transport_codec\", \"variant\": \"yaml\", "
-              "\"ops_per_sec\": %.2f}\n", yaml);
-  double binary = BenchCodec(/*binary=*/true);
   std::printf("{\"bench\": \"transport_codec\", \"variant\": \"binary\", "
-              "\"ops_per_sec\": %.2f}\n", binary);
-  std::printf("{\"bench\": \"transport_codec_speedup\", "
-              "\"variant\": \"binary_vs_yaml\", \"speedup\": %.2f}\n",
-              yaml > 0 ? binary / yaml : 0.0);
+              "\"ops_per_sec\": %.2f}\n", BenchCodec());
   return 0;
 }

@@ -37,8 +37,7 @@ constexpr unsigned char kSessSimSeconds = 8;
 constexpr unsigned char kSessWarmStarted = 9;
 constexpr unsigned char kSessStoreKey = 10;
 constexpr unsigned char kSessError = 11;
-// Failure taxonomy + robustness counters (absent-on-wire when zero, like
-// their YAML counterparts).
+// Failure taxonomy + robustness counters (absent-on-wire when zero).
 constexpr unsigned char kSessBuildFailed = 12;
 constexpr unsigned char kSessBootFailed = 13;
 constexpr unsigned char kSessRunCrashed = 14;
@@ -164,8 +163,8 @@ bool TakeDouble(const unsigned char* data, size_t n, double* out) {
 }
 
 void EncodeStatusBinary(std::string* out, const SessionStatus& status) {
-  // Field presence mirrors the YAML AppendStatus exactly — that is the
-  // contract the semantic-equivalence tests pin.
+  // Optional fields ride only when set, so clean, never-recovered,
+  // metrics-off sessions encode exactly as the first protocol did.
   std::string block;
   PutString(&block, kSessId, status.id);
   PutString(&block, kSessName, status.name);
@@ -332,18 +331,6 @@ bool DecodeStatusBinary(const unsigned char* data, size_t n,
 
 }  // namespace
 
-const char kBinaryHello[4] = {'W', 'F', 'B', '1'};
-
-bool IsBinaryHello(const std::string& payload) {
-  return payload.size() == 4 &&
-         std::memcmp(payload.data(), kBinaryHello, 4) == 0;
-}
-
-bool LooksLikeCodecHello(const std::string& payload) {
-  return payload.size() == 4 && payload[0] == 'W' && payload[1] == 'F' &&
-         payload[2] == 'B';
-}
-
 std::string EncodeRequestBinary(const ServiceRequest& request) {
   std::string out;
   out.push_back(static_cast<char>(kKindRequest));
@@ -492,31 +479,10 @@ bool DecodeResponseBinary(const std::string& data, ServiceResponse* response,
     }
   }
   if (!saw_ok) {
-    // Mirrors the YAML decoder rejecting a mapping without `status:`.
     *error = "response has no status";
     return false;
   }
   return true;
-}
-
-std::string EncodeRequestWire(const ServiceRequest& request, bool binary) {
-  return binary ? EncodeRequestBinary(request) : EncodeRequest(request);
-}
-
-bool DecodeRequestWire(const std::string& data, bool binary,
-                       ServiceRequest* request, std::string* error) {
-  return binary ? DecodeRequestBinary(data, request, error)
-                : DecodeRequest(data, request, error);
-}
-
-std::string EncodeResponseWire(const ServiceResponse& response, bool binary) {
-  return binary ? EncodeResponseBinary(response) : EncodeResponse(response);
-}
-
-bool DecodeResponseWire(const std::string& data, bool binary,
-                        ServiceResponse* response, std::string* error) {
-  return binary ? DecodeResponseBinary(data, response, error)
-                : DecodeResponse(data, response, error);
 }
 
 }  // namespace wayfinder

@@ -1,13 +1,7 @@
-// Binary TLV wire codec for the wfd protocol — the opt-in fast path next
-// to the YAML default (src/service/protocol.h).
-//
-// Negotiation: a client wanting binary sends the 4-byte hello "WFB1" as its
-// FIRST frame. A daemon that speaks it answers with the same 4 bytes and
-// flips the connection to binary for both directions; one that does not
-// (or a 4-byte "WFB?" future version it does not know) answers in YAML, and
-// the client falls back. YAML remains the debug path: any frame that is not
-// a codec hello is processed as YAML exactly as before, so existing clients
-// never notice the negotiation exists.
+// The binary TLV (tag-length-value) codec: the one wire format of the wfd
+// protocol (message structs in src/service/protocol.h). Every request,
+// response and push frame is one TLV message; job-file and payload frames
+// are raw bytes.
 //
 // Message layout (all integers big-endian):
 //
@@ -16,14 +10,12 @@
 // kind 0x01 = request, 0x02 = response. Strings are raw bytes; u64 fields
 // are 8 bytes; doubles are IEEE-754 bits as u64; bools are 1 byte (0/1).
 // A session status rides as a nested TLV block (tag 6 of a response,
-// repeated per session). Decoders skip unknown tags (forward compatibility)
-// and reject anything truncated, oversized, or type-malformed — the fuzz
-// suite in tests/protocol_test.cpp feeds both codecs the same garbage.
-//
-// Field optionality mirrors the YAML encoder exactly (absent YAML key ==
-// absent TLV tag), which is what lets tests pin the two codecs semantically
-// equivalent message-for-message: decode(encode_yaml(m)) ==
-// decode(encode_binary(m)) for every message shape.
+// repeated per session). Optional fields are absent at their defaults.
+// Decoders skip unknown tags (forward compatibility), let a repeated scalar
+// tag overwrite the earlier value, and reject anything truncated or
+// type-malformed with a non-empty error. tests/protocol_test.cpp pins every
+// field's round trip and a seeded mutation property: any decodable frame
+// re-encodes to a fixed point. The full tag table is in docs/service.md.
 #ifndef WAYFINDER_SRC_SERVICE_BINARY_CODEC_H_
 #define WAYFINDER_SRC_SERVICE_BINARY_CODEC_H_
 
@@ -33,17 +25,6 @@
 
 namespace wayfinder {
 
-// The exact first-frame payload that requests binary mode (and acks it).
-extern const char kBinaryHello[4];
-
-// True when `payload` is exactly the supported hello.
-bool IsBinaryHello(const std::string& payload);
-
-// True when `payload` looks like SOME codec hello ("WFB" + one version
-// byte) — including versions we do not speak. The daemon answers those
-// with a YAML error instead of trying to parse them as a YAML request.
-bool LooksLikeCodecHello(const std::string& payload);
-
 std::string EncodeRequestBinary(const ServiceRequest& request);
 bool DecodeRequestBinary(const std::string& data, ServiceRequest* request,
                          std::string* error);
@@ -51,14 +32,6 @@ bool DecodeRequestBinary(const std::string& data, ServiceRequest* request,
 std::string EncodeResponseBinary(const ServiceResponse& response);
 bool DecodeResponseBinary(const std::string& data, ServiceResponse* response,
                           std::string* error);
-
-// Codec-dispatching helpers: one call site regardless of negotiated mode.
-std::string EncodeRequestWire(const ServiceRequest& request, bool binary);
-bool DecodeRequestWire(const std::string& data, bool binary,
-                       ServiceRequest* request, std::string* error);
-std::string EncodeResponseWire(const ServiceResponse& response, bool binary);
-bool DecodeResponseWire(const std::string& data, bool binary,
-                        ServiceResponse* response, std::string* error);
 
 }  // namespace wayfinder
 

@@ -7,30 +7,8 @@
 
 namespace wayfinder {
 
-bool ServiceConnection::Connect(const std::string& socket_path, bool binary,
+bool ServiceConnection::Connect(const std::string& socket_path, bool /*binary*/,
                                 std::string* error) {
-  binary_ = false;
-  conn_ = ConnectUnix(socket_path);
-  if (!conn_.ok()) {
-    *error = "cannot connect to " + socket_path + " (is wfd running?)";
-    return false;
-  }
-  if (!binary) {
-    return true;
-  }
-  // Codec negotiation: hello as frame #1, expect the 4-byte ack. Anything
-  // else — a YAML error from a daemon that saw an unknown version, or a
-  // dropped connection from a pre-negotiation daemon that choked on the
-  // non-YAML frame — means "no binary here": reconnect and speak YAML.
-  // Reconnecting (rather than continuing on the same connection) gives one
-  // uniform downgrade path for both daemon generations.
-  std::string hello(kBinaryHello, sizeof(kBinaryHello));
-  std::string ack;
-  if (WriteFrame(conn_.fd(), hello) &&
-      ReadFrame(conn_.fd(), &ack) == FrameStatus::kOk && IsBinaryHello(ack)) {
-    binary_ = true;
-    return true;
-  }
   conn_ = ConnectUnix(socket_path);
   if (!conn_.ok()) {
     *error = "cannot connect to " + socket_path + " (is wfd running?)";
@@ -47,7 +25,7 @@ ServiceCallResult ServiceConnection::Call(const ServiceRequest& request,
     result.transport_error = true;
     return result;
   }
-  if (!WriteFrame(conn_.fd(), EncodeRequestWire(request, binary_))) {
+  if (!WriteFrame(conn_.fd(), EncodeRequestBinary(request))) {
     result.error = "connection lost while sending request";
     result.transport_error = true;
     return result;
@@ -64,7 +42,7 @@ ServiceCallResult ServiceConnection::Call(const ServiceRequest& request,
     result.transport_error = true;
     return result;
   }
-  if (!DecodeResponseWire(text, binary_, &result.response, &result.error)) {
+  if (!DecodeResponseBinary(text, &result.response, &result.error)) {
     return result;
   }
   if (result.response.has_payload) {
@@ -93,14 +71,14 @@ bool ServiceConnection::ReadResponse(ServiceResponse* response, std::string* err
     *error = std::string("push stream ended (") + FrameStatusName(frame) + ")";
     return false;
   }
-  return DecodeResponseWire(text, binary_, response, error);
+  return DecodeResponseBinary(text, response, error);
 }
 
 ServiceCallResult CallService(const std::string& socket_path, const ServiceRequest& request,
-                              const std::string& job_text, bool binary) {
+                              const std::string& job_text) {
   ServiceConnection conn;
   ServiceCallResult result;
-  if (!conn.Connect(socket_path, binary, &result.error)) {
+  if (!conn.Connect(socket_path, true, &result.error)) {
     result.transport_error = true;  // The daemon never saw anything.
     return result;
   }
@@ -129,17 +107,17 @@ int BackoffDelayMs(const ReconnectPolicy& policy, int attempt, uint64_t* state) 
 ServiceCallResult CallServiceRetry(const std::string& socket_path,
                                    const ServiceRequest& request,
                                    const ReconnectPolicy& policy,
-                                   const std::string& job_text, bool binary) {
+                                   const std::string& job_text) {
   const bool retryable =
       IdempotentServiceCommand(request.command) || policy.retry_unsafe;
   uint64_t jitter = policy.seed;
-  ServiceCallResult result = CallService(socket_path, request, job_text, binary);
+  ServiceCallResult result = CallService(socket_path, request, job_text);
   for (int attempt = 1;
        attempt <= policy.attempts && retryable && !result.ok && result.transport_error;
        ++attempt) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(BackoffDelayMs(policy, attempt, &jitter)));
-    result = CallService(socket_path, request, job_text, binary);
+    result = CallService(socket_path, request, job_text);
   }
   return result;
 }

@@ -2,12 +2,10 @@
 // and the service tests (so both exercise the exact bytes a real
 // deployment would).
 //
-// ServiceConnection is a persistent connection with optional binary-codec
-// negotiation: Connect(binary=true) sends the hello and, when the daemon
-// does not ack it (an old daemon, or one that answered with a YAML error),
-// transparently reconnects in YAML mode — scripts never see the
-// negotiation. CallService keeps the one-shot connect-per-call shape every
-// existing caller uses, layered on a throwaway ServiceConnection.
+// ServiceConnection is a persistent connection speaking the binary TLV
+// codec (src/service/binary_codec.h), the protocol's only format.
+// CallService keeps the one-shot connect-per-call shape every existing
+// caller uses, layered on a throwaway ServiceConnection.
 #ifndef WAYFINDER_SRC_SERVICE_CLIENT_H_
 #define WAYFINDER_SRC_SERVICE_CLIENT_H_
 
@@ -54,12 +52,12 @@ struct ReconnectPolicy {
 // advanced per call (xorshift; exposed for the backoff-shape test).
 int BackoffDelayMs(const ReconnectPolicy& policy, int attempt, uint64_t* state);
 
-// A persistent daemon connection speaking whichever codec got negotiated.
+// A persistent daemon connection.
 class ServiceConnection {
  public:
-  // Connects; with `binary`, negotiates the TLV codec and silently falls
-  // back to YAML when the daemon does not speak it. False with *error on
-  // connection failure.
+  // Connects; false with *error on connection failure. `binary` is ignored:
+  // TLV is the only wire codec. The parameter remains because
+  // e2ebench/e2e_bench.cc still passes it.
   bool Connect(const std::string& socket_path, bool binary, std::string* error);
 
   // One request/response round trip (submit carries `job_text` as the
@@ -72,21 +70,18 @@ class ServiceConnection {
   bool ReadResponse(ServiceResponse* response, std::string* error);
 
   bool connected() const { return conn_.ok(); }
-  bool binary() const { return binary_; }
   int fd() const { return conn_.fd(); }
   void Close() { conn_.Close(); }
 
  private:
   UnixConn conn_;
-  bool binary_ = false;
 };
 
 // Connects to `socket_path`, sends `request` (plus `job_text` as the
 // follow-up frame when the command is submit), reads the response (plus the
-// payload frame when the response announces one), disconnects. `binary`
-// opts into codec negotiation (wfctl --binary).
+// payload frame when the response announces one), disconnects.
 ServiceCallResult CallService(const std::string& socket_path, const ServiceRequest& request,
-                              const std::string& job_text = "", bool binary = false);
+                              const std::string& job_text = "");
 
 // CallService wrapped in the reconnect policy: on a transport failure of a
 // retryable command (IdempotentServiceCommand, or any command under
@@ -96,8 +91,7 @@ ServiceCallResult CallService(const std::string& socket_path, const ServiceReque
 ServiceCallResult CallServiceRetry(const std::string& socket_path,
                                    const ServiceRequest& request,
                                    const ReconnectPolicy& policy,
-                                   const std::string& job_text = "",
-                                   bool binary = false);
+                                   const std::string& job_text = "");
 
 // Convenience wrappers.
 ServiceCallResult SubmitJob(const std::string& socket_path, const std::string& job_text,

@@ -1,99 +1,6 @@
 #include "src/service/protocol.h"
 
-#include <cstdio>
-
 namespace wayfinder {
-
-namespace {
-
-// Scalar-quoting for our YAML subset: values that could confuse the parser
-// (colons, leading dashes, '#') ride inside double quotes; embedded double
-// quotes are dropped (nothing in the protocol legitimately carries them).
-std::string Quote(const std::string& text) {
-  std::string cleaned;
-  cleaned.reserve(text.size());
-  for (char c : text) {
-    if (c != '"' && c != '\n' && c != '\r') {
-      cleaned.push_back(c);
-    }
-  }
-  return "\"" + cleaned + "\"";
-}
-
-std::string FormatDouble(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-void AppendStatus(std::string* out, const SessionStatus& status, const char* indent) {
-  *out += indent;
-  *out += "- id: " + Quote(status.id) + "\n";
-  std::string field_indent = std::string(indent) + "  ";
-  *out += field_indent + "name: " + Quote(status.name) + "\n";
-  *out += field_indent + "algorithm: " + Quote(status.algorithm) + "\n";
-  *out += field_indent + "state: " + Quote(status.state) + "\n";
-  *out += field_indent + "trials: " + std::to_string(status.trials) + "\n";
-  *out += field_indent + "iterations: " + std::to_string(status.iterations) + "\n";
-  if (status.has_best) {
-    *out += field_indent + "best: " + FormatDouble(status.best) + "\n";
-  }
-  *out += field_indent + "sim_seconds: " + FormatDouble(status.sim_seconds) + "\n";
-  *out += field_indent + "warm_started: " + std::to_string(status.warm_started) + "\n";
-  // Failure taxonomy: only non-zero counters ride the wire, so clean
-  // sessions encode exactly as before (the binary codec mirrors this
-  // presence rule — that parity is what the codec-equivalence tests pin).
-  if (status.build_failed > 0) {
-    *out += field_indent + "build_failed: " + std::to_string(status.build_failed) + "\n";
-  }
-  if (status.boot_failed > 0) {
-    *out += field_indent + "boot_failed: " + std::to_string(status.boot_failed) + "\n";
-  }
-  if (status.run_crashed > 0) {
-    *out += field_indent + "run_crashed: " + std::to_string(status.run_crashed) + "\n";
-  }
-  if (status.timeouts > 0) {
-    *out += field_indent + "timeouts: " + std::to_string(status.timeouts) + "\n";
-  }
-  if (status.retries > 0) {
-    *out += field_indent + "retries: " + std::to_string(status.retries) + "\n";
-  }
-  if (status.drift_events > 0) {
-    *out += field_indent + "drift_events: " + std::to_string(status.drift_events) + "\n";
-  }
-  // Crash-recovery fields: same only-when-set presence rule as the taxonomy
-  // (and mirrored by the binary codec), so a never-crashed fleet's frames
-  // are byte-identical to the pre-journal protocol.
-  if (status.recovered) {
-    *out += field_indent + "recovered: true\n";
-  }
-  if (status.version > 0) {
-    *out += field_indent + "version: " + std::to_string(status.version) + "\n";
-  }
-  // Observability gauges: zero when metrics recording is off, and zero is
-  // never emitted — the presence rule that keeps metrics-off frames
-  // byte-identical to the pre-obs protocol (mirrored by the binary codec).
-  if (status.memory_bytes > 0) {
-    *out += field_indent + "memory_bytes: " + std::to_string(status.memory_bytes) + "\n";
-  }
-  if (status.wave_p50_ms > 0.0) {
-    *out += field_indent + "wave_p50_ms: " + FormatDouble(status.wave_p50_ms) + "\n";
-  }
-  if (status.wave_p99_ms > 0.0) {
-    *out += field_indent + "wave_p99_ms: " + FormatDouble(status.wave_p99_ms) + "\n";
-  }
-  if (status.trials_per_sec > 0.0) {
-    *out += field_indent + "trials_per_sec: " + FormatDouble(status.trials_per_sec) + "\n";
-  }
-  if (!status.store_key.empty()) {
-    *out += field_indent + "store_key: " + Quote(status.store_key) + "\n";
-  }
-  if (!status.error.empty()) {
-    *out += field_indent + "error: " + Quote(status.error) + "\n";
-  }
-}
-
-}  // namespace
 
 bool KnownServiceCommand(const std::string& command) {
   return command == "submit" || command == "status" || command == "watch" ||
@@ -124,124 +31,6 @@ bool ValidateRequest(const ServiceRequest& request, std::string* error) {
   if (CommandNeedsId(request.command) && request.id.empty()) {
     *error = request.command + " requires an id";
     return false;
-  }
-  return true;
-}
-
-std::string EncodeRequest(const ServiceRequest& request) {
-  std::string out = "command: " + Quote(request.command) + "\n";
-  if (!request.id.empty()) {
-    out += "id: " + Quote(request.id) + "\n";
-  }
-  if (!request.warm_start) {
-    out += "warm_start: false\n";
-  }
-  if (request.since_version > 0) {
-    out += "since_version: " + std::to_string(request.since_version) + "\n";
-  }
-  return out;
-}
-
-bool DecodeRequest(const std::string& text, ServiceRequest* request, std::string* error) {
-  YamlParseResult parsed = ParseYaml(text);
-  if (!parsed.ok) {
-    *error = "request is not valid YAML: " + parsed.error;
-    return false;
-  }
-  if (!parsed.root.IsMapping()) {
-    *error = "request must be a YAML mapping";
-    return false;
-  }
-  request->command = parsed.root.GetString("command");
-  request->id = parsed.root.GetString("id");
-  request->warm_start = parsed.root.GetBool("warm_start", true);
-  request->since_version = static_cast<uint64_t>(parsed.root.GetInt("since_version", 0));
-  return ValidateRequest(*request, error);
-}
-
-std::string EncodeResponse(const ServiceResponse& response) {
-  std::string out = std::string("status: ") + (response.ok ? "ok" : "error") + "\n";
-  if (!response.error.empty()) {
-    out += "error: " + Quote(response.error) + "\n";
-  }
-  if (!response.id.empty()) {
-    out += "id: " + Quote(response.id) + "\n";
-  }
-  if (!response.state.empty()) {
-    out += "state: " + Quote(response.state) + "\n";
-  }
-  if (!response.note.empty()) {
-    out += "note: " + Quote(response.note) + "\n";
-  }
-  if (response.has_payload) {
-    out += "payload: true\n";
-  }
-  if (!response.sessions.empty()) {
-    out += "sessions:\n";
-    for (const SessionStatus& status : response.sessions) {
-      AppendStatus(&out, status, "  ");
-    }
-  }
-  return out;
-}
-
-bool DecodeResponse(const std::string& text, ServiceResponse* response,
-                    std::string* error) {
-  YamlParseResult parsed = ParseYaml(text);
-  if (!parsed.ok) {
-    *error = "response is not valid YAML: " + parsed.error;
-    return false;
-  }
-  if (!parsed.root.IsMapping()) {
-    *error = "response must be a YAML mapping";
-    return false;
-  }
-  std::string status = parsed.root.GetString("status");
-  if (status != "ok" && status != "error") {
-    *error = "response has no status";
-    return false;
-  }
-  response->ok = status == "ok";
-  response->error = parsed.root.GetString("error");
-  response->id = parsed.root.GetString("id");
-  response->state = parsed.root.GetString("state");
-  response->note = parsed.root.GetString("note");
-  response->has_payload = parsed.root.GetBool("payload", false);
-  response->sessions.clear();
-  if (const YamlNode* sessions = parsed.root.Get("sessions"); sessions != nullptr) {
-    if (!sessions->IsSequence()) {
-      *error = "sessions must be a sequence";
-      return false;
-    }
-    for (size_t i = 0; i < sessions->Size(); ++i) {
-      const YamlNode& node = sessions->At(i);
-      SessionStatus entry;
-      entry.id = node.GetString("id");
-      entry.name = node.GetString("name");
-      entry.algorithm = node.GetString("algorithm");
-      entry.state = node.GetString("state");
-      entry.trials = static_cast<size_t>(node.GetInt("trials", 0));
-      entry.iterations = static_cast<size_t>(node.GetInt("iterations", 0));
-      entry.has_best = node.Has("best");
-      entry.best = node.GetDouble("best", 0.0);
-      entry.sim_seconds = node.GetDouble("sim_seconds", 0.0);
-      entry.warm_started = static_cast<size_t>(node.GetInt("warm_started", 0));
-      entry.build_failed = static_cast<size_t>(node.GetInt("build_failed", 0));
-      entry.boot_failed = static_cast<size_t>(node.GetInt("boot_failed", 0));
-      entry.run_crashed = static_cast<size_t>(node.GetInt("run_crashed", 0));
-      entry.timeouts = static_cast<size_t>(node.GetInt("timeouts", 0));
-      entry.retries = static_cast<size_t>(node.GetInt("retries", 0));
-      entry.drift_events = static_cast<size_t>(node.GetInt("drift_events", 0));
-      entry.recovered = node.GetBool("recovered", false);
-      entry.version = static_cast<uint64_t>(node.GetInt("version", 0));
-      entry.memory_bytes = static_cast<size_t>(node.GetInt("memory_bytes", 0));
-      entry.wave_p50_ms = node.GetDouble("wave_p50_ms", 0.0);
-      entry.wave_p99_ms = node.GetDouble("wave_p99_ms", 0.0);
-      entry.trials_per_sec = node.GetDouble("trials_per_sec", 0.0);
-      entry.store_key = node.GetString("store_key");
-      entry.error = node.GetString("error");
-      response->sessions.push_back(std::move(entry));
-    }
   }
   return true;
 }

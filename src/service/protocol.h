@@ -1,43 +1,41 @@
-// The wfd wire protocol: small YAML documents in length-prefixed frames
-// over a Unix-domain socket (framing in src/util/socket.h).
+// The wfd wire protocol: the messages a client and the daemon exchange in
+// length-prefixed frames over a Unix-domain socket (framing in
+// src/util/socket.h). Every request, response and push frame is one binary
+// TLV message (src/service/binary_codec.h); this header holds the message
+// structs and the semantic rules the decoder enforces.
 //
-// Every request is one YAML mapping frame:
+// Requests carry a command
 //
-//   command: submit | status | watch | result | pause | resume | stop |
-//            compact | ping | metrics | trace
-//   id: s3              # the session, for status/watch/result/pause/resume
-//   warm_start: false   # submit only (default true)
+//   submit | status | watch | result | pause | resume | stop | compact |
+//   ping | metrics | trace
+//
+// plus, where it applies, the target session id and the submit/watch
+// options below.
 //
 // `submit` is followed by ONE extra frame carrying the job file text
 // verbatim — existing `wfctl start` job YAML works unchanged, comments and
 // all, because the daemon hands it straight to ParseJobText.
 //
-// Every response is one YAML mapping frame with at least
+// Every response says ok or error (with a message), plus command-specific
+// fields (session id, lifecycle state, a list of session statuses for
+// `status`/`watch`). An ok `result` response is followed by ONE extra frame
+// carrying the session's checkpoint text (src/platform/checkpoint.h), which
+// `wfctl result` writes to disk for report/render/start --resume. `metrics`
+// and `trace` reuse the same payload-frame pattern: the ok response
+// announces a payload and ONE extra frame follows carrying the rendered
+// metrics text (src/obs/metrics.h RenderText) or the session's Chrome
+// trace_event JSON (src/obs/trace.h) verbatim. A payload larger than the
+// frame cap (kMaxFrameBytes) is refused with an error response instead.
 //
-//   status: ok | error
-//   error: <message>    # when status: error
-//
-// plus command-specific fields (session id, lifecycle state, trial counts,
-// a `sessions:` list for the fleet-wide status). An ok `result` response is
-// followed by ONE extra frame carrying the session's checkpoint text
-// (src/platform/checkpoint.h), which `wfctl result` writes to disk for
-// report/render/start --resume. `metrics` and `trace` reuse the same
-// payload-frame pattern: the ok response announces `payload: true` and ONE
-// extra frame follows carrying the rendered metrics text
-// (src/obs/metrics.h RenderText) or the session's Chrome trace_event JSON
-// (src/obs/trace.h) verbatim — identical bytes under both codecs, which is
-// what pins their parity.
-//
-// The codec never trusts the peer: unknown commands, non-YAML payloads,
-// and missing fields decode into errors the daemon answers (or drops the
-// connection on), never crashes.
+// The decoder never trusts the peer: unknown commands, malformed TLV, and
+// missing fields decode into errors the daemon answers before it closes the
+// connection, never crashes.
 #ifndef WAYFINDER_SRC_SERVICE_PROTOCOL_H_
 #define WAYFINDER_SRC_SERVICE_PROTOCOL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "src/util/yaml.h"
 
 namespace wayfinder {
 
@@ -67,8 +65,8 @@ struct SessionStatus {
   double sim_seconds = 0.0;
   size_t warm_started = 0;  // Prior trials observed from the TrialStore.
   // Failure taxonomy + robustness counters. Emitted on the wire only when
-  // non-zero (both codecs), so clean sessions' frames are byte-identical to
-  // the pre-taxonomy protocol.
+  // non-zero, so clean sessions' frames are byte-identical to the
+  // pre-taxonomy protocol.
   size_t build_failed = 0;
   size_t boot_failed = 0;
   size_t run_crashed = 0;
@@ -85,9 +83,8 @@ struct SessionStatus {
   uint64_t version = 0;
   // Observability gauges, refreshed at wave boundaries from the manager's
   // mirror when metrics recording is on (src/obs/). All stay zero — and
-  // therefore absent on the wire under both codecs — when recording is off,
-  // so a metrics-off daemon's frames are byte-identical to the pre-obs
-  // protocol.
+  // therefore absent on the wire — when recording is off, so a metrics-off
+  // daemon's frames are byte-identical to the pre-obs protocol.
   size_t memory_bytes = 0;     // Searcher live-state footprint (MemoryBytes).
   double wave_p50_ms = 0.0;    // Wave wall-clock latency quantiles so far.
   double wave_p99_ms = 0.0;
@@ -107,7 +104,7 @@ struct ServiceResponse {
   // without any request failing.
   std::string note;
   std::vector<SessionStatus> sessions;  // status: one entry (or the fleet).
-  bool has_payload = false;  // result: a checkpoint-text frame follows.
+  bool has_payload = false;  // result/metrics/trace: a payload frame follows.
 };
 
 // True for commands the protocol knows (the daemon rejects the rest).
@@ -120,18 +117,9 @@ bool KnownServiceCommand(const std::string& command);
 // opt-in, because a lost *response* does not mean a lost *request*.
 bool IdempotentServiceCommand(const std::string& command);
 
-// Shared semantic validation — both wire codecs (YAML here, binary TLV in
-// src/service/binary_codec.h) funnel decoded requests through this so the
-// two formats reject exactly the same inputs.
+// Semantic validation of a decoded request: a known command, and an id for
+// the commands that need one. DecodeRequestBinary ends with this check.
 bool ValidateRequest(const ServiceRequest& request, std::string* error);
-
-std::string EncodeRequest(const ServiceRequest& request);
-// False (with *error) on non-YAML input, a missing/unknown command, or a
-// per-session command without an id.
-bool DecodeRequest(const std::string& text, ServiceRequest* request, std::string* error);
-
-std::string EncodeResponse(const ServiceResponse& response);
-bool DecodeResponse(const std::string& text, ServiceResponse* response, std::string* error);
 
 // Commands that require an `id` field.
 bool CommandNeedsId(const std::string& command);

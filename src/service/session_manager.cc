@@ -534,6 +534,15 @@ bool SessionManager::Recover(std::string* summary) {
   return true;
 }
 
+void SessionManager::DiscardJournal() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::error_code ec;
+  if (journal_ != nullptr &&
+      std::filesystem::file_size(options_.journal_path, ec) > SessionJournal::Header().size()) {
+    RewriteJournalLocked();  // The fleet is empty: header only.
+  }
+}
+
 void SessionManager::RewriteJournalLocked() {
   if (journal_ == nullptr) {
     return;

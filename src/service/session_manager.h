@@ -90,6 +90,12 @@ class SessionManager {
   // happened either way. Recovered sessions carry `recovered: true` status.
   bool Recover(std::string* summary);
 
+  // The no-recovery start (`wfd --no-recover`): a journal holding any
+  // record is replaced atomically by an empty one, so the next recovering
+  // daemon sees only this run's sessions. A missing or header-only journal
+  // is left alone (no fsync or rename). Call once, before the first Submit.
+  void DiscardJournal();
+
   // False once the journal has degraded (an append or fsync failed; appends
   // stop so the on-disk prefix stays valid) with the first failure in
   // *reason. True (reason untouched) while healthy or when no journal is

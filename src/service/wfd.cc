@@ -41,7 +41,9 @@ int RunWfdForeground(const WfdOptions& options) {
   std::signal(SIGINT, HandleDrainSignal);
   std::signal(SIGTERM, HandleDrainSignal);
   std::signal(SIGPIPE, SIG_IGN);
-  if (options.recover && !options.manager.journal_path.empty()) {
+  if (!options.recover) {
+    server.manager().DiscardJournal();  // A no-op without a journal.
+  } else if (!options.manager.journal_path.empty()) {
     std::string summary;
     if (server.manager().Recover(&summary)) {
       std::printf("wfd recovery: %s\n", summary.c_str());
@@ -113,13 +115,12 @@ void WfdServer::OnOversized(uint64_t conn) {
   ServiceResponse response;
   response.error = it->second.awaiting_job ? "job file exceeds protocol limit"
                                            : "frame exceeds protocol limit";
-  SendResponse(conn, it->second, response);
+  SendResponse(conn, response);
   WF_LOG(Info) << "wfd: dropping connection (oversized)";
 }
 
-bool WfdServer::SendResponse(uint64_t conn, const ProtoConn& state,
-                             const ServiceResponse& response) {
-  return transport_.Send(conn, EncodeResponseWire(response, state.binary));
+bool WfdServer::SendResponse(uint64_t conn, const ServiceResponse& response) {
+  return transport_.Send(conn, EncodeResponseBinary(response));
 }
 
 void WfdServer::OnFrame(uint64_t conn, std::string payload) {
@@ -130,7 +131,7 @@ void WfdServer::OnFrame(uint64_t conn, std::string payload) {
   ProtoConn* state = &it->second;
 
   if (state->awaiting_job) {
-    // The job file rides verbatim in this frame, in either codec mode.
+    // The job file rides verbatim in this frame.
     state->awaiting_job = false;
     ServiceResponse response;
     std::string id;
@@ -145,27 +146,8 @@ void WfdServer::OnFrame(uint64_t conn, std::string payload) {
       response.error = error;
     }
     state->pending_submit = ServiceRequest();
-    SendResponse(conn, *state, response);
+    SendResponse(conn, response);
     return;
-  }
-
-  if (!state->saw_first_frame) {
-    state->saw_first_frame = true;
-    if (IsBinaryHello(payload)) {
-      // Ack with the same 4 bytes; everything after speaks binary TLV.
-      state->binary = true;
-      transport_.Send(conn, std::string(kBinaryHello, sizeof(kBinaryHello)));
-      return;
-    }
-    if (LooksLikeCodecHello(payload)) {
-      // A codec version we do not speak: answer in YAML and stay in YAML —
-      // the client reads a response (not the hello ack) and downgrades.
-      ServiceResponse response;
-      response.error = "unsupported codec version";
-      SendResponse(conn, *state, response);
-      return;
-    }
-    // Not a hello at all: an ordinary YAML first request, handled below.
   }
 
   HandleRequest(conn, state, payload);
@@ -176,14 +158,14 @@ void WfdServer::HandleRequest(uint64_t conn, ProtoConn* state,
   ServiceRequest request;
   ServiceResponse response;
   std::string error;
-  if (!DecodeRequestWire(text, state->binary, &request, &error)) {
+  if (!DecodeRequestBinary(text, &request, &error)) {
     response.error = error;
-    SendResponse(conn, *state, response);
+    SendResponse(conn, response);
     transport_.CloseSoon(conn);  // Don't trust the rest of the stream.
     return;
   }
 
-  std::string payload;  // result: checkpoint text sent as a second frame.
+  std::string payload;  // result/metrics/trace: sent as a second frame.
   if (request.command == "ping") {
     response.ok = true;
     response.state = "alive";
@@ -196,7 +178,7 @@ void WfdServer::HandleRequest(uint64_t conn, ProtoConn* state,
     return;
   } else if (request.command == "status") {
     if (request.id.empty()) {
-      SendFleetStatus(conn, *state);
+      SendFleetStatus(conn);
       return;
     }
     SessionStatus status;
@@ -230,10 +212,10 @@ void WfdServer::HandleRequest(uint64_t conn, ProtoConn* state,
       response.error = "cannot resume session: " + request.id;
     }
   } else if (request.command == "metrics") {
-    // Registry dump as a payload frame — identical bytes under both codecs,
-    // exactly like `result`'s checkpoint text. Journal health is refreshed
-    // at render time so the degraded gauge and its reason stay truthful
-    // even while recording is off (Force bypasses the recording gate).
+    // Registry dump as a payload frame, exactly like `result`'s checkpoint
+    // text. Journal health is refreshed at render time so the degraded
+    // gauge and its reason stay truthful even while recording is off
+    // (Force bypasses the recording gate).
     std::string reason;
     bool healthy = manager_.JournalHealthy(&reason);
     obs::Registry::Instance()
@@ -264,7 +246,15 @@ void WfdServer::HandleRequest(uint64_t conn, ProtoConn* state,
     response.state = "draining";
   }
 
-  if (!SendResponse(conn, *state, response)) {
+  if (response.has_payload && payload.size() > kMaxFrameBytes) {
+    // The transport refuses a frame past the cap; refusing here answers at
+    // once instead of leaving the client waiting for a frame never sent.
+    response = ServiceResponse();
+    response.error = request.command + " payload of " + std::to_string(payload.size()) +
+                     " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+                     "-byte frame limit";
+  }
+  if (!SendResponse(conn, response)) {
     return;  // Peer vanished; per-session state is unaffected.
   }
   if (response.has_payload) {
@@ -276,8 +266,8 @@ void WfdServer::HandleRequest(uint64_t conn, ProtoConn* state,
   }
 }
 
-void WfdServer::SendFleetStatus(uint64_t conn, const ProtoConn& state) {
-  StatusCache& cache = fleet_cache_[state.binary ? 1 : 0];
+void WfdServer::SendFleetStatus(uint64_t conn) {
+  StatusCache& cache = fleet_cache_;
   // Version is read BEFORE the snapshot: the cached bytes may then be
   // fresher than their stamp (costing one spurious rebuild later) but can
   // never be staler — a reply always reflects the mirror at or after the
@@ -287,7 +277,7 @@ void WfdServer::SendFleetStatus(uint64_t conn, const ProtoConn& state) {
     ServiceResponse response;
     response.ok = true;
     response.sessions = manager_.List();
-    cache.wire = EncodeResponseWire(response, state.binary);
+    cache.wire = EncodeResponseBinary(response);
     cache.version = version;
     cache.valid = true;
   }
@@ -354,7 +344,7 @@ void WfdServer::PushStatus(uint64_t conn, const SessionStatus& status) {
   push.ok = true;
   push.state = "push";
   push.sessions.push_back(status);
-  SendResponse(conn, it->second, push);
+  SendResponse(conn, push);
 }
 
 }  // namespace wayfinder

@@ -3,19 +3,20 @@
 //
 // The daemon is a TransportHandler on the epoll event loop
 // (src/transport/event_loop.h): every connection gets a tiny protocol
-// state machine (negotiated codec, submit-awaiting-job, watch
-// subscription) and requests are answered inline on the loop thread — the
-// long-running work lives in the SessionManager's driver threads. A slow,
-// silent, or hostile client costs one idle epoll registration; malformed,
-// truncated, or oversized frames, non-YAML payloads, unknown commands, and
-// clients vanishing mid-exchange are all answered or dropped without ever
-// crashing or wedging the daemon (pinned by protocol/service tests, run
-// under ASan and TSan in CI).
+// state machine (submit-awaiting-job, watch subscription) and requests are
+// answered inline on the loop thread — the long-running work lives in the
+// SessionManager's driver threads. A slow, silent, or hostile client costs
+// one idle epoll registration; malformed, truncated, or oversized frames,
+// frames that are not TLV requests, unknown commands, and clients vanishing
+// mid-exchange are all answered or dropped without ever crashing or wedging
+// the daemon (pinned by protocol/service tests, run under ASan and TSan in
+// CI).
 //
-// Wire format is YAML by default; a client may negotiate the binary TLV
-// codec with a first-frame hello (src/service/binary_codec.h). `watch`
-// subscribes the connection to server-pushed status frames emitted as the
-// watched session commits waves — no client polling.
+// Every request, response and push frame is binary TLV
+// (src/service/binary_codec.h); a frame that does not decode as a request
+// gets an error response and the connection closes. `watch` subscribes the
+// connection to server-pushed status frames emitted as the watched session
+// commits waves — no client polling.
 //
 // `stop` drains gracefully: the response is flushed, the loop exits, and
 // Shutdown() stops every session at its next wave boundary, writes
@@ -37,8 +38,9 @@ struct WfdOptions {
   SessionManagerOptions manager;
   // Replay the session journal (manager.journal_path) before serving,
   // re-creating the fleet a crash interrupted. Default on; `wfd
-  // --no-recover` starts fresh (the stale journal is still compacted away
-  // on the first write).
+  // --no-recover` starts fresh: a journal holding any record is atomically
+  // replaced by an empty one before serving, so a later recovering daemon
+  // never mixes the old run's sessions with the new run's.
   bool recover = true;
   // Event-loop tick: idle-sweep cadence and how quickly an external Stop()
   // takes effect at the latest.
@@ -76,8 +78,6 @@ class WfdServer : private TransportHandler {
  private:
   // Per-connection protocol state, keyed by transport connection id.
   struct ProtoConn {
-    bool binary = false;           // Negotiated codec.
-    bool saw_first_frame = false;  // Hello is only valid as frame #1.
     bool awaiting_job = false;     // submit seen; next frame is the job.
     ServiceRequest pending_submit;
     uint64_t watch_token = 0;      // SessionManager subscription (0 = none).
@@ -96,9 +96,9 @@ class WfdServer : private TransportHandler {
   void StampHealthNote(ServiceResponse* response);
   // Fleet status (`status` with no id) is the hot dashboard path: the reply
   // only changes when the manager's status version moves, so the encoded
-  // wire bytes are cached per codec and re-snapshotted only on a version
-  // change. Loop-thread-only, like all connection handling.
-  void SendFleetStatus(uint64_t conn, const ProtoConn& state);
+  // wire bytes are cached and re-snapshotted only on a version change.
+  // Loop-thread-only, like all connection handling.
+  void SendFleetStatus(uint64_t conn);
   // `since_version`: a reconnecting watcher hands back the last status
   // version it saw; a baseline at or below it is suppressed from the ack so
   // the client does not re-render a stale snapshot it already printed.
@@ -106,8 +106,7 @@ class WfdServer : private TransportHandler {
                   uint64_t since_version, ServiceResponse* response);
   // Loop thread, via Post from a driver-thread observer.
   void PushStatus(uint64_t conn, const SessionStatus& status);
-  bool SendResponse(uint64_t conn, const ProtoConn& state,
-                    const ServiceResponse& response);
+  bool SendResponse(uint64_t conn, const ServiceResponse& response);
 
   WfdOptions options_;
   SessionManager manager_;
@@ -118,7 +117,7 @@ class WfdServer : private TransportHandler {
     bool valid = false;
     std::string wire;
   };
-  StatusCache fleet_cache_[2];  // Indexed by ProtoConn::binary.
+  StatusCache fleet_cache_;
   std::string error_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -108,13 +107,6 @@ bool SetRecvTimeout(int fd, int timeout_ms) {
   tv.tv_sec = timeout_ms / 1000;
   tv.tv_usec = (timeout_ms % 1000) * 1000;
   return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0;
-}
-
-bool SetSendTimeout(int fd, int timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  return ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) == 0;
 }
 
 bool SetNonBlocking(int fd) {
@@ -231,23 +223,6 @@ bool UnixListener::Listen(const std::string& path, int backlog) {
     bound_ino_ = static_cast<uint64_t>(st.st_ino);
   }
   return true;
-}
-
-UnixConn UnixListener::AcceptFor(int timeout_ms) {
-  pollfd pfd{fd_, POLLIN, 0};
-  // An EINTR'd poll reports "no connection" without having waited its
-  // timeout; retry so a signal-heavy host (the recovery soak sends SIGKILL
-  // storms at siblings) cannot starve the accept loop.
-  int ready;
-  while ((ready = ::poll(&pfd, 1, timeout_ms)) < 0 && errno == EINTR) {
-  }
-  if (ready <= 0) {
-    return UnixConn();
-  }
-  int fd;
-  while ((fd = ::accept(fd_, nullptr, nullptr)) < 0 && errno == EINTR) {
-  }
-  return fd >= 0 ? UnixConn(fd) : UnixConn();
 }
 
 }  // namespace wayfinder

@@ -2,10 +2,11 @@
 // transport under the wfd tuning service (src/service/).
 //
 // A frame is a 4-byte big-endian payload length followed by that many bytes
-// of payload (the service layer puts small YAML documents in there). The
-// reader enforces a hard payload cap so a hostile or corrupt peer cannot
-// make the daemon allocate unbounded memory, and distinguishes a clean EOF
-// between frames (kClosed) from a connection dying mid-frame (kTruncated).
+// of payload (the service layer puts binary TLV messages, job files and
+// checkpoint texts in there). The reader enforces a hard payload cap so a
+// hostile or corrupt peer cannot make the daemon allocate unbounded memory,
+// and distinguishes a clean EOF between frames (kClosed) from a connection
+// dying mid-frame (kTruncated).
 //
 // All helpers are blocking and signal-safe (EINTR restarts); writes use
 // MSG_NOSIGNAL so a vanished peer surfaces as an error instead of SIGPIPE.
@@ -35,13 +36,10 @@ const char* FrameStatusName(FrameStatus status);
 // Reads one frame into `payload`. Blocking; returns kOk on success.
 FrameStatus ReadFrame(int fd, std::string* payload);
 
-// Cap how long a blocking read/write on `fd` may wait (SO_RCVTIMEO /
-// SO_SNDTIMEO); an expired wait surfaces as kError from ReadFrame or a
-// false return from WriteFrame. The daemon arms both on accepted
-// connections so a client that neither sends nor drains its responses
-// cannot wedge the single-threaded accept loop.
+// Cap how long a blocking read on `fd` may wait (SO_RCVTIMEO); an expired
+// wait surfaces as kError from ReadFrame. Blocking clients (tests, benches)
+// arm it so a daemon that never answers fails the read instead of hanging.
 bool SetRecvTimeout(int fd, int timeout_ms);
-bool SetSendTimeout(int fd, int timeout_ms);
 
 // O_NONBLOCK, for fds owned by an event loop (src/transport/).
 bool SetNonBlocking(int fd);
@@ -89,12 +87,8 @@ class UnixListener {
   // live daemon already serves `path`.
   bool Listen(const std::string& path, int backlog = 16);
 
-  // Accepts one connection, waiting at most `timeout_ms` (so an accept loop
-  // can poll a stop flag). Returns a !ok() conn on timeout or error.
-  UnixConn AcceptFor(int timeout_ms);
-
   bool ok() const { return fd_ >= 0; }
-  int fd() const { return fd_; }  // For event loops that poll the listener.
+  int fd() const { return fd_; }  // For the event loop that accepts on it.
   const std::string& error() const { return error_; }
   const std::string& path() const { return path_; }
 

@@ -438,9 +438,11 @@ TEST(FaultPlan, CheckpointRoundTripsTaxonomyAndReasons) {
   EXPECT_EQ(old_loaded.timeouts, 0u);
 }
 
-TEST(FaultPlan, StatusCodecsAgreeOnFaultCounters) {
-  ServiceResponse response;
-  response.ok = true;
+// The taxonomy counters ride the wire only when non-zero: a hostile
+// session decodes with every counter, and a clean one carries none of the
+// six fields (each a 13-byte u64 field: tag, length, 8 value bytes) and
+// decodes back to zeros.
+TEST(FaultPlan, StatusCarriesFaultCountersOnlyWhenNonZero) {
   SessionStatus hostile;
   hostile.id = "s1";
   hostile.name = "hostile";
@@ -454,41 +456,39 @@ TEST(FaultPlan, StatusCodecsAgreeOnFaultCounters) {
   hostile.timeouts = 3;
   hostile.retries = 7;
   hostile.drift_events = 1;
-  SessionStatus clean;
-  clean.id = "s2";
-  clean.name = "clean";
-  clean.algorithm = "random";
-  clean.state = "done";
-  clean.trials = 10;
-  clean.iterations = 10;
-  response.sessions = {hostile, clean};
+  SessionStatus clean = hostile;
+  clean.build_failed = clean.boot_failed = clean.run_crashed = 0;
+  clean.timeouts = clean.retries = clean.drift_events = 0;
+  ServiceResponse hostile_response;
+  hostile_response.ok = true;
+  hostile_response.sessions = {hostile};
+  ServiceResponse clean_response;
+  clean_response.ok = true;
+  clean_response.sessions = {clean};
 
   std::string error;
-  ServiceResponse from_yaml, from_binary;
-  ASSERT_TRUE(DecodeResponse(EncodeResponse(response), &from_yaml, &error)) << error;
-  ASSERT_TRUE(DecodeResponseBinary(EncodeResponseBinary(response), &from_binary, &error))
+  ServiceResponse decoded;
+  ASSERT_TRUE(
+      DecodeResponseBinary(EncodeResponseBinary(hostile_response), &decoded, &error))
       << error;
-  for (const ServiceResponse* decoded : {&from_yaml, &from_binary}) {
-    ASSERT_EQ(decoded->sessions.size(), 2u);
-    EXPECT_EQ(decoded->sessions[0].build_failed, 2u);
-    EXPECT_EQ(decoded->sessions[0].boot_failed, 1u);
-    EXPECT_EQ(decoded->sessions[0].run_crashed, 4u);
-    EXPECT_EQ(decoded->sessions[0].timeouts, 3u);
-    EXPECT_EQ(decoded->sessions[0].retries, 7u);
-    EXPECT_EQ(decoded->sessions[0].drift_events, 1u);
-    // Presence parity: a clean session encodes no counter fields in either
-    // codec and decodes back to zeros.
-    EXPECT_EQ(decoded->sessions[1].build_failed, 0u);
-    EXPECT_EQ(decoded->sessions[1].timeouts, 0u);
-    EXPECT_EQ(decoded->sessions[1].retries, 0u);
-    EXPECT_EQ(decoded->sessions[1].drift_events, 0u);
-  }
-  // The clean session's YAML carries none of the counter keys at all.
-  std::string yaml = EncodeResponse(response);
-  size_t clean_at = yaml.find("clean");
-  ASSERT_NE(clean_at, std::string::npos);
-  EXPECT_EQ(yaml.find("timeouts:", clean_at), std::string::npos);
-  EXPECT_EQ(yaml.find("retries:", clean_at), std::string::npos);
+  ASSERT_EQ(decoded.sessions.size(), 1u);
+  EXPECT_EQ(decoded.sessions[0].build_failed, 2u);
+  EXPECT_EQ(decoded.sessions[0].boot_failed, 1u);
+  EXPECT_EQ(decoded.sessions[0].run_crashed, 4u);
+  EXPECT_EQ(decoded.sessions[0].timeouts, 3u);
+  EXPECT_EQ(decoded.sessions[0].retries, 7u);
+  EXPECT_EQ(decoded.sessions[0].drift_events, 1u);
+
+  std::string clean_wire = EncodeResponseBinary(clean_response);
+  EXPECT_EQ(clean_wire.size() + 6 * 13, EncodeResponseBinary(hostile_response).size());
+  ASSERT_TRUE(DecodeResponseBinary(clean_wire, &decoded, &error)) << error;
+  ASSERT_EQ(decoded.sessions.size(), 1u);
+  EXPECT_EQ(decoded.sessions[0].build_failed, 0u);
+  EXPECT_EQ(decoded.sessions[0].boot_failed, 0u);
+  EXPECT_EQ(decoded.sessions[0].run_crashed, 0u);
+  EXPECT_EQ(decoded.sessions[0].timeouts, 0u);
+  EXPECT_EQ(decoded.sessions[0].retries, 0u);
+  EXPECT_EQ(decoded.sessions[0].drift_events, 0u);
 }
 
 TEST(FaultPlan, WarmStartSkipsTransientAndDriftStaleTrials) {

@@ -35,6 +35,7 @@
 #include "src/service/session_journal.h"
 #include "src/service/session_manager.h"
 #include "src/service/trial_store.h"
+#include "src/service/wfd.h"
 #include "src/util/rng.h"
 
 namespace wayfinder {
@@ -47,11 +48,12 @@ std::string FreshDir(const char* name) {
   return dir;
 }
 
-std::string DeterministicJob(const char* name, size_t iterations, uint64_t seed) {
+std::string DeterministicJob(const char* name, size_t iterations, uint64_t seed,
+                             const char* application = "nginx") {
   std::string yaml;
   yaml += std::string("name: ") + name + "\n";
   yaml += "os: linux\n";
-  yaml += "application: nginx\n";
+  yaml += std::string("application: ") + application + "\n";
   yaml += "metric: performance\n";
   yaml += "budget:\n  iterations: " + std::to_string(iterations) + "\n";
   yaml += "search:\n  algorithm: random\n";
@@ -633,6 +635,88 @@ TEST(RecoveryTest, JournalIsCompactedAfterRecovery) {
   EXPECT_EQ(status.state, "done");
   EXPECT_EQ(status.trials, 8u);
   manager.Shutdown();
+}
+
+// One daemon generation, the way `wfd` runs it: RunWfdForeground in a forked
+// child over `dir`'s store and journal. `job`, when given, is submitted and
+// run to done; then the daemon is stopped. Returns the fleet status the
+// daemon reported just before stopping.
+std::vector<SessionStatus> RunDaemonGeneration(const std::string& dir, bool recover,
+                                               const std::string& job) {
+  const std::string socket_path = dir + "/wfd.sock";
+  pid_t child = fork();
+  if (child < 0) {
+    ADD_FAILURE() << "fork failed";
+    return {};
+  }
+  if (child == 0) {
+    // Everything here must _exit — returning would re-run gtest in the child.
+    WfdOptions options;
+    options.socket_path = socket_path;
+    options.poll_ms = 10;
+    options.manager.store_dir = dir + "/store";
+    options.manager.journal_path = dir + "/store/journal.wfj";
+    options.recover = recover;
+    _exit(RunWfdForeground(options));
+  }
+  ServiceRequest ping;
+  ping.command = "ping";
+  bool up = false;
+  for (int spin = 0; spin < 2000 && !up; ++spin) {
+    up = CallService(socket_path, ping).ok;
+    if (!up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_TRUE(up) << "daemon never answered ping";
+  if (up && !job.empty()) {
+    ServiceCallResult submitted = SubmitJob(socket_path, job, /*warm_start=*/false);
+    EXPECT_TRUE(submitted.ok) << submitted.error;
+    for (int spin = 0; submitted.ok && spin < 6000; ++spin) {
+      ServiceCallResult status = QueryStatus(socket_path, submitted.response.id);
+      if (!status.ok || status.response.sessions.empty() ||
+          status.response.sessions[0].state == "done") {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ServiceCallResult fleet = QueryStatus(socket_path);
+  EXPECT_TRUE(fleet.ok) << fleet.error;
+  ServiceCallResult stop = StopDaemon(socket_path);
+  EXPECT_TRUE(stop.ok) << stop.error;
+  if (!stop.ok) {
+    kill(child, SIGKILL);  // Never leave a daemon behind.
+  }
+  int wait_status = 0;
+  EXPECT_EQ(waitpid(child, &wait_status, 0), child);
+  EXPECT_TRUE(WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == 0);
+  return fleet.response.sessions;
+}
+
+// `wfd --no-recover` starts fresh: the old run's journal is replaced before
+// serving, so a later recovering daemon sees only the no-recover run's
+// sessions. Without that, the no-recover daemon restarted numbering at s1 on
+// the old journal, and the third generation merged two runs' records.
+TEST(RecoveryTest, NoRecoverDaemonStartsFresh) {
+  std::string dir = FreshDir("wf-rec-norecover");
+  std::vector<SessionStatus> first =
+      RunDaemonGeneration(dir, true, DeterministicJob("job-a", 8, 97));
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].trials, 8u);
+  std::vector<SessionStatus> second =
+      RunDaemonGeneration(dir, false, DeterministicJob("job-b", 5, 98, "redis"));
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].name, "job-b");
+
+  std::vector<SessionStatus> third = RunDaemonGeneration(dir, true, "");
+  ASSERT_EQ(third.size(), 1u) << "the recovered fleet mixes two runs";
+  EXPECT_EQ(third[0].id, "s1");
+  EXPECT_EQ(third[0].name, "job-b");
+  EXPECT_EQ(third[0].state, "done");
+  EXPECT_EQ(third[0].trials, 5u);
+  EXPECT_EQ(third[0].iterations, 5u);
+  EXPECT_TRUE(third[0].recovered);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 // under ASan and TSan with WF_SOAK=1): many submit/pause/resume cycles of
 // jobs carrying a ~10% mixed-fault plan, interleaved with clients that
 // vanish at every stage of the exchange — silent connects, a submit whose
-// job frame never arrives, truncated frame headers, non-YAML payloads,
-// watch subscribers that die without draining their pushes. The daemon
+// job frame never arrives, truncated frame headers, frames that are not TLV
+// requests, watch subscribers that die without draining their pushes. The daemon
 // must neither crash nor wedge, every session must still run to done, and
 // the fault taxonomy must surface over the wire.
 //
@@ -19,8 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/service/binary_codec.h"
 #include "src/service/client.h"
-#include "src/service/protocol.h"
 #include "src/service/wfd.h"
 #include "src/util/socket.h"
 
@@ -60,12 +60,12 @@ std::string SoakJob(size_t cycle) {
 
 // The hostile-client repertoire. None of these are allowed to take the
 // daemon down or leak its per-connection state.
-void HarassDaemon(const std::string& socket_path, size_t cycle, const std::string& id) {
+void HarassDaemon(const std::string& socket_path, const std::string& id) {
   // Connect, say nothing, vanish.
   {
     std::string error;
     ServiceConnection silent;
-    if (silent.Connect(socket_path, cycle % 2 == 1, &error)) {
+    if (silent.Connect(socket_path, true, &error)) {
       silent.Close();
     }
   }
@@ -75,7 +75,7 @@ void HarassDaemon(const std::string& socket_path, size_t cycle, const std::strin
     if (conn.ok()) {
       ServiceRequest submit;
       submit.command = "submit";
-      WriteFrame(conn.fd(), EncodeRequest(submit));
+      WriteFrame(conn.fd(), EncodeRequestBinary(submit));
       conn.Close();
     }
   }
@@ -88,7 +88,8 @@ void HarassDaemon(const std::string& socket_path, size_t cycle, const std::strin
       conn.Close();
     }
   }
-  // A frame that is not YAML, abandoned without reading the error reply.
+  // A frame that is not a TLV request, abandoned without reading the error
+  // reply.
   {
     UnixConn conn = ConnectUnix(socket_path);
     if (conn.ok()) {
@@ -103,7 +104,7 @@ void HarassDaemon(const std::string& socket_path, size_t cycle, const std::strin
       ServiceRequest watch;
       watch.command = "watch";
       watch.id = id;
-      WriteFrame(conn.fd(), EncodeRequest(watch));
+      WriteFrame(conn.fd(), EncodeRequestBinary(watch));
       conn.Close();
     }
   }
@@ -134,7 +135,7 @@ TEST(ServiceSoak, DaemonSurvivesHostileChurn) {
     ASSERT_FALSE(submitted.response.id.empty());
     ids.push_back(submitted.response.id);
 
-    HarassDaemon(socket_path, cycle, ids[cycle / 2]);
+    HarassDaemon(socket_path, ids[cycle / 2]);
 
     // Lifecycle churn on an earlier session: pause, peek, resume. These may
     // legitimately no-op (the session can already be done) but must never

@@ -626,7 +626,7 @@ TEST(WfdEndToEnd, ThreeConcurrentAlgorithmsMatchStandaloneThenWarmStart) {
 }
 
 // ---------------------------------------------------------------------------
-// Server-pushed watch and the binary codec against a live daemon.
+// Server-pushed watch and the fleet-status cache against a live daemon.
 
 TEST(WfdEndToEnd, WatchStreamsPushesUntilDone) {
   std::string socket_path = TempPath("wf_service_watch.sock");
@@ -645,7 +645,7 @@ TEST(WfdEndToEnd, WatchStreamsPushesUntilDone) {
 
   ServiceConnection watcher;
   std::string error;
-  ASSERT_TRUE(watcher.Connect(socket_path, /*binary=*/false, &error)) << error;
+  ASSERT_TRUE(watcher.Connect(socket_path, true, &error)) << error;
   SetRecvTimeout(watcher.fd(), 30000);
   ServiceRequest watch;
   watch.command = "watch";
@@ -683,83 +683,12 @@ TEST(WfdEndToEnd, WatchStreamsPushesUntilDone) {
   serve.join();
 }
 
-TEST(WfdEndToEnd, BinaryAndYamlCodecsAgreeOnLiveSessions) {
-  std::string socket_path = TempPath("wf_service_codec.sock");
-  WfdOptions options;
-  options.socket_path = socket_path;
-  options.poll_ms = 10;
-  options.manager.store_dir = FreshDir("wf_service_codec_store");
-  WfdServer server(options);
-  ASSERT_TRUE(server.Start()) << server.error();
-  std::thread serve([&] { server.Serve(); });
-
-  // Same job submitted once per codec (cold both times so the second does
-  // not warm-start from the first): the daemon must produce bit-identical
-  // sessions regardless of which codec carried the request.
-  const std::string yaml = JobYaml("codec-e2e", "nginx", "random", 12, 32);
-  ServiceRequest submit;
-  submit.command = "submit";
-  submit.warm_start = false;
-  ServiceCallResult via_yaml = CallService(socket_path, submit, yaml, /*binary=*/false);
-  ASSERT_TRUE(via_yaml.ok) << via_yaml.error;
-  ServiceCallResult via_binary = CallService(socket_path, submit, yaml, /*binary=*/true);
-  ASSERT_TRUE(via_binary.ok) << via_binary.error;
-  ASSERT_TRUE(server.manager().WaitDone(via_yaml.response.id, 60000));
-  ASSERT_TRUE(server.manager().WaitDone(via_binary.response.id, 60000));
-
-  // Each session's status, fetched through BOTH codecs, decodes to the same
-  // fields — the semantic-equivalence pin exercised end to end.
-  for (const std::string& id : {via_yaml.response.id, via_binary.response.id}) {
-    ServiceRequest status;
-    status.command = "status";
-    status.id = id;
-    ServiceCallResult y = CallService(socket_path, status, "", /*binary=*/false);
-    ServiceCallResult b = CallService(socket_path, status, "", /*binary=*/true);
-    ASSERT_TRUE(y.ok) << y.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    ASSERT_EQ(y.response.sessions.size(), 1u);
-    ASSERT_EQ(b.response.sessions.size(), 1u);
-    const SessionStatus& ys = y.response.sessions[0];
-    const SessionStatus& bs = b.response.sessions[0];
-    EXPECT_EQ(ys.id, bs.id);
-    EXPECT_EQ(ys.name, bs.name);
-    EXPECT_EQ(ys.state, bs.state);
-    EXPECT_EQ(ys.trials, bs.trials);
-    EXPECT_EQ(ys.iterations, bs.iterations);
-    EXPECT_EQ(ys.has_best, bs.has_best);
-    EXPECT_EQ(ys.best, bs.best);
-    EXPECT_EQ(ys.sim_seconds, bs.sim_seconds);
-    EXPECT_EQ(ys.store_key, bs.store_key);
-  }
-
-  // And the two sessions themselves are identical: same seed, same search,
-  // codec choice left no trace in the trial history. (The checkpoints are
-  // compared decoded, not byte-for-byte — they carry per-trial searcher
-  // wall-clock seconds, which legitimately differ between runs.)
-  ServiceCallResult r1 = FetchResult(socket_path, via_yaml.response.id);
-  ServiceCallResult r2 = FetchResult(socket_path, via_binary.response.id);
-  ASSERT_TRUE(r1.ok) << r1.error;
-  ASSERT_TRUE(r2.ok) << r2.error;
-  JobParseResult job = ParseJobText(yaml);
-  ASSERT_TRUE(job.ok) << job.error;
-  ConfigSpace space = BuildJobSpace(job.spec);
-  CheckpointLoadResult h1 = LoadCheckpointText(space, r1.payload);
-  CheckpointLoadResult h2 = LoadCheckpointText(space, r2.payload);
-  ASSERT_TRUE(h1.ok) << h1.error;
-  ASSERT_TRUE(h2.ok) << h2.error;
-  ExpectSameTrials(h1.history, h2.history, "yaml-vs-binary submission");
-
-  ServiceCallResult stop = StopDaemon(socket_path);
-  EXPECT_TRUE(stop.ok) << stop.error;
-  serve.join();
-}
-
-// The daemon caches the encoded fleet-status reply per codec and reuses it
-// until the manager's status version moves (the dashboard fast path). Two
-// held connections — one per codec — repeatedly ask for fleet status while
-// the fleet changes underneath them: every reply must reflect the current
-// fleet, and repeated identical asks (the cache-hit path) must agree with
-// each other and across codecs.
+// The daemon caches the encoded fleet-status reply and reuses it until the
+// manager's status version moves (the dashboard fast path). Two held
+// connections repeatedly ask for fleet status while the fleet changes
+// underneath them: every reply must reflect the current fleet, and repeated
+// identical asks (the cache-hit path) must agree with each other and across
+// connections.
 TEST(WfdEndToEnd, FleetStatusStaysFreshAcrossCacheHits) {
   std::string socket_path = TempPath("wf_service_statuscache.sock");
   WfdOptions options;
@@ -769,30 +698,28 @@ TEST(WfdEndToEnd, FleetStatusStaysFreshAcrossCacheHits) {
   ASSERT_TRUE(server.Start()) << server.error();
   std::thread serve([&] { server.Serve(); });
 
-  ServiceConnection yaml_conn;
-  ServiceConnection binary_conn;
+  ServiceConnection conns[2];
   std::string error;
-  ASSERT_TRUE(yaml_conn.Connect(socket_path, /*binary=*/false, &error)) << error;
-  ASSERT_TRUE(binary_conn.Connect(socket_path, /*binary=*/true, &error)) << error;
-  ASSERT_TRUE(binary_conn.binary());
-  SetRecvTimeout(yaml_conn.fd(), 30000);
-  SetRecvTimeout(binary_conn.fd(), 30000);
+  for (ServiceConnection& conn : conns) {
+    ASSERT_TRUE(conn.Connect(socket_path, true, &error)) << error;
+    SetRecvTimeout(conn.fd(), 30000);
+  }
 
   ServiceRequest fleet;
   fleet.command = "status";
   auto fleet_sizes = [&](size_t expect) {
-    // Ask twice per codec so the second hit is served from the cache.
+    // Ask twice per connection so the later hits are served from the cache.
     for (int round = 0; round < 2; ++round) {
-      for (ServiceConnection* conn : {&yaml_conn, &binary_conn}) {
-        ServiceCallResult got = conn->Call(fleet);
+      for (int c = 0; c < 2; ++c) {
+        ServiceCallResult got = conns[c].Call(fleet);
         ASSERT_TRUE(got.ok) << got.error;
         ASSERT_EQ(got.response.sessions.size(), expect)
-            << (conn->binary() ? "binary" : "yaml") << " round " << round;
+            << "connection " << c << " round " << round;
       }
     }
   };
 
-  fleet_sizes(0);  // Empty daemon: empty fleet, from both codecs, twice.
+  fleet_sizes(0);  // Empty daemon: empty fleet, on both connections, twice.
   ServiceCallResult first =
       SubmitJob(socket_path, JobYaml("cache-a", "nginx", "random", 6, 41));
   ASSERT_TRUE(first.ok) << first.error;
@@ -804,21 +731,21 @@ TEST(WfdEndToEnd, FleetStatusStaysFreshAcrossCacheHits) {
   ASSERT_TRUE(server.manager().WaitDone(first.response.id, 60000));
   ASSERT_TRUE(server.manager().WaitDone(second.response.id, 60000));
 
-  // Terminal states reached the cache too: both codecs report both sessions
-  // done with their full trial counts, and agree field-for-field.
-  ServiceCallResult y = yaml_conn.Call(fleet);
-  ServiceCallResult b = binary_conn.Call(fleet);
-  ASSERT_TRUE(y.ok) << y.error;
+  // Terminal states reached the cache too: both connections report both
+  // sessions done with their full trial counts, and agree field for field.
+  ServiceCallResult a = conns[0].Call(fleet);
+  ServiceCallResult b = conns[1].Call(fleet);
+  ASSERT_TRUE(a.ok) << a.error;
   ASSERT_TRUE(b.ok) << b.error;
-  ASSERT_EQ(y.response.sessions.size(), 2u);
+  ASSERT_EQ(a.response.sessions.size(), 2u);
   ASSERT_EQ(b.response.sessions.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(y.response.sessions[i].state, "done");
-    EXPECT_EQ(y.response.sessions[i].trials, 6u);
-    EXPECT_EQ(y.response.sessions[i].id, b.response.sessions[i].id);
-    EXPECT_EQ(y.response.sessions[i].state, b.response.sessions[i].state);
-    EXPECT_EQ(y.response.sessions[i].trials, b.response.sessions[i].trials);
-    EXPECT_EQ(y.response.sessions[i].best, b.response.sessions[i].best);
+    EXPECT_EQ(a.response.sessions[i].state, "done");
+    EXPECT_EQ(a.response.sessions[i].trials, 6u);
+    EXPECT_EQ(a.response.sessions[i].id, b.response.sessions[i].id);
+    EXPECT_EQ(a.response.sessions[i].state, b.response.sessions[i].state);
+    EXPECT_EQ(a.response.sessions[i].trials, b.response.sessions[i].trials);
+    EXPECT_EQ(a.response.sessions[i].best, b.response.sessions[i].best);
   }
 
   ServiceCallResult stop = StopDaemon(socket_path);
@@ -900,7 +827,7 @@ TEST(TrialStoreTest, CompactionDropsSupersededAndSurvivesReopen) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability plane: metrics/trace over the socket, codec parity, and the
+// Observability plane: metrics/trace over the socket and the
 // metrics-on-equals-metrics-off determinism pin.
 
 // Restores the default-off recording state on scope exit so a metrics-on
@@ -939,8 +866,8 @@ std::string StripWallClock(const std::string& checkpoint) {
   return out;
 }
 
-TEST(WfdObservability, MetricsAndTracePayloadsAgreeAcrossCodecs) {
-  std::string socket_path = TempPath("wf_service_obs_parity.sock");
+TEST(WfdObservability, MetricsAndTracePayloadsAreStableWhileRecordingOff) {
+  std::string socket_path = TempPath("wf_service_obs_stable.sock");
   WfdOptions options;
   options.socket_path = socket_path;
   options.poll_ms = 10;
@@ -949,49 +876,48 @@ TEST(WfdObservability, MetricsAndTracePayloadsAgreeAcrossCodecs) {
   std::thread serve([&] { server.Serve(); });
 
   ServiceCallResult submitted =
-      SubmitJob(socket_path, JobYaml("obs-parity", "nginx", "random", 8, 41));
+      SubmitJob(socket_path, JobYaml("obs-stable", "nginx", "random", 8, 41));
   ASSERT_TRUE(submitted.ok) << submitted.error;
   std::string id = submitted.response.id;
   ASSERT_TRUE(server.manager().WaitDone(id, 120000));
 
   // With recording off every instrument is frozen, so the metrics payload
-  // is stable across calls — and must be byte-identical across codecs (the
-  // daemon renders one text and ships it as a payload frame either way).
+  // is byte-identical across calls (the daemon renders one text and ships
+  // it verbatim as a payload frame).
   ServiceRequest metrics;
   metrics.command = "metrics";
-  ServiceCallResult yaml_metrics = CallService(socket_path, metrics, "", false);
-  ServiceCallResult bin_metrics = CallService(socket_path, metrics, "", true);
-  ASSERT_TRUE(yaml_metrics.ok) << yaml_metrics.error;
-  ASSERT_TRUE(bin_metrics.ok) << bin_metrics.error;
-  EXPECT_EQ(yaml_metrics.payload, bin_metrics.payload);
-  EXPECT_EQ(yaml_metrics.payload.rfind("# wayfinder metrics v1\nrecording 0\n", 0),
+  ServiceCallResult first_metrics = CallService(socket_path, metrics);
+  ServiceCallResult second_metrics = CallService(socket_path, metrics);
+  ASSERT_TRUE(first_metrics.ok) << first_metrics.error;
+  ASSERT_TRUE(second_metrics.ok) << second_metrics.error;
+  EXPECT_EQ(first_metrics.payload, second_metrics.payload);
+  EXPECT_EQ(first_metrics.payload.rfind("# wayfinder metrics v1\nrecording 0\n", 0),
             0u);
   // Recording off also means the health gauge still tells the truth: this
   // daemon runs without a journal, which is healthy (nothing to degrade).
-  EXPECT_NE(yaml_metrics.payload.find("gauge service.journal_degraded 0"),
+  EXPECT_NE(first_metrics.payload.find("gauge service.journal_degraded 0"),
             std::string::npos);
 
-  // Trace parity: the done session's ring is frozen (and empty — recording
-  // was off), so both codecs return the same bytes, and the export is
-  // valid Chrome trace JSON even with zero events.
+  // The done session's ring is frozen (and empty — recording was off), so
+  // two fetches return the same bytes, and the export is valid Chrome
+  // trace JSON even with zero events.
   ServiceRequest trace;
   trace.command = "trace";
   trace.id = id;
-  ServiceCallResult yaml_trace = CallService(socket_path, trace, "", false);
-  ServiceCallResult bin_trace = CallService(socket_path, trace, "", true);
-  ASSERT_TRUE(yaml_trace.ok) << yaml_trace.error;
-  ASSERT_TRUE(bin_trace.ok) << bin_trace.error;
-  EXPECT_EQ(yaml_trace.payload, bin_trace.payload);
+  ServiceCallResult first_trace = CallService(socket_path, trace);
+  ServiceCallResult second_trace = CallService(socket_path, trace);
+  ASSERT_TRUE(first_trace.ok) << first_trace.error;
+  ASSERT_TRUE(second_trace.ok) << second_trace.error;
+  EXPECT_EQ(first_trace.payload, second_trace.payload);
   std::string error;
-  EXPECT_TRUE(obs::ValidateChromeTraceJson(yaml_trace.payload, &error)) << error;
+  EXPECT_TRUE(obs::ValidateChromeTraceJson(first_trace.payload, &error)) << error;
 
-  // Unknown-session trace errors identically under both codecs.
+  // An unknown session's trace is a daemon error, not a transport failure.
   trace.id = "s999";
-  ServiceCallResult yaml_bad = CallService(socket_path, trace, "", false);
-  ServiceCallResult bin_bad = CallService(socket_path, trace, "", true);
-  EXPECT_FALSE(yaml_bad.ok);
-  EXPECT_FALSE(bin_bad.ok);
-  EXPECT_EQ(yaml_bad.error, bin_bad.error);
+  ServiceCallResult bad = CallService(socket_path, trace);
+  EXPECT_FALSE(bad.ok);
+  EXPECT_FALSE(bad.transport_error);
+  EXPECT_NE(bad.error.find("s999"), std::string::npos) << bad.error;
 
   ServiceCallResult stop = StopDaemon(socket_path);
   EXPECT_TRUE(stop.ok) << stop.error;

@@ -12,11 +12,11 @@ Records are keyed on (bench, variant) and compared by ops_per_sec. Only the
 (matmul_*, predict_batch_*), the bench_micro_dtm update/predict/propose
 families (dtm_*, propose_*), the bench_micro_session executor anchors
 (session_*), the bench_micro_service daemon/store anchors (service_*,
-trialstore_*), and the bench_micro_transport event-loop/codec anchors
-(transport_*, minus the deliberately slow "blocking" reference variants), and
-the bench_micro_obs observability anchors (obs_*). Everything else — the
-paper-figure harnesses, status records, speedup summaries — is informational;
-figure benches are too seed- and load-sensitive to gate on.
+trialstore_*), the bench_micro_transport event-loop/codec anchors
+(transport_*), and the bench_micro_obs observability anchors (obs_*).
+Everything else — the paper-figure harnesses, status records, speedup
+summaries — is informational; figure benches are too seed- and
+load-sensitive to gate on.
 
 The obs_overhead records additionally gate WITHIN the candidate file: the
 obs_overhead/ratio record (median of bench_micro_obs's paired
@@ -106,11 +106,6 @@ def is_anchor(key):
         # boundary; fsync latency is a property of the host's storage stack
         # (tmpfs vs SSD vs spinning CI disk), not of the code under review.
         # Tracked, never gated.
-        return False
-    if "blocking" in key[1]:
-        # The blocking-loop transport baseline is a deliberately slow
-        # reference implementation of the pre-epoll accept loop, kept only
-        # to anchor the epoll speedup ratio. Tracked, never gated.
         return False
     if key[0] == "obs_record":
         # Raw record-path rates are a few ns per op: at that scale the

@@ -28,11 +28,9 @@
 //   $ wfctl store-compact                   # drop superseded store records
 //   $ wfctl stop                            # graceful drain
 //
-// All service commands accept `--binary` to negotiate the compact TLV wire
-// codec (src/service/binary_codec.h); the client silently falls back to
-// YAML against a daemon that does not speak it. `watch` uses server push
-// by default and falls back to the old polling loop against a pre-push
-// daemon (or when forced with --poll-ms).
+// The client speaks the daemon's binary TLV wire codec
+// (src/service/binary_codec.h); `watch` follows the session through
+// server-pushed status frames.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -82,7 +80,7 @@ int Usage() {
                "  zoo    <dir> rank <job.yaml>         rank donors for a job's app (§3.3)\n"
                "  transfer <src-job> <dst-job> <src-ckpt> <out-ckpt>\n"
                "                                       map a history across platforms (§3.5)\n"
-               "service mode (all take [--socket P] [--binary] [--reconnect N]\n"
+               "service mode (all take [--socket P] [--reconnect N]\n"
                "              [--retry-unsafe], default %s):\n"
                "  serve  [--store DIR] [--checkpoint-dir DIR] [--max-sessions N]\n"
                "         [--journal P | --no-journal] [--no-recover] [--metrics]\n"
@@ -90,9 +88,8 @@ int Usage() {
                "  submit <job.yaml> [--no-warm-start] [fault flags]\n"
                "                                       queue a job; prints its session id\n"
                "  status [id]                          one session, or the whole fleet\n"
-               "  watch  <id> [--poll-ms N]            follow server-pushed status until the\n"
-               "                                       session ends (--poll-ms forces the old\n"
-               "                                       polling loop; auto-falls back on old wfd)\n"
+               "  watch  <id>                          follow server-pushed status until the\n"
+               "                                       session ends\n"
                "  result <id> [--out P]                fetch the session checkpoint (v2)\n"
                "  pause  <id> | resume <id>            pause/resume at a round boundary\n"
                "  store-compact                        rewrite the trial store dropping\n"
@@ -608,8 +605,6 @@ struct ServiceArgs {
   std::string out_path;
   size_t max_sessions = 4;
   int interval_ms = 250;
-  int poll_ms = 0;  // watch: > 0 forces the legacy polling loop.
-  bool binary = false;
   bool warm_start = true;
   bool watch_metrics = false;  // metrics: refresh until interrupted.
   bool ok = true;
@@ -675,18 +670,6 @@ ServiceArgs ParseServiceArgs(int argc, char** argv) {
       } else {
         args.ok = false;
       }
-    } else if (flag == "--poll-ms") {
-      if (take(&value)) {
-        args.poll_ms = std::atoi(value.c_str());
-        if (args.poll_ms <= 0) {
-          std::fprintf(stderr, "wfctl: --poll-ms needs a positive interval\n");
-          args.ok = false;
-        }
-      } else {
-        args.ok = false;
-      }
-    } else if (flag == "--binary") {
-      args.binary = true;
     } else if (flag == "--watch") {
       args.watch_metrics = true;
     } else if (flag == "--no-warm-start") {
@@ -758,7 +741,7 @@ int CmdMetrics(const ServiceArgs& args) {
     ServiceRequest request;
     request.command = "metrics";
     ServiceCallResult call =
-        CallServiceRetry(args.socket_path, request, args.Policy(), "", args.binary);
+        CallServiceRetry(args.socket_path, request, args.Policy(), "");
     if (!call.ok) {
       std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
       return 1;
@@ -782,7 +765,7 @@ int CmdTrace(const ServiceArgs& args) {
   request.command = "trace";
   request.id = args.positional;
   ServiceCallResult call =
-      CallServiceRetry(args.socket_path, request, args.Policy(), "", args.binary);
+      CallServiceRetry(args.socket_path, request, args.Policy(), "");
   if (!call.ok) {
     std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
     return 1;
@@ -821,7 +804,7 @@ int CmdSubmit(const ServiceArgs& args) {
   // --retry-unsafe (a lost ack cannot be told apart from a lost request,
   // and resubmitting blind duplicates the session).
   ServiceCallResult call =
-      CallServiceRetry(args.socket_path, request, args.Policy(), job_text, args.binary);
+      CallServiceRetry(args.socket_path, request, args.Policy(), job_text);
   if (!call.ok) {
     std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
     return 1;
@@ -875,7 +858,7 @@ int CmdStatus(const ServiceArgs& args) {
   request.command = "status";
   request.id = args.positional;
   ServiceCallResult call =
-      CallServiceRetry(args.socket_path, request, args.Policy(), "", args.binary);
+      CallServiceRetry(args.socket_path, request, args.Policy(), "");
   if (!call.ok) {
     std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
     return 1;
@@ -895,37 +878,9 @@ bool PrintWatchLine(const SessionStatus& status) {
          status.state == "stopped";
 }
 
-// The legacy polling loop — the `--poll-ms` fallback, and what the client
-// auto-downgrades to against a daemon that predates server push.
-int WatchPoll(const ServiceArgs& args, int interval_ms) {
-  for (;;) {
-    ServiceRequest request;
-    request.command = "status";
-    request.id = args.positional;
-    ServiceCallResult call =
-        CallServiceRetry(args.socket_path, request, args.Policy(), "", args.binary);
-    if (!call.ok) {
-      std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
-      return 1;
-    }
-    if (call.response.sessions.empty()) {
-      std::fprintf(stderr, "wfctl: no such session\n");
-      return 1;
-    }
-    const SessionStatus& status = call.response.sessions.front();
-    if (PrintWatchLine(status)) {
-      return status.state == "done" ? 0 : 1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-  }
-}
-
 int CmdWatch(const ServiceArgs& args) {
-  if (args.poll_ms > 0) {
-    return WatchPoll(args, args.poll_ms);
-  }
-  // Push mode: one persistent connection, the daemon streams a status
-  // frame per committed wave / lifecycle change. No client polling. With
+  // One persistent connection: the daemon streams a status frame per
+  // committed wave / lifecycle change. No client polling. With
   // --reconnect, a dropped stream (a restarting daemon) re-dials with
   // backoff and re-subscribes carrying the last status version it printed,
   // so the reborn daemon suppresses the stale baseline and the watcher
@@ -937,7 +892,7 @@ int CmdWatch(const ServiceArgs& args) {
   for (;;) {
     ServiceConnection conn;
     std::string error;
-    if (!conn.Connect(args.socket_path, args.binary, &error)) {
+    if (!conn.Connect(args.socket_path, true, &error)) {
       if (redials < policy.attempts) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(BackoffDelayMs(policy, ++redials, &jitter)));
@@ -952,10 +907,6 @@ int CmdWatch(const ServiceArgs& args) {
     request.since_version = last_version;
     ServiceCallResult ack = conn.Call(request);
     if (!ack.ok) {
-      if (ack.error.find("unknown command") != std::string::npos) {
-        // A pre-push daemon: it does not advertise watch — poll instead.
-        return WatchPoll(args, args.interval_ms);
-      }
       if (ack.transport_error && redials < policy.attempts) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(BackoffDelayMs(policy, ++redials, &jitter)));
@@ -1004,7 +955,7 @@ int CmdStoreCompact(const ServiceArgs& args) {
   ServiceRequest request;
   request.command = "compact";
   ServiceCallResult call =
-      CallServiceRetry(args.socket_path, request, args.Policy(), "", args.binary);
+      CallServiceRetry(args.socket_path, request, args.Policy(), "");
   if (!call.ok) {
     std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
     return 1;
@@ -1018,7 +969,7 @@ int CmdResult(const ServiceArgs& args) {
   request.command = "result";
   request.id = args.positional;
   ServiceCallResult call =
-      CallServiceRetry(args.socket_path, request, args.Policy(), "", args.binary);
+      CallServiceRetry(args.socket_path, request, args.Policy(), "");
   if (!call.ok) {
     std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
     return 1;
@@ -1043,7 +994,7 @@ int CmdSessionControl(const char* command, const ServiceArgs& args) {
   request.command = command;
   request.id = args.positional;
   ServiceCallResult call =
-      CallServiceRetry(args.socket_path, request, args.Policy(), "", args.binary);
+      CallServiceRetry(args.socket_path, request, args.Policy(), "");
   if (!call.ok) {
     std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
     return 1;
