@@ -7,9 +7,6 @@
 //     shell; the sessions themselves are deliberately tiny (random, 4
 //     trials) so the anchor tracks service overhead, which is what this
 //     layer adds on top of the session engine bench_micro_session anchors.
-//   * trialstore_append_lookup/file64: TrialStore appends+reloads per
-//     second on a fresh store of 64 distinct trials — the persistence cost
-//     every committed wave pays.
 //
 // Usage: bench_micro_service   (WF_FAST=1 shortens the windows, smoke mode)
 #include <algorithm>
@@ -20,10 +17,7 @@
 #include <string>
 #include <thread>
 
-#include "src/configspace/linux_space.h"
-#include "src/core/wayfinder_api.h"
 #include "src/service/client.h"
-#include "src/service/trial_store.h"
 #include "src/service/wfd.h"
 
 namespace wayfinder {
@@ -34,9 +28,9 @@ double g_measure_seconds = 0.4;
 // Best-of-3 windows (see bench_micro_session): noise only slows a window
 // down, so the fastest window approximates the steady-state rate.
 template <typename Op>
-double OpsPerSec(size_t units_per_op, Op&& op) {
+double OpsPerSec(Op&& op) {
   using Clock = std::chrono::steady_clock;
-  op();  // Warm up (socket file, store directory, thread pool).
+  op();  // Warm up (socket file, first connection).
   double best = 0.0;
   for (int window = 0; window < 3; ++window) {
     size_t iters = 0;
@@ -47,7 +41,7 @@ double OpsPerSec(size_t units_per_op, Op&& op) {
       ++iters;
       elapsed = std::chrono::duration<double>(Clock::now() - start).count();
     } while (elapsed < g_measure_seconds / 3);
-    best = std::max(best, static_cast<double>(iters * units_per_op) / elapsed);
+    best = std::max(best, static_cast<double>(iters) / elapsed);
   }
   return best;
 }
@@ -67,7 +61,7 @@ double BenchSubmitRoundtrip() {
   }
   std::thread serve([&] { server.Serve(); });
   uint64_t seed = 1;
-  double rate = OpsPerSec(1, [&] {
+  double rate = OpsPerSec([&] {
     std::string yaml = "name: bench-roundtrip\nos: linux\napplication: nginx\n"
                        "budget:\n  iterations: 4\nsearch:\n  algorithm: random\n"
                        "  seed: " + std::to_string(seed++) + "\n";
@@ -89,35 +83,6 @@ double BenchSubmitRoundtrip() {
   return rate;
 }
 
-double BenchTrialStore() {
-  ConfigSpace space = BuildLinuxSearchSpace();
-  // 64 distinct trials, prepared off the clock.
-  Testbench bench(&space, AppId::kNginx);
-  auto searcher = MakeSearcher("random", &space);
-  SessionOptions session_options;
-  session_options.max_iterations = 64;
-  session_options.seed = 0xbe9d;
-  std::vector<TrialRecord> trials =
-      RunSearch(&bench, searcher.get(), session_options).history;
-  std::string key = TrialStoreKey(space, AppId::kNginx);
-  std::string dir = TempPath("wf_bench_trialstore");
-
-  return OpsPerSec(trials.size(), [&] {
-    std::filesystem::remove_all(dir);
-    TrialStore store(dir);
-    for (const TrialRecord& trial : trials) {
-      store.Append(key, trial);
-    }
-    store.Flush();
-    TrialStore::LoadResult loaded = store.Load(key, space);
-    if (!loaded.ok || loaded.trials.empty()) {
-      std::fprintf(stderr, "bench_micro_service: store reload failed: %s\n",
-                   loaded.error.c_str());
-      std::exit(1);
-    }
-  });
-}
-
 }  // namespace
 }  // namespace wayfinder
 
@@ -131,8 +96,5 @@ int main() {
   double roundtrips = BenchSubmitRoundtrip();
   std::printf("{\"bench\": \"service_submit_roundtrip\", \"variant\": \"socket\", "
               "\"ops_per_sec\": %.2f}\n", roundtrips);
-  double store_ops = BenchTrialStore();
-  std::printf("{\"bench\": \"trialstore_append_lookup\", \"variant\": \"file64\", "
-              "\"ops_per_sec\": %.2f}\n", store_ops);
   return 0;
 }

@@ -15,8 +15,8 @@
 //     Tracked but NEVER gated: the committed-trials/sec rate moves with the
 //     injected failure mix, not just with code changes.
 //   * session_trials_per_sec/journal: the full managed path — SessionManager
-//     with the trial store AND the write-ahead session journal enabled, so
-//     every wave boundary pays its fsync'd journal append. Tracked but
+//     with a store, so the write-ahead session journal is on and every wave
+//     boundary pays its fsync'd journal append. Tracked but
 //     NEVER gated: fsync cost is a property of the box's storage stack
 //     (tmpfs vs SSD vs spinning CI disk), not of the code under review.
 //
@@ -89,10 +89,9 @@ double BenchSession(const ConfigSpace& space, size_t iterations, size_t parallel
   });
 }
 
-// The managed path: SessionManager with store + journal, so the measured
-// loop includes hash-dedup persistence and the fsync'd wave-boundary journal
-// appends. A fresh store directory per op keeps the dedup store from
-// replaying earlier repeats (which would skip the builds being measured).
+// The managed path: SessionManager with a store, so the measured loop
+// includes the fsync'd wave-boundary journal appends. A fresh store
+// directory per op keeps each repeat's journal from carrying earlier ones.
 double BenchJournaledSession(size_t iterations, uint64_t seed) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "wf-bench-journal").string();
@@ -107,7 +106,6 @@ double BenchJournaledSession(size_t iterations, uint64_t seed) {
     std::filesystem::create_directories(dir);
     SessionManagerOptions options;
     options.store_dir = dir + "/store";
-    options.journal_path = dir + "/store/journal.wfj";
     SessionManager manager(options);
     std::string id, error;
     if (!manager.Submit(job, false, &id, &error) || !manager.WaitDone(id, 60000)) {

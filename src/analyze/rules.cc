@@ -41,12 +41,11 @@ bool IsSyscallSeamFile(const std::string& path) {
 }
 
 bool IsDurableWriterFile(const std::string& path) {
-  // Files allowed to open store/journal bytes directly: the seam itself and
-  // the two durable writers built on it (append-only formats with their own
-  // torn-tail recovery, pinned by recovery_test / service_test).
+  // Files allowed to open journal bytes directly: the seam itself and the
+  // durable writer built on it (an append-only format with its own torn-tail
+  // recovery, pinned by recovery_test).
   return path == "src/platform/fs_faults.cc" ||
-         path == "src/service/session_journal.cc" ||
-         path == "src/service/trial_store.cc";
+         path == "src/service/session_journal.cc";
 }
 
 bool InLockOrderScope(const std::string& path) {
@@ -477,9 +476,9 @@ void CheckDurOfstreamSeam(const std::string& path, const CodeView& v,
     if (!v.IsIdent(i, "ofstream")) continue;
     out->push_back(
         {path, v.at(i).line, "dur-ofstream-seam",
-         "std::ofstream in service/platform code; store/journal bytes must "
-         "be written through AtomicWriteFile or the SessionJournal/"
-         "TrialStore writers so crashes land on a recoverable format"});
+         "std::ofstream in service/platform code; journal bytes must be "
+         "written through AtomicWriteFile or the SessionJournal writer so "
+         "crashes land on a recoverable format"});
   }
 }
 

@@ -34,11 +34,9 @@ void Configuration::Set(const std::string& name, int64_t value) {
   SetRaw(*index, value);
 }
 
-uint64_t Configuration::Hash() const { return HashValues(values_); }
-
-uint64_t Configuration::HashValues(const std::vector<int64_t>& values) {
+uint64_t Configuration::Hash() const {
   uint64_t hash = 0x243f6a8885a308d3ULL;
-  for (int64_t v : values) {
+  for (int64_t v : values_) {
     hash = HashCombine(hash, static_cast<uint64_t>(v));
   }
   return hash;

@@ -36,11 +36,9 @@ class Configuration {
 
   bool operator==(const Configuration& other) const { return values_ == other.values_; }
 
-  // Stable content hash for dedup across a search session.
+  // Stable content hash for dedup across a search session and across
+  // warm-start priors.
   uint64_t Hash() const;
-  // The same hash over a bare value vector — lets the TrialStore index a
-  // file without materializing Configurations.
-  static uint64_t HashValues(const std::vector<int64_t>& values);
 
   // "NAME=value" lines for the parameters that differ from the default.
   std::string DiffString() const;

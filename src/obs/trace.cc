@@ -24,8 +24,6 @@ const char* TraceKindName(TraceKind kind) {
       return "commit";
     case TraceKind::kJournalAppend:
       return "journal_append";
-    case TraceKind::kStoreAppend:
-      return "store_append";
     case TraceKind::kRetry:
       return "retry";
     case TraceKind::kDriftRevalidate:

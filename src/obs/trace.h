@@ -1,12 +1,12 @@
 // Trial/wave tracing — a fixed-capacity per-session ring of trace events.
 //
 // Every stage of a trial's life (propose, build, evaluate, observe/retrain,
-// commit) and every durability action taken on its behalf (journal-append,
-// store-append) plus the hostile-world reactions (retry, drift-revalidate)
-// can drop one event into the owning session's TraceRing, stamped from the
-// TraceClock seam (src/obs/clock.h). The ring is sized once at construction
-// and overwrites oldest-first when full, counting what it dropped — tracing
-// a week-old session costs the same memory as tracing a fresh one.
+// commit), the durability action taken on its behalf (journal-append), and
+// the hostile-world reactions (retry, drift-revalidate) can drop one event
+// into the owning session's TraceRing, stamped from the TraceClock seam
+// (src/obs/clock.h). The ring is sized once at construction and overwrites
+// oldest-first when full, counting what it dropped — tracing a week-old
+// session costs the same memory as tracing a fresh one.
 //
 // Recording self-gates on obs::Enabled(): a metrics-off run takes one
 // relaxed load per call site and reads the clock zero times, so every
@@ -31,7 +31,6 @@ enum class TraceKind : uint8_t {
   kObserve,
   kCommit,
   kJournalAppend,
-  kStoreAppend,
   kRetry,
   kDriftRevalidate,
 };

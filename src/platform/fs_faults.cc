@@ -151,9 +151,9 @@ bool AtomicWriteFile(const std::string& path, const std::string& data,
   }
   std::fclose(out);
   if (!FaultRename(tmp, path)) {
-    // An injected "crash" deliberately leaves the tmp file behind — that is
-    // the stale-tmp hazard the store's Open() cleanup exists for. A real
-    // rename failure gets tidied up.
+    // An injected "crash" deliberately leaves the tmp file behind, as a real
+    // crash would (the next rewrite truncates it). A real rename failure
+    // gets tidied up.
     if (!FsFaultInjector::Instance().armed()) {
       std::remove(tmp.c_str());
     }

@@ -1,5 +1,5 @@
 // Filesystem fault-injection seam for the durable writers (session journal,
-// TrialStore, checkpoints). Production code funnels its write/fsync/rename
+// checkpoints). Production code funnels its write/fsync/rename
 // calls through the Fault* wrappers below; tests arm a process-global
 // FsFaultPlan to inject the classic durability hazards deterministically:
 //

@@ -5,8 +5,8 @@ namespace wayfinder {
 bool KnownServiceCommand(const std::string& command) {
   return command == "submit" || command == "status" || command == "watch" ||
          command == "result" || command == "pause" || command == "resume" ||
-         command == "stop" || command == "compact" || command == "ping" ||
-         command == "metrics" || command == "trace";
+         command == "stop" || command == "ping" || command == "metrics" ||
+         command == "trace";
 }
 
 bool CommandNeedsId(const std::string& command) {

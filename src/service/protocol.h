@@ -6,8 +6,8 @@
 //
 // Requests carry a command
 //
-//   submit | status | watch | result | pause | resume | stop | compact |
-//   ping | metrics | trace
+//   submit | status | watch | result | pause | resume | stop | ping |
+//   metrics | trace
 //
 // plus, where it applies, the target session id and the submit/watch
 // options below.
@@ -42,7 +42,7 @@ namespace wayfinder {
 struct ServiceRequest {
   std::string command;
   std::string id;          // Target session for per-session commands.
-  bool warm_start = true;  // submit: seed the searcher from the TrialStore.
+  bool warm_start = true;  // submit: seed the searcher from prior trials.
   // watch: the last StatusVersion this client already saw. A reconnecting
   // watcher carries it so the daemon suppresses the baseline frame when
   // nothing changed since — re-subscribing after a dropped connection is
@@ -63,7 +63,7 @@ struct SessionStatus {
   bool has_best = false;
   double best = 0.0;
   double sim_seconds = 0.0;
-  size_t warm_started = 0;  // Prior trials observed from the TrialStore.
+  size_t warm_started = 0;  // Prior trials observed on the store key.
   // Failure taxonomy + robustness counters. Emitted on the wire only when
   // non-zero, so clean sessions' frames are byte-identical to the
   // pre-taxonomy protocol.
@@ -112,7 +112,7 @@ bool KnownServiceCommand(const std::string& command);
 
 // True for commands a client may safely re-send after a dropped connection:
 // they only read state (or re-subscribe), so a retry can never double-apply.
-// submit/pause/resume/stop/compact are NOT idempotent — the client layer
+// submit/pause/resume/stop are NOT idempotent — the client layer
 // (src/service/client.h) refuses to auto-retry those without an explicit
 // opt-in, because a lost *response* does not mean a lost *request*.
 bool IdempotentServiceCommand(const std::string& command);

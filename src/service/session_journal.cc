@@ -83,10 +83,10 @@ SessionJournal::OpenResult SessionJournal::Open() {
   degraded_ = false;
   degraded_reason_.clear();
 
-  // Torn-tail scan, the TrialStore approach: a record is complete iff its
-  // line is newline-terminated; track the byte offset of the last complete
-  // line via line lengths (never tellg) and truncate everything past it. A
-  // present file whose first line is not our header is foreign: refuse.
+  // Torn-tail scan: a record is complete iff its line is newline-terminated;
+  // track the byte offset of the last complete line via line lengths (never
+  // tellg) and truncate everything past it. A present file whose first line
+  // is not our header is foreign: refuse.
   long good_end = 0;
   bool existed = false;
   {

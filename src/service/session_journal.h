@@ -1,10 +1,10 @@
-// Write-ahead session journal — the wfd daemon's crash-safety log. The
-// TrialStore remembers *trials* across processes, but a killed daemon used
-// to forget every *session*: which jobs were accepted, how far each one got,
-// and the RNG/searcher state needed to continue one bit-exactly. The
-// journal closes that gap: SessionManager appends one small fsync'd record
-// at every lifecycle edge and wave boundary, and recovery (wfd --recover)
-// replays the journal to re-create the whole fleet.
+// Write-ahead session journal — the wfd daemon's one durable log
+// (<store>/journal.wfj). It holds every accepted job, every committed trial,
+// how far each session got, and the RNG/searcher state needed to continue
+// one bit-exactly: SessionManager appends one small fsync'd record at every
+// lifecycle edge and wave boundary, and recovery (wfd --recover) replays
+// the journal to re-create the whole fleet, whose committed mirrors then
+// feed warm starts.
 //
 // Format (line-oriented, append-only, one record per line):
 //
@@ -25,17 +25,18 @@
 //
 // Multi-line payloads ride in a single journal line via backslash escaping
 // (\\ \n \r — see JournalEscape); every record is therefore exactly one
-// line, and torn-tail recovery is the TrialStore line scan: a record is
-// complete iff its line is newline-terminated, and Open() truncates the
-// file back to the last complete record before appends resume.
+// line, and torn-tail recovery is a line scan: a record is complete iff its
+// line is newline-terminated, and Open() truncates the file back to the
+// last complete record before appends resume.
 //
 // Failure policy: every append goes through the fs-fault seam
 // (src/platform/fs_faults.h) and is fsync'd. The FIRST failed append
 // permanently degrades the journal — further appends are skipped so a
 // half-written tail can never be appended past — and the failure reason is
 // surfaced through degraded_reason() (the daemon reports it, it never
-// crashes). The TrialStore remains the source of truth for committed
-// trials, so a degraded journal loses resumability, not data.
+// crashes). The manager's mirrors still hold every committed trial, and its
+// drain rewrites a degraded journal whole from them; a crash while the
+// journal is degraded loses the trials committed since the failed append.
 //
 // Thread-safety: all methods take an internal mutex (call sites are the
 // manager's submit path and driver threads, already serialized on the

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <unordered_set>
 
 #include "src/obs/clock.h"
 #include "src/obs/trace.h"
@@ -22,17 +24,46 @@ obs::Counter& g_trials = obs::Registry::Instance().GetCounter("service.trials");
 obs::Histogram& g_wave_ns =
     obs::Registry::Instance().GetHistogram("service.wave_ns");
 
+// Stable fingerprint of a space's parameter definitions (names, kinds,
+// phases, domains): two sessions share warm-start trials only when their raw
+// values mean the same thing.
+uint64_t SpaceFingerprint(const ConfigSpace& space) {
+  uint64_t hash = StableHash("wayfinder-space");
+  for (size_t i = 0; i < space.Size(); ++i) {
+    const ParamSpec& param = space.Param(i);
+    hash = HashCombine(hash, StableHash(param.name));
+    hash = HashCombine(hash, static_cast<uint64_t>(param.kind));
+    hash = HashCombine(hash, static_cast<uint64_t>(param.phase));
+    hash = HashCombine(hash, static_cast<uint64_t>(param.min_value));
+    hash = HashCombine(hash, static_cast<uint64_t>(param.max_value));
+    hash = HashCombine(hash, static_cast<uint64_t>(param.default_value));
+    // Domain *contents*, not just sizes: a kString raw value is an index
+    // into `choices` and a quantized kInt indexes into `value_set`, so two
+    // spaces whose lists differ must never share a key.
+    for (const std::string& choice : param.choices) {
+      hash = HashCombine(hash, StableHash(choice));
+    }
+    for (int64_t value : param.value_set) {
+      hash = HashCombine(hash, static_cast<uint64_t>(value));
+    }
+  }
+  return hash;
+}
+
 }  // namespace
+
+std::string TrialStoreKey(const ConfigSpace& space, AppId app) {
+  char fingerprint[24];
+  std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                static_cast<unsigned long long>(SpaceFingerprint(space)));
+  return GetApp(app).name + "-" + fingerprint;
+}
 
 SessionManager::SessionManager(const SessionManagerOptions& options) : options_(options) {
   if (!options_.store_dir.empty()) {
-    store_ = std::make_unique<TrialStore>(options_.store_dir);
-  }
-  if (!options_.journal_path.empty()) {
     std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(options_.journal_path).parent_path(), ec);
-    journal_ = std::make_unique<SessionJournal>(options_.journal_path);
+    std::filesystem::create_directories(options_.store_dir, ec);
+    journal_ = std::make_unique<SessionJournal>(options_.store_dir + "/journal.wfj");
     SessionJournal::OpenResult opened = journal_->Open();
     if (!opened.ok) {
       // A daemon must come up even on a bad disk: run without resumability
@@ -86,56 +117,66 @@ std::unique_ptr<SessionManager::Managed> SessionManager::BuildManaged(
   managed->bench = std::make_unique<Testbench>(managed->space.get(), parsed.spec.app,
                                                parsed.spec.ToTestbenchOptions());
   managed->store_key = TrialStoreKey(*managed->space, parsed.spec.app);
-
-  // Warm start: the store's prior trials for this (space, app) key will be
-  // fed through the ordinary ObserveBatch path before the session's first
-  // proposal, so the searcher begins where every earlier session left off.
-  // The session's own history stays empty — prior knowledge shapes
-  // proposals, not the trial log. An empty store is a strict no-op, which
-  // is what keeps first submissions bit-identical to standalone runs.
-  // Stored objectives were computed under whatever objective *their*
-  // session optimized; re-derive them under this job's definition from the
-  // raw outcomes so (e.g.) a memory job's trials cannot mistrain a
-  // throughput job's model.
-  if (warm_start && store_ != nullptr) {
-    TrialStore::LoadResult prior = store_->Load(managed->store_key, *managed->space);
-    if (!prior.ok) {
-      *error = "trial store: " + prior.error;
-      return nullptr;
-    }
-    // Outcome-aware warm start: transient-class records (timeouts, flakes)
-    // are infrastructure noise with no (config -> outcome) signal, and when
-    // the incoming job schedules workload drift, records measured before
-    // the drift point describe a landscape the job will not see — skip
-    // both so stale or noisy trials cannot mistrain the fresh searcher.
-    if (!prior.trials.empty()) {
-      double drift_at = parsed.spec.faults.drift_at;
-      prior.trials.erase(
-          std::remove_if(prior.trials.begin(), prior.trials.end(),
-                         [drift_at](const TrialRecord& trial) {
-                           if (trial.outcome.transient()) {
-                             return true;
-                           }
-                           return drift_at > 0.0 && trial.sim_time_end < drift_at;
-                         }),
-          prior.trials.end());
-    }
-    if (!prior.trials.empty()) {
-      for (TrialRecord& trial : prior.trials) {
-        trial.objective = TrialObjective(trial.outcome, parsed.spec.objective,
-                                         parsed.spec.app);
-      }
-      if (parsed.spec.objective == ObjectiveKind::kScore) {
-        RefreshScoreObjectives(&prior.trials);
-      }
-      managed->warm_started = prior.trials.size();
-      managed->warm_prior = std::move(prior.trials);
-    }
-  }
-
   managed->session = std::make_unique<SearchSession>(
       managed->bench.get(), managed->searcher.get(), parsed.spec.ToSessionOptions());
   return managed;
+}
+
+void SessionManager::GatherWarmPriorLocked(Managed* managed) {
+  // Warm start: every trial earlier sessions committed on this (space, app)
+  // key is fed through the ordinary ObserveBatch path before the session's
+  // first proposal, so the searcher begins where they left off. The mirrors
+  // already hold every committed trial, live or recovered from the log, and
+  // a running session, score sessions included, contributes what it has
+  // committed so far. Submission order fixes the order of the prior; how
+  // much a still-running session adds depends on how far it got. The
+  // session's own history stays empty —
+  // prior knowledge shapes proposals, not the trial log — and an empty
+  // prior is a strict no-op, which is what keeps first submissions
+  // bit-identical to standalone runs.
+  //
+  // Outcome-aware warm start: transient-class records (timeouts, flakes)
+  // are infrastructure noise with no (config -> outcome) signal, and when
+  // the incoming job schedules workload drift, records measured before the
+  // drift point describe a landscape the job will not see. Both are skipped
+  // before deduplication, so a configuration whose first record is skipped
+  // still enters the prior through a later clean record of it.
+  const double drift_at = managed->spec.faults.drift_at;
+  std::vector<TrialRecord> prior;
+  std::unordered_set<uint64_t> seen;
+  for (const auto& earlier : sessions_) {
+    if (earlier->store_key != managed->store_key) {
+      continue;
+    }
+    for (const TrialRecord& trial : earlier->committed) {
+      if (trial.outcome.transient() || (drift_at > 0.0 && trial.sim_time_end < drift_at)) {
+        continue;
+      }
+      if (!seen.insert(trial.config.Hash()).second) {
+        continue;
+      }
+      TrialRecord copy = trial;
+      copy.iteration = prior.size();
+      copy.config = Configuration(managed->space.get(), trial.config.values());
+      prior.push_back(std::move(copy));
+    }
+  }
+  if (prior.empty()) {
+    return;
+  }
+  // Prior objectives were computed under whatever objective *their* session
+  // optimized; re-derive them under this job's definition from the raw
+  // outcomes so (e.g.) a memory job's trials cannot mistrain a throughput
+  // job's model.
+  for (TrialRecord& trial : prior) {
+    trial.objective = TrialObjective(trial.outcome, managed->spec.objective,
+                                     managed->spec.app);
+  }
+  if (managed->spec.objective == ObjectiveKind::kScore) {
+    RefreshScoreObjectives(&prior);
+  }
+  managed->warm_started = prior.size();
+  managed->warm_prior = std::move(prior);
 }
 
 bool SessionManager::Submit(const std::string& job_text, bool warm_start, std::string* id,
@@ -152,6 +193,11 @@ bool SessionManager::Submit(const std::string& job_text, bool warm_start, std::s
   }
   managed->id = "s" + std::to_string(next_id_++);
   *id = managed->id;
+  // Warm starts need a store: without one nothing outlives a session, and
+  // every run matches its standalone run.
+  if (warm_start && !options_.store_dir.empty()) {
+    GatherWarmPriorLocked(managed.get());
+  }
   // Write-ahead: the accepted submission hits the journal (fsync'd) before
   // the caller's ack, so a crash between ack and first wave cannot lose it.
   if (journal_ != nullptr) {
@@ -200,9 +246,7 @@ void SessionManager::PersistNewTrials(Managed* managed) {
   const std::vector<TrialRecord>& history = managed->session->history();
   if (managed->spec.objective == ObjectiveKind::kScore) {
     // Score sessions re-normalize PAST objectives after every wave
-    // (RefreshScores), so the mirror and the best are rebuilt wholesale,
-    // and store appends wait until the run ends and objectives are final
-    // (see the Drive epilogue).
+    // (RefreshScores), so the mirror and the best are rebuilt wholesale.
     managed->committed.assign(history.begin(), history.end());
     managed->has_best = false;
     for (const TrialRecord& trial : history) {
@@ -213,10 +257,7 @@ void SessionManager::PersistNewTrials(Managed* managed) {
       }
     }
   } else {
-    for (size_t i = managed->persisted; i < history.size(); ++i) {
-      if (store_ != nullptr) {
-        store_->Append(managed->store_key, history[i]);
-      }
+    for (size_t i = managed->committed.size(); i < history.size(); ++i) {
       managed->committed.push_back(history[i]);
       if (history[i].HasObjective() &&
           (!managed->has_best || history[i].objective > managed->best)) {
@@ -224,11 +265,7 @@ void SessionManager::PersistNewTrials(Managed* managed) {
         managed->best = history[i].objective;
       }
     }
-    if (store_ != nullptr) {
-      store_->Flush();  // Library buffers to the OS at every wave boundary.
-    }
   }
-  managed->persisted = history.size();
   managed->trials = history.size();
   if (!history.empty()) {
     managed->sim_seconds = history.back().sim_time_end;
@@ -256,11 +293,26 @@ void SessionManager::PersistNewTrials(Managed* managed) {
             static_cast<double>(managed->trials) / elapsed_sec;
       }
     }
-    managed->session->trace().RecordInstant(obs::TraceKind::kStoreAppend,
-                                            history.size());
   }
+  // The journal append shares this lock hold with the mirror update above:
+  // no reader sees the wave's trials before its record's fsync returned.
   JournalWaveLocked(managed);
   NotifyLocked(*managed);
+}
+
+bool SessionManager::LiveStateLocked(const Managed& managed,
+                                     CheckpointLiveState* live) const {
+  if (managed.session == nullptr) {
+    *live = managed.final_live;
+    return live->Any();
+  }
+  // A drained sliding window may hold in-flight proposals the history
+  // omits: such checkpoints resume replay-only.
+  if (!managed.session->AtCommitBoundary()) {
+    return false;
+  }
+  *live = managed.session->ExportLiveState();
+  return true;
 }
 
 void SessionManager::JournalWaveLocked(Managed* managed) {
@@ -278,13 +330,9 @@ void SessionManager::JournalWaveLocked(Managed* managed) {
       managed->committed.begin() +
           static_cast<std::ptrdiff_t>(full ? 0 : managed->journaled),
       managed->committed.end());
-  std::string payload;
-  if (managed->session != nullptr && managed->session->AtCommitBoundary()) {
-    CheckpointLiveState live = managed->session->ExportLiveState();
-    payload = CheckpointToText(slice, &live);
-  } else {
-    payload = CheckpointToText(slice);
-  }
+  CheckpointLiveState live;
+  std::string payload =
+      CheckpointToText(slice, LiveStateLocked(*managed, &live) ? &live : nullptr);
   journal_->AppendWave(managed->id, managed->committed.size(), full, payload);
   if (managed->session != nullptr) {
     managed->session->trace().RecordInstant(obs::TraceKind::kJournalAppend,
@@ -345,22 +393,6 @@ void SessionManager::Unsubscribe(uint64_t token) {
   }
 }
 
-bool SessionManager::CompactStore(std::string* summary) {
-  if (store_ == nullptr) {
-    *summary = "no trial store configured";
-    return false;
-  }
-  TrialStore::CompactStats stats = store_->CompactAll();
-  if (!stats.ok) {
-    *summary = stats.error;
-    return false;
-  }
-  *summary = "compacted " + std::to_string(stats.files) + " file(s): kept " +
-             std::to_string(stats.kept) + ", dropped " +
-             std::to_string(stats.dropped) + " superseded";
-  return true;
-}
-
 bool SessionManager::JournalHealthy(std::string* reason) const {
   if (!journal_open_error_.empty()) {
     *reason = journal_open_error_;
@@ -375,7 +407,6 @@ bool SessionManager::JournalHealthy(std::string* reason) const {
 
 void SessionManager::SeedMirrorLocked(Managed* managed, std::vector<TrialRecord> history) {
   managed->committed = std::move(history);
-  managed->persisted = managed->committed.size();
   managed->journaled = managed->committed.size();
   managed->trials = managed->committed.size();
   managed->has_best = false;
@@ -440,13 +471,9 @@ bool SessionManager::Recover(std::string* summary) {
       }
       const bool terminal =
           rec.state == "done" || rec.state == "failed" || rec.state == "stopped";
-      // Warm-start replay only matters when the session never stepped: once
-      // waves exist, the journaled live state already embodies whatever the
-      // searcher observed before its first proposal.
       std::string error;
       std::unique_ptr<Managed> managed =
-          BuildManaged(rec.job_text, rec.warm_start && rec.waves.empty() && !terminal,
-                       &error);
+          BuildManaged(rec.job_text, rec.warm_start, &error);
       if (managed == nullptr) {
         fail_entry(error);
         continue;
@@ -487,8 +514,13 @@ bool SessionManager::Recover(std::string* summary) {
         managed->error = rec.error;
         // A finished session never steps again; keeping the freshly built
         // (never-stepped) machinery would make Result export a NEW
-        // session's live RNG as if it were the final one. Render
-        // replay-only instead.
+        // session's live RNG as if it were the final one. The last wave's
+        // live state is the final one instead: a done or drained session
+        // commits nothing after its last wave, and a StepBatch past the
+        // budget draws no randomness. Failed sessions render replay-only.
+        if (managed->state != State::kFailed) {
+          managed->final_live = live;
+        }
         managed->session.reset();
         managed->searcher.reset();
         managed->bench.reset();
@@ -508,6 +540,12 @@ bool SessionManager::Recover(std::string* summary) {
         SeedMirrorLocked(managed.get(), std::move(history));
         ++resumed;
       } else {
+        // Never stepped: a warm one sees the sessions before it in the
+        // journal. Once waves exist, the journaled live state already
+        // embodies whatever the searcher observed before its first proposal.
+        if (managed->warm_requested) {
+          GatherWarmPriorLocked(managed.get());
+        }
         ++requeued;
       }
       managed->state = State::kSubmitted;
@@ -538,7 +576,7 @@ void SessionManager::DiscardJournal() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::error_code ec;
   if (journal_ != nullptr &&
-      std::filesystem::file_size(options_.journal_path, ec) > SessionJournal::Header().size()) {
+      std::filesystem::file_size(journal_->path(), ec) > SessionJournal::Header().size()) {
     RewriteJournalLocked();  // The fleet is empty: header only.
   }
 }
@@ -556,13 +594,9 @@ void SessionManager::RewriteJournalLocked() {
     text += SessionJournal::SubmitLine(managed->id, managed->job_text,
                                        managed->warm_requested);
     if (!managed->committed.empty()) {
-      std::string payload;
-      if (managed->session != nullptr && managed->session->AtCommitBoundary()) {
-        CheckpointLiveState live = managed->session->ExportLiveState();
-        payload = CheckpointToText(managed->committed, &live);
-      } else {
-        payload = CheckpointToText(managed->committed);
-      }
+      CheckpointLiveState live;
+      std::string payload = CheckpointToText(
+          managed->committed, LiveStateLocked(*managed, &live) ? &live : nullptr);
       text += SessionJournal::WaveLine(managed->id, managed->committed.size(), true,
                                        payload);
     }
@@ -575,7 +609,7 @@ void SessionManager::RewriteJournalLocked() {
   }
   journal_->Close();
   std::string error;
-  if (!AtomicWriteFile(options_.journal_path, text, &error)) {
+  if (!AtomicWriteFile(journal_->path(), text, &error)) {
     journal_open_error_ = "journal rewrite failed: " + error;
     journal_.reset();
     return;
@@ -588,7 +622,7 @@ void SessionManager::RewriteJournalLocked() {
 }
 
 void SessionManager::Drive(Managed* managed) {
-  // The deferred warm-start observation: model retraining over the stored
+  // The deferred warm-start observation: model retraining over the prior
   // history happens here, on the driver thread, never on the accept thread
   // (no lock needed — the driver owns the searcher until it finishes).
   if (!managed->warm_prior.empty()) {
@@ -661,14 +695,6 @@ void SessionManager::Drive(Managed* managed) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   managed->state = managed->failed ? State::kFailed : (done ? State::kDone : State::kStopped);
-  // Score sessions persist here, once objectives stopped moving (a drain
-  // reaches this epilogue too, so the fsync barrier still covers them).
-  if (managed->spec.objective == ObjectiveKind::kScore && store_ != nullptr) {
-    for (const TrialRecord& trial : managed->committed) {
-      store_->Append(managed->store_key, trial);
-    }
-    store_->Flush();
-  }
   JournalStateLocked(*managed);  // done/failed/stopped becomes durable.
   --running_;
   if (!shutdown_) {
@@ -767,17 +793,12 @@ bool SessionManager::Result(const std::string& id, std::string* checkpoint_text,
   }
   // `committed` mirrors the history at the last wave boundary, so reading
   // it here never races the driver's in-flight StepBatch. Live state is
-  // only captured when the driver is idle AND the session sits at a clean
-  // commit boundary (a drained sliding window may hold in-flight proposals
-  // the history omits — such checkpoints resume replay-only).
+  // only captured when the driver is idle.
   bool idle = managed->state == State::kDone || managed->state == State::kPaused ||
               managed->state == State::kStopped || managed->state == State::kSubmitted;
-  if (idle && managed->session != nullptr && managed->session->AtCommitBoundary()) {
-    CheckpointLiveState live = managed->session->ExportLiveState();
-    *checkpoint_text = CheckpointToText(managed->committed, &live);
-  } else {
-    *checkpoint_text = CheckpointToText(managed->committed);
-  }
+  CheckpointLiveState live;
+  *checkpoint_text = CheckpointToText(
+      managed->committed, idle && LiveStateLocked(*managed, &live) ? &live : nullptr);
   return true;
 }
 
@@ -840,6 +861,7 @@ void SessionManager::Shutdown() {
     }
   }
   // Drivers are gone: sessions are at wave boundaries, safe to checkpoint.
+  std::lock_guard<std::mutex> lock(mutex_);
   if (!options_.checkpoint_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options_.checkpoint_dir, ec);
@@ -847,24 +869,19 @@ void SessionManager::Shutdown() {
       if (managed->session == nullptr || managed->committed.empty()) {
         continue;
       }
-      std::string path = options_.checkpoint_dir + "/" + managed->id + ".ckpt";
-      if (managed->session->AtCommitBoundary()) {
-        CheckpointLiveState live = managed->session->ExportLiveState();
-        SaveCheckpoint(managed->committed, path, &live);
-      } else {
-        // Drained sliding window with trials still in flight: the history
-        // omits their proposals, so live state would lie. Replay-only.
-        SaveCheckpoint(managed->committed, path);
-      }
+      CheckpointLiveState live;
+      SaveCheckpoint(managed->committed,
+                     options_.checkpoint_dir + "/" + managed->id + ".ckpt",
+                     LiveStateLocked(*managed, &live) ? &live : nullptr);
     }
   }
-  // The durability barrier: every committed trial reaches the disk before
-  // Shutdown returns (pinned by the kill-and-reopen test).
-  if (store_ != nullptr) {
-    store_->FsyncClose();
+  // Terminal state records were already journaled by the drive epilogues.
+  // A journal degraded by a failed append stopped at a valid prefix that
+  // lacks the trials committed since; rewriting it whole from the mirrors
+  // is what keeps a drain from losing any.
+  if (journal_ != nullptr && !journal_->healthy()) {
+    RewriteJournalLocked();
   }
-  // Terminal state records were already journaled by the drive epilogues;
-  // nothing left to add, just release the handle.
   if (journal_ != nullptr) {
     journal_->Close();
   }

@@ -12,20 +12,23 @@
 // loop (src/service/wfd.h) sit on top of this class; so do the tests,
 // which drive it directly.
 //
-// Persistence: every committed trial is appended (hash-deduped) to the
-// TrialStore under the job's (space, app) key as soon as its wave commits,
-// and a submission may warm-start its searcher from the key's prior trials
-// through the ordinary ObserveBatch path — results outlive any one session
-// and any one daemon process. Shutdown() stops every session at its next
-// wave boundary, writes a v2 checkpoint per session (resumable via `wfctl
-// start --resume`), and fsync+closes every store file before returning.
+// Durability: with a store_dir configured, the write-ahead session journal
+// <store_dir>/journal.wfj (src/service/session_journal.h) is the one durable
+// log. Every submit, lifecycle edge, and wave boundary appends a fsync'd
+// record, and a wave's trials reach the status mirror in the same lock hold
+// as their record, so status/result/watch never show a trial the log could
+// still lose. Recover() rebuilds the whole fleet from the log after a kill
+// -9, resuming mid-run sessions bit-exactly via the checkpoint-v2
+// live-state path (pinned by recovery_test). Without a store_dir nothing
+// outlives the process.
 //
-// Crash safety: with a journal_path configured, every submit, lifecycle
-// edge, and wave boundary also appends a fsync'd record to the write-ahead
-// session journal (src/service/session_journal.h), and Recover() rebuilds
-// the whole fleet from it after a kill -9 — resuming mid-run sessions
-// bit-exactly via the checkpoint-v2 live-state path (pinned by
-// recovery_test).
+// Warm start: with a store_dir, a submission may seed its searcher, through
+// the ordinary ObserveBatch path, with every trial committed by earlier
+// sessions on the job's (space, app) key — live or recovered from the log.
+// Without one no submission warm-starts.
+//
+// Shutdown() stops every session at its next wave boundary and writes a v2
+// checkpoint per session (resumable via `wfctl start --resume`).
 #ifndef WAYFINDER_SRC_SERVICE_SESSION_MANAGER_H_
 #define WAYFINDER_SRC_SERVICE_SESSION_MANAGER_H_
 
@@ -39,25 +42,28 @@
 #include <thread>
 #include <vector>
 
+#include "src/configspace/config_space.h"
 #include "src/core/wayfinder_api.h"
 #include "src/obs/metrics.h"
+#include "src/platform/checkpoint.h"
 #include "src/service/protocol.h"
 #include "src/service/session_journal.h"
-#include "src/service/trial_store.h"
 
 namespace wayfinder {
 
+// The warm-start key of one (space, app) pair, e.g. "nginx-1a2b3c4d5e6f7081"
+// (the status `store_key` field): the app name plus a fingerprint of every
+// parameter's name, kind, phase and domain, so two sessions share trials
+// only when their raw values mean the same thing.
+std::string TrialStoreKey(const ConfigSpace& space, AppId app);
+
 struct SessionManagerOptions {
-  // TrialStore directory; empty disables cross-session persistence.
+  // Home of the durable log (<store_dir>/journal.wfj); empty keeps nothing
+  // past the process (results are then bit-identical — pinned).
   std::string store_dir;
   // Where Shutdown() writes per-session checkpoints (<id>.ckpt); empty
   // disables them.
   std::string checkpoint_dir;
-  // Write-ahead session journal path; empty disables journaling (daemon
-  // behaviour is then bit-identical to the pre-journal service — pinned).
-  // One fsync'd record per submit, lifecycle edge, and wave boundary;
-  // Recover() replays it after a crash.
-  std::string journal_path;
   // Sessions running concurrently; later submissions queue as `submitted`
   // until a slot frees.
   size_t max_running = 4;
@@ -72,18 +78,20 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   // Parses and enqueues one job. On success returns true and sets *id; on a
-  // bad job file returns false with *error. `warm_start` observes the
-  // store's prior trials for the job's (space, app) key into the searcher
-  // before the first proposal.
+  // bad job file returns false with *error. `warm_start` observes the trials
+  // earlier sessions committed on the job's (space, app) key into the
+  // searcher before the first proposal; it has no effect without a
+  // store_dir.
   bool Submit(const std::string& job_text, bool warm_start, std::string* id,
               std::string* error);
 
   // Crash recovery: replays the session journal and re-creates the fleet it
   // describes — terminal sessions come back as queryable history, live ones
   // re-enter the queue (a mid-run session resumes bit-exactly through the
-  // checkpoint-v2 live-state path; a paused one comes back paused), and
-  // anything that cannot be rebuilt is recorded `failed` with an
-  // `unrecoverable:` reason instead of being dropped. The journal is then
+  // checkpoint-v2 live-state path; a paused one comes back paused; a
+  // never-stepped warm one warm-starts from the sessions before it in the
+  // journal), and anything that cannot be rebuilt is recorded `failed` with
+  // an `unrecoverable:` reason instead of being dropped. The journal is then
   // compacted (one submit + one full-history wave + one state per session,
   // written atomically). Call once, before the first Submit; returns false
   // only when the journal itself cannot be read. *summary describes what
@@ -92,14 +100,15 @@ class SessionManager {
 
   // The no-recovery start (`wfd --no-recover`): a journal holding any
   // record is replaced atomically by an empty one, so the next recovering
-  // daemon sees only this run's sessions. A missing or header-only journal
-  // is left alone (no fsync or rename). Call once, before the first Submit.
+  // daemon sees only this run's sessions, and no warm start sees the old
+  // run's trials. A missing or header-only journal is left alone (no fsync
+  // or rename). Call once, before the first Submit.
   void DiscardJournal();
 
   // False once the journal has degraded (an append or fsync failed; appends
-  // stop so the on-disk prefix stays valid) with the first failure in
-  // *reason. True (reason untouched) while healthy or when no journal is
-  // configured.
+  // stop so the on-disk prefix stays valid, and Shutdown() rewrites the log
+  // whole) with the first failure in *reason. True (reason untouched) while
+  // healthy or when no store is configured.
   bool JournalHealthy(std::string* reason) const;
 
   // Lifecycle controls; false when `id` is unknown (or the transition is
@@ -121,8 +130,9 @@ class SessionManager {
   }
 
   // The session's history so far as checkpoint text (v2, with live state
-  // once the session finished). Usable mid-run: the snapshot is taken at a
-  // wave boundary.
+  // once the session finished; a recovered done or stopped session keeps
+  // its last journaled one). Usable mid-run: the snapshot is taken at a wave
+  // boundary.
   bool Result(const std::string& id, std::string* checkpoint_text, std::string* error);
 
   // The session's trace ring rendered as Chrome trace_event JSON
@@ -148,18 +158,11 @@ class SessionManager {
                      SessionStatus* initial);
   void Unsubscribe(uint64_t token);
 
-  // Rewrites every trial-store file dropping superseded hash-duplicate
-  // records (fsync + atomic rename per file). Returns false with the
-  // details in *summary when any file failed; daemon `compact` and `wfctl
-  // store-compact` surface *summary either way.
-  bool CompactStore(std::string* summary);
-
   // Graceful drain: every session stops at its next StepBatch boundary,
-  // driver threads join, checkpoints are written, and every TrialStore
-  // file is fsync'd and closed. Idempotent.
+  // driver threads join, checkpoints are written, and a journal degraded by
+  // a failed append is rewritten whole, so the drain loses no committed
+  // trial. Idempotent.
   void Shutdown();
-
-  TrialStore* store() { return store_.get(); }
 
  private:
   enum class State { kSubmitted, kRunning, kPaused, kDone, kFailed, kStopped };
@@ -179,7 +182,7 @@ class SessionManager {
     std::unique_ptr<SearchSession> session;
     std::string store_key;
     size_t warm_started = 0;
-    // Stored trials awaiting warm-start observation; objectives already
+    // Prior trials awaiting warm-start observation; objectives already
     // re-derived under THIS job's objective definition. Consumed by the
     // driver thread before its first step (retraining a model over a long
     // history is long-pole work the accept thread must not carry).
@@ -193,11 +196,13 @@ class SessionManager {
     // wf-lint: allow(conc-thread-seam) — session driver, joined in Drain/dtor.
     std::thread driver;
     bool pause_requested = false;
-    size_t persisted = 0;  // History prefix already appended to the store.
     // Mirror of the session history, copied at wave boundaries under
-    // mutex_: Result/Status read this, never the live session, so they
-    // cannot race a driver mid-StepBatch.
+    // mutex_: Result/Status and warm starts read this, never the live
+    // session, so they cannot race a driver mid-StepBatch.
     std::vector<TrialRecord> committed;
+    // A recovered done or stopped session's last journaled live state: it
+    // has no session object, and it committed nothing after that wave.
+    CheckpointLiveState final_live;
     // Status snapshot fields, refreshed at wave boundaries under mutex_.
     size_t trials = 0;
     bool has_best = false;
@@ -231,12 +236,24 @@ class SessionManager {
   Managed* FindLocked(const std::string& id);
   const Managed* FindLocked(const std::string& id) const;
   // Parses `job_text` and builds the whole session machinery (space, bench,
-  // searcher, warm-start prior, SearchSession) — everything Submit does
-  // before taking the lock, shared with Recover(). Nullptr with *error set.
+  // searcher, SearchSession) — everything Submit does before taking the
+  // lock, shared with Recover(). Nullptr with *error set.
   std::unique_ptr<Managed> BuildManaged(const std::string& job_text, bool warm_start,
                                         std::string* error);
-  // Appends history[persisted..) to the store. Caller holds mutex_.
+  // Fills managed->warm_prior from the committed mirror of every session in
+  // sessions_ on the same store key, in submission order, skipping transient
+  // and drift-stale records and then keeping the first record per
+  // configuration; re-derives objectives under this job's definition.
+  // Caller holds mutex_.
+  void GatherWarmPriorLocked(Managed* managed);
+  // Mirrors the session's new trials and status counters at a wave boundary
+  // and journals them. Caller holds mutex_.
   void PersistNewTrials(Managed* managed);
+  // The live state a checkpoint of `managed` may carry: exported from the
+  // session when it sits at a clean commit boundary, or a recovered
+  // finished session's final_live. False when there is none. Caller holds
+  // mutex_ and the driver is not inside StepBatch.
+  bool LiveStateLocked(const Managed& managed, CheckpointLiveState* live) const;
   // Journals the trials committed since the last wave record (score
   // sessions re-journal the whole refreshed history), with live RNG /
   // searcher state when exportable. Caller holds mutex_.
@@ -244,8 +261,7 @@ class SessionManager {
   // Journals the session's current lifecycle state. Caller holds mutex_.
   void JournalStateLocked(const Managed& managed);
   // Recovery helper: seats a reassembled history as the committed mirror
-  // (status fields, taxonomy, persisted/journaled counters). Caller holds
-  // mutex_.
+  // (status fields, taxonomy, journaled counter). Caller holds mutex_.
   void SeedMirrorLocked(Managed* managed, std::vector<TrialRecord> history);
   // Rewrites the journal as the compacted equivalent of the current fleet
   // (atomic replace). Caller holds mutex_.
@@ -254,7 +270,6 @@ class SessionManager {
   void NotifyLocked(const Managed& managed);
 
   SessionManagerOptions options_;
-  std::unique_ptr<TrialStore> store_;
   std::unique_ptr<SessionJournal> journal_;
   std::string journal_open_error_;  // Journal configured but unopenable.
   std::atomic<uint64_t> status_version_{1};

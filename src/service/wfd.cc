@@ -43,7 +43,7 @@ int RunWfdForeground(const WfdOptions& options) {
   std::signal(SIGPIPE, SIG_IGN);
   if (!options.recover) {
     server.manager().DiscardJournal();  // A no-op without a journal.
-  } else if (!options.manager.journal_path.empty()) {
+  } else if (!options.manager.store_dir.empty()) {
     std::string summary;
     if (server.manager().Recover(&summary)) {
       std::printf("wfd recovery: %s\n", summary.c_str());
@@ -232,14 +232,6 @@ void WfdServer::HandleRequest(uint64_t conn, ProtoConn* state,
       response.has_payload = true;
     } else {
       response.error = error;
-    }
-  } else if (request.command == "compact") {
-    std::string summary;
-    response.ok = manager_.CompactStore(&summary);
-    if (response.ok) {
-      response.state = summary;
-    } else {
-      response.error = summary;
     }
   } else if (request.command == "stop") {
     response.ok = true;

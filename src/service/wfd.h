@@ -19,8 +19,8 @@
 // commits waves — no client polling.
 //
 // `stop` drains gracefully: the response is flushed, the loop exits, and
-// Shutdown() stops every session at its next wave boundary, writes
-// checkpoints, and fsyncs the TrialStore.
+// Shutdown() stops every session at its next wave boundary and writes
+// checkpoints; every committed trial is already in the fsync'd journal.
 #ifndef WAYFINDER_SRC_SERVICE_WFD_H_
 #define WAYFINDER_SRC_SERVICE_WFD_H_
 
@@ -36,11 +36,12 @@ namespace wayfinder {
 struct WfdOptions {
   std::string socket_path;
   SessionManagerOptions manager;
-  // Replay the session journal (manager.journal_path) before serving,
-  // re-creating the fleet a crash interrupted. Default on; `wfd
+  // Replay the session journal (<manager.store_dir>/journal.wfj) before
+  // serving, re-creating the fleet a crash interrupted. Default on; `wfd
   // --no-recover` starts fresh: a journal holding any record is atomically
   // replaced by an empty one before serving, so a later recovering daemon
-  // never mixes the old run's sessions with the new run's.
+  // never mixes the old run's sessions with the new run's, and warm starts
+  // no longer see the old run's trials.
   bool recover = true;
   // Event-loop tick: idle-sweep cadence and how quickly an external Stop()
   // takes effect at the latest.

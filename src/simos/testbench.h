@@ -53,9 +53,9 @@ struct TrialOutcome {
   double TotalSeconds() const { return build_seconds + boot_seconds + run_seconds; }
 };
 
-// Stable text names for TrialOutcome::Status — the shared vocabulary of the
-// checkpoint and trial-store file formats (one list, so the formats cannot
-// drift apart).
+// Stable text names for TrialOutcome::Status — the vocabulary of the
+// checkpoint format's trial and `failures` lines (one list, so the two
+// cannot drift apart).
 const char* TrialStatusName(TrialOutcome::Status status);
 bool TrialStatusFromName(const std::string& name, TrialOutcome::Status* status);
 

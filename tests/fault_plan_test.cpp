@@ -11,7 +11,8 @@
 //   * Unit pins: the watchdog charges its full window; retries are
 //     deterministic, budget-charged, and clear transients; median-of-k
 //     repeats charge the budget; the drift detector fires and re-validates
-//     the elite; warm start skips transient and drift-stale store records;
+//     the elite; warm start skips transient (timeout and flake) and
+//     drift-stale prior records;
 //     checkpoints round-trip the failure taxonomy and per-trial reasons.
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/configspace/unikraft_space.h"
@@ -491,33 +493,34 @@ TEST(FaultPlan, StatusCarriesFaultCountersOnlyWhenNonZero) {
   EXPECT_EQ(decoded.sessions[0].drift_events, 0u);
 }
 
+// A 16-trial random unikraft/nginx job with an optional `faults:` block.
+std::string WarmJob(const std::string& name, const std::string& fault_block) {
+  std::string yaml;
+  yaml += "name: " + name + "\n";
+  yaml += "os: unikraft\n";
+  yaml += "application: nginx\n";
+  yaml += "metric: performance\n";
+  yaml += "budget:\n  iterations: 16\n";
+  yaml += "search:\n  algorithm: random\n  seed: 77\n";
+  yaml += fault_block;
+  return yaml;
+}
+
 TEST(FaultPlan, WarmStartSkipsTransientAndDriftStaleTrials) {
   std::string store_dir =
       (std::filesystem::temp_directory_path() / "wf_faultplan_store").string();
   std::filesystem::remove_all(store_dir);
 
-  auto job = [](const std::string& name, const std::string& fault_block) {
-    std::string yaml;
-    yaml += "name: " + name + "\n";
-    yaml += "os: unikraft\n";
-    yaml += "application: nginx\n";
-    yaml += "metric: performance\n";
-    yaml += "budget:\n  iterations: 16\n";
-    yaml += "search:\n  algorithm: random\n  seed: 77\n";
-    yaml += fault_block;
-    return yaml;
-  };
-
   SessionManagerOptions options;
   options.store_dir = store_dir;
   SessionManager manager(options);
 
-  // Seed the store with a hostile run: timeouts persist with kTimeout
-  // status, so they stay identifiable as transient after the store
-  // round-trip (no retries, so they commit instead of being cleared).
+  // Seed the prior with a hostile run: timeouts commit with kTimeout
+  // status, so they are identifiable as transient (no retries, so they
+  // commit instead of being cleared).
   std::string seed_id, error;
   ASSERT_TRUE(manager.Submit(
-      job("hostile-seed", "faults:\n  timeout_prob: 0.6\n  timeout_s: 60\n"),
+      WarmJob("hostile-seed", "faults:\n  timeout_prob: 0.6\n  timeout_s: 60\n"),
       false, &seed_id, &error))
       << error;
   ASSERT_TRUE(manager.WaitDone(seed_id, 60000));
@@ -528,16 +531,16 @@ TEST(FaultPlan, WarmStartSkipsTransientAndDriftStaleTrials) {
 
   // A clean warm start observes everything EXCEPT the transient records.
   std::string warm_id;
-  ASSERT_TRUE(manager.Submit(job("clean-warm", ""), true, &warm_id, &error)) << error;
+  ASSERT_TRUE(manager.Submit(WarmJob("clean-warm", ""), true, &warm_id, &error)) << error;
   SessionStatus warm;
   ASSERT_TRUE(manager.Status(warm_id, &warm));
   EXPECT_EQ(warm.warm_started, seeded.trials - seeded.timeouts);
 
-  // A job that schedules drift far in the future treats every stored trial
+  // A job that schedules drift far in the future treats every prior trial
   // as stale: nothing warm-starts.
   std::string stale_id;
   ASSERT_TRUE(manager.Submit(
-      job("drift-warm", "faults:\n  drift_at: 1000000000\n"), true, &stale_id, &error))
+      WarmJob("drift-warm", "faults:\n  drift_at: 1000000000\n"), true, &stale_id, &error))
       << error;
   SessionStatus stale;
   ASSERT_TRUE(manager.Status(stale_id, &stale));
@@ -545,6 +548,82 @@ TEST(FaultPlan, WarmStartSkipsTransientAndDriftStaleTrials) {
 
   ASSERT_TRUE(manager.WaitDone(warm_id, 60000));
   ASSERT_TRUE(manager.WaitDone(stale_id, 60000));
+
+  // The filters run before the first-record-per-configuration rule: a clean
+  // re-run of the hostile seed measures its timed-out configurations again,
+  // and those later clean records enter the prior.
+  std::string rerun_id;
+  ASSERT_TRUE(manager.Submit(WarmJob("clean-rerun", ""), false, &rerun_id, &error)) << error;
+  ASSERT_TRUE(manager.WaitDone(rerun_id, 60000));
+  ConfigSpace space = BuildJobSpace(ParseJobText(WarmJob("space", "")).spec);
+  auto history = [&](const std::string& id) {
+    std::string text, result_error;
+    EXPECT_TRUE(manager.Result(id, &text, &result_error)) << result_error;
+    CheckpointLoadResult loaded = LoadCheckpointText(space, text);
+    EXPECT_TRUE(loaded.ok) << loaded.error;
+    return loaded.history;
+  };
+  std::unordered_set<uint64_t> clean, rerun_clean;
+  for (const std::string& id : {seed_id, warm_id, stale_id, rerun_id}) {
+    for (const TrialRecord& trial : history(id)) {
+      if (!trial.outcome.transient()) {
+        clean.insert(trial.config.Hash());
+        if (id == rerun_id) {
+          rerun_clean.insert(trial.config.Hash());
+        }
+      }
+    }
+  }
+  size_t revived = 0;
+  for (const TrialRecord& trial : history(seed_id)) {
+    revived += trial.outcome.transient() && rerun_clean.count(trial.config.Hash()) ? 1 : 0;
+  }
+  ASSERT_GT(revived, 0u) << "the re-run measured no timed-out configuration again";
+  std::string rewarm_id;
+  ASSERT_TRUE(manager.Submit(WarmJob("rewarm", ""), true, &rewarm_id, &error)) << error;
+  SessionStatus rewarm;
+  ASSERT_TRUE(manager.Status(rewarm_id, &rewarm));
+  EXPECT_EQ(rewarm.warm_started, clean.size());
+
+  ASSERT_TRUE(manager.WaitDone(rewarm_id, 60000));
+  manager.Shutdown();
+  std::filesystem::remove_all(store_dir);
+}
+
+// Flakes commit as build, boot or run failures whose reason starts with
+// "transient:"; only the reason marks them transient. A warm start must
+// skip every one, which needs the prior to keep the reasons.
+TEST(FaultPlan, WarmStartSkipsFlakes) {
+  std::string store_dir =
+      (std::filesystem::temp_directory_path() / "wf_faultplan_flake_store").string();
+  std::filesystem::remove_all(store_dir);
+  SessionManagerOptions options;
+  options.store_dir = store_dir;
+  SessionManager manager(options);
+
+  const std::string seed_yaml = WarmJob("flaky-seed", "faults:\n  flake_prob: 0.5\n");
+  std::string seed_id, error;
+  ASSERT_TRUE(manager.Submit(seed_yaml, false, &seed_id, &error)) << error;
+  ASSERT_TRUE(manager.WaitDone(seed_id, 60000));
+  std::string text;
+  ASSERT_TRUE(manager.Result(seed_id, &text, &error)) << error;
+  ConfigSpace space = BuildJobSpace(ParseJobText(seed_yaml).spec);
+  CheckpointLoadResult seeded = LoadCheckpointText(space, text);
+  ASSERT_TRUE(seeded.ok) << seeded.error;
+  ASSERT_EQ(seeded.history.size(), 16u);
+  size_t flakes = 0;
+  for (const TrialRecord& trial : seeded.history) {
+    flakes += trial.outcome.transient() ? 1 : 0;
+  }
+  ASSERT_GT(flakes, 0u) << "scenario produced no flakes; bump the seed";
+
+  std::string warm_id;
+  ASSERT_TRUE(manager.Submit(WarmJob("clean-warm", ""), true, &warm_id, &error)) << error;
+  SessionStatus warm;
+  ASSERT_TRUE(manager.Status(warm_id, &warm));
+  EXPECT_EQ(warm.warm_started, seeded.history.size() - flakes);
+
+  ASSERT_TRUE(manager.WaitDone(warm_id, 60000));
   manager.Shutdown();
   std::filesystem::remove_all(store_dir);
 }

@@ -57,7 +57,6 @@ std::string SoakJob(uint64_t seed) {
 SessionManagerOptions ManagerOptions(const std::string& dir) {
   SessionManagerOptions options;
   options.store_dir = dir + "/store";
-  options.journal_path = dir + "/store/journal.wfj";
   return options;
 }
 

@@ -8,9 +8,10 @@
 //     through the journaled checkpoint-v2 live state);
 //   * under injected ENOSPC / torn writes / fsync failures / crash-around-
 //     rename, no committed trial and no accepted submission is ever lost —
-//     the daemon degrades with a reported reason instead of crashing;
-//   * with the journal disabled, SessionManager behaves exactly as the
-//     pre-journal service (same results, no journal file).
+//     the daemon degrades with a reported reason instead of crashing, and
+//     its drain rewrites the journal whole;
+//   * without a store (durability off), SessionManager produces the same
+//     results and writes no journal file.
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -28,13 +29,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/configspace/linux_space.h"
 #include "src/platform/checkpoint.h"
 #include "src/platform/fs_faults.h"
 #include "src/service/client.h"
 #include "src/service/session_journal.h"
 #include "src/service/session_manager.h"
-#include "src/service/trial_store.h"
 #include "src/service/wfd.h"
 #include "src/util/rng.h"
 
@@ -275,69 +274,21 @@ TEST(FsFaultsTest, SeededProbabilisticPlanIsDeterministic) {
   }
 }
 
-// The compaction crash-window satellite: a crash between writing the
-// compacted tmp file and the rename used to leave `<key>.wftrials.tmp`
-// around forever. Open now sweeps stale tmps, and the store contents stay
-// the pre-compaction records (the rename never happened).
-TEST(TrialStoreFaultTest, CompactionCrashLeavesNoStaleTmpAfterReopen) {
-  std::string dir = FreshDir("wf-store-crash");
-  ConfigSpace space = BuildLinuxSearchSpace();
-  std::string key;
-  {
-    SessionManagerOptions options;
-    options.store_dir = dir;
-    SessionManager manager(options);
-    std::string id, error;
-    ASSERT_TRUE(manager.Submit(DeterministicJob("crash-compact", 6, 41), false, &id,
-                               &error))
-        << error;
-    ASSERT_TRUE(manager.WaitDone(id, 30000));
-    SessionStatus status;
-    ASSERT_TRUE(manager.Status(id, &status));
-    key = status.store_key;
-    manager.Shutdown();
-  }
-
-  TrialStore store(dir);
-  ASSERT_EQ(store.Load(key, space).trials.size(), 6u);
-  FsFaultPlan plan;
-  plan.crash_before_rename_at = 0;
-  FsFaultInjector::Instance().Arm(plan);
-  TrialStore::CompactStats stats = store.CompactAll();
-  EXPECT_FALSE(stats.ok) << stats.error;
-  FsFaultInjector::Instance().Disarm();
-  store.FsyncClose();
-  // The injected crash leaves the tmp behind, as a real crash would.
-  bool saw_tmp = false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    saw_tmp |= entry.path().string().find(".wftrials.tmp") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_tmp);
-
-  // Reopen: the sweep removes the stale tmp; no trial was lost.
-  TrialStore reopened(dir);
-  EXPECT_EQ(reopened.Load(key, space).trials.size(), 6u);
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().string().find(".wftrials.tmp"), std::string::npos)
-        << entry.path();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Manager-level recovery.
 
-SessionManagerOptions ManagerOptions(const std::string& dir, bool journal = true) {
+// The journal lives at <store>/journal.wfj; no store, no journal.
+SessionManagerOptions ManagerOptions(const std::string& dir, bool store = true) {
   SessionManagerOptions options;
-  options.store_dir = dir + "/store";
-  if (journal) {
-    options.journal_path = dir + "/store/journal.wfj";
+  if (store) {
+    options.store_dir = dir + "/store";
   }
   return options;
 }
 
-// The journal-off pin: with journal_path empty the manager must behave
-// exactly as the pre-journal service — identical results, and no journal
-// file anywhere near the store.
+// The durability-off pin: without a store the manager must produce
+// byte-identical results (wall clock aside) to a journaling one, and write
+// no journal file anywhere.
 TEST(RecoveryTest, DisabledJournalChangesNothing) {
   std::string with_dir = FreshDir("wf-rec-journal-on");
   std::string without_dir = FreshDir("wf-rec-journal-off");
@@ -383,9 +334,6 @@ TEST(RecoveryTest, Kill9MidSearchConvergesToUninterruptedResult) {
       _exit(10);
     }
     manager.WaitDone(id, 60000);
-    // Finishing before the kill lands would fail the comparison below: a
-    // recovered finished session renders replay-only, without the live
-    // RNG lines the control's result carries.
     for (;;) {
       std::this_thread::sleep_for(std::chrono::seconds(1));
     }
@@ -478,23 +426,19 @@ TEST(RecoveryTest, FinishedSessionsComeBackQueryable) {
   EXPECT_EQ(status.state, "done");
   EXPECT_TRUE(status.recovered);
   EXPECT_EQ(status.trials, 8u);
-  // The trial history survives verbatim. A recovered terminal session
-  // renders replay-only (no live-state lines — the final searcher state
-  // died with the process and a finished session never resumes), so strip
-  // those lines from the pre-crash text before comparing.
+  // The result survives verbatim, final live state included: the last
+  // wave record carries it, since a done session commits nothing after.
   std::string text, error;
   ASSERT_TRUE(manager.Result("s1", &text, &error));
-  std::string before;
-  std::istringstream lines(pre_crash_history);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("rng-session ", 0) == 0 || line.rfind("rng-searcher ", 0) == 0 ||
-        line.rfind("searcher-state ", 0) == 0) {
-      continue;
-    }
-    before += line + "\n";
-  }
-  EXPECT_EQ(text, before);
+  EXPECT_EQ(text, pre_crash_history);
   manager.Shutdown();
+
+  // Recovery compacted the journal; the compacted log keeps it too.
+  SessionManager again(ManagerOptions(dir));
+  ASSERT_TRUE(again.Recover(&summary)) << summary;
+  ASSERT_TRUE(again.Result("s1", &text, &error));
+  EXPECT_EQ(text, pre_crash_history);
+  again.Shutdown();
 }
 
 TEST(RecoveryTest, PausedSessionComesBackPaused) {
@@ -553,16 +497,16 @@ TEST(RecoveryTest, CorruptJournalEntryBecomesFailedNotLost) {
 }
 
 // ENOSPC on the journal write path: the daemon degrades — the reason is
-// queryable, appends stop — but serving, searching, and the trial store
-// keep working. Accepted work completes; committed trials reach the store.
+// queryable, appends stop — but serving and searching keep working, and
+// the drain rewrites the journal whole: a fresh manager recovers the
+// accepted session with every committed trial.
 TEST(RecoveryTest, JournalEnospcDegradesWithoutLosingTrials) {
   std::string dir = FreshDir("wf-rec-enospc");
   SessionManager manager(ManagerOptions(dir));
   std::string healthy_reason;
   ASSERT_TRUE(manager.JournalHealthy(&healthy_reason)) << healthy_reason;
 
-  // The next FaultWrite after Arm is the write-ahead submit append (the
-  // store has nothing to write until a driver commits a wave).
+  // The next FaultWrite after Arm is the write-ahead submit append.
   FsFaultPlan plan;
   plan.fail_write_at = 0;
   FsFaultInjector::Instance().Arm(plan);
@@ -583,10 +527,16 @@ TEST(RecoveryTest, JournalEnospcDegradesWithoutLosingTrials) {
   std::string key = status.store_key;
   manager.Shutdown();
 
-  // Every committed trial reached the store despite the degraded journal.
-  TrialStore store(dir + "/store");
-  ConfigSpace space = BuildLinuxSearchSpace();
-  EXPECT_EQ(store.Load(key, space).trials.size(), 6u);
+  SessionManager recovered(ManagerOptions(dir));
+  std::string summary;
+  ASSERT_TRUE(recovered.Recover(&summary)) << summary;
+  EXPECT_NE(summary.find("recovered 1 session(s)"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("1 finished"), std::string::npos) << summary;
+  ASSERT_TRUE(recovered.Status(id, &status));
+  EXPECT_EQ(status.state, "done");
+  EXPECT_EQ(status.trials, 6u);
+  EXPECT_EQ(status.store_key, key);
+  recovered.Shutdown();
 }
 
 TEST(RecoveryTest, UnopenableJournalStillServes) {
@@ -655,7 +605,6 @@ std::vector<SessionStatus> RunDaemonGeneration(const std::string& dir, bool reco
     options.socket_path = socket_path;
     options.poll_ms = 10;
     options.manager.store_dir = dir + "/store";
-    options.manager.journal_path = dir + "/store/journal.wfj";
     options.recover = recover;
     _exit(RunWfdForeground(options));
   }
@@ -751,7 +700,6 @@ TEST(ReconnectTest, OnlyIdempotentCommandsRetryByDefault) {
   EXPECT_FALSE(IdempotentServiceCommand("pause"));
   EXPECT_FALSE(IdempotentServiceCommand("resume"));
   EXPECT_FALSE(IdempotentServiceCommand("stop"));
-  EXPECT_FALSE(IdempotentServiceCommand("compact"));
 }
 
 TEST(ReconnectTest, RetryStopsAtNonTransportFailures) {

@@ -1,10 +1,10 @@
-// The multi-session tuning service (src/service/): TrialStore persistence
-// and dedup, SessionManager lifecycle (submitted → running → paused → done,
-// queueing, graceful drain), shutdown durability (fsync + reopen loses no
-// committed trial), and the acceptance end-to-end: a wfd daemon serving
-// three concurrent sessions with different registry algorithms over the
-// socket, bit-identical to the same jobs run standalone, plus a
-// second submission warm-starting from the TrialStore.
+// The multi-session tuning service (src/service/): SessionManager lifecycle
+// (submitted → running → paused → done, queueing, graceful drain), drain
+// durability (a recovering manager reads back every committed trial from
+// the journal), cross-session warm starts, and the acceptance end-to-end: a
+// wfd daemon serving three concurrent sessions with different registry
+// algorithms over the socket, bit-identical to the same jobs run standalone,
+// plus a second submission warm-starting from the first one's trials.
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -23,7 +23,6 @@
 #include "src/platform/checkpoint.h"
 #include "src/service/client.h"
 #include "src/service/session_manager.h"
-#include "src/service/trial_store.h"
 #include "src/service/wfd.h"
 
 namespace wayfinder {
@@ -75,87 +74,10 @@ void ExpectSameTrials(const std::vector<TrialRecord>& a, const std::vector<Trial
   }
 }
 
-std::vector<TrialRecord> RunSome(const ConfigSpace& space, size_t iterations,
-                                 uint64_t seed) {
-  Testbench bench(&space, AppId::kNginx);
-  auto searcher = MakeSearcher("random", &space);
-  SessionOptions options;
-  options.max_iterations = iterations;
-  options.seed = seed;
-  return RunSearch(&bench, searcher.get(), options).history;
-}
-
 // ---------------------------------------------------------------------------
-// TrialStore.
+// SessionManager lifecycle.
 
-TEST(TrialStoreTest, AppendLoadRoundTripsAndDedups) {
-  std::string dir = FreshDir("wf_trialstore_roundtrip");
-  ConfigSpace space = BuildLinuxSearchSpace();
-  std::vector<TrialRecord> history = RunSome(space, 12, 0xa1);
-  std::string key = TrialStoreKey(space, AppId::kNginx);
-
-  TrialStore store(dir);
-  size_t written = 0;
-  for (const TrialRecord& trial : history) {
-    written += store.Append(key, trial) ? 1 : 0;
-  }
-  std::unordered_set<uint64_t> distinct;
-  for (const TrialRecord& trial : history) {
-    distinct.insert(trial.config.Hash());
-  }
-  EXPECT_EQ(written, distinct.size());
-  // Re-appending the same history is a no-op.
-  for (const TrialRecord& trial : history) {
-    EXPECT_FALSE(store.Append(key, trial));
-  }
-  EXPECT_EQ(store.Count(key), distinct.size());
-
-  TrialStore::LoadResult loaded = store.Load(key, space);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  ASSERT_EQ(loaded.trials.size(), distinct.size());
-  for (size_t i = 0; i < loaded.trials.size(); ++i) {
-    EXPECT_EQ(loaded.trials[i].config.values(), history[i].config.values()) << i;
-    EXPECT_EQ(loaded.trials[i].outcome.metric, history[i].outcome.metric) << i;
-    EXPECT_EQ(loaded.trials[i].sim_time_end, history[i].sim_time_end) << i;
-    EXPECT_EQ(loaded.trials[i].HasObjective(), history[i].HasObjective()) << i;
-    if (history[i].HasObjective()) {
-      EXPECT_EQ(loaded.trials[i].objective, history[i].objective) << i;
-    }
-  }
-}
-
-TEST(TrialStoreTest, SurvivesCloseAndReopen) {
-  std::string dir = FreshDir("wf_trialstore_reopen");
-  ConfigSpace space = BuildLinuxSearchSpace();
-  std::vector<TrialRecord> first = RunSome(space, 8, 0xa2);
-  std::string key = TrialStoreKey(space, AppId::kNginx);
-  {
-    TrialStore store(dir);
-    for (const TrialRecord& trial : first) {
-      store.Append(key, trial);
-    }
-    store.FsyncClose();
-  }
-  // A second process lifetime: dedup state and contents both survive.
-  TrialStore reopened(dir);
-  EXPECT_FALSE(reopened.Append(key, first.front()));
-  std::vector<TrialRecord> second = RunSome(space, 8, 0xa3);
-  for (const TrialRecord& trial : second) {
-    reopened.Append(key, trial);
-  }
-  TrialStore::LoadResult loaded = reopened.Load(key, space);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  std::unordered_set<uint64_t> expected;
-  for (const TrialRecord& trial : first) {
-    expected.insert(trial.config.Hash());
-  }
-  for (const TrialRecord& trial : second) {
-    expected.insert(trial.config.Hash());
-  }
-  EXPECT_EQ(loaded.trials.size(), expected.size());
-}
-
-TEST(TrialStoreTest, KeysSeparateAppsAndSpaces) {
+TEST(SessionManagerTest, KeysSeparateAppsAndSpaces) {
   ConfigSpace linux_space = BuildLinuxSearchSpace();
   ConfigSpace unikraft_space = BuildUnikraftSpace();
   EXPECT_NE(TrialStoreKey(linux_space, AppId::kNginx),
@@ -166,111 +88,6 @@ TEST(TrialStoreTest, KeysSeparateAppsAndSpaces) {
   // does: the fingerprint tracks the parameter list.
   EXPECT_EQ(TrialStoreKey(linux_space, AppId::kNginx).rfind("nginx-", 0), 0u);
 }
-
-TEST(TrialStoreTest, RecoversFromATornTail) {
-  // A daemon SIGKILLed mid-append leaves a half-written record. Reopening
-  // must (a) load the valid prefix, (b) truncate the torn bytes so new
-  // appends do not land after garbage, and (c) keep warm-start submissions
-  // working — one torn write must never brick the key.
-  std::string dir = FreshDir("wf_trialstore_torn");
-  ConfigSpace space = BuildLinuxSearchSpace();
-  std::vector<TrialRecord> history = RunSome(space, 6, 0xa5);
-  std::string key = TrialStoreKey(space, AppId::kNginx);
-  std::string path = dir + "/" + key + ".wftrials";
-  {
-    TrialStore store(dir);
-    for (const TrialRecord& trial : history) {
-      store.Append(key, trial);
-    }
-    store.FsyncClose();
-  }
-  // Tear the tail: a trial line with no values line, plus half a line.
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "trial ok 1.5 2.5 3.5 4.5 5.5 0 1.0 9\nvalues 1 2 3";  // Short.
-  }
-  TrialStore reopened(dir);
-  TrialStore::LoadResult loaded = reopened.Load(key, space);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  std::unordered_set<uint64_t> distinct;
-  for (const TrialRecord& trial : history) {
-    distinct.insert(trial.config.Hash());
-  }
-  EXPECT_EQ(loaded.trials.size(), distinct.size());
-  // Appends after recovery extend a clean log.
-  std::vector<TrialRecord> more = RunSome(space, 4, 0xa6);
-  for (const TrialRecord& trial : more) {
-    reopened.Append(key, trial);
-  }
-  reopened.FsyncClose();
-  TrialStore final_store(dir);
-  TrialStore::LoadResult final_load = final_store.Load(key, space);
-  ASSERT_TRUE(final_load.ok) << final_load.error;
-  for (const TrialRecord& trial : more) {
-    distinct.insert(trial.config.Hash());
-  }
-  EXPECT_EQ(final_load.trials.size(), distinct.size());
-}
-
-TEST(TrialStoreTest, RecoversFromAMissingFinalNewline) {
-  // A SIGKILL can cut the log one byte short of the final newline. The
-  // unterminated record counts as torn (it never became fully durable);
-  // recovery must drop it cleanly so the next append starts a fresh,
-  // properly delimited line instead of concatenating onto the old one.
-  std::string dir = FreshDir("wf_trialstore_nonewline");
-  ConfigSpace space = BuildLinuxSearchSpace();
-  std::vector<TrialRecord> history = RunSome(space, 6, 0xa7);
-  std::string key = TrialStoreKey(space, AppId::kNginx);
-  std::string path = dir + "/" + key + ".wftrials";
-  std::unordered_set<uint64_t> distinct;
-  {
-    TrialStore store(dir);
-    for (const TrialRecord& trial : history) {
-      if (store.Append(key, trial)) {
-        distinct.insert(trial.config.Hash());
-      }
-    }
-    store.FsyncClose();
-  }
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
-
-  TrialStore reopened(dir);
-  TrialStore::LoadResult loaded = reopened.Load(key, space);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.trials.size(), distinct.size() - 1);
-  std::unordered_set<uint64_t> expected;
-  for (const TrialRecord& trial : loaded.trials) {
-    expected.insert(trial.config.Hash());
-  }
-  std::vector<TrialRecord> more = RunSome(space, 4, 0xa8);
-  for (const TrialRecord& trial : more) {
-    reopened.Append(key, trial);
-    expected.insert(trial.config.Hash());
-  }
-  reopened.FsyncClose();
-  TrialStore final_store(dir);
-  TrialStore::LoadResult final_load = final_store.Load(key, space);
-  ASSERT_TRUE(final_load.ok) << final_load.error;
-  EXPECT_EQ(final_load.trials.size(), expected.size());
-}
-
-TEST(TrialStoreTest, RejectsMismatchedSpace) {
-  std::string dir = FreshDir("wf_trialstore_mismatch");
-  ConfigSpace linux_space = BuildLinuxSearchSpace();
-  ConfigSpace unikraft_space = BuildUnikraftSpace();
-  std::vector<TrialRecord> history = RunSome(linux_space, 4, 0xa4);
-  TrialStore store(dir);
-  std::string key = TrialStoreKey(linux_space, AppId::kNginx);
-  for (const TrialRecord& trial : history) {
-    store.Append(key, trial);
-  }
-  store.Flush();
-  TrialStore::LoadResult loaded = store.Load(key, unikraft_space);
-  EXPECT_FALSE(loaded.ok);
-}
-
-// ---------------------------------------------------------------------------
-// SessionManager lifecycle.
 
 TEST(SessionManagerTest, RunsSubmittedJobsToDone) {
   SessionManagerOptions options;
@@ -375,9 +192,9 @@ TEST(SessionManagerTest, PauseHoldsAtARoundBoundaryAndResumeContinues) {
   manager.Shutdown();
 }
 
-// The "small fix" satellite: shutdown must fsync + close every TrialStore
-// file and flush checkpoints so no committed trial is lost — verified by
-// draining mid-run, then reopening the store in a fresh instance.
+// Draining mid-run loses no committed trial: a fresh manager (a new
+// "process") recovering the same store reads back exactly the drained
+// history from the journal. The drain also writes resumable checkpoints.
 TEST(SessionManagerTest, DrainLosesNoCommittedTrialAndWritesCheckpoints) {
   std::string store_dir = FreshDir("wf_mgr_drain_store");
   std::string ckpt_dir = FreshDir("wf_mgr_drain_ckpt");
@@ -414,35 +231,32 @@ TEST(SessionManagerTest, DrainLosesNoCommittedTrialAndWritesCheckpoints) {
     ASSERT_GE(committed.size(), 5u);
   }
 
-  // A fresh store (new "process") sees every committed trial.
+  // The drain checkpoint restores into a session that finishes the budget.
   JobParseResult job = ParseJobText(yaml);
   ConfigSpace space = BuildJobSpace(job.spec);
-  TrialStore reopened(store_dir);
-  TrialStore::LoadResult stored = reopened.Load(TrialStoreKey(space, job.spec.app), space);
-  ASSERT_TRUE(stored.ok) << stored.error;
-  std::unordered_set<uint64_t> on_disk;
-  for (const TrialRecord& trial : stored.trials) {
-    on_disk.insert(trial.config.Hash());
-  }
-  for (const TrialRecord& trial : committed) {
-    EXPECT_TRUE(on_disk.count(trial.config.Hash()) == 1)
-        << "committed trial " << trial.iteration << " lost by shutdown";
-  }
-
-  // The drain checkpoint restores into a session that finishes the budget.
   CheckpointLoadResult drained =
       LoadCheckpoint(space, ckpt_dir + "/" + id + ".ckpt");
   ASSERT_TRUE(drained.ok) << drained.error;
   ASSERT_EQ(drained.history.size(), committed.size());
   EXPECT_TRUE(drained.live.Any());
+
+  SessionManager recovered(options);
+  std::string summary;
+  ASSERT_TRUE(recovered.Recover(&summary)) << summary;
+  std::string recovered_text;
+  ASSERT_TRUE(recovered.Result(id, &recovered_text, &error)) << error;
+  CheckpointLoadResult reloaded = LoadCheckpointText(space, recovered_text);
+  ASSERT_TRUE(reloaded.ok) << reloaded.error;
+  ExpectSameTrials(committed, reloaded.history, "drained vs recovered");
+  recovered.Shutdown();
 }
 
 TEST(SessionManagerTest, ScoreObjectiveResultsCarryFinalObjectives) {
   // metric: score re-normalizes PAST objectives after every wave
-  // (RefreshScores), so the manager's mirror — what status/result/store
-  // see — must track the rewritten history, not the at-commit values. The
-  // pin: the daemon-side result equals the standalone run bit for bit,
-  // objectives included.
+  // (RefreshScores), so the manager's mirror — what status/result/warm
+  // starts see — must track the rewritten history, not the at-commit
+  // values. The pin: the daemon-side result equals the standalone run bit
+  // for bit, objectives included, before and after recovery.
   std::string yaml =
       "name: score-mirror\nos: linux\napplication: nginx\nmetric: score\n"
       "budget:\n  iterations: 20\nsearch:\n  algorithm: random\n  seed: 31\n";
@@ -475,44 +289,109 @@ TEST(SessionManagerTest, ScoreObjectiveResultsCarryFinalObjectives) {
   ASSERT_TRUE(status.has_best);
   EXPECT_EQ(status.best, best);
 
-  // The store, too, holds final objectives (appended at run end).
-  TrialStore::LoadResult stored =
-      manager.store()->Load(TrialStoreKey(space, job.spec.app), space);
-  ASSERT_TRUE(stored.ok) << stored.error;
-  ASSERT_FALSE(stored.trials.empty());
   manager.Shutdown();
+
+  // The journal's last full wave holds the final objectives, so the
+  // recovered result matches the standalone run too.
+  SessionManager recovered(options);
+  std::string summary;
+  ASSERT_TRUE(recovered.Recover(&summary)) << summary;
+  ASSERT_TRUE(recovered.Result(id, &checkpoint_text, &error)) << error;
+  CheckpointLoadResult recovered_history = LoadCheckpointText(space, checkpoint_text);
+  ASSERT_TRUE(recovered_history.ok) << recovered_history.error;
+  ExpectSameTrials(standalone.session.history, recovered_history.history,
+                   "recovered score mirror");
+  recovered.Shutdown();
 }
 
 TEST(SessionManagerTest, WarmStartObservesPriorTrials) {
-  std::string store_dir = FreshDir("wf_mgr_warm_store");
   SessionManagerOptions options;
-  options.store_dir = store_dir;
-  SessionManager manager(options);
-  std::string first, warm, cold, error;
-  ASSERT_TRUE(manager.Submit(JobYaml("warm-a", "nginx", "random", 12, 10), true, &first,
+  options.store_dir = FreshDir("wf_mgr_warm_store");
+  const std::string first_yaml = JobYaml("warm-a", "nginx", "random", 12, 10);
+  size_t distinct = 0;
+  {
+    SessionManager manager(options);
+    std::string first, warm, other_app, cold, error;
+    ASSERT_TRUE(manager.Submit(first_yaml, true, &first, &error)) << error;
+    ASSERT_TRUE(manager.WaitDone(first, 30000));
+    std::string text;
+    ASSERT_TRUE(manager.Result(first, &text, &error)) << error;
+    ConfigSpace space = BuildJobSpace(ParseJobText(first_yaml).spec);
+    CheckpointLoadResult history = LoadCheckpointText(space, text);
+    ASSERT_TRUE(history.ok) << history.error;
+    std::unordered_set<uint64_t> configs;
+    for (const TrialRecord& trial : history.history) {
+      configs.insert(trial.config.Hash());
+    }
+    distinct = configs.size();
+    ASSERT_GT(distinct, 0u);
+
+    // Second submission against the same (space, app) key: warm-started
+    // with one record per distinct configuration.
+    ASSERT_TRUE(manager.Submit(JobYaml("warm-b", "nginx", "deeptune", 6, 11), true, &warm,
+                               &error))
+        << error;
+    SessionStatus status;
+    ASSERT_TRUE(manager.Status(warm, &status));
+    EXPECT_EQ(status.warm_started, distinct);
+    // Another application's key sees none of it.
+    ASSERT_TRUE(manager.Submit(JobYaml("warm-r", "redis", "deeptune", 6, 11), true,
+                               &other_app, &error))
+        << error;
+    ASSERT_TRUE(manager.Status(other_app, &status));
+    EXPECT_EQ(status.warm_started, 0u);
+    // Opting out works.
+    ASSERT_TRUE(manager.Submit(JobYaml("warm-c", "nginx", "deeptune", 6, 11), false, &cold,
+                               &error))
+        << error;
+    ASSERT_TRUE(manager.Status(cold, &status));
+    EXPECT_EQ(status.warm_started, 0u);
+    ASSERT_TRUE(manager.WaitDone(warm, 60000));
+    ASSERT_TRUE(manager.WaitDone(other_app, 60000));
+    ASSERT_TRUE(manager.WaitDone(cold, 60000));
+    manager.Shutdown();
+  }
+
+  // Trials outlive the process: a recovering manager's warm submission
+  // sees at least the first session's trials.
+  SessionManager recovered(options);
+  std::string summary;
+  ASSERT_TRUE(recovered.Recover(&summary)) << summary;
+  std::string id, error;
+  ASSERT_TRUE(recovered.Submit(JobYaml("warm-d", "nginx", "deeptune", 6, 12), true, &id,
+                               &error))
+      << error;
+  SessionStatus status;
+  ASSERT_TRUE(recovered.Status(id, &status));
+  EXPECT_GE(status.warm_started, distinct);
+  ASSERT_TRUE(recovered.WaitDone(id, 60000));
+  recovered.Shutdown();
+}
+
+// Without a store nothing outlives a session: a second same-key warm
+// submission observes nothing and runs exactly as it does standalone.
+TEST(SessionManagerTest, StorelessManagerNeverWarmStarts) {
+  SessionManager manager(SessionManagerOptions{});
+  const std::string second_yaml = JobYaml("storeless-b", "nginx", "deeptune", 6, 11);
+  std::string first, second, error;
+  ASSERT_TRUE(manager.Submit(JobYaml("storeless-a", "nginx", "random", 12, 10), true, &first,
                              &error))
       << error;
   ASSERT_TRUE(manager.WaitDone(first, 30000));
-  size_t stored = manager.store()->Count(
-      TrialStoreKey(BuildJobSpace(ParseJobText(JobYaml("warm-a", "nginx", "random", 12, 10)).spec),
-                    AppId::kNginx));
-  ASSERT_GT(stored, 0u);
-
-  // Second submission against the same (space, app) key: warm-started.
-  ASSERT_TRUE(manager.Submit(JobYaml("warm-b", "nginx", "deeptune", 6, 11), true, &warm,
-                             &error))
-      << error;
+  ASSERT_TRUE(manager.Submit(second_yaml, true, &second, &error)) << error;
   SessionStatus status;
-  ASSERT_TRUE(manager.Status(warm, &status));
-  EXPECT_EQ(status.warm_started, stored);
-  // Opting out works.
-  ASSERT_TRUE(manager.Submit(JobYaml("warm-c", "nginx", "deeptune", 6, 11), false, &cold,
-                             &error))
-      << error;
-  ASSERT_TRUE(manager.Status(cold, &status));
+  ASSERT_TRUE(manager.Status(second, &status));
   EXPECT_EQ(status.warm_started, 0u);
-  ASSERT_TRUE(manager.WaitDone(warm, 60000));
-  ASSERT_TRUE(manager.WaitDone(cold, 60000));
+  ASSERT_TRUE(manager.WaitDone(second, 60000));
+
+  std::string text;
+  ASSERT_TRUE(manager.Result(second, &text, &error)) << error;
+  ConfigSpace space = BuildJobSpace(ParseJobText(second_yaml).spec);
+  CheckpointLoadResult daemon_history = LoadCheckpointText(space, text);
+  ASSERT_TRUE(daemon_history.ok) << daemon_history.error;
+  JobRunResult standalone = RunJobText(second_yaml);
+  ASSERT_TRUE(standalone.ok) << standalone.error;
+  ExpectSameTrials(standalone.session.history, daemon_history.history, "storeless warm");
   manager.Shutdown();
 }
 
@@ -577,7 +456,7 @@ TEST(WfdEndToEnd, ThreeConcurrentAlgorithmsMatchStandaloneThenWarmStart) {
   }
 
   // Second submission against the deeptune job's (space, app) key: its
-  // searcher observes the full prior history from the TrialStore before
+  // searcher observes the first session's committed trials before
   // proposing, and the status reports it.
   std::unordered_set<uint64_t> distinct;
   {
@@ -754,79 +633,6 @@ TEST(WfdEndToEnd, FleetStatusStaysFreshAcrossCacheHits) {
 }
 
 // ---------------------------------------------------------------------------
-// TrialStore compaction.
-
-TEST(TrialStoreTest, CompactionDropsSupersededAndSurvivesReopen) {
-  std::string dir = FreshDir("wf_trialstore_compact");
-  ConfigSpace space = BuildLinuxSearchSpace();
-  std::vector<TrialRecord> history = RunSome(space, 6, 0xc0);
-  std::string key = TrialStoreKey(space, AppId::kNginx);
-  {
-    TrialStore store(dir);
-    for (const TrialRecord& trial : history) {
-      store.Append(key, trial);
-    }
-  }  // FsyncClose.
-
-  // Simulate a merged/concatenated store: duplicate every record by
-  // appending the file's record lines (everything after the two header
-  // lines) to itself. Single-daemon appends dedup at write time, so this
-  // is the only way duplicates arise in practice.
-  std::filesystem::path file;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".wftrials") {
-      file = entry.path();
-    }
-  }
-  ASSERT_FALSE(file.empty());
-  std::string records;
-  {
-    std::ifstream in(file, std::ios::binary);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));  // wayfinder-trials v1
-    ASSERT_TRUE(std::getline(in, line));  // params N
-    while (std::getline(in, line)) {
-      records += line + "\n";
-    }
-  }
-  {
-    std::ofstream out(file, std::ios::binary | std::ios::app);
-    out << records;
-  }
-
-  TrialStore store(dir);
-  EXPECT_EQ(store.Count(key), history.size());  // Distinct configs only.
-  TrialStore::CompactStats stats = store.CompactAll();
-  ASSERT_TRUE(stats.ok) << stats.error;
-  EXPECT_EQ(stats.files, 1u);
-  EXPECT_EQ(stats.kept, history.size());
-  EXPECT_EQ(stats.dropped, history.size());
-
-  // The compacted file reloads to exactly the original history, order
-  // preserved...
-  TrialStore::LoadResult loaded = store.Load(key, space);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  ExpectSameTrials(history, loaded.trials, "after compaction");
-
-  // ...and the store still accepts appends (handles reopened lazily after
-  // the atomic-rename swap).
-  std::vector<TrialRecord> more = RunSome(space, 10, 0xc1);
-  size_t appended = 0;
-  for (const TrialRecord& trial : more) {
-    appended += store.Append(key, trial) ? 1 : 0;
-  }
-  store.Flush();
-  loaded = store.Load(key, space);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.trials.size(), history.size() + appended);
-
-  // Compacting an already-compact store is a no-op.
-  stats = store.CompactAll();
-  ASSERT_TRUE(stats.ok) << stats.error;
-  EXPECT_EQ(stats.dropped, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Observability plane: metrics/trace over the socket and the
 // metrics-on-equals-metrics-off determinism pin.
 
@@ -973,7 +779,6 @@ TEST(WfdObservability, RecordingDaemonServesLiveMetricsAndTraces) {
   EXPECT_NE(traced.payload.find("\"propose\""), std::string::npos);
   EXPECT_NE(traced.payload.find("\"evaluate\""), std::string::npos);
   EXPECT_NE(traced.payload.find("\"commit\""), std::string::npos);
-  EXPECT_NE(traced.payload.find("\"store_append\""), std::string::npos);
 
   ServiceCallResult stop = StopDaemon(socket_path);
   EXPECT_TRUE(stop.ok) << stop.error;

@@ -263,7 +263,7 @@ TEST(DurOfstreamSeam, FiresOutsideDurableWriters) {
   EXPECT_EQ(CountRule(Lint("src/service/fixture.cc", bad), "dur-ofstream-seam"),
             1);
   // The durable writers and non-durability dirs are exempt.
-  EXPECT_TRUE(Lint("src/service/trial_store.cc", bad).empty());
+  EXPECT_TRUE(Lint("src/service/session_journal.cc", bad).empty());
   EXPECT_TRUE(Lint("src/nn/fixture.cc", bad).empty());
 }
 

@@ -11,8 +11,8 @@ Records are keyed on (bench, variant) and compared by ops_per_sec. Only the
 *anchor* benches gate: the bench_micro_matmul kernels and pool predictions
 (matmul_*, predict_batch_*), the bench_micro_dtm update/predict/propose
 families (dtm_*, propose_*), the bench_micro_session executor anchors
-(session_*), the bench_micro_service daemon/store anchors (service_*,
-trialstore_*), the bench_micro_transport event-loop/codec anchors
+(session_*), the bench_micro_service daemon anchor (service_*), the
+bench_micro_transport event-loop/codec anchors
 (transport_*), and the bench_micro_obs observability anchors (obs_*).
 Everything else — the paper-figure harnesses, status records, speedup
 summaries — is informational; figure benches are too seed- and
@@ -44,7 +44,7 @@ import sys
 # dtm_update_speedup, session_parallel_speedup, transport_*_speedup) never
 # reach the gate: they carry no ops_per_sec, so load_records() drops them.
 ANCHOR_PREFIXES = ("matmul_", "dtm_", "predict_batch_", "propose_", "session_",
-                   "service_", "trialstore_", "transport_", "obs_")
+                   "service_", "transport_", "obs_")
 # Summary records (speedup ratios, backend info) carry no ops_per_sec.
 RATE_KEY = "ops_per_sec"
 

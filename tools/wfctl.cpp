@@ -17,15 +17,14 @@
 // Service mode (the wfd daemon, src/service/): `wfctl serve` runs the
 // daemon in the foreground (the standalone `wfd` binary is the same loop);
 // submit/status/watch/result/pause/resume/stop talk to it over the Unix
-// socket, so many tuning sessions share one endpoint and one cross-session
-// trial store:
+// socket, so many tuning sessions share one endpoint, and with --store one
+// durable log (DIR/journal.wfj) that warm starts and crash recovery read:
 //
 //   $ wfctl serve --socket /tmp/wfd.sock --store /var/lib/wayfinder &
 //   $ wfctl submit job.yaml                 # -> session id, e.g. s1
 //   $ wfctl status                          # fleet table
 //   $ wfctl watch s1                        # server-pushed updates until done
 //   $ wfctl result s1 --out s1.ckpt         # checkpoint text (v2)
-//   $ wfctl store-compact                   # drop superseded store records
 //   $ wfctl stop                            # graceful drain
 //
 // The client speaks the daemon's binary TLV wire codec
@@ -83,7 +82,7 @@ int Usage() {
                "service mode (all take [--socket P] [--reconnect N]\n"
                "              [--retry-unsafe], default %s):\n"
                "  serve  [--store DIR] [--checkpoint-dir DIR] [--max-sessions N]\n"
-               "         [--journal P | --no-journal] [--no-recover] [--metrics]\n"
+               "         [--no-recover] [--metrics]\n"
                "                                       run the wfd daemon in the foreground\n"
                "  submit <job.yaml> [--no-warm-start] [fault flags]\n"
                "                                       queue a job; prints its session id\n"
@@ -92,8 +91,6 @@ int Usage() {
                "                                       session ends\n"
                "  result <id> [--out P]                fetch the session checkpoint (v2)\n"
                "  pause  <id> | resume <id>            pause/resume at a round boundary\n"
-               "  store-compact                        rewrite the trial store dropping\n"
-               "                                       superseded duplicate records\n"
                "  metrics [--watch [--interval-ms N]]  dump the daemon's metrics registry\n"
                "                                       (--watch re-fetches until Ctrl-C;\n"
                "                                       needs a daemon serving --metrics for\n"
@@ -613,10 +610,7 @@ struct ServiceArgs {
   // non-idempotent ones (submit/pause/resume/stop) in too.
   int reconnect = 0;
   bool retry_unsafe = false;
-  // serve: journal/recovery plumbing (mirrors the wfd binary's flags).
-  std::string journal_path;
-  bool no_journal = false;
-  bool no_recover = false;
+  bool no_recover = false;  // serve: start from an empty journal.
   bool metrics = false;  // serve: start with obs recording enabled.
   // submit: fault flags appended to the job text as a `faults:` block.
   FaultOverrides fault_overrides;
@@ -686,10 +680,6 @@ ServiceArgs ParseServiceArgs(int argc, char** argv) {
       }
     } else if (flag == "--retry-unsafe") {
       args.retry_unsafe = true;
-    } else if (flag == "--journal") {
-      args.ok &= take(&args.journal_path);
-    } else if (flag == "--no-journal") {
-      args.no_journal = true;
     } else if (flag == "--no-recover") {
       args.no_recover = true;
     } else if (flag == "--metrics") {
@@ -717,14 +707,6 @@ int CmdServe(const ServiceArgs& args) {
   options.manager.store_dir = args.store_dir;
   options.manager.checkpoint_dir = args.checkpoint_dir;
   options.manager.max_running = args.max_sessions;
-  // Journal defaults on next to the store, same policy as the wfd binary.
-  options.manager.journal_path = args.journal_path;
-  if (options.manager.journal_path.empty() && !args.store_dir.empty()) {
-    options.manager.journal_path = args.store_dir + "/journal.wfj";
-  }
-  if (args.no_journal) {
-    options.manager.journal_path.clear();
-  }
   options.recover = !args.no_recover;
   options.metrics = args.metrics;
   // The shared foreground bootstrap: signal-wired graceful drain, banner,
@@ -951,19 +933,6 @@ int CmdWatch(const ServiceArgs& args) {
   }
 }
 
-int CmdStoreCompact(const ServiceArgs& args) {
-  ServiceRequest request;
-  request.command = "compact";
-  ServiceCallResult call =
-      CallServiceRetry(args.socket_path, request, args.Policy(), "");
-  if (!call.ok) {
-    std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
-    return 1;
-  }
-  std::printf("%s\n", call.response.state.c_str());
-  return 0;
-}
-
 int CmdResult(const ServiceArgs& args) {
   ServiceRequest request;
   request.command = "result";
@@ -1014,8 +983,7 @@ int Main(int argc, char** argv) {
         service_command == "status" || service_command == "watch" ||
         service_command == "result" || service_command == "pause" ||
         service_command == "resume" || service_command == "stop" ||
-        service_command == "store-compact" || service_command == "metrics" ||
-        service_command == "trace") {
+        service_command == "metrics" || service_command == "trace") {
       ServiceArgs args = ParseServiceArgs(argc - 2, argv + 2);
       if (!args.ok) {
         return 2;
@@ -1028,9 +996,6 @@ int Main(int argc, char** argv) {
       }
       if (service_command == "status") {
         return CmdStatus(args);
-      }
-      if (service_command == "store-compact") {
-        return CmdStoreCompact(args);
       }
       if (service_command == "metrics") {
         return CmdMetrics(args);

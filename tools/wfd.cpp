@@ -7,8 +7,10 @@
 //         --checkpoint-dir /var/lib/wayfinder/checkpoints --max-sessions 8
 //
 // SIGINT/SIGTERM drain gracefully: every session stops at its next round
-// boundary, checkpoints are written, and the trial store is fsync'd —
-// exactly what the `wfctl stop` command does over the socket.
+// boundary and checkpoints are written — exactly what the `wfctl stop`
+// command does over the socket. With --store DIR, DIR/journal.wfj is the
+// durable log: every committed trial is fsync'd there at its wave boundary,
+// and the next start recovers the fleet from it (--no-recover empties it).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,7 +23,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: wfd [--socket P] [--store DIR] [--checkpoint-dir DIR]\n"
                "           [--max-sessions N] [--idle-timeout-ms N]\n"
-               "           [--journal P | --no-journal] [--no-recover] [--metrics]\n");
+               "           [--no-recover] [--metrics]\n");
   return 2;
 }
 
@@ -30,7 +32,6 @@ int Usage() {
 int main(int argc, char** argv) {
   wayfinder::WfdOptions options;
   options.socket_path = "/tmp/wfd.sock";
-  bool journal_off = false;
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
     auto take = [&]() -> const char* {
@@ -48,12 +49,6 @@ int main(int argc, char** argv) {
       if (options.manager.max_running == 0) {
         return Usage();
       }
-    } else if (flag == "--journal" && (value = take()) != nullptr) {
-      options.manager.journal_path = value;
-    } else if (flag == "--no-journal") {
-      // Crash resumability off; daemon behaviour is then bit-identical to
-      // the journal-less service (pinned by recovery_test).
-      journal_off = true;
     } else if (flag == "--no-recover") {
       options.recover = false;
     } else if (flag == "--metrics") {
@@ -72,14 +67,6 @@ int main(int argc, char** argv) {
     } else {
       return Usage();
     }
-  }
-  // Journal defaults on next to the store (results and resumability share a
-  // durability home); no store means nothing outlives the process anyway.
-  if (options.manager.journal_path.empty() && !options.manager.store_dir.empty()) {
-    options.manager.journal_path = options.manager.store_dir + "/journal.wfj";
-  }
-  if (journal_off) {
-    options.manager.journal_path.clear();
   }
   return wayfinder::RunWfdForeground(options);
 }
