@@ -7,9 +7,12 @@
 //     buffer, forward/backward, losses, Chamfer, Adam — on the portable and
 //     avx2 kernel backends;
 //   * dtm_add_sample: replay-buffer append;
-//   * propose_*: one full DeepTuneSearcher::Propose over the Linux space —
-//     pool assembly (line search + mutation + random + encode) plus the
-//     batched DTM ranking pass.
+//   * propose_pool128: one full DeepTuneSearcher::Propose over the Linux
+//     space — pool assembly (line search + mutation + random + encode) plus
+//     the batched DTM ranking pass, against a 48-trial history;
+//   * propose_score_pool128/hist128: pool scoring alone — the Eq. 2
+//     dissimilarity of 128 encoded candidates against a full 128-trial
+//     history ring, through the searchers' shared PoolDissimilarity.
 //
 // A dtm_update_* model makes under a thousand Adam steps per instance (32
 // per Update), far short of the ~6,500 after which dead units' Adam moments
@@ -39,6 +42,8 @@
 #include "src/configspace/linux_space.h"
 #include "src/core/deeptune.h"
 #include "src/core/dtm.h"
+#include "src/core/proposal.h"
+#include "src/core/scoring.h"
 #include "src/nn/kernels.h"
 #include "src/platform/trial.h"
 #include "src/util/rng.h"
@@ -151,6 +156,28 @@ double BenchPropose(size_t pool) {
   return OpsPerSec([&] { searcher.Propose(context); });
 }
 
+// Pool scoring alone, on the default kernel table: 128 candidates (a random
+// pool) against a full ring of 128 encoded trials.
+double BenchScorePool() {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  const size_t window = ProposalState::kHistoryWindow;
+  Rng rng(13);
+  std::vector<TrialRecord> history(window);
+  for (TrialRecord& trial : history) {
+    trial.config = space.RandomConfiguration(rng, SampleOptions::FavorRuntime());
+  }
+  EncodedHistoryRing ring;
+  ring.Sync(space, history, window);
+  ProposalPoolSpec spec;
+  spec.pool_size = 128;
+  std::vector<Configuration> pool;
+  Matrix encoded;
+  AssembleProposalPool(space, {}, SampleOptions::FavorRuntime(), spec, 17, pool, encoded);
+  const KernelOps& ops = DefaultKernels();
+  std::vector<double> ds;
+  return OpsPerSec([&] { PoolDissimilarity(encoded, ring, ring.count(), ops, &ds); });
+}
+
 }  // namespace
 }  // namespace wayfinder
 
@@ -190,6 +217,7 @@ int main(int argc, char** argv) {
   // Full Propose — pool assembly + batched prediction. The `propose_*`
   // family gates in bench_compare.py like the other micro anchors.
   Report("propose_pool128", "serial", BenchPropose(128));
+  Report("propose_score_pool128", "hist128", BenchScorePool());
 
   // Replay append (default backend).
   {

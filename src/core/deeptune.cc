@@ -43,22 +43,19 @@ std::vector<double> DeepTuneSearcher::ScorePool(SearchContext& context) {
   // --- 2. Model predictions ---------------------------------------------------
   // The assembled pool is already one row-major batch matrix; rank it with a
   // single DTM forward pass.
-  size_t dim = space_->FeatureDimension();
   std::vector<DtmPrediction> predictions = model_.PredictBatch(proposal_.encoded);
   std::vector<double> sigma_norm = NormalizeSigmas(predictions);
 
   // --- 3. Scoring (Eq. 2 + Eq. 3 merged with the prediction) ------------------
-  // ds() against the most recent evaluations; older points matter less and
-  // the window keeps proposal cost O(1) per iteration. The encoded window
-  // lives in a ring cache that only ever encodes each trial once.
-  if (context.history != nullptr) {
-    proposal_.history.Sync(*space_, *context.history, kHistoryWindow);
-  }
+  // ds() against the most recent evaluations (ProposalState::kHistoryWindow),
+  // held in a ring that only ever encodes each trial once, on the model's
+  // kernel table.
+  size_t known_rows = proposal_.SyncHistory(*space_, context.history);
+  PoolDissimilarity(proposal_.encoded, proposal_.history, known_rows, model_.kernels(),
+                    &proposal_.dissimilarity);
   std::vector<double> scores(proposal_.pool.size());
   for (size_t i = 0; i < proposal_.pool.size(); ++i) {
-    double ds = Dissimilarity(proposal_.encoded.Row(i), dim, proposal_.history.rows(),
-                              proposal_.history.row_count());
-    scores[i] = RankScore(predictions[i], ds, sigma_norm[i], scoring_);
+    scores[i] = RankScore(predictions[i], proposal_.dissimilarity[i], sigma_norm[i], scoring_);
   }
   return scores;
 }

@@ -102,7 +102,6 @@ class DeepTuneSearcher : public Searcher {
   // scratch): candidate streams are counter-derived, never the shared
   // session RNG per candidate. Shared shape with MultiMetricSearcher via
   // ProposalState.
-  static constexpr size_t kHistoryWindow = 128;
   ProposalState proposal_;
 };
 

@@ -88,8 +88,9 @@ class DeepTuneModel {
   // tests assert on.
   size_t workspace_grow_count() const { return trunk_.workspace_grow_count(); }
 
-  // The SIMD backend this model resolved at construction.
-  const char* kernel_backend_name() const { return trunk_.kernel_backend_name(); }
+  // The SIMD kernel table this model resolved at construction; the searcher
+  // scores its candidate pool on the same table.
+  const KernelOps& kernels() const { return trunk_.kernels(); }
 
  private:
   std::vector<DtmPrediction> Emit(size_t n) const;

@@ -131,8 +131,8 @@ class DtmTrunk {
   // same-shaped rounds — the zero-alloc-after-warmup guarantee tests pin.
   size_t workspace_grow_count() const { return ws_.grow_count; }
 
-  // The SIMD backend this trunk resolved at construction.
-  const char* kernel_backend_name() const { return kernels_->name; }
+  // The SIMD kernel table this trunk resolved at construction.
+  const KernelOps& kernels() const { return *kernels_; }
 
  private:
   // Scratch arena for one forward/backward round. Buffers are reshaped in

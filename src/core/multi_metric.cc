@@ -107,15 +107,10 @@ std::vector<double> MultiMetricSearcher::ScorePool(SearchContext& context) {
   }
 
   // Recent-history window for the dissimilarity term: the shared encoded
-  // ring, synced incrementally (each trial encoded exactly once, ever). A
-  // null history means "no known points" — score with maximal novelty
-  // rather than against whatever a previous session left in the ring.
-  size_t dim = space_->FeatureDimension();
-  size_t known_rows = 0;
-  if (context.history != nullptr) {
-    proposal_.history.Sync(*space_, *context.history, kHistoryWindow);
-    known_rows = proposal_.history.row_count();
-  }
+  // ring and pool-scoring helper (see DeepTuneSearcher::ScorePool).
+  size_t known_rows = proposal_.SyncHistory(*space_, context.history);
+  PoolDissimilarity(proposal_.encoded, proposal_.history, known_rows, model_.kernels(),
+                    &proposal_.dissimilarity);
 
   double total_weight = 0.0;
   for (const MetricSpec& metric : metrics_) {
@@ -124,8 +119,7 @@ std::vector<double> MultiMetricSearcher::ScorePool(SearchContext& context) {
 
   std::vector<double> scores(proposal_.pool.size());
   for (size_t i = 0; i < proposal_.pool.size(); ++i) {
-    double ds = Dissimilarity(proposal_.encoded.Row(i), dim, proposal_.history.rows(),
-                              known_rows);
+    double ds = proposal_.dissimilarity[i];
     // Eq. 3 per metric, then the weighted average (§3.2).
     double score = 0.0;
     for (size_t k = 0; k < metrics_.size(); ++k) {

@@ -112,7 +112,6 @@ class MultiMetricSearcher : public Searcher {
   // streams, and scratch containers that persist so the warm path reuses
   // their buffers. The history ring is synced incrementally — one encode per
   // new trial, ever.
-  static constexpr size_t kHistoryWindow = 128;
   ProposalState proposal_;
 };
 

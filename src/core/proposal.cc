@@ -110,15 +110,16 @@ void EncodedHistoryRing::Sync(const ConfigSpace& space,
     replaced = history[synced_ - 1].config.Hash() != last_synced_hash_;
   }
   if (replaced) {
-    rows_ = 0;
+    count_ = 0;
     next_ = 0;
     synced_ = 0;
   }
-  if (encoded_.rows() != window || encoded_.cols() != dim) {
+  if (encoded_.rows() != dim || encoded_.cols() != window) {
     // A ring of a different shape holds nothing usable: drop it rather than
-    // let stale cursors count garbage rows as history.
-    encoded_.Reshape(window, dim);
-    rows_ = 0;
+    // let stale cursors count garbage columns as history.
+    encoded_.Reshape(dim, window);
+    staging_.resize(dim);
+    count_ = 0;
     next_ = 0;
     synced_ = 0;
   }
@@ -128,9 +129,12 @@ void EncodedHistoryRing::Sync(const ConfigSpace& space,
     begin = history.size() - window;
   }
   for (size_t i = begin; i < history.size(); ++i) {
-    space.EncodeInto(history[i].config, encoded_.Row(next_));
+    space.EncodeInto(history[i].config, staging_.data());
+    for (size_t f = 0; f < dim; ++f) {
+      encoded_.At(f, next_) = staging_[f];
+    }
     next_ = (next_ + 1) % window;
-    rows_ = std::min(rows_ + 1, window);
+    count_ = std::min(count_ + 1, window);
   }
   synced_ = history.size();
   if (synced_ > 0) {

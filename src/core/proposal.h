@@ -71,12 +71,16 @@ void SelectTopCandidates(const std::vector<double>& scores,
                          std::vector<Configuration>* batch);
 
 // Ring of the most recent `window` evaluated configurations in encoded form,
-// for the dissimilarity term of candidate scoring. Synced incrementally —
-// each trial is encoded exactly once, ever, instead of window-many
-// re-encodes per iteration — and shared by both DTM-backed searchers.
-// Detects a replaced history (searcher reused across sessions, resume into
-// a different prior) and rebuilds from scratch. Dissimilarity takes a min
-// over rows, so ring order never affects scores.
+// for the dissimilarity term of candidate scoring. Stored once, feature-major:
+// a dim x window matrix whose column c holds one trial's encoding, written one
+// column per synced trial. So the nearest-point scan
+// (KernelOps::nearest_sqdist) reads one feature of consecutive trials as one
+// vector, with SIMD lanes across trials. Synced incrementally — each trial is
+// encoded exactly once, ever, instead of window-many re-encodes per
+// iteration — and shared by both DTM-backed searchers. Detects a replaced
+// history (searcher reused across sessions, resume into a different prior)
+// and rebuilds from scratch. Dissimilarity takes a min over entries, so ring
+// order never affects scores.
 class EncodedHistoryRing {
  public:
   // Brings the ring up to date with `history`, encoding only the trials
@@ -84,14 +88,18 @@ class EncodedHistoryRing {
   void Sync(const ConfigSpace& space, const std::vector<TrialRecord>& history,
             size_t window);
 
-  const Matrix& rows() const { return encoded_; }
-  size_t row_count() const { return rows_; }
-  size_t bytes() const { return encoded_.size() * sizeof(double); }
+  // The dim x window feature-major storage; columns >= count() hold no
+  // history.
+  const Matrix& feature_major() const { return encoded_; }
+  // Encoded trials held (<= window).
+  size_t count() const { return count_; }
+  size_t bytes() const { return (encoded_.size() + staging_.size()) * sizeof(double); }
 
  private:
-  Matrix encoded_;
-  size_t rows_ = 0;    // Valid rows (<= window).
-  size_t next_ = 0;    // Ring write cursor.
+  Matrix encoded_;               // dim x window, one trial per column.
+  std::vector<double> staging_;  // One trial's encoding, scattered into its column.
+  size_t count_ = 0;   // Valid columns (<= window).
+  size_t next_ = 0;    // Ring write cursor (a column).
   size_t synced_ = 0;  // History entries consumed so far.
   uint64_t last_synced_hash_ = 0;  // Guards against a swapped history.
 };
@@ -101,6 +109,11 @@ class EncodedHistoryRing {
 // scratch. One struct shared by both DTM-backed searchers so the
 // determinism-critical parts cannot drift apart.
 struct ProposalState {
+  // Trials the dissimilarity term compares a candidate against: the most
+  // recent ones, so older points matter less and scoring costs O(1) per
+  // iteration.
+  static constexpr size_t kHistoryWindow = 128;
+
   explicit ProposalState(uint64_t model_seed)
       : search_seed(HashCombine(model_seed, StableHash("proposal-pipeline"))) {}
 
@@ -110,10 +123,23 @@ struct ProposalState {
     return HashCombine(HashCombine(search_seed, ++iteration), session_rng.Next());
   }
 
+  // Syncs the history ring with `trials` and returns how many ring entries
+  // candidate scoring compares against. A null history means no known
+  // points: 0, whatever an earlier Propose left in the ring.
+  size_t SyncHistory(const ConfigSpace& space, const std::vector<TrialRecord>* trials) {
+    if (trials == nullptr) {
+      return 0;
+    }
+    history.Sync(space, *trials, kHistoryWindow);
+    return history.count();
+  }
+
   // Live bytes of the proposal scratch (candidate pool, encoded batch,
-  // history ring), for the searchers' MemoryBytes accounting.
+  // history ring, per-candidate dissimilarities), for the searchers'
+  // MemoryBytes accounting.
   size_t ScratchBytes() const {
-    size_t bytes = encoded.size() * sizeof(double) + history.bytes();
+    size_t bytes = (encoded.size() + dissimilarity.capacity()) * sizeof(double) +
+                   history.bytes();
     for (const Configuration& candidate : pool) {
       bytes += candidate.Size() * sizeof(int64_t);
     }
@@ -125,6 +151,7 @@ struct ProposalState {
   std::vector<Configuration> pool;
   Matrix encoded;
   EncodedHistoryRing history;
+  std::vector<double> dissimilarity;  // Eq. 2 per pool row (PoolDissimilarity).
 };
 
 }  // namespace wayfinder

@@ -1,6 +1,7 @@
 #include "src/core/scoring.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -35,15 +36,20 @@ double Dissimilarity(const std::vector<double>& x,
   return DissimilarityFromNearest(nearest, x.size());
 }
 
-double Dissimilarity(const double* x, size_t dim, const Matrix& known, size_t known_rows) {
+void PoolDissimilarity(const Matrix& encoded, const EncodedHistoryRing& ring,
+                       size_t known_rows, const KernelOps& ops, std::vector<double>* ds) {
+  ds->assign(encoded.rows(), 1.0);
   if (known_rows == 0) {
-    return 1.0;
+    return;
   }
-  double nearest = std::numeric_limits<double>::max();
-  for (size_t r = 0; r < known_rows; ++r) {
-    nearest = std::min(nearest, SqDist(x, known.Row(r), dim));
+  const size_t dim = encoded.cols();
+  const Matrix& known = ring.feature_major();
+  assert(known.rows() == dim && known_rows <= known.cols());
+  for (size_t i = 0; i < encoded.rows(); ++i) {
+    double nearest =
+        ops.nearest_sqdist(encoded.Row(i), dim, known.Row(0), known.cols(), known_rows);
+    (*ds)[i] = DissimilarityFromNearest(nearest, dim);
   }
-  return DissimilarityFromNearest(nearest, dim);
 }
 
 std::vector<double> NormalizeSigmas(const std::vector<DtmPrediction>& predictions) {

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "src/core/dtm.h"
+#include "src/core/proposal.h"
+#include "src/nn/kernels.h"
 
 namespace wayfinder {
 
@@ -20,10 +22,15 @@ namespace wayfinder {
 double Dissimilarity(const std::vector<double>& x,
                      const std::vector<std::vector<double>>& known);
 
-// Same score over the batched layout: `x` is one row of the candidate
-// matrix (`dim` wide) and `known` the first `known_rows` rows of an
-// encoded-history matrix. Avoids any per-candidate staging.
-double Dissimilarity(const double* x, size_t dim, const Matrix& known, size_t known_rows);
+// Eq. 2 for a whole candidate pool, the one scoring path of both DTM-backed
+// searchers: (*ds)[i] is the Dissimilarity above of `encoded` row i against
+// the first `known_rows` entries of `ring` (0 = no known points: 1.0
+// everywhere), bit for bit. Each nearest distance is one
+// KernelOps::nearest_sqdist call on `ops`, which the searchers pass as their
+// model's table. `ds` is resized to the pool and reused, so a warm call does
+// not allocate.
+void PoolDissimilarity(const Matrix& encoded, const EncodedHistoryRing& ring,
+                       size_t known_rows, const KernelOps& ops, std::vector<double>* ds);
 
 struct ScoreOptions {
   double alpha = 0.5;           // Eq. 3 exploration blend.

@@ -1,7 +1,9 @@
 #include "src/nn/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace wayfinder {
 namespace {
@@ -11,35 +13,39 @@ namespace {
 // accumulators for reductions, independent per-index elementwise loops. The
 // AVX2 backend mirrors these expression trees exactly.
 
-void PortableGemmRow(const double* a, size_t k_dim, const double* b, size_t b_stride,
-                     const double* bias, double* out, size_t m) {
-  if (bias != nullptr) {
-    std::memcpy(out, bias, m * sizeof(double));
-  } else {
-    std::memset(out, 0, m * sizeof(double));
-  }
-  size_t k = 0;
-  for (; k + 4 <= k_dim; k += 4) {
-    const double a0 = a[k];
-    const double a1 = a[k + 1];
-    const double a2 = a[k + 2];
-    const double a3 = a[k + 3];
-    const double* b0 = b + k * b_stride;
-    const double* b1 = b0 + b_stride;
-    const double* b2 = b1 + b_stride;
-    const double* b3 = b2 + b_stride;
-    for (size_t j = 0; j < m; ++j) {
-      out[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+void PortableGemmRows(const double* a, size_t rows, size_t k_dim, const double* b,
+                      size_t b_stride, const double* bias, double* out, size_t m) {
+  for (size_t i = 0; i < rows; ++i) {
+    const double* arow = a + i * k_dim;
+    double* orow = out + i * m;
+    if (bias != nullptr) {
+      std::memcpy(orow, bias, m * sizeof(double));
+    } else {
+      std::memset(orow, 0, m * sizeof(double));
     }
-  }
-  for (; k < k_dim; ++k) {
-    const double ak = a[k];
-    if (ak == 0.0) {
-      continue;
+    size_t k = 0;
+    for (; k + 4 <= k_dim; k += 4) {
+      const double a0 = arow[k];
+      const double a1 = arow[k + 1];
+      const double a2 = arow[k + 2];
+      const double a3 = arow[k + 3];
+      const double* b0 = b + k * b_stride;
+      const double* b1 = b0 + b_stride;
+      const double* b2 = b1 + b_stride;
+      const double* b3 = b2 + b_stride;
+      for (size_t j = 0; j < m; ++j) {
+        orow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+      }
     }
-    const double* brow = b + k * b_stride;
-    for (size_t j = 0; j < m; ++j) {
-      out[j] += ak * brow[j];
+    for (; k < k_dim; ++k) {
+      const double ak = arow[k];
+      if (ak == 0.0) {
+        continue;
+      }
+      const double* brow = b + k * b_stride;
+      for (size_t j = 0; j < m; ++j) {
+        orow[j] += ak * brow[j];
+      }
     }
   }
 }
@@ -107,6 +113,20 @@ double PortableSqDist(const double* a, const double* b, size_t n) {
   return sum;
 }
 
+void PortableDotRows(const double* a, const double* b, size_t b_stride, size_t rows,
+                     size_t n, double* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    out[r] = PortableDot(a, b + r * b_stride, n);
+  }
+}
+
+void PortableSqDistRows(const double* a, const double* b, size_t b_stride, size_t rows,
+                        size_t n, double* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    out[r] = PortableSqDist(a, b + r * b_stride, n);
+  }
+}
+
 double PortableSqNorm(const double* x, size_t n) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   size_t k = 0;
@@ -121,6 +141,41 @@ double PortableSqNorm(const double* x, size_t n) {
     sum += x[k] * x[k];
   }
   return sum;
+}
+
+// Four points per pass, each its own serial chain (SqDist's sum): the lanes
+// run across points, never within one.
+double PortableNearestSqDist(const double* x, size_t dim, const double* cols,
+                             size_t col_stride, size_t rows) {
+  double nearest = std::numeric_limits<double>::max();
+  size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (size_t k = 0; k < dim; ++k) {
+      const double* c = cols + k * col_stride + r;
+      double d0 = x[k] - c[0];
+      double d1 = x[k] - c[1];
+      double d2 = x[k] - c[2];
+      double d3 = x[k] - c[3];
+      s0 += d0 * d0;
+      s1 += d1 * d1;
+      s2 += d2 * d2;
+      s3 += d3 * d3;
+    }
+    nearest = std::min(nearest, s0);
+    nearest = std::min(nearest, s1);
+    nearest = std::min(nearest, s2);
+    nearest = std::min(nearest, s3);
+  }
+  for (; r < rows; ++r) {
+    double sum = 0.0;
+    for (size_t k = 0; k < dim; ++k) {
+      double d = x[k] - cols[k * col_stride + r];
+      sum += d * d;
+    }
+    nearest = std::min(nearest, sum);
+  }
+  return nearest;
 }
 
 void PortableScal(double a, double* x, size_t n) {
@@ -159,9 +214,9 @@ void PortableAdamUpdate(double* value, double* grad, double* m, double* v, size_
 }
 
 constexpr KernelOps kPortableOps = {
-    "portable",     PortableGemmRow, PortableGemmAtRow, PortableAxpyDiff,
-    PortableVadd,   PortableDot,     PortableSqDist,    PortableSqNorm,
-    PortableScal,   PortableRelu,    PortableAdamUpdate,
+    "portable",          PortableGemmRows,      PortableGemmAtRow, PortableAxpyDiff,
+    PortableVadd,        PortableDotRows,       PortableSqDistRows, PortableSqNorm,
+    PortableNearestSqDist, PortableScal,        PortableRelu,      PortableAdamUpdate,
 };
 
 // --- dispatch ---------------------------------------------------------------

@@ -1,9 +1,10 @@
 // Runtime-dispatched SIMD kernel backend.
 //
-// Every inner loop the DTM hot path runs — the streamed 4-row matmul body,
-// the weight-gradient rows, dot products, the RBF distance/gradient loops,
-// ReLU, and the per-block Adam update — is reached through a `KernelOps`
-// vtable of raw pointer kernels. Two backends implement the table:
+// Every inner loop the DTM hot path runs — the streamed matmul, the
+// weight-gradient rows, dot products, the RBF and Chamfer distance loops,
+// ReLU, the per-block Adam update, and the nearest-point scan of candidate
+// scoring — is reached through a `KernelOps` vtable of raw pointer kernels.
+// Two backends implement the table:
 //
 //   * portable — plain C++, compiled with the base flags, runs anywhere;
 //   * avx2     — 256-bit vector implementations, compiled in a separate
@@ -17,13 +18,16 @@
 // as the `const KernelOps* ops` argument every matrix and layer call takes.
 //
 // Bit-exactness contract: both backends evaluate the *same* floating-point
-// expression tree. The portable kernels are written in the lane structure
-// the vector units want (4-way strided accumulators, paired reduction), the
-// AVX2 kernels use explicit mul/add intrinsics in that same order, and FMA
-// contraction is disabled in the AVX2 translation unit (`-ffp-contract=off`)
-// so the compiler cannot fuse them. Backend choice therefore changes speed,
-// never results — which is what makes "identical search trajectories across
-// backends" a testable invariant rather than a hope.
+// expression tree for every output. The portable kernels are written in the
+// lane structure the vector units want (4-way strided accumulators, paired
+// reduction), the AVX2 kernels use explicit mul/add intrinsics in that same
+// order, and FMA contraction is disabled in the AVX2 translation unit
+// (`-ffp-contract=off`) so the compiler cannot fuse them. Backend choice
+// therefore changes speed, never results — which is what makes "identical
+// search trajectories across backends" a testable invariant rather than a
+// hope. kernel_backend_test also pins every multi-output kernel to scalar
+// per-element loops written in the trees stated below, so both backends
+// cannot drift together.
 #ifndef WAYFINDER_SRC_NN_KERNELS_H_
 #define WAYFINDER_SRC_NN_KERNELS_H_
 
@@ -66,38 +70,61 @@ struct AdamScalars {
 
 // The dispatched inner loops. All pointers are to dense double arrays; no
 // kernel allocates or assumes alignment (loads are unaligned).
+//
+// The kernels that produce several outputs per call (`gemm_rows`,
+// `gemm_at_row`, `dot_rows`, `sqdist_rows`, `nearest_sqdist`) block across
+// independent outputs only: an output's adds happen in the order its own
+// expression tree below states, whichever other outputs share its loads,
+// its vector, or its call. Both backends must reproduce each tree.
 struct KernelOps {
   const char* name;  // "portable" | "avx2"
 
-  // One full output row of the streamed matmul:
-  //   out[j] = (bias ? bias[j] : 0) + sum over k-blocks-of-4 of
-  //            (a[k]*b[k][j] + a[k+1]*b[k+1][j] + a[k+2]*b[k+2][j] +
-  //             a[k+3]*b[k+3][j]),
-  // with the <4 remainder k rows appended per-k (skipping a[k] == 0).
-  // Each k-block's four products are summed first, then added to the
-  // accumulator — the expression tree both backends must reproduce. Fusing
-  // the whole row keeps out[] in registers instead of a load/store per
-  // block. `b` is row-major with stride `b_stride` (>= m).
-  void (*gemm_row)(const double* a, size_t k_dim, const double* b, size_t b_stride,
-                   const double* bias, double* out, size_t m);
+  // The streamed matmul, `rows` output rows at once. Row i of `a` is
+  // a + i*k_dim and row i of `out` is out + i*m; `b` is row-major with
+  // stride `b_stride` (>= m). Every element is
+  //   out[i][j] = (bias ? bias[j] : 0) + sum over k-blocks-of-4 of
+  //               (a[i][k]*b[k][j] + a[i][k+1]*b[k+1][j] +
+  //                a[i][k+2]*b[k+2][j] + a[i][k+3]*b[k+3][j]),
+  // each k-block's four products summed first, then added to the running
+  // sum, with the <4 remainder k rows appended per k (skipping
+  // a[i][k] == 0). The AVX2 backend accumulates a 4-row x 8-column tile
+  // across the whole k loop, so four rows share every `b` load.
+  void (*gemm_rows)(const double* a, size_t rows, size_t k_dim, const double* b,
+                    size_t b_stride, const double* bias, double* out, size_t m);
   // One row of a transposed-A gradient product:
   //   acc[j] += a[k*a_stride] * b[k*b_stride + j]   for k = 0 .. k_dim-1,
   // added per k in ascending order, skipping a[k*a_stride] == 0. Each acc[j]
   // therefore sees the same sequence of adds as in a k-outer loop, while a
-  // 16-wide tile of acc stays in registers across the whole k loop.
+  // 32-wide tile of acc (eight add chains), then a 16-wide one, stays in
+  // registers across the whole k loop. The AVX2 backend finds the nonzero
+  // a[k] once per chunk of k, without a branch, instead of once per tile.
   void (*gemm_at_row)(const double* a, size_t a_stride, size_t k_dim, const double* b,
                       size_t b_stride, double* acc, size_t m);
   // out[j] += a * (x[j] - y[j]) — RBF centroid/input gradient body.
   void (*axpy_diff)(double a, const double* x, const double* y, double* out, size_t n);
   // y[j] += x[j].
   void (*vadd)(const double* x, double* y, size_t n);
-  // 4-lane strided dot product: lanes accumulate k % 4, reduced as
-  // (l0 + l1) + (l2 + l3), remainder appended serially.
-  double (*dot)(const double* a, const double* b, size_t n);
-  // Sum of (a[j] - b[j])^2, same lane structure as dot.
-  double (*sqdist)(const double* a, const double* b, size_t n);
-  // Sum of x[j]^2, same lane structure as dot.
+  // out[r] = a . b[r] for the `rows` rows b[r] = b + r*b_stride, each a
+  // 4-lane strided dot product: lane l accumulates the products of k % 4 ==
+  // l in ascending k, the lanes reduce as (l0 + l1) + (l2 + l3), and the
+  // remainder k are appended serially. Four rows share every `a` load, each
+  // with its own accumulator.
+  void (*dot_rows)(const double* a, const double* b, size_t b_stride, size_t rows,
+                   size_t n, double* out);
+  // out[r] = sum of (a[k] - b[r][k])^2, same rows and lane tree as dot_rows.
+  void (*sqdist_rows)(const double* a, const double* b, size_t b_stride, size_t rows,
+                      size_t n, double* out);
+  // Sum of x[k]^2, same lane tree as dot_rows.
   double (*sqnorm)(const double* x, size_t n);
+  // min over r < rows of sum over k < dim of (x[k] - cols[k*col_stride + r])^2:
+  // the nearest of `rows` points stored as the columns of a feature-major
+  // (dim x col_stride) matrix. Each sum is SqDist's serial chain (src/nn/
+  // matrix.h: from 0.0, ascending k, no lanes within a point); SIMD lanes run
+  // across points. The minimum is std::min's from DBL_MAX, so a NaN sum never
+  // wins and the result does not depend on the order points are visited.
+  // Returns DBL_MAX for rows == 0.
+  double (*nearest_sqdist)(const double* x, size_t dim, const double* cols,
+                           size_t col_stride, size_t rows);
   // x[j] *= a.
   void (*scal)(double a, double* x, size_t n);
   // x[j] = max(0, x[j]).

@@ -4,17 +4,22 @@
 // adds the flags per-file (plus `-ffp-contract=off`) and defines
 // WF_KERNELS_AVX2, so the base build stays portable and the compiler cannot
 // contract the explicit mul/add intrinsics into FMAs. Every kernel evaluates
-// the exact expression tree of its portable twin in kernels.cc — vector
-// lanes are the 4-way strided accumulators, reduced as (l0 + l1) + (l2 + l3)
-// — so AVX2 results are bit-identical to portable ones. Selection is still
+// the exact expression tree of its portable twin in kernels.cc, per output:
+// vector lanes are either independent outputs (matmul columns, the points of
+// nearest_sqdist) or the 4-way strided accumulators of one reduction,
+// reduced as (l0 + l1) + (l2 + l3). Tiles that hold several outputs in
+// registers share loads between them and never reorder one output's adds,
+// so AVX2 results are bit-identical to portable ones. Selection is still
 // guarded by CPUID at runtime (kernels.cc), so a binary carrying this TU
 // runs unchanged on pre-AVX2 hardware.
 #include "src/nn/kernels.h"
 
 #if defined(WF_KERNELS_AVX2) && defined(__AVX2__)
 
+#include <algorithm>
 #include <cmath>
 #include <immintrin.h>
+#include <limits>
 
 namespace wayfinder {
 namespace {
@@ -25,155 +30,157 @@ inline double ReduceLanes(__m256d acc) {
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-// One k-block-of-4 contribution to a 4-wide j tile:
-// acc += a0*b0 + a1*b1 + a2*b2 + a3*b3 with the four products summed first
-// (the portable expression tree).
-static inline __m256d GemmBlock(__m256d acc, __m256d va0, __m256d va1, __m256d va2,
-                                __m256d va3, const double* b0, const double* b1,
-                                const double* b2, const double* b3, size_t j) {
-  __m256d t = _mm256_mul_pd(va0, _mm256_loadu_pd(b0 + j));
-  t = _mm256_add_pd(t, _mm256_mul_pd(va1, _mm256_loadu_pd(b1 + j)));
-  t = _mm256_add_pd(t, _mm256_mul_pd(va2, _mm256_loadu_pd(b2 + j)));
-  t = _mm256_add_pd(t, _mm256_mul_pd(va3, _mm256_loadu_pd(b3 + j)));
-  return _mm256_add_pd(acc, t);
-}
-
-void Avx2GemmRow(const double* a, size_t k_dim, const double* b, size_t b_stride,
-                 const double* bias, double* out, size_t m) {
-  const __m256d zero = _mm256_setzero_pd();
-  size_t j = 0;
-  // 16-wide j tiles: four accumulators live in registers across the entire
-  // k loop — no out[] load/store per k-block.
-  for (; j + 16 <= m; j += 16) {
-    __m256d acc0 = bias != nullptr ? _mm256_loadu_pd(bias + j) : zero;
-    __m256d acc1 = bias != nullptr ? _mm256_loadu_pd(bias + j + 4) : zero;
-    __m256d acc2 = bias != nullptr ? _mm256_loadu_pd(bias + j + 8) : zero;
-    __m256d acc3 = bias != nullptr ? _mm256_loadu_pd(bias + j + 12) : zero;
-    size_t k = 0;
-    for (; k + 4 <= k_dim; k += 4) {
-      const double* b0 = b + k * b_stride;
-      const double* b1 = b0 + b_stride;
-      const double* b2 = b1 + b_stride;
-      const double* b3 = b2 + b_stride;
-      const __m256d va0 = _mm256_set1_pd(a[k]);
-      const __m256d va1 = _mm256_set1_pd(a[k + 1]);
-      const __m256d va2 = _mm256_set1_pd(a[k + 2]);
-      const __m256d va3 = _mm256_set1_pd(a[k + 3]);
-      acc0 = GemmBlock(acc0, va0, va1, va2, va3, b0, b1, b2, b3, j);
-      acc1 = GemmBlock(acc1, va0, va1, va2, va3, b0, b1, b2, b3, j + 4);
-      acc2 = GemmBlock(acc2, va0, va1, va2, va3, b0, b1, b2, b3, j + 8);
-      acc3 = GemmBlock(acc3, va0, va1, va2, va3, b0, b1, b2, b3, j + 12);
+// One R-row x 4V-column tile of gemm_rows: the R*V accumulators live across
+// the whole k loop, and each `b` load serves all R rows.
+// Per element the tree is the portable one: each k-block's four products
+// summed first, then added; remainder k appended per row, skipping zeros.
+template <size_t R, size_t V>
+inline void GemmTile(const double* a, size_t k_dim, const double* b, size_t b_stride,
+                     const double* bias, double* out, size_t m, size_t j) {
+  __m256d acc[R][V];
+  for (size_t v = 0; v < V; ++v) {
+    const __m256d init =
+        bias != nullptr ? _mm256_loadu_pd(bias + j + 4 * v) : _mm256_setzero_pd();
+    for (size_t r = 0; r < R; ++r) {
+      acc[r][v] = init;
     }
-    for (; k < k_dim; ++k) {
-      const double ak = a[k];
+  }
+  size_t k = 0;
+  for (; k + 4 <= k_dim; k += 4) {
+    const double* b0 = b + k * b_stride + j;
+    for (size_t v = 0; v < V; ++v) {
+      const __m256d vb0 = _mm256_loadu_pd(b0 + 4 * v);
+      const __m256d vb1 = _mm256_loadu_pd(b0 + b_stride + 4 * v);
+      const __m256d vb2 = _mm256_loadu_pd(b0 + 2 * b_stride + 4 * v);
+      const __m256d vb3 = _mm256_loadu_pd(b0 + 3 * b_stride + 4 * v);
+      for (size_t r = 0; r < R; ++r) {
+        const double* ar = a + r * k_dim + k;
+        __m256d t = _mm256_mul_pd(_mm256_set1_pd(ar[0]), vb0);
+        t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(ar[1]), vb1));
+        t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(ar[2]), vb2));
+        t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(ar[3]), vb3));
+        acc[r][v] = _mm256_add_pd(acc[r][v], t);
+      }
+    }
+  }
+  for (; k < k_dim; ++k) {
+    const double* brow = b + k * b_stride + j;
+    for (size_t r = 0; r < R; ++r) {
+      const double ak = a[r * k_dim + k];
       if (ak == 0.0) {
         continue;
       }
       const __m256d vak = _mm256_set1_pd(ak);
-      const double* brow = b + k * b_stride;
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + j)));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + j + 4)));
-      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + j + 8)));
-      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + j + 12)));
-    }
-    _mm256_storeu_pd(out + j, acc0);
-    _mm256_storeu_pd(out + j + 4, acc1);
-    _mm256_storeu_pd(out + j + 8, acc2);
-    _mm256_storeu_pd(out + j + 12, acc3);
-  }
-  // 4-wide tiles.
-  for (; j + 4 <= m; j += 4) {
-    __m256d acc = bias != nullptr ? _mm256_loadu_pd(bias + j) : zero;
-    size_t k = 0;
-    for (; k + 4 <= k_dim; k += 4) {
-      const double* b0 = b + k * b_stride;
-      acc = GemmBlock(acc, _mm256_set1_pd(a[k]), _mm256_set1_pd(a[k + 1]),
-                      _mm256_set1_pd(a[k + 2]), _mm256_set1_pd(a[k + 3]), b0,
-                      b0 + b_stride, b0 + 2 * b_stride, b0 + 3 * b_stride, j);
-    }
-    for (; k < k_dim; ++k) {
-      const double ak = a[k];
-      if (ak == 0.0) {
-        continue;
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(vak, _mm256_loadu_pd(brow + 4 * v)));
       }
-      acc = _mm256_add_pd(
-          acc, _mm256_mul_pd(_mm256_set1_pd(ak), _mm256_loadu_pd(b + k * b_stride + j)));
     }
-    _mm256_storeu_pd(out + j, acc);
   }
-  // Scalar tail, same expression tree.
-  for (; j < m; ++j) {
-    double s = bias != nullptr ? bias[j] : 0.0;
-    size_t k = 0;
-    for (; k + 4 <= k_dim; k += 4) {
-      const double* b0 = b + k * b_stride;
-      const double* b1 = b0 + b_stride;
-      const double* b2 = b1 + b_stride;
-      const double* b3 = b2 + b_stride;
-      s += a[k] * b0[j] + a[k + 1] * b1[j] + a[k + 2] * b2[j] + a[k + 3] * b3[j];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < V; ++v) {
+      _mm256_storeu_pd(out + r * m + j + 4 * v, acc[r][v]);
     }
-    for (; k < k_dim; ++k) {
-      const double ak = a[k];
-      if (ak == 0.0) {
-        continue;
-      }
-      s += ak * (b + k * b_stride)[j];
-    }
-    out[j] = s;
   }
 }
 
+// R rows of gemm_rows over the columns the 8- and 4-wide tiles cover.
+template <size_t R>
+void GemmRowBlock(const double* a, size_t k_dim, const double* b, size_t b_stride,
+                  const double* bias, double* out, size_t m) {
+  size_t j = 0;
+  for (; j + 8 <= m; j += 8) {
+    GemmTile<R, 2>(a, k_dim, b, b_stride, bias, out, m, j);
+  }
+  if (j + 4 <= m) {
+    GemmTile<R, 1>(a, k_dim, b, b_stride, bias, out, m, j);
+  }
+}
+
+void Avx2GemmRows(const double* a, size_t rows, size_t k_dim, const double* b,
+                  size_t b_stride, const double* bias, double* out, size_t m) {
+  size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    GemmRowBlock<4>(a + i * k_dim, k_dim, b, b_stride, bias, out + i * m, m);
+  }
+  for (; i < rows; ++i) {
+    GemmRowBlock<1>(a + i * k_dim, k_dim, b, b_stride, bias, out + i * m, m);
+  }
+  // The < 4 columns no tile covers, one element at a time in the same tree.
+  for (size_t j = m - m % 4; j < m; ++j) {
+    for (i = 0; i < rows; ++i) {
+      const double* ar = a + i * k_dim;
+      double s = bias != nullptr ? bias[j] : 0.0;
+      size_t k = 0;
+      for (; k + 4 <= k_dim; k += 4) {
+        const double* b0 = b + k * b_stride + j;
+        s += ar[k] * b0[0] + ar[k + 1] * b0[b_stride] + ar[k + 2] * b0[2 * b_stride] +
+             ar[k + 3] * b0[3 * b_stride];
+      }
+      for (; k < k_dim; ++k) {
+        if (ar[k] != 0.0) {
+          s += ar[k] * b[k * b_stride + j];
+        }
+      }
+      out[i * m + j] = s;
+    }
+  }
+}
+
+// A 4V-wide tile of gemm_at_row: V add chains held in registers across the
+// n nonzero a[k] of a chunk (`ak`, with their b rows `brow`, ascending k).
+template <size_t V>
+inline void GemmAtTile(const double* ak, const double* const* brow, size_t n, double* acc,
+                       size_t j) {
+  __m256d t[V];
+  for (size_t v = 0; v < V; ++v) {
+    t[v] = _mm256_loadu_pd(acc + j + 4 * v);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const __m256d vak = _mm256_set1_pd(ak[i]);
+    for (size_t v = 0; v < V; ++v) {
+      t[v] = _mm256_add_pd(t[v], _mm256_mul_pd(vak, _mm256_loadu_pd(brow[i] + j + 4 * v)));
+    }
+  }
+  for (size_t v = 0; v < V; ++v) {
+    _mm256_storeu_pd(acc + j + 4 * v, t[v]);
+  }
+}
+
+// The zero skip runs once per chunk of k, not once per tile: the nonzero a[k]
+// are compacted, in ascending k, without a branch. Inputs are often exactly
+// 0 (boolean features, dead ReLUs) in no pattern a branch predictor can
+// follow, and a mispredicted skip per tile cost more than the product it
+// saved. The tiles then add exactly what the skipping loop adds, in order.
 void Avx2GemmAtRow(const double* a, size_t a_stride, size_t k_dim, const double* b,
                    size_t b_stride, double* acc, size_t m) {
-  size_t j = 0;
-  // 16-wide j tiles: four accumulators live in registers across the entire
-  // k loop, so acc[] is loaded and stored once instead of once per k.
-  for (; j + 16 <= m; j += 16) {
-    __m256d acc0 = _mm256_loadu_pd(acc + j);
-    __m256d acc1 = _mm256_loadu_pd(acc + j + 4);
-    __m256d acc2 = _mm256_loadu_pd(acc + j + 8);
-    __m256d acc3 = _mm256_loadu_pd(acc + j + 12);
-    for (size_t k = 0; k < k_dim; ++k) {
-      const double ak = a[k * a_stride];
-      if (ak == 0.0) {
-        continue;
-      }
-      const __m256d vak = _mm256_set1_pd(ak);
-      const double* brow = b + k * b_stride + j;
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(vak, _mm256_loadu_pd(brow)));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + 4)));
-      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + 8)));
-      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(vak, _mm256_loadu_pd(brow + 12)));
+  constexpr size_t kChunk = 64;
+  double ak[kChunk];
+  const double* brow[kChunk];
+  for (size_t k0 = 0; k0 < k_dim; k0 += kChunk) {
+    const size_t k_end = std::min(k_dim, k0 + kChunk);
+    size_t n = 0;
+    for (size_t k = k0; k < k_end; ++k) {
+      ak[n] = a[k * a_stride];
+      brow[n] = b + k * b_stride;
+      n += ak[n] != 0.0 ? size_t{1} : size_t{0};
     }
-    _mm256_storeu_pd(acc + j, acc0);
-    _mm256_storeu_pd(acc + j + 4, acc1);
-    _mm256_storeu_pd(acc + j + 8, acc2);
-    _mm256_storeu_pd(acc + j + 12, acc3);
-  }
-  // 4-wide tiles.
-  for (; j + 4 <= m; j += 4) {
-    __m256d acc0 = _mm256_loadu_pd(acc + j);
-    for (size_t k = 0; k < k_dim; ++k) {
-      const double ak = a[k * a_stride];
-      if (ak == 0.0) {
-        continue;
-      }
-      acc0 = _mm256_add_pd(
-          acc0, _mm256_mul_pd(_mm256_set1_pd(ak), _mm256_loadu_pd(b + k * b_stride + j)));
+    size_t j = 0;
+    for (; j + 32 <= m; j += 32) {
+      GemmAtTile<8>(ak, brow, n, acc, j);
     }
-    _mm256_storeu_pd(acc + j, acc0);
-  }
-  // Scalar tail, same sequence of adds.
-  for (; j < m; ++j) {
-    double s = acc[j];
-    for (size_t k = 0; k < k_dim; ++k) {
-      const double ak = a[k * a_stride];
-      if (ak == 0.0) {
-        continue;
-      }
-      s += ak * b[k * b_stride + j];
+    for (; j + 16 <= m; j += 16) {
+      GemmAtTile<4>(ak, brow, n, acc, j);
     }
-    acc[j] = s;
+    for (; j + 4 <= m; j += 4) {
+      GemmAtTile<1>(ak, brow, n, acc, j);
+    }
+    for (; j < m; ++j) {
+      double s = acc[j];
+      for (size_t i = 0; i < n; ++i) {
+        s += ak[i] * brow[i][j];
+      }
+      acc[j] = s;
+    }
   }
 }
 
@@ -200,32 +207,64 @@ void Avx2Vadd(const double* x, double* y, size_t n) {
   }
 }
 
-double Avx2Dot(const double* a, const double* b, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
+// R rows of dot_rows (kDiff = false) or sqdist_rows (kDiff = true): one
+// 4-lane accumulator per row, every `a` load shared by the R rows, then the
+// portable (l0 + l1) + (l2 + l3) reduction and serial remainder per row.
+template <size_t R, bool kDiff>
+inline void ReduceRows(const double* a, const double* b, size_t b_stride, size_t n,
+                       double* out) {
+  __m256d acc[R];
+  for (size_t r = 0; r < R; ++r) {
+    acc[r] = _mm256_setzero_pd();
+  }
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k)));
+    const __m256d va = _mm256_loadu_pd(a + k);
+    for (size_t r = 0; r < R; ++r) {
+      const __m256d vb = _mm256_loadu_pd(b + r * b_stride + k);
+      if constexpr (kDiff) {
+        const __m256d d = _mm256_sub_pd(va, vb);
+        acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(d, d));
+      } else {
+        acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(va, vb));
+      }
+    }
   }
-  double sum = ReduceLanes(acc);
-  for (; k < n; ++k) {
-    sum += a[k] * b[k];
+  for (size_t r = 0; r < R; ++r) {
+    const double* br = b + r * b_stride;
+    double sum = ReduceLanes(acc[r]);
+    for (size_t kk = k; kk < n; ++kk) {
+      if constexpr (kDiff) {
+        const double d = a[kk] - br[kk];
+        sum += d * d;
+      } else {
+        sum += a[kk] * br[kk];
+      }
+    }
+    out[r] = sum;
   }
-  return sum;
 }
 
-double Avx2SqDist(const double* a, const double* b, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+template <bool kDiff>
+void ReduceRowsAll(const double* a, const double* b, size_t b_stride, size_t rows, size_t n,
+                   double* out) {
+  size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    ReduceRows<4, kDiff>(a, b + r * b_stride, b_stride, n, out + r);
   }
-  double sum = ReduceLanes(acc);
-  for (; k < n; ++k) {
-    double d = a[k] - b[k];
-    sum += d * d;
+  for (; r < rows; ++r) {
+    ReduceRows<1, kDiff>(a, b + r * b_stride, b_stride, n, out + r);
   }
-  return sum;
+}
+
+void Avx2DotRows(const double* a, const double* b, size_t b_stride, size_t rows, size_t n,
+                 double* out) {
+  ReduceRowsAll<false>(a, b, b_stride, rows, n, out);
+}
+
+void Avx2SqDistRows(const double* a, const double* b, size_t b_stride, size_t rows,
+                    size_t n, double* out) {
+  ReduceRowsAll<true>(a, b, b_stride, rows, n, out);
 }
 
 double Avx2SqNorm(const double* x, size_t n) {
@@ -240,6 +279,56 @@ double Avx2SqNorm(const double* x, size_t n) {
     sum += x[k] * x[k];
   }
   return sum;
+}
+
+// 4V points of nearest_sqdist, one per lane: each lane is the serial chain
+// sum += (x[k] - c[k])^2 over ascending k. _mm256_min_pd(s, nearest) is
+// (s < nearest ? s : nearest), the chain min of the portable kernel.
+template <size_t V>
+inline __m256d NearestBlock(const double* x, size_t dim, const double* cols,
+                            size_t col_stride, __m256d nearest) {
+  __m256d s[V];
+  for (size_t v = 0; v < V; ++v) {
+    s[v] = _mm256_setzero_pd();
+  }
+  for (size_t k = 0; k < dim; ++k) {
+    const __m256d vx = _mm256_set1_pd(x[k]);
+    const double* c = cols + k * col_stride;
+    for (size_t v = 0; v < V; ++v) {
+      const __m256d d = _mm256_sub_pd(vx, _mm256_loadu_pd(c + 4 * v));
+      s[v] = _mm256_add_pd(s[v], _mm256_mul_pd(d, d));
+    }
+  }
+  for (size_t v = 0; v < V; ++v) {
+    nearest = _mm256_min_pd(s[v], nearest);
+  }
+  return nearest;
+}
+
+double Avx2NearestSqDist(const double* x, size_t dim, const double* cols, size_t col_stride,
+                         size_t rows) {
+  __m256d lanes_min = _mm256_set1_pd(std::numeric_limits<double>::max());
+  size_t r = 0;
+  for (; r + 16 <= rows; r += 16) {
+    lanes_min = NearestBlock<4>(x, dim, cols + r, col_stride, lanes_min);
+  }
+  for (; r + 4 <= rows; r += 4) {
+    lanes_min = NearestBlock<1>(x, dim, cols + r, col_stride, lanes_min);
+  }
+  // No lane ever holds NaN (min_pd keeps `nearest` when s is NaN), so the
+  // minimum over lanes is the same in any order.
+  double lanes[4];
+  _mm256_storeu_pd(lanes, lanes_min);
+  double nearest = std::min(std::min(lanes[0], lanes[1]), std::min(lanes[2], lanes[3]));
+  for (; r < rows; ++r) {
+    double sum = 0.0;
+    for (size_t k = 0; k < dim; ++k) {
+      const double d = x[k] - cols[k * col_stride + r];
+      sum += d * d;
+    }
+    nearest = std::min(nearest, sum);
+  }
+  return nearest;
 }
 
 void Avx2Scal(double a, double* x, size_t n) {
@@ -331,8 +420,9 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",     Avx2GemmRow, Avx2GemmAtRow, Avx2AxpyDiff, Avx2Vadd,       Avx2Dot,
-    Avx2SqDist, Avx2SqNorm,  Avx2Scal,      Avx2Relu,     Avx2AdamUpdate,
+    "avx2",         Avx2GemmRows,          Avx2GemmAtRow,     Avx2AxpyDiff,
+    Avx2Vadd,       Avx2DotRows,           Avx2SqDistRows,    Avx2SqNorm,
+    Avx2NearestSqDist, Avx2Scal,           Avx2Relu,          Avx2AdamUpdate,
 };
 
 }  // namespace

@@ -221,14 +221,12 @@ double RbfLayer::AccumulateChamferGradient(double weight, const KernelOps* ops) 
   size_t d = c.cols();
   double loss = 0.0;
 
-  // Both terms read one K x N distance table. sqdist(c, z) == sqdist(z, c)
-  // bit for bit (a - b is exactly -(b - a)), so this is the two-pass result.
+  // Both terms read one K x N distance table, filled one centroid row per
+  // sqdist_rows call. The distance is symmetric bit for bit (a - b is
+  // exactly -(b - a)), so this is the two-pass result.
   chamfer_dist_.Reshape(k, n);
   for (size_t ci = 0; ci < k; ++ci) {
-    double* row = chamfer_dist_.Row(ci);
-    for (size_t ni = 0; ni < n; ++ni) {
-      row[ni] = k_ops.sqdist(c.Row(ci), z.Row(ni), d);
-    }
+    k_ops.sqdist_rows(c.Row(ci), z.Row(0), d, n, d, chamfer_dist_.Row(ci));
   }
 
   // Term 1: every centroid is pulled toward its nearest batch point.

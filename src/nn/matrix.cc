@@ -48,21 +48,16 @@ Matrix Matrix::FromRow(const std::vector<double>& row) {
 
 namespace {
 
-// Shared body of MatMulInto / MatMulAddBiasInto: one fused gemm_row kernel
-// call per output row (4x k-unrolled inside, bias init fused, b rows
-// streamed) on the dispatched backend.
+// Shared body of MatMulInto / MatMulAddBiasInto: one fused gemm_rows call
+// for the whole product (4x k-unrolled inside, bias init fused, b rows
+// streamed once per block of output rows) on the dispatched backend.
 size_t MatMulImpl(const Matrix& a, const Matrix& b, const double* bias, Matrix& out,
                   const KernelOps* ops) {
   assert(a.cols() == b.rows());
   assert(&out != &a && &out != &b);
   size_t grew = out.Reshape(a.rows(), b.cols()) ? 1 : 0;
-  const KernelOps& k_ops = ResolveKernels(ops);
-  const size_t k_dim = a.cols();
-  const size_t m_dim = b.cols();
-  const double* b_base = b.Row(0);
-  for (size_t i = 0; i < a.rows(); ++i) {
-    k_ops.gemm_row(a.Row(i), k_dim, b_base, m_dim, bias, out.Row(i), m_dim);
-  }
+  ResolveKernels(ops).gemm_rows(a.Row(0), a.rows(), a.cols(), b.Row(0), b.cols(), bias,
+                                out.Row(0), b.cols());
   return grew;
 }
 
@@ -82,14 +77,11 @@ size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const KernelO
   assert(a.cols() == b.cols());
   assert(&out != &a && &out != &b);
   size_t grew = out.Reshape(a.rows(), b.rows()) ? 1 : 0;
-  const size_t k_dim = a.cols();
+  // Row i of out is a_i against every row of b: one dot_rows call, which
+  // shares each load of a_i across several rows of b.
   const KernelOps& k_ops = ResolveKernels(ops);
   for (size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.Row(i);
-    double* orow = out.Row(i);
-    for (size_t j = 0; j < b.rows(); ++j) {
-      orow[j] = k_ops.dot(arow, b.Row(j), k_dim);
-    }
+    k_ops.dot_rows(a.Row(i), b.Row(0), b.cols(), b.rows(), a.cols(), out.Row(i));
   }
   return grew;
 }
@@ -257,10 +249,11 @@ double RowSqDist(const Matrix& a, size_t r, const Matrix& b, size_t s) {
 }
 
 double SqDist(const double* a, const double* b, size_t n) {
-  // Deliberately the textbook serial sum, NOT the dispatched kernel: this is
-  // the reference implementation the naive baseline (PredictBatchNaive) and
-  // the scoring-path Dissimilarity build on, so it must stay independent of
-  // the backend under test. Hot paths use KernelOps::sqdist directly.
+  // Deliberately the textbook serial sum, NOT a dispatched kernel: it is the
+  // reference that the naive forward path (ForwardNaive) builds on and that
+  // the tests compare the kernels against, so it must stay independent of
+  // the backend under test. Candidate scoring computes these same serial
+  // sums on KernelOps::nearest_sqdist; the Chamfer table uses sqdist_rows.
   double sum = 0.0;
   for (size_t k = 0; k < n; ++k) {
     double d = a[k] - b[k];

@@ -10,7 +10,9 @@
 // passes trivially.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -56,6 +58,106 @@ std::vector<const KernelOps*> BothBackends() {
   return {&KernelsFor(KernelBackend::kPortable), &KernelsFor(KernelBackend::kAvx2)};
 }
 
+// --- scalar references, in the expression trees kernels.h documents --------
+// Independent of both backends: each output is computed alone, by a plain
+// loop, so a change both backends make the same way still shows.
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// EXPECT_EQ on bit patterns: exact, and unlike == it tells -0.0 from 0.0 and
+// matches a NaN with the same NaN.
+void ExpectSameBits(const std::vector<double>& got, const std::vector<double>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(Bits(got[i]), Bits(want[i]))
+        << what << " [" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+// One gemm_rows element: the bias, then each k-block's four products summed
+// first and added, then the remainder k appended one by one, skipping
+// a[k] == 0.
+double RefGemmElement(const double* arow, size_t k_dim, const double* b, size_t b_stride,
+                      const double* bias, size_t j) {
+  double s = bias != nullptr ? bias[j] : 0.0;
+  size_t k = 0;
+  for (; k + 4 <= k_dim; k += 4) {
+    double block = arow[k] * b[k * b_stride + j];
+    block += arow[k + 1] * b[(k + 1) * b_stride + j];
+    block += arow[k + 2] * b[(k + 2) * b_stride + j];
+    block += arow[k + 3] * b[(k + 3) * b_stride + j];
+    s += block;
+  }
+  for (; k < k_dim; ++k) {
+    if (arow[k] != 0.0) {
+      s += arow[k] * b[k * b_stride + j];
+    }
+  }
+  return s;
+}
+
+// The 4-lane strided sum of term(0..n-1): lane l adds the terms with
+// k % 4 == l in ascending k, the lanes reduce as (l0 + l1) + (l2 + l3), and
+// the remainder terms are appended one by one.
+template <typename Term>
+double RefLaneSum(size_t n, Term term) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    for (size_t l = 0; l < 4; ++l) {
+      lane[l] += term(k + l);
+    }
+  }
+  double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (; k < n; ++k) {
+    sum += term(k);
+  }
+  return sum;
+}
+
+double RefDot(const double* a, const double* b, size_t n) {
+  return RefLaneSum(n, [&](size_t k) { return a[k] * b[k]; });
+}
+
+double RefSqDist(const double* a, const double* b, size_t n) {
+  return RefLaneSum(n, [&](size_t k) {
+    double d = a[k] - b[k];
+    return d * d;
+  });
+}
+
+// One gemm_at_row element: acc[j] plus a[k] * b[k][j] for ascending k,
+// skipping a[k] == 0.
+double RefGemmAtElement(const double* a, size_t a_stride, size_t k_dim, const double* b,
+                        size_t b_stride, double acc, size_t j) {
+  for (size_t k = 0; k < k_dim; ++k) {
+    if (a[k * a_stride] != 0.0) {
+      acc += a[k * a_stride] * b[k * b_stride + j];
+    }
+  }
+  return acc;
+}
+
+// nearest_sqdist: each column gathered into a point, SqDist (the serial
+// reference in matrix.h), and a std::min chain from DBL_MAX.
+double RefNearestSqDist(const double* x, size_t dim, const double* cols, size_t col_stride,
+                        size_t rows) {
+  double nearest = std::numeric_limits<double>::max();
+  std::vector<double> point(dim);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t k = 0; k < dim; ++k) {
+      point[k] = cols[k * col_stride + r];
+    }
+    nearest = std::min(nearest, SqDist(x, point.data(), dim));
+  }
+  return nearest;
+}
+
 TEST(KernelBackend, DispatchResolvesToARealBackend) {
   // CPUID alone picks the process default: the widest available backend.
   KernelBackend backend = DefaultKernelBackend();
@@ -81,14 +183,25 @@ TEST(KernelBackend, PrimitivesMatchPortableBitwise) {
     std::vector<double> a = RandomArray(rng, n);
     std::vector<double> b = RandomArray(rng, n);
 
-    EXPECT_EQ(portable.dot(a.data(), b.data(), n), simd.dot(a.data(), b.data(), n)) << n;
-    EXPECT_EQ(portable.sqdist(a.data(), b.data(), n), simd.sqdist(a.data(), b.data(), n))
-        << n;
     EXPECT_EQ(portable.sqnorm(a.data(), n), simd.sqnorm(a.data(), n)) << n;
+
+    // dot_rows / sqdist_rows of `a` against 1..9 rows of stride n + 1, which
+    // covers the 4-row blocks and every leftover row.
+    for (size_t rows = 1; rows <= 9; ++rows) {
+      std::vector<double> bmat = RandomArray(rng, rows * (n + 1));
+      std::vector<double> o1(rows), o2(rows);
+      portable.dot_rows(a.data(), bmat.data(), n + 1, rows, n, o1.data());
+      simd.dot_rows(a.data(), bmat.data(), n + 1, rows, n, o2.data());
+      EXPECT_EQ(o1, o2) << "dot_rows rows=" << rows << " n=" << n;
+      portable.sqdist_rows(a.data(), bmat.data(), n + 1, rows, n, o1.data());
+      simd.sqdist_rows(a.data(), bmat.data(), n + 1, rows, n, o2.data());
+      EXPECT_EQ(o1, o2) << "sqdist_rows rows=" << rows << " n=" << n;
+    }
 
     // gemm_at_row down column 1 of a 3-wide row-major `a` (a_stride 3), into
     // a b with row stride n + 2, across k_dim with zeros in a to hit the
-    // skip. The n sweep covers every j tile (16-wide, 4-wide, scalar tail).
+    // skip. The n sweep covers every j tile (32-, 16- and 4-wide, scalar
+    // tail).
     for (size_t k_dim : {1u, 5u, 32u}) {
       std::vector<double> amat = RandomArray(rng, 3 * k_dim);
       for (size_t k = 1; k < k_dim; k += 3) {
@@ -125,22 +238,26 @@ TEST(KernelBackend, PrimitivesMatchPortableBitwise) {
     simd.relu(y2.data(), n);
     EXPECT_EQ(y1, y2) << "relu n=" << n;
 
-    // gemm_row across k remainders (including a zero a[k] to hit the skip)
-    // and every j tile width (16-wide, 4-wide, scalar tail).
+    // gemm_rows across k remainders (including a zero a[k] to hit the skip),
+    // every j tile width (8-wide, 4-wide, scalar tail) and 4-row blocks with
+    // leftover rows.
     for (size_t k_dim : {1u, 4u, 6u, 9u}) {
-      std::vector<double> arow = RandomArray(rng, k_dim);
-      if (k_dim > 4) {
-        arow[k_dim - 1] = 0.0;  // Remainder-k zero skip.
+      for (size_t rows : {1u, 4u, 7u}) {
+        std::vector<double> amat = RandomArray(rng, rows * k_dim);
+        if (k_dim > 4) {
+          amat[k_dim - 1] = 0.0;  // Remainder-k zero skip in row 0.
+        }
+        std::vector<double> bmat = RandomArray(rng, k_dim * n);
+        std::vector<double> bias = RandomArray(rng, n);
+        std::vector<double> o1(rows * n), o2(rows * n);
+        portable.gemm_rows(amat.data(), rows, k_dim, bmat.data(), n, bias.data(), o1.data(),
+                           n);
+        simd.gemm_rows(amat.data(), rows, k_dim, bmat.data(), n, bias.data(), o2.data(), n);
+        EXPECT_EQ(o1, o2) << "gemm_rows k=" << k_dim << " m=" << n << " rows=" << rows;
+        portable.gemm_rows(amat.data(), rows, k_dim, bmat.data(), n, nullptr, o1.data(), n);
+        simd.gemm_rows(amat.data(), rows, k_dim, bmat.data(), n, nullptr, o2.data(), n);
+        EXPECT_EQ(o1, o2) << "gemm_rows nobias k=" << k_dim << " m=" << n << " rows=" << rows;
       }
-      std::vector<double> bmat = RandomArray(rng, k_dim * n);
-      std::vector<double> bias = RandomArray(rng, n);
-      std::vector<double> o1(n), o2(n);
-      portable.gemm_row(arow.data(), k_dim, bmat.data(), n, bias.data(), o1.data(), n);
-      simd.gemm_row(arow.data(), k_dim, bmat.data(), n, bias.data(), o2.data(), n);
-      EXPECT_EQ(o1, o2) << "gemm_row k=" << k_dim << " m=" << n;
-      portable.gemm_row(arow.data(), k_dim, bmat.data(), n, nullptr, o1.data(), n);
-      simd.gemm_row(arow.data(), k_dim, bmat.data(), n, nullptr, o2.data(), n);
-      EXPECT_EQ(o1, o2) << "gemm_row nobias k=" << k_dim << " m=" << n;
     }
 
     AdamScalars scalars;
@@ -355,10 +472,182 @@ TEST(KernelBackend, MatMulAtAccumMatchesKOrderedLoop) {
   }
 }
 
+// gemm_rows against RefGemmElement on both backends. Rows 1-9 cover the
+// 4-row blocks and every leftover row, m the 8-wide and 4-wide tiles and
+// the scalar tail, k_dim % 4 != 0 the remainder with a zero a[k] (its b row
+// holds an infinity, so a missing skip turns the element into NaN). Then
+// the real shapes: dense-1 forward at the minibatch (32) and the pool (128),
+// and dense-2.
+TEST(KernelBackend, GemmRowsMatchesScalarTree) {
+  struct Shape {
+    size_t rows, k_dim, m;
+  };
+  std::vector<Shape> shapes;
+  for (size_t rows = 1; rows <= 9; ++rows) {
+    for (size_t m : {1u, 2u, 6u, 23u, 65u}) {
+      for (size_t k_dim : {1u, 3u, 6u, 13u}) {
+        shapes.push_back({rows, k_dim, m});
+      }
+    }
+  }
+  shapes.push_back({32, 298, 64});
+  shapes.push_back({128, 298, 64});
+  shapes.push_back({32, 64, 32});
+  Rng rng(97);
+  for (const Shape& shape : shapes) {
+    const size_t b_stride = shape.m + 3;
+    Matrix a = RandomMatrix(rng, shape.rows, shape.k_dim);
+    Matrix b = RandomMatrix(rng, shape.k_dim, b_stride);
+    std::vector<double> bias = RandomArray(rng, shape.m);
+    if (shape.k_dim % 4 != 0) {
+      const size_t last = shape.k_dim - 1;
+      b.At(last, 0) = std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < shape.rows; i += 2) {
+        a.At(i, last) = 0.0;
+      }
+    }
+    for (const double* bias_ptr : {static_cast<const double*>(bias.data()),
+                                   static_cast<const double*>(nullptr)}) {
+      std::vector<double> want(shape.rows * shape.m);
+      for (size_t i = 0; i < shape.rows; ++i) {
+        for (size_t j = 0; j < shape.m; ++j) {
+          want[i * shape.m + j] =
+              RefGemmElement(a.Row(i), shape.k_dim, b.Row(0), b_stride, bias_ptr, j);
+        }
+      }
+      for (const KernelOps* ops : BothBackends()) {
+        std::vector<double> got(shape.rows * shape.m);
+        ops->gemm_rows(a.Row(0), shape.rows, shape.k_dim, b.Row(0), b_stride, bias_ptr,
+                       got.data(), shape.m);
+        ExpectSameBits(got, want,
+                       std::string(ops->name) + " gemm_rows " + std::to_string(shape.rows) +
+                           "x" + std::to_string(shape.k_dim) + "x" +
+                           std::to_string(shape.m) + (bias_ptr ? " bias" : ""));
+      }
+    }
+  }
+}
+
+// dot_rows and sqdist_rows against the 4-lane references on both backends:
+// rows 1-9 x every n tail, then the real shapes: the RBF-0 cross term (a
+// 298-wide input row against 12 centroids), the dense-2 input gradient (a
+// 32-wide row against 64 weight rows), and a Chamfer table row (a centroid
+// against a 32-row batch, at 298, 64 and 32 wide).
+TEST(KernelBackend, DotAndSqDistRowsMatchLaneTree) {
+  struct Shape {
+    size_t rows, n;
+  };
+  std::vector<Shape> shapes;
+  for (size_t rows = 1; rows <= 9; ++rows) {
+    for (size_t n : {1u, 2u, 6u, 23u, 65u}) {
+      shapes.push_back({rows, n});
+    }
+  }
+  for (Shape real : {Shape{12, 298}, Shape{64, 32}, Shape{32, 298}, Shape{32, 64},
+                     Shape{32, 32}}) {
+    shapes.push_back(real);
+  }
+  Rng rng(101);
+  for (const Shape& shape : shapes) {
+    const size_t b_stride = shape.n + 1;
+    std::vector<double> a = RandomArray(rng, shape.n);
+    std::vector<double> b = RandomArray(rng, shape.rows * b_stride);
+    std::vector<double> want_dot(shape.rows), want_sq(shape.rows);
+    for (size_t r = 0; r < shape.rows; ++r) {
+      want_dot[r] = RefDot(a.data(), b.data() + r * b_stride, shape.n);
+      want_sq[r] = RefSqDist(a.data(), b.data() + r * b_stride, shape.n);
+    }
+    for (const KernelOps* ops : BothBackends()) {
+      const std::string what = std::string(ops->name) + " rows=" +
+                               std::to_string(shape.rows) + " n=" + std::to_string(shape.n);
+      std::vector<double> got(shape.rows);
+      ops->dot_rows(a.data(), b.data(), b_stride, shape.rows, shape.n, got.data());
+      ExpectSameBits(got, want_dot, "dot_rows " + what);
+      ops->sqdist_rows(a.data(), b.data(), b_stride, shape.rows, shape.n, got.data());
+      ExpectSameBits(got, want_sq, "sqdist_rows " + what);
+    }
+  }
+}
+
+// gemm_at_row against the k-ordered scalar element on both backends: m
+// around the 32-, 16- and 4-wide tiles, with zeros in `a` (some over an
+// infinity in `b`, so a missing skip shows as NaN), then dense-1 backward's
+// real shape (a 298-wide input's column against a 32 x 64 dY).
+TEST(KernelBackend, GemmAtRowMatchesKOrderedElement) {
+  struct Shape {
+    size_t k_dim, m, a_stride;
+  };
+  std::vector<Shape> shapes;
+  for (size_t m : {1u, 2u, 6u, 23u, 31u, 32u, 33u, 47u, 48u, 65u}) {
+    for (size_t k_dim : {1u, 5u, 32u}) {
+      shapes.push_back({k_dim, m, 3});
+    }
+  }
+  shapes.push_back({32, 64, 298});
+  Rng rng(103);
+  for (const Shape& shape : shapes) {
+    const size_t b_stride = shape.m + 2;
+    std::vector<double> a = RandomArray(rng, shape.k_dim * shape.a_stride);
+    std::vector<double> b = RandomArray(rng, shape.k_dim * b_stride);
+    for (size_t k = 0; k < shape.k_dim; k += 3) {
+      a[k * shape.a_stride] = 0.0;
+      b[k * b_stride + shape.m - 1] = std::numeric_limits<double>::infinity();
+    }
+    std::vector<double> acc0 = RandomArray(rng, shape.m);
+    std::vector<double> want(shape.m);
+    for (size_t j = 0; j < shape.m; ++j) {
+      want[j] =
+          RefGemmAtElement(a.data(), shape.a_stride, shape.k_dim, b.data(), b_stride, acc0[j], j);
+    }
+    for (const KernelOps* ops : BothBackends()) {
+      std::vector<double> got = acc0;
+      ops->gemm_at_row(a.data(), shape.a_stride, shape.k_dim, b.data(), b_stride, got.data(),
+                       shape.m);
+      ExpectSameBits(got, want,
+                     std::string(ops->name) + " gemm_at_row k=" + std::to_string(shape.k_dim) +
+                         " m=" + std::to_string(shape.m));
+    }
+  }
+}
+
+// nearest_sqdist against SqDist plus a std::min chain on both backends, for
+// ring sizes around the 16- and 4-point blocks (0, 1, 15, 16, 17, ...), a
+// full 128-entry ring at the Linux space's width, and a column stride wider
+// than the points scanned. Exact ties (a repeated point) and a point equal
+// to the query (distance 0) are included.
+TEST(KernelBackend, NearestSqDistMatchesSqDistMinChain) {
+  Rng rng(107);
+  for (size_t dim : {1u, 6u, 298u}) {
+    for (size_t rows : {0u, 1u, 3u, 4u, 15u, 16u, 17u, 31u, 32u, 33u, 127u, 128u}) {
+      for (size_t col_stride : {std::max<size_t>(rows, 1), size_t{128} + 5}) {
+        std::vector<double> cols = RandomArray(rng, dim * col_stride);
+        std::vector<double> x = RandomArray(rng, dim);
+        if (rows >= 4) {
+          for (size_t k = 0; k < dim; ++k) {
+            cols[k * col_stride + 2] = cols[k * col_stride + 1];  // A tie.
+          }
+        }
+        if (rows >= 17 && dim == 6) {
+          for (size_t k = 0; k < dim; ++k) {
+            cols[k * col_stride + 16] = x[k];  // The query itself.
+          }
+        }
+        double want = RefNearestSqDist(x.data(), dim, cols.data(), col_stride, rows);
+        for (const KernelOps* ops : BothBackends()) {
+          double got = ops->nearest_sqdist(x.data(), dim, cols.data(), col_stride, rows);
+          EXPECT_EQ(Bits(got), Bits(want)) << ops->name << " dim=" << dim << " rows=" << rows
+                                           << " stride=" << col_stride << ": " << got
+                                           << " vs " << want;
+        }
+      }
+    }
+  }
+}
+
 // The textbook two-pass Chamfer loop: each term computes its own distances
-// (centroid-to-point, then point-to-centroid) on the backend's sqdist.
-double TwoPassChamfer(const Matrix& c, const Matrix& z, double weight, Matrix& grad,
-                      const KernelOps& ops) {
+// (centroid-to-point, then point-to-centroid) with the scalar sqdist_rows
+// reference.
+double TwoPassChamfer(const Matrix& c, const Matrix& z, double weight, Matrix& grad) {
   const size_t k = c.rows();
   const size_t n = z.rows();
   const size_t d = c.cols();
@@ -367,7 +656,7 @@ double TwoPassChamfer(const Matrix& c, const Matrix& z, double weight, Matrix& g
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (size_t ni = 0; ni < n; ++ni) {
-      double dist = ops.sqdist(c.Row(ci), z.Row(ni), d);
+      double dist = RefSqDist(c.Row(ci), z.Row(ni), d);
       if (dist < best_dist) {
         best_dist = dist;
         best = ni;
@@ -383,7 +672,7 @@ double TwoPassChamfer(const Matrix& c, const Matrix& z, double weight, Matrix& g
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (size_t ci = 0; ci < k; ++ci) {
-      double dist = ops.sqdist(z.Row(ni), c.Row(ci), d);
+      double dist = RefSqDist(z.Row(ni), c.Row(ci), d);
       if (dist < best_dist) {
         best_dist = dist;
         best = ci;
@@ -428,7 +717,7 @@ TEST(KernelBackend, ChamferTableMatchesTwoPassLoop) {
       Matrix expected_grad(centroids, d, 0.25);
       layer.centroids().grad = expected_grad;
       double expected_loss =
-          TwoPassChamfer(layer.centroid_values(), z, 0.05, expected_grad, *ops);
+          TwoPassChamfer(layer.centroid_values(), z, 0.05, expected_grad);
       double loss = layer.AccumulateChamferGradient(0.05, ops);
       EXPECT_EQ(loss, expected_loss) << ops->name << " tied=" << tied;
       EXPECT_EQ(layer.centroids().grad.data(), expected_grad.data())

@@ -2,6 +2,9 @@
 // searcher-level determinism contracts that ride on it:
 //
 //   * a different pool seed yields a different candidate pool;
+//   * pool scoring over the feature-major history ring equals the textbook
+//     Dissimilarity bit for bit, and a Propose without history scores
+//     against no known points;
 //   * a fixed-seed MultiMetricSearcher trajectory is bit-identical across
 //     kernel backends (the DeepTuneSearcher twin of this pin lives in
 //     kernel_backend_test);
@@ -13,12 +16,16 @@
 // backend pin passes trivially.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "src/configspace/linux_space.h"
 #include "src/core/deeptune.h"
 #include "src/core/multi_metric.h"
 #include "src/core/proposal.h"
+#include "src/core/scoring.h"
 #include "src/nn/kernels.h"
 #include "src/platform/session.h"
 #include "src/simos/testbench.h"
@@ -42,6 +49,129 @@ TEST(ProposalPipeline, PoolSeedChangesThePool) {
     differing += pool_a[i].values() == pool_b[i].values() ? 0 : 1;
   }
   EXPECT_GT(differing, 0u);
+}
+
+// --- pool scoring -------------------------------------------------------------
+
+std::vector<TrialRecord> RandomHistory(const ConfigSpace& space, Rng& rng, size_t n) {
+  std::vector<TrialRecord> history(n);
+  for (TrialRecord& trial : history) {
+    trial.config = space.RandomConfiguration(rng, SampleOptions::FavorRuntime());
+  }
+  return history;
+}
+
+// PoolDissimilarity over the feature-major ring equals the textbook vector
+// Dissimilarity (serial sums, std::min) against the ring's trials, bit for
+// bit, on both backends: ring sizes 0, 1, 15, 16, 17 and a full ring, a ring
+// that wraps while synced in uneven steps, and swapped histories. Pool rows
+// 0 and 1 repeat a history trial, so they hit an exact distance of 0.
+TEST(ProposalPipeline, PoolDissimilarityMatchesReference) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  const size_t window = ProposalState::kHistoryWindow;
+  Rng rng(0x5c0);
+  std::vector<TrialRecord> history = RandomHistory(space, rng, 300);
+  ProposalPoolSpec spec;
+  spec.pool_size = 128;
+  std::vector<Configuration> pool;
+  Matrix encoded;
+  AssembleProposalPool(space, {}, SampleOptions(), spec, 7, pool, encoded);
+  space.EncodeInto(history[0].config, encoded.Row(0));
+  space.EncodeInto(history[299].config, encoded.Row(1));
+
+  auto check = [&](const EncodedHistoryRing& ring, const std::vector<TrialRecord>& trials,
+                   const std::string& what) {
+    const size_t live = std::min(window, trials.size());
+    ASSERT_EQ(ring.count(), live) << what;
+    std::vector<std::vector<double>> known;
+    for (size_t i = trials.size() - live; i < trials.size(); ++i) {
+      known.push_back(space.Encode(trials[i].config));
+    }
+    for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
+      const KernelOps& ops = KernelsFor(backend);
+      std::vector<double> ds;
+      PoolDissimilarity(encoded, ring, ring.count(), ops, &ds);
+      ASSERT_EQ(ds.size(), encoded.rows()) << what;
+      for (size_t i = 0; i < encoded.rows(); ++i) {
+        std::vector<double> x(encoded.Row(i), encoded.Row(i) + encoded.cols());
+        EXPECT_EQ(ds[i], Dissimilarity(x, known)) << what << " " << ops.name << " row " << i;
+      }
+    }
+  };
+
+  for (size_t n : {0u, 1u, 15u, 16u, 17u, 128u}) {
+    std::vector<TrialRecord> prefix(history.begin(), history.begin() + n);
+    EncodedHistoryRing ring;
+    ring.Sync(space, prefix, window);
+    check(ring, prefix, "fresh n=" + std::to_string(n));
+  }
+
+  EncodedHistoryRing ring;
+  std::vector<TrialRecord> grown;
+  for (size_t step : {5u, 11u, 100u, 31u, 1u, 152u}) {
+    grown.insert(grown.end(), history.begin() + static_cast<std::ptrdiff_t>(grown.size()),
+                 history.begin() + static_cast<std::ptrdiff_t>(grown.size() + step));
+    ring.Sync(space, grown, window);
+    check(ring, grown, "grown n=" + std::to_string(grown.size()));
+  }
+  // Same length, different trials: the ring must rebuild from the new one.
+  std::vector<TrialRecord> swapped = RandomHistory(space, rng, grown.size());
+  ring.Sync(space, swapped, window);
+  check(ring, swapped, "swapped");
+  swapped.resize(17);
+  ring.Sync(space, swapped, window);
+  check(ring, swapped, "swapped shorter");
+}
+
+// A Propose with no history scores every candidate as maximally novel: trials
+// an earlier Propose synced into the ring must not count as known points.
+// Two searchers observe the same 40 trials; one proposes once with that
+// history, the other once without; then each proposes 20 times without
+// history from identically seeded RNGs, and the proposals must agree.
+TEST(ProposalPipeline, NullHistoryScoresAgainstNoKnownPoints) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  DeepTuneOptions options;
+  options.warmup = 4;
+  options.model.steps_per_update = 4;
+  DeepTuneSearcher synced(&space, options);
+  DeepTuneSearcher fresh(&space, options);
+
+  Rng rng(0xab1);
+  std::vector<TrialRecord> history;
+  SearchContext observe;
+  observe.space = &space;
+  observe.history = &history;
+  observe.rng = &rng;
+  observe.sample_options = SampleOptions::FavorRuntime();
+  for (size_t i = 0; i < 40; ++i) {
+    TrialRecord trial;
+    trial.config = space.RandomConfiguration(rng, observe.sample_options);
+    trial.outcome.status = TrialOutcome::Status::kOk;
+    trial.outcome.metric = rng.Normal(100.0, 10.0);
+    trial.objective = trial.outcome.metric;
+    synced.Observe(trial, observe);
+    fresh.Observe(trial, observe);
+    history.push_back(trial);
+  }
+
+  Rng rng_synced(0x5eed);
+  Rng rng_fresh(0x5eed);
+  SearchContext with_history = observe;
+  with_history.rng = &rng_synced;
+  SearchContext without_history = observe;
+  without_history.history = nullptr;
+  without_history.rng = &rng_fresh;
+  synced.Propose(with_history);
+  fresh.Propose(without_history);
+
+  with_history.history = nullptr;
+  size_t differing = 0;
+  for (size_t i = 0; i < 20; ++i) {
+    Configuration a = synced.Propose(with_history);
+    Configuration b = fresh.Propose(without_history);
+    differing += a.Hash() == b.Hash() ? 0 : 1;
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 // --- trajectory pinning ------------------------------------------------------
