@@ -3,14 +3,15 @@
 // into s = mXNorm(t) - mXNorm(m) before the (single-output) DTM sees them;
 // §3.2 sketches the alternative — one network with per-metric heads, Eq. 3
 // applied per metric, weighted-average ranking. This bench runs both on the
-// same Nginx/Linux task plus a random baseline, and reports each approach's
-// best configurations on the common Eq. 4 score scale, its crash rate, and
-// the throughput/memory of its best point.
+// same Nginx/Linux task plus a random baseline (both DTM runs are one
+// DeepTuneSearcher, without and with a metric list), and reports each
+// approach's best configurations on the common Eq. 4 score scale, its crash
+// rate, and the throughput/memory of its best point.
 #include <algorithm>
 
 #include "bench/bench_common.h"
 #include "src/configspace/linux_space.h"
-#include "src/core/multi_metric.h"
+#include "src/core/deeptune.h"
 
 namespace {
 
@@ -78,13 +79,12 @@ int main() {
 
       std::unique_ptr<Searcher> searcher;
       if (std::string(method.name) == "deeptune-multi") {
-        MultiMetricOptions options;
+        DeepTuneOptions options;
         options.model.seed = 0x3a + run;
-        searcher = std::make_unique<MultiMetricSearcher>(
-            &space,
+        searcher = std::make_unique<DeepTuneSearcher>(
+            &space, options,
             std::vector<MetricSpec>{MetricSpec::AppThroughput(1.0),
-                                    MetricSpec::MemoryFootprint(1.0)},
-            options);
+                                    MetricSpec::MemoryFootprint(1.0)});
         session.objective = ObjectiveKind::kScore;  // Session-side reporting.
       } else if (std::string(method.name) == "deeptune-score") {
         searcher = MakeSearcher("deeptune", &space, 0x3a + run);

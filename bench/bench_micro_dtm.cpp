@@ -24,7 +24,7 @@
 // so every variant of a bench computes the same numbers — only the speed
 // differs. A summary record reports the avx2 update speedup; on pre-AVX2
 // hardware the avx2 variant falls back to portable and the speedup is ~1.
-// Candidate-pool PredictBatch is measured by bench_micro_matmul
+// Candidate-pool PredictRows is measured by bench_micro_matmul
 // (predict_batch_*).
 //
 // Usage: bench_micro_dtm [--dim D] [--samples N]
@@ -94,7 +94,7 @@ void SeedReplayBuffer(DeepTuneModel& model, size_t dim, size_t samples) {
   Rng rng(1);
   for (size_t i = 0; i < samples; ++i) {
     bool crashed = rng.Bernoulli(0.3);
-    model.AddSample(RandomFeatures(rng, dim), crashed, rng.Normal(100.0, 10.0));
+    model.AddSample(RandomFeatures(rng, dim), crashed, {rng.Normal(100.0, 10.0)});
   }
 }
 
@@ -229,7 +229,8 @@ int main(int argc, char** argv) {
       auto model = std::make_unique<DeepTuneModel>(dim, DtmOptions{});
       Rng rng(3);
       std::vector<double> x = RandomFeatures(rng, dim);
-      best = std::max(best, OpsPerSec([&] { model->AddSample(x, false, 1.0); }));
+      const std::vector<double> objective = {1.0};
+      best = std::max(best, OpsPerSec([&] { model->AddSample(x, false, objective); }));
     }
     Report("dtm_add_sample", "fast", best);
   }

@@ -4,8 +4,9 @@
 //   * raw matmul kernels: naive (textbook triple loop) vs fast (4x
 //     k-unrolled, row-streaming, fused bias);
 //   * the fused dense-layer forward;
-//   * DeepTuneModel::PredictBatch at pool sizes 64 / 256 / 1024, fast path
-//     vs the --naive allocation-per-op reference.
+//   * DeepTuneModel::PredictRows (the searcher's pool-ranking forward pass)
+//     at pool sizes 64 / 256 / 1024, fast path vs the --naive
+//     allocation-per-op reference.
 //
 // Usage: bench_micro_matmul [--naive] [--dim D]
 //   --naive     only measure the reference path (the seed implementation)
@@ -102,14 +103,14 @@ double BenchPredict(size_t dim, size_t pool, bool naive) {
     auto model = std::make_unique<DeepTuneModel>(dim, options);
     Rng rng(7);
     for (size_t i = 0; i < 64; ++i) {
-      model->AddSample(RandomFeatures(rng, dim), rng.Bernoulli(0.3), rng.Normal(0.0, 1.0));
+      model->AddSample(RandomFeatures(rng, dim), rng.Bernoulli(0.3), {rng.Normal(0.0, 1.0)});
     }
     model->Update();
     Matrix candidates = RandomMatrix(rng, pool, dim);
     for (double& v : candidates.data()) {
       v = (v + 3.0) / 6.0;  // Roughly [0, 1], like encoded configurations.
     }
-    best = std::max(best, OpsPerSec([&] { model->PredictBatch(candidates); }));
+    best = std::max(best, OpsPerSec([&] { model->PredictRows(candidates); }));
     pad.emplace_back(769 + 331 * instance + 97 * instance * instance, 0.0);
   }
   return best;

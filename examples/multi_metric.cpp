@@ -1,14 +1,15 @@
 // Multi-metric specialization (§3.2 extension).
 //
 // Co-optimizes Nginx throughput and kernel memory footprint with one
-// MultiMetricSearcher — a single DTM with two objective heads — and sweeps
-// the metric weights to trace the trade-off: all weight on throughput
-// recovers the Figure 6a behavior, all weight on memory approaches the
-// Figure 10 behavior, and the balanced point is the Figure 11 regime.
+// DeepTuneSearcher given a two-metric list — a single DTM with two objective
+// heads — and sweeps the metric weights to trace the trade-off: all weight on
+// throughput recovers the Figure 6a behavior, all weight on memory
+// approaches the Figure 10 behavior, and the balanced point is the Figure 11
+// regime.
 #include <cstdio>
 
 #include "src/configspace/linux_space.h"
-#include "src/core/multi_metric.h"
+#include "src/core/deeptune.h"
 #include "src/core/pareto.h"
 #include "src/core/wayfinder_api.h"
 
@@ -30,13 +31,12 @@ int main() {
   std::vector<TrialRecord> all_trials;  // Pooled for the Pareto report.
 
   for (double w : {1.0, 0.75, 0.5, 0.25, 0.0}) {
-    MultiMetricOptions options;
+    DeepTuneOptions options;
     options.model.seed = 0x33;
     options.warmup = 10;
-    MultiMetricSearcher searcher(
-        &space,
-        {MetricSpec::AppThroughput(w), MetricSpec::MemoryFootprint(1.0 - w)},
-        options);
+    DeepTuneSearcher searcher(
+        &space, options,
+        {MetricSpec::AppThroughput(w), MetricSpec::MemoryFootprint(1.0 - w)});
 
     Testbench bench(&space, AppId::kNginx);
     SessionOptions session;

@@ -365,28 +365,6 @@ void ConfigSpace::EncodeInto(const Configuration& config, double* out) const {
   }
 }
 
-const std::vector<double>& ConfigSpace::EncodeMemoized(const Configuration& config) const {
-  if (encode_cache_.empty()) {
-    encode_cache_.resize(kEncodeCacheSlots);
-  }
-  EncodeCacheEntry& entry = encode_cache_[config.Hash() % kEncodeCacheSlots];
-  if (entry.values != config.values()) {
-    entry.values = config.values();
-    entry.features.resize(params_.size());
-    EncodeInto(config, entry.features.data());
-  }
-  return entry.features;
-}
-
-size_t ConfigSpace::EncodeCacheBytes() const {
-  size_t bytes = encode_cache_.capacity() * sizeof(EncodeCacheEntry);
-  for (const EncodeCacheEntry& entry : encode_cache_) {
-    bytes += entry.values.capacity() * sizeof(int64_t) +
-             entry.features.capacity() * sizeof(double);
-  }
-  return bytes;
-}
-
 size_t ConfigSpace::CountPhase(ParamPhase phase) const {
   size_t count = 0;
   for (const auto& spec : params_) {

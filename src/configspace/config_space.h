@@ -108,8 +108,6 @@ class ConfigSpace {
   // the *Into variants below are pure over the space's immutable members
   // (params_, frozen_, index_by_name_), so concurrent calls on one space are
   // safe as long as each caller owns its Rng and output Configuration.
-  // EncodeMemoized is the one exception: it mutates the shared encode cache
-  // and must stay on a single thread.
   Configuration RandomConfiguration(Rng& rng, const SampleOptions& opts = SampleOptions()) const;
   // In-place variant for hot proposal loops: overwrites `out`, which must
   // already belong to this space, instead of building a fresh Configuration.
@@ -153,14 +151,6 @@ class ConfigSpace {
   // the allocation-free form the batched proposal path uses to fill one
   // row of the candidate matrix per configuration.
   void EncodeInto(const Configuration& config, double* out) const;
-  // Memoized Encode through a small direct-mapped cache keyed by the
-  // configuration hash (values compared exactly before a hit is served).
-  // Pays off for configurations encoded over and over — elites mutated
-  // into candidate pools, Table-3-style re-scoring loops. Not thread-safe.
-  const std::vector<double>& EncodeMemoized(const Configuration& config) const;
-  // Live bytes held by the memoized-encode cache (keys + features), for the
-  // searchers' memory accounting.
-  size_t EncodeCacheBytes() const;
   double EncodeParam(size_t index, int64_t value) const;
   // Inverse of EncodeParam (rounds to the nearest domain value).
   int64_t DecodeParam(size_t index, double feature) const;
@@ -178,15 +168,6 @@ class ConfigSpace {
   std::unordered_map<std::string, size_t> index_by_name_;
   std::vector<bool> frozen_;
   std::vector<int64_t> frozen_value_;
-
-  // EncodeMemoized's direct-mapped cache. Mutable: memoization is an
-  // implementation detail of a logically-const encoding.
-  struct EncodeCacheEntry {
-    std::vector<int64_t> values;  // Exact key; empty = slot unused.
-    std::vector<double> features;
-  };
-  static constexpr size_t kEncodeCacheSlots = 64;
-  mutable std::vector<EncodeCacheEntry> encode_cache_;
 };
 
 }  // namespace wayfinder

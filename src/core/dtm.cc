@@ -2,28 +2,18 @@
 
 namespace wayfinder {
 
-std::vector<DtmPrediction> DeepTuneModel::Emit(size_t n) const {
-  std::vector<DtmPrediction> predictions(n);
-  for (size_t i = 0; i < n; ++i) {
-    predictions[i].crash_prob = trunk_.CrashProb(i);
-    predictions[i].objective = trunk_.Objective(i, 0);
-    predictions[i].sigma = trunk_.Sigma(i, 0);
-  }
-  return predictions;
-}
-
-DtmPrediction DeepTuneModel::Predict(const std::vector<double>& x) {
+DtmPrediction DeepTuneModel::Predict(const std::vector<double>& x, size_t head) {
   trunk_.PredictRow(x);
-  return Emit(1).front();
+  return Prediction(0, head);
 }
 
 std::vector<DtmPrediction> DeepTuneModel::PredictBatch(
-    const std::vector<std::vector<double>>& xs) {
-  return Emit(trunk_.PredictRows(xs));
-}
-
-std::vector<DtmPrediction> DeepTuneModel::PredictBatch(const Matrix& xs) {
-  return Emit(trunk_.PredictRows(xs));
+    const std::vector<std::vector<double>>& xs, size_t head) {
+  std::vector<DtmPrediction> predictions(trunk_.PredictRows(xs));
+  for (size_t i = 0; i < predictions.size(); ++i) {
+    predictions[i] = Prediction(i, head);
+  }
+  return predictions;
 }
 
 }  // namespace wayfinder

@@ -19,62 +19,85 @@
 // the uncertainty branch's s, and a Chamfer regularizer distributing each
 // RBF layer's centroids over its input distribution.
 //
-// This class is the K = 1 head over the shared `DtmTrunk`
+// §3.2's multi-metric extension — "adding additional output layers to F_p
+// and F_u" — is the head count: K objective outputs and K log-variances,
+// trained with a K-column heteroscedastic loss, each head with its own
+// z-score normalizer so req/s and MB can share one network. One head is the
+// paper's single-objective DTM.
+//
+// This class is a thin head over the shared `DtmTrunk`
 // (src/core/dtm_trunk.h), which owns the network, the backward pass, the
 // optimizer, the replay buffer, and every bit-determinism contract. The
-// head only converts the trunk's row accessors into DtmPrediction structs.
+// head only converts the trunk's row/head accessors into DtmPrediction
+// structs.
 #ifndef WAYFINDER_SRC_CORE_DTM_H_
 #define WAYFINDER_SRC_CORE_DTM_H_
 
+#include <cassert>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/dtm_trunk.h"
 
 namespace wayfinder {
 
+// The model's verdict on one configuration for one head.
 struct DtmPrediction {
   double crash_prob = 0.0;  // k̂
-  double objective = 0.0;   // ŷ, in normalized objective units.
+  double objective = 0.0;   // ŷ, in the head's normalized units.
   double sigma = 1.0;       // σ̂ from the uncertainty branch.
 };
 
 class DeepTuneModel {
  public:
-  DeepTuneModel(size_t input_dim, const DtmOptions& options = {})
-      : trunk_(input_dim, /*head_count=*/1, options) {}
+  // `head_count` >= 1: one objective/uncertainty head per target metric.
+  explicit DeepTuneModel(size_t input_dim, const DtmOptions& options = {},
+                         size_t head_count = 1)
+      : trunk_(input_dim, head_count, options) {}
 
   size_t input_dim() const { return trunk_.input_dim(); }
+  size_t head_count() const { return trunk_.head_count(); }
   size_t sample_count() const { return trunk_.sample_count(); }
 
-  // Adds one observation. `objective` is ignored for crashed trials.
-  void AddSample(const std::vector<double>& x, bool crashed, double objective) {
-    trunk_.AddSample(x, crashed, &objective);
+  // Adds one observation. `objectives` holds one raw, higher-is-better value
+  // per head; it is ignored (and may be empty) for crashed trials.
+  void AddSample(std::vector<double> x, bool crashed, const std::vector<double>& objectives) {
+    assert(crashed || objectives.size() == head_count());
+    trunk_.AddSample(std::move(x), crashed, objectives.data());
   }
 
   // Runs `steps_per_update` minibatch gradient steps on the replay buffer.
   // Returns the last batch's total loss (0 when there is nothing to train).
   double Update() { return trunk_.Update(); }
 
-  DtmPrediction Predict(const std::vector<double>& x);
-  std::vector<DtmPrediction> PredictBatch(const std::vector<std::vector<double>>& xs);
-  // Batched inference over a row-major (N x input_dim) candidate matrix —
-  // one fused forward pass for the whole pool, no per-candidate staging.
-  std::vector<DtmPrediction> PredictBatch(const Matrix& xs);
-
-  // Objective normalization (z-score over successful observations).
-  double NormalizeObjective(double objective) const {
-    return trunk_.NormalizeObjective(0, objective);
+  // Batched inference over a row-major (N x input_dim) candidate matrix: one
+  // fused forward pass, read back per row and head through Prediction() —
+  // the pool-ranking form, with no container per candidate. Returns N.
+  size_t PredictRows(const Matrix& xs) { return trunk_.PredictRows(xs); }
+  // Head `head` of row `row` of the last inference call.
+  DtmPrediction Prediction(size_t row, size_t head = 0) const {
+    return {trunk_.CrashProb(row), trunk_.Objective(row, head), trunk_.Sigma(row, head)};
   }
-  double DenormalizeObjective(double normalized) const {
-    return trunk_.DenormalizeObjective(0, normalized);
+
+  // Convenience forms: head `head` of one configuration, or of each one.
+  DtmPrediction Predict(const std::vector<double>& x, size_t head = 0);
+  std::vector<DtmPrediction> PredictBatch(const std::vector<std::vector<double>>& xs,
+                                          size_t head = 0);
+
+  // Per-head objective normalization (z-score over successful observations).
+  double NormalizeObjective(double objective, size_t head = 0) const {
+    return trunk_.NormalizeObjective(head, objective);
+  }
+  double DenormalizeObjective(double normalized, size_t head = 0) const {
+    return trunk_.DenormalizeObjective(head, normalized);
   }
 
   // Trainable blocks in a stable order (for Adam and serialization).
   std::vector<ParamBlock*> Params() { return trunk_.Params(); }
 
   // Transfer learning (§3.3): persist/restore the trained weights. Loading
-  // requires an identical architecture (input dim and options).
+  // requires an identical architecture (input dim, head count, options).
   bool Save(const std::string& path) const { return trunk_.Save(path); }
   bool Load(const std::string& path) { return trunk_.Load(path); }
 
@@ -84,8 +107,8 @@ class DeepTuneModel {
   const DtmOptions& options() const { return trunk_.options(); }
 
   // Times any workspace buffer had to (re)allocate. Stable across repeated
-  // same-shaped Forward calls — the zero-alloc-after-warmup guarantee that
-  // tests assert on.
+  // same-shaped Forward/Update rounds — the zero-alloc-after-warmup
+  // guarantee that tests assert on.
   size_t workspace_grow_count() const { return trunk_.workspace_grow_count(); }
 
   // The SIMD kernel table this model resolved at construction; the searcher
@@ -93,8 +116,6 @@ class DeepTuneModel {
   const KernelOps& kernels() const { return trunk_.kernels(); }
 
  private:
-  std::vector<DtmPrediction> Emit(size_t n) const;
-
   DtmTrunk trunk_;
 };
 

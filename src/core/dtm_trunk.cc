@@ -1,6 +1,7 @@
 #include "src/core/dtm_trunk.h"
 
 #include <cassert>
+#include <utility>
 
 #include "src/nn/serialize.h"
 #include "src/obs/metrics.h"
@@ -61,10 +62,9 @@ std::vector<ParamBlock*> DtmTrunk::Params() {
   return params;
 }
 
-void DtmTrunk::AddSample(const std::vector<double>& x, bool crashed,
-                         const double* objectives) {
+void DtmTrunk::AddSample(std::vector<double> x, bool crashed, const double* objectives) {
   assert(x.size() == input_dim_);
-  xs_.push_back(x);
+  xs_.push_back(std::move(x));
   crashed_.push_back(crashed);
   for (size_t k = 0; k < head_count_; ++k) {
     objectives_.push_back(crashed ? std::nan("") : objectives[k]);

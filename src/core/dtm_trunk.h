@@ -9,13 +9,14 @@
 //     stage (input, hidden-1, hidden-2), concatenated into a linear head
 //     emitting K log-variances s = log σ².
 //
-// `DeepTuneModel` (K = 1) and `MultiDtm` (K = metric count) are thin heads
-// over this class: they own no layers, no optimizer, no replay buffer and no
-// backward pass — they only convert the trunk's row/head accessors into
-// their prediction structs. The order-sensitive backward pass, the Adam
-// step, the minibatch gather, and the zero-alloc workspace arena therefore
-// exist in exactly one place, and the bit-determinism contracts are carried
-// by the trunk itself:
+// `DeepTuneModel` (src/core/dtm.h) is the one thin head over this class, at
+// K = 1 for the paper's DTM and K = metric count for §3.2's multi-metric
+// extension: it owns no layers, no optimizer, no replay buffer and no
+// backward pass — it only converts the trunk's row/head accessors into
+// DtmPrediction structs. The order-sensitive backward pass, the Adam step,
+// the minibatch gather, and the zero-alloc workspace arena therefore exist
+// in exactly one place, and the bit-determinism contracts are carried by the
+// trunk itself:
 //
 //   * `workspace_grow_count()` is stable across repeated same-shaped
 //     forward/update rounds, and a warm `Update()` or `PredictRows(Matrix)`
@@ -86,7 +87,7 @@ class DtmTrunk {
 
   // Appends one observation to the replay buffer. `objectives` points at
   // head_count raw values; it is ignored (and may be null) for crashes.
-  void AddSample(const std::vector<double>& x, bool crashed, const double* objectives);
+  void AddSample(std::vector<double> x, bool crashed, const double* objectives);
 
   // Runs `steps_per_update` minibatch gradient steps on the replay buffer.
   // Returns the last batch's total loss (0 when there is nothing to train).

@@ -67,6 +67,7 @@ bool ModelZoo::Publish(const std::string& name, const DeepTuneSearcher& searcher
   out.precision(17);
   out << "wayfinder-fingerprint v1\n";
   out << "dim " << searcher.model().input_dim() << "\n";
+  out << "heads " << searcher.model().head_count() << "\n";
   out << "importance";
   for (double v : fingerprint) {
     out << " " << v;
@@ -95,6 +96,11 @@ std::vector<ZooEntry> ModelZoo::List() const {
       continue;
     }
     in >> keyword;
+    if (keyword == "heads") {
+      // Absent from fingerprints written before multi-head models could be
+      // published: those hold one-head models.
+      in >> entry.head_count >> keyword;
+    }
     if (keyword != "importance") {
       continue;
     }
@@ -113,10 +119,11 @@ std::vector<ZooEntry> ModelZoo::List() const {
   return entries;
 }
 
-std::vector<DonorMatch> ModelZoo::RankDonors(const std::vector<double>& fingerprint) const {
+std::vector<DonorMatch> ModelZoo::RankDonors(const std::vector<double>& fingerprint,
+                                             size_t head_count) const {
   std::vector<DonorMatch> matches;
   for (const ZooEntry& entry : List()) {
-    if (entry.fingerprint.size() != fingerprint.size()) {
+    if (entry.fingerprint.size() != fingerprint.size() || entry.head_count != head_count) {
       continue;
     }
     matches.push_back({entry.name, ImportanceSimilarity(entry.fingerprint, fingerprint)});

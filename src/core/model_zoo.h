@@ -30,6 +30,7 @@ std::vector<double> ComputeImportanceFingerprint(Testbench& bench, size_t sample
 struct ZooEntry {
   std::string name;       // Entry name (usually the application).
   size_t input_dim = 0;   // Feature dimension the model was trained on.
+  size_t head_count = 1;  // The model's objective heads (one per metric).
   std::vector<double> fingerprint;
 };
 
@@ -52,10 +53,14 @@ class ModelZoo {
   std::vector<ZooEntry> List() const;
 
   // Entries ranked by descending fingerprint similarity to `fingerprint`;
-  // entries with a different input dimension are excluded.
-  std::vector<DonorMatch> RankDonors(const std::vector<double>& fingerprint) const;
+  // entries with a different input dimension or head count (models the
+  // recipient could not load) are excluded.
+  std::vector<DonorMatch> RankDonors(const std::vector<double>& fingerprint,
+                                     size_t head_count = 1) const;
 
   // Loads the named entry's weights into `searcher` (marks it transferred).
+  // False when the entry is missing or its model's shape (input dim, head
+  // count) differs from the searcher's.
   bool Adopt(const std::string& name, DeepTuneSearcher* searcher) const;
 
   // Removes an entry; false when absent.

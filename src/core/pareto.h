@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "src/core/multi_metric.h"
+#include "src/core/deeptune.h"
 #include "src/platform/trial.h"
 
 namespace wayfinder {

@@ -1,5 +1,5 @@
-// The proposal pipeline: deterministic candidate-pool assembly shared by
-// the DTM-backed searchers (DeepTuneSearcher and MultiMetricSearcher).
+// The proposal pipeline: DeepTuneSearcher's deterministic candidate-pool
+// assembly, for one target or several (src/core/deeptune.h).
 //
 // Once DTM prediction is batched (one fused forward pass per pool), pool
 // *assembly* — line-search decode, elite mutation, random sampling, and
@@ -37,7 +37,7 @@ struct ProposalPoolSpec {
   double exploit_fraction = 0.6;
   size_t max_mutations = 4;
   // Emit the model-guided coordinate line-search block (DeepTune's pool head;
-  // the multi-metric searcher skips it).
+  // off when the searcher ranks by a metric list).
   bool line_search = true;
 };
 
@@ -47,7 +47,7 @@ struct ProposalPoolSpec {
 //
 //   [ line-search grids | elite mutations | random samples ]
 //
-// `pool_seed` must change per iteration (the searchers hash their seed, an
+// `pool_seed` must change per iteration (the searcher hashes its seed, an
 // iteration counter, and one serial draw from the session RNG). Both output
 // containers should persist across calls so the warm path reuses their
 // buffers.
@@ -57,14 +57,14 @@ void AssembleProposalPool(const ConfigSpace& space,
                           const ProposalPoolSpec& spec, uint64_t pool_seed,
                           std::vector<Configuration>& pool, Matrix& encoded);
 
-// Batch selection over a scored pool, shared by the DTM-backed searchers'
-// ProposeBatch overrides: appends up to `n` distinct candidates to `batch`
-// in stable score-descending order (ties keep pool order). Candidates whose
-// configuration was already evaluated in `history` rank behind unseen ones —
-// the session would only dedup-retry them, and each retry costs a full pool
-// re-ranking — but can still fill the tail when the pool lacks n distinct
-// unseen members. May append fewer than n; callers top up (e.g. with random
-// samples). The selection is a pure function of its inputs.
+// Batch selection over a scored pool, for DeepTuneSearcher::ProposeBatch:
+// appends up to `n` distinct candidates to `batch` in stable score-descending
+// order (ties keep pool order). Candidates whose configuration was already
+// evaluated in `history` rank behind unseen ones — the session would only
+// dedup-retry them, and each retry costs a full pool re-ranking — but can
+// still fill the tail when the pool lacks n distinct unseen members. May
+// append fewer than n; callers top up (e.g. with random samples). The
+// selection is a pure function of its inputs.
 void SelectTopCandidates(const std::vector<double>& scores,
                          const std::vector<Configuration>& pool,
                          const std::vector<TrialRecord>* history, size_t n,
@@ -77,10 +77,9 @@ void SelectTopCandidates(const std::vector<double>& scores,
 // (KernelOps::nearest_sqdist) reads one feature of consecutive trials as one
 // vector, with SIMD lanes across trials. Synced incrementally — each trial is
 // encoded exactly once, ever, instead of window-many re-encodes per
-// iteration — and shared by both DTM-backed searchers. Detects a replaced
-// history (searcher reused across sessions, resume into a different prior)
-// and rebuilds from scratch. Dissimilarity takes a min over entries, so ring
-// order never affects scores.
+// iteration. Detects a replaced history (searcher reused across sessions,
+// resume into a different prior) and rebuilds from scratch. Dissimilarity
+// takes a min over entries, so ring order never affects scores.
 class EncodedHistoryRing {
  public:
   // Brings the ring up to date with `history`, encoding only the trials
@@ -106,8 +105,7 @@ class EncodedHistoryRing {
 
 // Per-searcher proposal-pipeline state: the seeding recipe for the
 // counter-derived candidate streams plus the persistent pool/encode/ring
-// scratch. One struct shared by both DTM-backed searchers so the
-// determinism-critical parts cannot drift apart.
+// scratch.
 struct ProposalState {
   // Trials the dissimilarity term compares a candidate against: the most
   // recent ones, so older points matter less and scoring costs O(1) per
@@ -135,11 +133,12 @@ struct ProposalState {
   }
 
   // Live bytes of the proposal scratch (candidate pool, encoded batch,
-  // history ring, per-candidate dissimilarities), for the searchers'
-  // MemoryBytes accounting.
+  // history ring, per-candidate dissimilarities and normalized σ̂), for the
+  // searcher's MemoryBytes accounting.
   size_t ScratchBytes() const {
-    size_t bytes = (encoded.size() + dissimilarity.capacity()) * sizeof(double) +
-                   history.bytes();
+    size_t bytes =
+        (encoded.size() + dissimilarity.capacity() + sigma_norm.capacity()) * sizeof(double) +
+        history.bytes();
     for (const Configuration& candidate : pool) {
       bytes += candidate.Size() * sizeof(int64_t);
     }
@@ -152,6 +151,7 @@ struct ProposalState {
   Matrix encoded;
   EncodedHistoryRing history;
   std::vector<double> dissimilarity;  // Eq. 2 per pool row (PoolDissimilarity).
+  std::vector<double> sigma_norm;     // One head's σ̂ per pool row (NormalizeSigmas).
 };
 
 }  // namespace wayfinder

@@ -52,19 +52,6 @@ void PoolDissimilarity(const Matrix& encoded, const EncodedHistoryRing& ring,
   }
 }
 
-std::vector<double> NormalizeSigmas(const std::vector<DtmPrediction>& predictions) {
-  std::vector<double> sigmas(predictions.size(), 0.0);
-  double max_sigma = 1e-12;
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    sigmas[i] = predictions[i].sigma;
-    max_sigma = std::max(max_sigma, sigmas[i]);
-  }
-  for (double& s : sigmas) {
-    s /= max_sigma;
-  }
-  return sigmas;
-}
-
 double RankScore(const DtmPrediction& prediction, double dissimilarity, double sigma_norm,
                  const ScoreOptions& options) {
   // Eq. 3: sf = alpha * ds + (1 - alpha) * F_u.
@@ -75,6 +62,16 @@ double RankScore(const DtmPrediction& prediction, double dissimilarity, double s
     score -= options.crash_penalty * (prediction.crash_prob - options.crash_threshold);
   }
   return score;
+}
+
+void NormalizeSigmas(std::vector<double>* sigmas) {
+  double max_sigma = 1e-12;
+  for (double sigma : *sigmas) {
+    max_sigma = std::max(max_sigma, sigma);
+  }
+  for (double& sigma : *sigmas) {
+    sigma /= max_sigma;
+  }
 }
 
 }  // namespace wayfinder

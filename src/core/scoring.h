@@ -4,7 +4,9 @@
 // evaluated (novelty); sf(x, X) blends that with the model's predicted
 // uncertainty. Ranking additionally merges the predicted objective, per the
 // paper's description of the scoring function ("merging the model
-// prediction, the predicted uncertainty, and the dissimilarity").
+// prediction, the predicted uncertainty, and the dissimilarity"). With
+// several target metrics, DeepTuneSearcher applies RankScore per DTM head
+// and ranks by the heads' weighted average.
 #ifndef WAYFINDER_SRC_CORE_SCORING_H_
 #define WAYFINDER_SRC_CORE_SCORING_H_
 
@@ -22,13 +24,12 @@ namespace wayfinder {
 double Dissimilarity(const std::vector<double>& x,
                      const std::vector<std::vector<double>>& known);
 
-// Eq. 2 for a whole candidate pool, the one scoring path of both DTM-backed
-// searchers: (*ds)[i] is the Dissimilarity above of `encoded` row i against
-// the first `known_rows` entries of `ring` (0 = no known points: 1.0
-// everywhere), bit for bit. Each nearest distance is one
-// KernelOps::nearest_sqdist call on `ops`, which the searchers pass as their
-// model's table. `ds` is resized to the pool and reused, so a warm call does
-// not allocate.
+// Eq. 2 for a whole candidate pool, DeepTuneSearcher's one scoring path:
+// (*ds)[i] is the Dissimilarity above of `encoded` row i against the first
+// `known_rows` entries of `ring` (0 = no known points: 1.0 everywhere), bit
+// for bit. Each nearest distance is one KernelOps::nearest_sqdist call on
+// `ops`, which the searcher passes as its model's table. `ds` is resized to
+// the pool and reused, so a warm call does not allocate.
 void PoolDissimilarity(const Matrix& encoded, const EncodedHistoryRing& ring,
                        size_t known_rows, const KernelOps& ops, std::vector<double>* ds);
 
@@ -39,13 +40,15 @@ struct ScoreOptions {
   double crash_penalty = 4.0;   // Score penalty applied past the threshold.
 };
 
-// Final ranking score for one candidate. `sigma_norm` must be the
-// pool-normalized uncertainty in [0, 1].
+// Final ranking score for one candidate on one head. `sigma_norm` must be
+// the head's σ̂ max-scaled over the pool, in [0, 1] (NormalizeSigmas).
 double RankScore(const DtmPrediction& prediction, double dissimilarity, double sigma_norm,
                  const ScoreOptions& options);
 
-// Normalizes sigmas of a candidate pool into [0, 1] (max-scaled).
-std::vector<double> NormalizeSigmas(const std::vector<DtmPrediction>& predictions);
+// Eq. 3's uncertainty input for one head: max-scales the head's σ̂ over a
+// candidate pool into [0, 1], in place. The scale is floored at 1e-12, so a
+// pool whose σ̂ all sit below it stays finite (an all-zero pool stays 0).
+void NormalizeSigmas(std::vector<double>* sigmas);
 
 }  // namespace wayfinder
 

@@ -55,25 +55,21 @@ JobRunResult RunJob(const JobSpec& spec, const std::string& model_in,
     return result;
   }
   auto* deeptune = dynamic_cast<DeepTuneSearcher*>(searcher.get());
-  if (!model_in.empty()) {
-    if (deeptune == nullptr) {
-      result.error = "transfer learning requires the deeptune algorithm";
-      return result;
-    }
-    if (!deeptune->LoadModel(model_in)) {
-      result.error = "cannot load model: " + model_in;
-      return result;
-    }
+  if (deeptune == nullptr && (!model_in.empty() || !model_out.empty())) {
+    result.error = "transfer learning requires the deeptune algorithm";
+    return result;
+  }
+  if (!model_in.empty() && !deeptune->LoadModel(model_in)) {
+    result.error = "cannot load model: " + model_in;
+    return result;
   }
 
   Testbench bench(result.space.get(), spec.app, spec.ToTestbenchOptions());
 
   result.session = RunSearch(&bench, searcher.get(), spec.ToSessionOptions());
-  if (deeptune != nullptr && !model_out.empty()) {
-    if (!deeptune->SaveModel(model_out)) {
-      result.error = "cannot save model: " + model_out;
-      return result;
-    }
+  if (!model_out.empty() && !deeptune->SaveModel(model_out)) {
+    result.error = "cannot save model: " + model_out;
+    return result;
   }
   result.ok = true;
   return result;

@@ -48,9 +48,10 @@ struct JobRunResult {
 };
 
 // Parses and runs a job file end to end. `model_in` warm-starts DeepTune
-// from a saved model (transfer learning); `model_out` saves the trained
-// model afterwards. Both optional (empty = off, ignored for non-DeepTune
-// algorithms).
+// (single- or multi-metric) from a saved model (transfer learning);
+// `model_out` saves the trained model afterwards. Both optional (empty =
+// off); with any other algorithm either one is an error before the run
+// starts.
 JobRunResult RunJobText(const std::string& yaml_text, const std::string& model_in = "",
                         const std::string& model_out = "");
 JobRunResult RunJobFile(const std::string& path, const std::string& model_in = "",

@@ -31,8 +31,9 @@
 // the history but restarts the randomness, the pre-v2 behaviour.
 //
 // Model weights can additionally be checkpointed via
-// DeepTuneSearcher::SaveModel, but a resumed session replays the history
-// through Observe, which retrains any searcher bit-deterministically.
+// DeepTuneSearcher::SaveModel (single- or multi-metric), but a resumed
+// session replays the history through Observe, which retrains any searcher
+// bit-deterministically.
 #ifndef WAYFINDER_SRC_PLATFORM_CHECKPOINT_H_
 #define WAYFINDER_SRC_PLATFORM_CHECKPOINT_H_
 

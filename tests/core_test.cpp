@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include "src/configspace/linux_space.h"
 #include "src/core/deeptune.h"
@@ -29,7 +32,7 @@ DeepTuneModel TrainToyModel(size_t samples, uint64_t seed) {
   for (size_t i = 0; i < samples; ++i) {
     std::vector<double> x = {rng.Uniform(), rng.Uniform(), rng.Uniform(), rng.Uniform()};
     bool crashed = ToyProblem::Crashes(x);
-    model.AddSample(x, crashed, crashed ? 0.0 : ToyProblem::Objective(x));
+    model.AddSample(x, crashed, {crashed ? 0.0 : ToyProblem::Objective(x)});
     if (i % 4 == 3) {
       model.Update();
     }
@@ -86,7 +89,7 @@ TEST(Dtm, UncertaintyHigherOffDistribution) {
   for (size_t i = 0; i < 200; ++i) {
     std::vector<double> x = {rng.Uniform(0, 0.4), rng.Uniform(0, 0.4), rng.Uniform(0, 0.4),
                              rng.Uniform(0, 0.4)};
-    model.AddSample(x, false, x[0]);
+    model.AddSample(x, false, {x[0]});
     if (i % 4 == 3) {
       model.Update();
     }
@@ -114,7 +117,7 @@ TEST(Dtm, UpdateCostDoesNotGrowWithHistory) {
       for (double& v : x) {
         v = rng.Uniform();
       }
-      model.AddSample(x, rng.Bernoulli(0.3), rng.Normal(0.0, 1.0));
+      model.AddSample(x, rng.Bernoulli(0.3), {rng.Normal(0.0, 1.0)});
     }
   };
   add(50);
@@ -178,13 +181,23 @@ TEST(Scoring, AlphaBlendsExplorationTerms) {
 }
 
 TEST(Scoring, NormalizeSigmasMaxIsOne) {
-  std::vector<DtmPrediction> predictions(3);
-  predictions[0].sigma = 1.0;
-  predictions[1].sigma = 4.0;
-  predictions[2].sigma = 2.0;
-  std::vector<double> normalized = NormalizeSigmas(predictions);
-  EXPECT_DOUBLE_EQ(normalized[1], 1.0);
-  EXPECT_DOUBLE_EQ(normalized[0], 0.25);
+  std::vector<double> sigmas = {1.0, 4.0, 2.0};
+  NormalizeSigmas(&sigmas);
+  EXPECT_DOUBLE_EQ(sigmas[1], 1.0);
+  EXPECT_DOUBLE_EQ(sigmas[0], 0.25);
+  EXPECT_DOUBLE_EQ(sigmas[2], 0.5);
+}
+
+// The scale never falls below 1e-12: a pool whose σ̂ all sit below it is
+// scaled by 1e12, and an all-zero pool stays finite at 0.
+TEST(Scoring, NormalizeSigmasFloorsTheScale) {
+  std::vector<double> tiny = {2.5e-13, 5e-13};
+  NormalizeSigmas(&tiny);
+  EXPECT_DOUBLE_EQ(tiny[0], 0.25);
+  EXPECT_DOUBLE_EQ(tiny[1], 0.5);
+  std::vector<double> zeros = {0.0, 0.0};
+  NormalizeSigmas(&zeros);
+  EXPECT_EQ(zeros, (std::vector<double>{0.0, 0.0}));
 }
 
 TEST(DeepTuneSearcherTest, WarmupProposesWithoutModel) {
@@ -327,6 +340,61 @@ freeze:
   for (const TrialRecord& trial : result.session.history) {
     EXPECT_EQ(trial.config.Raw(*index), 2);
   }
+}
+
+std::string TransferJob(const std::string& metric_block, const std::string& algorithm) {
+  return "name: transfer\nos: unikraft\napplication: nginx\n" + metric_block +
+         "budget:\n  iterations: 16\nsearch:\n  algorithm: " + algorithm +
+         "\n  seed: 9\n";
+}
+
+// `metric: multi` jobs reach the model the way deeptune jobs do (§3.3): one
+// multi job saves its trained model, a second warm-starts from it, and a
+// model_out that the searcher cannot honor fails before the run starts.
+TEST(WayfinderApi, MultiMetricJobsTransferModels) {
+  const std::string multi_job = TransferJob(
+      "metric: multi\nmetrics:\n  - name: throughput\n    weight: 1.0\n"
+      "  - name: memory\n    weight: 0.5\n",
+      "deeptune");
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "wf_core_test_multi_job.wfnn").string();
+  const std::string random_path = (dir / "wf_core_test_random_job.wfnn").string();
+  std::filesystem::remove(path);
+  std::filesystem::remove(random_path);
+
+  JobRunResult donor = RunJobText(multi_job, "", path);
+  ASSERT_TRUE(donor.ok) << donor.error;
+  ASSERT_TRUE(std::filesystem::exists(path)) << "model_out wrote no model";
+
+  JobRunResult adopter = RunJobText(multi_job, path);
+  EXPECT_TRUE(adopter.ok) << adopter.error;
+  EXPECT_EQ(adopter.session.history.size(), 16u);
+
+  // The job's searcher takes the model and reports the transfer.
+  JobParseResult parsed = ParseJobText(multi_job);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  ConfigSpace space = BuildJobSpace(parsed.spec);
+  std::string error;
+  std::unique_ptr<Searcher> searcher = MakeJobSearcher(parsed.spec, &space, &error);
+  auto* deeptune = dynamic_cast<DeepTuneSearcher*>(searcher.get());
+  ASSERT_NE(deeptune, nullptr) << error;
+  EXPECT_FALSE(deeptune->transferred());
+  ASSERT_TRUE(deeptune->LoadModel(path));
+  EXPECT_TRUE(deeptune->transferred());
+
+  // A single-target job's model has one head, so the two-head model is
+  // refused.
+  JobRunResult one_head = RunJobText(TransferJob("metric: performance\n", "deeptune"), path);
+  EXPECT_FALSE(one_head.ok);
+
+  // Random search has no model to save: an error, and no trial runs.
+  JobRunResult random =
+      RunJobText(TransferJob("metric: performance\n", "random"), "", random_path);
+  EXPECT_FALSE(random.ok);
+  EXPECT_TRUE(random.session.history.empty());
+  EXPECT_FALSE(std::filesystem::exists(random_path));
+  std::filesystem::remove(path);
+  std::filesystem::remove(random_path);
 }
 
 TEST(WayfinderApi, RejectsUnknownAlgorithmAndBadYaml) {

@@ -9,7 +9,7 @@
 
 #include "src/configspace/linux_space.h"
 #include "src/configspace/unikraft_space.h"
-#include "src/core/multi_metric.h"
+#include "src/core/deeptune.h"
 #include "src/core/wayfinder_api.h"
 #include "src/platform/checkpoint.h"
 #include "src/simos/testbench.h"
@@ -61,12 +61,12 @@ TEST(CrossFeature, MultiMetricSearchRespectsFrozenParams) {
   ConfigSpace space = BuildLinuxSearchSpace();
   ASSERT_TRUE(space.Freeze("selinux", 1));
 
-  MultiMetricOptions options;
+  DeepTuneOptions options;
   options.warmup = 4;
   options.pool_size = 24;
   options.model.steps_per_update = 2;
-  MultiMetricSearcher searcher(
-      &space, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()}, options);
+  DeepTuneSearcher searcher(
+      &space, options, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()});
   Testbench bench(&space, AppId::kNginx);
   SessionOptions session;
   session.max_iterations = 20;

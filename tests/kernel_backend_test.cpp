@@ -778,8 +778,8 @@ void TrainAndCompareModels(DeepTuneModel& a, DeepTuneModel& b) {
     }
     bool crashed = rng.Bernoulli(0.25);
     double objective = rng.Normal(0.0, 1.0);
-    a.AddSample(x, crashed, objective);
-    b.AddSample(x, crashed, objective);
+    a.AddSample(x, crashed, {objective});
+    b.AddSample(x, crashed, {objective});
   }
   a.Update();
   b.Update();
@@ -788,13 +788,14 @@ void TrainAndCompareModels(DeepTuneModel& a, DeepTuneModel& b) {
   for (double& v : pool.data()) {
     v = pool_rng.Uniform();
   }
-  auto pred_a = a.PredictBatch(pool);
-  auto pred_b = b.PredictBatch(pool);
-  ASSERT_EQ(pred_a.size(), pred_b.size());
-  for (size_t i = 0; i < pred_a.size(); ++i) {
-    EXPECT_EQ(pred_a[i].crash_prob, pred_b[i].crash_prob) << i;
-    EXPECT_EQ(pred_a[i].objective, pred_b[i].objective) << i;
-    EXPECT_EQ(pred_a[i].sigma, pred_b[i].sigma) << i;
+  ASSERT_EQ(a.PredictRows(pool), pool.rows());
+  ASSERT_EQ(b.PredictRows(pool), pool.rows());
+  for (size_t i = 0; i < pool.rows(); ++i) {
+    DtmPrediction pred_a = a.Prediction(i);
+    DtmPrediction pred_b = b.Prediction(i);
+    EXPECT_EQ(pred_a.crash_prob, pred_b.crash_prob) << i;
+    EXPECT_EQ(pred_a.objective, pred_b.objective) << i;
+    EXPECT_EQ(pred_a.sigma, pred_b.sigma) << i;
   }
 }
 

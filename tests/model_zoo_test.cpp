@@ -54,6 +54,60 @@ TEST_F(ModelZooFixture, PublishListAdoptRoundTrip) {
   EXPECT_TRUE(adopter.transferred());
 }
 
+// Multi-metric searchers publish and adopt like single-target ones; the head
+// count is part of the model's shape, so a one-head searcher is refused, and
+// ranking offers each recipient only the donors it can load.
+TEST_F(ModelZooFixture, MultiMetricDeepTuneSharesTheZoo) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  ModelZoo zoo(dir_);
+  std::vector<MetricSpec> metrics = {MetricSpec::AppThroughput(),
+                                     MetricSpec::MemoryFootprint()};
+  std::vector<double> fingerprint(space.FeatureDimension(), 1.0);
+  DeepTuneSearcher donor(&space, {}, metrics);
+  ASSERT_TRUE(zoo.Publish("nginx-multi", donor, fingerprint));
+  DeepTuneSearcher single_donor(&space);
+  ASSERT_TRUE(zoo.Publish("redis", single_donor, fingerprint));
+
+  std::vector<ZooEntry> entries = zoo.List();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].name, "nginx-multi");
+  EXPECT_EQ(entries[0].head_count, 2u);
+  EXPECT_EQ(entries[1].head_count, 1u);
+  std::vector<DonorMatch> for_multi = zoo.RankDonors(fingerprint, 2);
+  ASSERT_EQ(for_multi.size(), 1u);
+  EXPECT_EQ(for_multi[0].name, "nginx-multi");
+  std::vector<DonorMatch> for_single = zoo.RankDonors(fingerprint);
+  ASSERT_EQ(for_single.size(), 1u);
+  EXPECT_EQ(for_single[0].name, "redis");
+
+  DeepTuneSearcher adopter(&space, {}, metrics);
+  ASSERT_TRUE(zoo.Adopt("nginx-multi", &adopter));
+  EXPECT_TRUE(adopter.transferred());
+  DeepTuneSearcher single(&space);
+  EXPECT_FALSE(zoo.Adopt("nginx-multi", &single));
+  EXPECT_FALSE(single.transferred());
+}
+
+// Fingerprints written before multi-head models could be published carry no
+// head count; their models have one head.
+TEST_F(ModelZooFixture, FingerprintWithoutHeadCountIsOneHead) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  ModelZoo zoo(dir_);
+  DeepTuneSearcher donor(&space);
+  ASSERT_TRUE(zoo.Publish("redis", donor, {0.5, 0.5}));
+  {
+    std::ofstream old_format(fs::path(dir_) / "redis.fingerprint");
+    old_format << "wayfinder-fingerprint v1\ndim " << space.FeatureDimension()
+               << "\nimportance 0.5 0.5\n";
+  }
+  std::vector<ZooEntry> entries = zoo.List();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].head_count, 1u);
+  EXPECT_EQ(entries[0].fingerprint, (std::vector<double>{0.5, 0.5}));
+  EXPECT_EQ(zoo.RankDonors({0.5, 0.5}).size(), 1u);
+  EXPECT_TRUE(zoo.RankDonors({0.5, 0.5}, 2).empty());
+}
+
 TEST_F(ModelZooFixture, AdoptedWeightsMatchTheDonor) {
   ConfigSpace space = BuildLinuxSearchSpace();
   ModelZoo zoo(dir_);
@@ -63,7 +117,7 @@ TEST_F(ModelZooFixture, AdoptedWeightsMatchTheDonor) {
   Rng rng(81);
   for (int i = 0; i < 20; ++i) {
     Configuration config = space.RandomConfiguration(rng);
-    donor.mutable_model().AddSample(space.Encode(config), false, rng.Uniform(0, 100));
+    donor.mutable_model().AddSample(space.Encode(config), false, {rng.Uniform(0, 100)});
   }
   donor.mutable_model().Update();
   std::vector<double> fingerprint(space.FeatureDimension(), 1.0);

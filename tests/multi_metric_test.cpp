@@ -1,6 +1,8 @@
 // Tests for the multi-metric extension (§3.2): the K-target heteroscedastic
-// loss, the MultiDtm (K objective heads + K uncertainty heads), and the
-// MultiMetricSearcher that aggregates per-metric Eq. 3 scores.
+// loss, the DeepTuneModel with K objective heads + K uncertainty heads, and
+// the DeepTuneSearcher given a metric list, which aggregates per-metric
+// Eq. 3 scores.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -9,8 +11,7 @@
 
 #include "src/configspace/linux_space.h"
 #include "src/configspace/unikraft_space.h"
-#include "src/core/multi_dtm.h"
-#include "src/core/multi_metric.h"
+#include "src/core/deeptune.h"
 #include "src/nn/losses.h"
 #include "src/platform/session.h"
 #include "src/simos/testbench.h"
@@ -113,21 +114,31 @@ TEST(MultiLossTest, GradientMatchesFiniteDifference) {
 }
 
 // ---------------------------------------------------------------------------
-// MultiDtm.
+// DeepTuneModel with one head per metric.
 
-TEST(MultiDtmTest, PredictionShapesMatchMetricCount) {
-  MultiDtm model(6, 3);
-  MultiDtmPrediction prediction = model.Predict({0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
-  EXPECT_EQ(prediction.objectives.size(), 3u);
-  EXPECT_EQ(prediction.sigmas.size(), 3u);
-  EXPECT_GE(prediction.crash_prob, 0.0);
-  EXPECT_LE(prediction.crash_prob, 1.0);
+TEST(MultiHeadDtmTest, EveryHeadPredictsFromOneForwardPass) {
+  DeepTuneModel model(6, {}, /*head_count=*/3);
+  EXPECT_EQ(model.head_count(), 3u);
+  Matrix x(1, 6);
+  for (size_t j = 0; j < 6; ++j) {
+    x.At(0, j) = 0.1 * static_cast<double>(j + 1);
+  }
+  ASSERT_EQ(model.PredictRows(x), 1u);
+  for (size_t k = 0; k < 3; ++k) {
+    DtmPrediction prediction = model.Prediction(0, k);
+    // One crash head serves every metric head.
+    EXPECT_EQ(prediction.crash_prob, model.Prediction(0, 0).crash_prob);
+    EXPECT_GE(prediction.crash_prob, 0.0);
+    EXPECT_LE(prediction.crash_prob, 1.0);
+    EXPECT_TRUE(std::isfinite(prediction.objective)) << k;
+    EXPECT_GT(prediction.sigma, 0.0) << k;
+  }
 }
 
-TEST(MultiDtmTest, PerMetricNormalizersAreIndependent) {
+TEST(MultiHeadDtmTest, PerMetricNormalizersAreIndependent) {
   DtmOptions options;
   options.steps_per_update = 1;
-  MultiDtm model(2, 2, options);
+  DeepTuneModel model(2, options, /*head_count=*/2);
   // Metric 0 ranges around 1000, metric 1 around 1.
   Rng rng(31);
   for (int i = 0; i < 40; ++i) {
@@ -137,21 +148,21 @@ TEST(MultiDtmTest, PerMetricNormalizersAreIndependent) {
   }
   model.Update();
   // Round trips through each normalizer recover the raw values.
-  EXPECT_NEAR(model.DenormalizeObjective(0, model.NormalizeObjective(0, 1000.0)), 1000.0,
+  EXPECT_NEAR(model.DenormalizeObjective(model.NormalizeObjective(1000.0, 0), 0), 1000.0,
               1e-9);
-  EXPECT_NEAR(model.DenormalizeObjective(1, model.NormalizeObjective(1, 1.0)), 1.0, 1e-9);
+  EXPECT_NEAR(model.DenormalizeObjective(model.NormalizeObjective(1.0, 1), 1), 1.0, 1e-9);
   // Scales differ by ~3 orders of magnitude.
-  double z_a = model.NormalizeObjective(0, 1100.0);
-  double z_b = model.NormalizeObjective(1, 1.5);
+  double z_a = model.NormalizeObjective(1100.0, 0);
+  double z_b = model.NormalizeObjective(1.5, 1);
   EXPECT_LT(std::abs(z_a), 10.0);
   EXPECT_LT(std::abs(z_b), 10.0);
 }
 
-TEST(MultiDtmTest, TrainingReducesLossOnSeparableTargets) {
+TEST(MultiHeadDtmTest, TrainingReducesLossOnSeparableTargets) {
   DtmOptions options;
   options.steps_per_update = 16;
   options.seed = 7;
-  MultiDtm model(3, 2, options);
+  DeepTuneModel model(3, options, /*head_count=*/2);
   Rng rng(32);
   // Metric 0 = x0, metric 1 = -x1 (plus noise); crash when x2 > 0.8.
   for (int i = 0; i < 120; ++i) {
@@ -169,47 +180,50 @@ TEST(MultiDtmTest, TrainingReducesLossOnSeparableTargets) {
   EXPECT_LT(last, first);
 }
 
-TEST(MultiDtmTest, SaveLoadRoundTripPreservesPredictions) {
+TEST(MultiHeadDtmTest, SaveLoadRoundTripPreservesPredictions) {
   DtmOptions options;
   options.seed = 11;
-  MultiDtm model(4, 2, options);
+  DeepTuneModel model(4, options, /*head_count=*/2);
   Rng rng(33);
   for (int i = 0; i < 50; ++i) {
     std::vector<double> x = {rng.Uniform(), rng.Uniform(), rng.Uniform(), rng.Uniform()};
-    model.AddSample(x, rng.Bernoulli(0.2), {x[0], x[1]});
+    model.AddSample(x, rng.Bernoulli(0.2), std::vector<double>{x[0], x[1]});
   }
   for (int epoch = 0; epoch < 5; ++epoch) {
     model.Update();
   }
 
   std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "wf_multi_dtm_test.wfnn";
+      std::filesystem::temp_directory_path() / "wf_multi_head_model_test.wfnn";
   ASSERT_TRUE(model.Save(path.string()));
 
-  MultiDtm restored(4, 2, options);
+  DeepTuneModel restored(4, options, /*head_count=*/2);
   ASSERT_TRUE(restored.Load(path.string()));
+  // The head count is part of the architecture: a one-head model is refused.
+  DeepTuneModel one_head(4, options);
+  EXPECT_FALSE(one_head.Load(path.string()));
   std::filesystem::remove(path);
 
   std::vector<double> probe = {0.3, 0.7, 0.1, 0.9};
-  MultiDtmPrediction a = model.Predict(probe);
-  MultiDtmPrediction b = restored.Predict(probe);
-  EXPECT_NEAR(a.crash_prob, b.crash_prob, 1e-9);
   for (size_t k = 0; k < 2; ++k) {
-    EXPECT_NEAR(a.objectives[k], b.objectives[k], 1e-9);
-    EXPECT_NEAR(a.sigmas[k], b.sigmas[k], 1e-9);
+    DtmPrediction a = model.Predict(probe, k);
+    DtmPrediction b = restored.Predict(probe, k);
+    EXPECT_NEAR(a.crash_prob, b.crash_prob, 1e-9);
+    EXPECT_NEAR(a.objective, b.objective, 1e-9);
+    EXPECT_NEAR(a.sigma, b.sigma, 1e-9);
   }
 }
 
 // Feeds the same fixed sample stream to a model (shared by the fast-path
 // equivalence tests below).
-void FeedSamples(MultiDtm& model, size_t count) {
+void FeedSamples(DeepTuneModel& model, size_t count) {
   Rng rng(34);
   for (size_t i = 0; i < count; ++i) {
     std::vector<double> x(model.input_dim());
     for (double& v : x) {
       v = rng.Uniform();
     }
-    std::vector<double> objectives(model.metric_count());
+    std::vector<double> objectives(model.head_count());
     for (double& o : objectives) {
       o = rng.Normal(0.0, 1.0);
     }
@@ -217,10 +231,11 @@ void FeedSamples(MultiDtm& model, size_t count) {
   }
 }
 
-TEST(MultiDtmTest, NoAllocationAfterWarmup) {
+// The K > 1 twin of DtmWorkspace.NoAllocationAfterWarmup (nn_test).
+TEST(MultiHeadDtmTest, NoAllocationAfterWarmup) {
   DtmOptions options;
   options.seed = 13;
-  MultiDtm model(7, 3, options);
+  DeepTuneModel model(7, options, /*head_count=*/2);
   FeedSamples(model, 48);
   std::vector<std::vector<double>> pool(96, std::vector<double>(7));
   Rng rng(35);
@@ -228,6 +243,10 @@ TEST(MultiDtmTest, NoAllocationAfterWarmup) {
     for (double& v : x) {
       v = rng.Uniform();
     }
+  }
+  Matrix staged(pool.size(), 7);
+  for (double& v : staged.data()) {
+    v = rng.Uniform();
   }
 
   // Warm the workspace: one predict round at this pool shape plus one
@@ -237,45 +256,47 @@ TEST(MultiDtmTest, NoAllocationAfterWarmup) {
   model.PredictBatch(pool);
   size_t warm = model.workspace_grow_count();
 
-  // Steady state: repeated same-shaped rounds must not grow any buffer —
-  // the MultiDtm port shares the DTM's zero-alloc-after-warmup guarantee.
+  // Steady state: repeated same-shaped rounds, through both the staging and
+  // the pool-ranking entry points, must not grow any buffer — two heads
+  // share the one-head model's zero-alloc-after-warmup guarantee.
   for (int round = 0; round < 5; ++round) {
     model.PredictBatch(pool);
+    model.PredictRows(staged);
     model.Update();
   }
   EXPECT_EQ(model.workspace_grow_count(), warm);
 }
 
-TEST(MultiDtmTest, TrainingUnchangedByKernelBackend) {
+TEST(MultiHeadDtmTest, TrainingUnchangedByKernelBackend) {
   DtmOptions portable_options;
   portable_options.seed = 19;
   portable_options.kernels = KernelBackend::kPortable;
   DtmOptions simd_options;
   simd_options.seed = 19;
   simd_options.kernels = KernelBackend::kAvx2;
-  MultiDtm portable(5, 2, portable_options);
-  MultiDtm simd(5, 2, simd_options);
+  DeepTuneModel portable(5, portable_options, /*head_count=*/2);
+  DeepTuneModel simd(5, simd_options, /*head_count=*/2);
   FeedSamples(portable, 40);
   FeedSamples(simd, 40);
   portable.Update();
   simd.Update();
 
   std::vector<double> probe = {0.2, 0.4, 0.6, 0.8, 0.5};
-  MultiDtmPrediction a = portable.Predict(probe);
-  MultiDtmPrediction b = simd.Predict(probe);
   // Backends are bit-identical by construction (falls back to portable on
   // hardware without AVX2, where this holds trivially).
-  EXPECT_EQ(a.crash_prob, b.crash_prob);
   for (size_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(a.objectives[k], b.objectives[k]);
-    EXPECT_EQ(a.sigmas[k], b.sigmas[k]);
+    DtmPrediction a = portable.Predict(probe, k);
+    DtmPrediction b = simd.Predict(probe, k);
+    EXPECT_EQ(a.crash_prob, b.crash_prob);
+    EXPECT_EQ(a.objective, b.objective);
+    EXPECT_EQ(a.sigma, b.sigma);
   }
 }
 
-TEST(MultiDtmTest, BatchMatrixOverloadMatchesVectorApi) {
+TEST(MultiHeadDtmTest, PoolRankingFormMatchesVectorApi) {
   DtmOptions options;
   options.seed = 23;
-  MultiDtm model(4, 2, options);
+  DeepTuneModel model(4, options, /*head_count=*/2);
   FeedSamples(model, 32);
   model.Update();
   std::vector<std::vector<double>> pool(9, std::vector<double>(4));
@@ -291,19 +312,21 @@ TEST(MultiDtmTest, BatchMatrixOverloadMatchesVectorApi) {
       staged.At(i, j) = pool[i][j];
     }
   }
-  auto from_vectors = model.PredictBatch(pool);
-  auto from_matrix = model.PredictBatch(staged);
-  ASSERT_EQ(from_vectors.size(), from_matrix.size());
-  for (size_t i = 0; i < from_vectors.size(); ++i) {
-    EXPECT_EQ(from_vectors[i].crash_prob, from_matrix[i].crash_prob) << i;
-    for (size_t k = 0; k < 2; ++k) {
-      EXPECT_EQ(from_vectors[i].objectives[k], from_matrix[i].objectives[k]) << i;
+  for (size_t k = 0; k < 2; ++k) {
+    std::vector<DtmPrediction> from_vectors = model.PredictBatch(pool, k);
+    ASSERT_EQ(model.PredictRows(staged), pool.size());
+    ASSERT_EQ(from_vectors.size(), pool.size());
+    for (size_t i = 0; i < from_vectors.size(); ++i) {
+      DtmPrediction in_place = model.Prediction(i, k);
+      EXPECT_EQ(from_vectors[i].crash_prob, in_place.crash_prob) << i;
+      EXPECT_EQ(from_vectors[i].objective, in_place.objective) << i;
+      EXPECT_EQ(from_vectors[i].sigma, in_place.sigma) << i;
     }
   }
 }
 
-TEST(MultiDtmTest, MemoryGrowsWithReplayBuffer) {
-  MultiDtm model(3, 2);
+TEST(MultiHeadDtmTest, MemoryGrowsWithReplayBuffer) {
+  DeepTuneModel model(3, {}, /*head_count=*/2);
   size_t empty = model.MemoryBytes();
   for (int i = 0; i < 64; ++i) {
     model.AddSample({0.1, 0.2, 0.3}, false, {1.0, 2.0});
@@ -331,12 +354,12 @@ TEST(MetricSpecTest, BuiltinExtractorsAndPolarity) {
 }
 
 // ---------------------------------------------------------------------------
-// MultiMetricSearcher.
+// DeepTuneSearcher with a metric list.
 
-TEST(MultiMetricSearcherTest, AggregateScorePrefersDominatingOutcomes) {
+TEST(MultiMetricDeepTuneTest, AggregateScorePrefersDominatingOutcomes) {
   ConfigSpace space = BuildUnikraftSpace();
-  MultiMetricSearcher searcher(
-      &space, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()});
+  DeepTuneSearcher searcher(
+      &space, {}, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()});
 
   // Feed some history so the z-scores are meaningful.
   std::vector<TrialRecord> history;
@@ -364,12 +387,12 @@ TEST(MultiMetricSearcherTest, AggregateScorePrefersDominatingOutcomes) {
   EXPECT_GT(searcher.AggregateScore(dominator), searcher.AggregateScore(dominated));
 }
 
-TEST(MultiMetricSearcherTest, WeightsShiftTheTradeoff) {
+TEST(MultiMetricDeepTuneTest, WeightsShiftTheTradeoff) {
   ConfigSpace space = BuildUnikraftSpace();
   // All weight on memory: a slow-but-tiny outcome must outrank a
   // fast-but-huge one.
-  MultiMetricSearcher searcher(
-      &space, {MetricSpec::AppThroughput(0.0), MetricSpec::MemoryFootprint(1.0)});
+  DeepTuneSearcher searcher(
+      &space, {}, {MetricSpec::AppThroughput(0.0), MetricSpec::MemoryFootprint(1.0)});
   std::vector<TrialRecord> history;
   Rng rng(42);
   SearchContext context;
@@ -395,14 +418,14 @@ TEST(MultiMetricSearcherTest, WeightsShiftTheTradeoff) {
   EXPECT_GT(searcher.AggregateScore(tiny), searcher.AggregateScore(fast));
 }
 
-TEST(MultiMetricSearcherTest, SessionProposalsStayValid) {
+TEST(MultiMetricDeepTuneTest, SessionProposalsStayValid) {
   ConfigSpace space = BuildLinuxSearchSpace();
-  MultiMetricOptions options;
+  DeepTuneOptions options;
   options.warmup = 5;
   options.pool_size = 32;
   options.model.steps_per_update = 4;
-  MultiMetricSearcher searcher(
-      &space, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()}, options);
+  DeepTuneSearcher searcher(
+      &space, options, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()});
 
   Testbench bench(&space, AppId::kNginx);
   SessionOptions session;
@@ -416,13 +439,13 @@ TEST(MultiMetricSearcherTest, SessionProposalsStayValid) {
   EXPECT_EQ(run.history().size(), 25u);
 }
 
-TEST(MultiMetricSearcherTest, TransferLearningRoundTrip) {
+TEST(MultiMetricDeepTuneTest, TransferLearningRoundTrip) {
   ConfigSpace space = BuildUnikraftSpace();
   std::vector<MetricSpec> metrics = {MetricSpec::AppThroughput(),
                                      MetricSpec::MemoryFootprint()};
-  MultiMetricOptions options;
+  DeepTuneOptions options;
   options.model.steps_per_update = 2;
-  MultiMetricSearcher donor(&space, metrics, options);
+  DeepTuneSearcher donor(&space, options, metrics);
 
   // Train the donor a little so the weights are distinctive.
   std::vector<TrialRecord> history;
@@ -445,28 +468,106 @@ TEST(MultiMetricSearcherTest, TransferLearningRoundTrip) {
       std::filesystem::temp_directory_path() / "wf_multi_tl_test.wfnn";
   ASSERT_TRUE(donor.SaveModel(path.string()));
 
-  MultiMetricSearcher adopter(&space, metrics, options);
+  DeepTuneSearcher adopter(&space, options, metrics);
   EXPECT_FALSE(adopter.transferred());
   ASSERT_TRUE(adopter.LoadModel(path.string()));
   EXPECT_TRUE(adopter.transferred());
+  // A single-target searcher has one head: the two-head model is refused.
+  DeepTuneSearcher single(&space, options);
+  EXPECT_FALSE(single.LoadModel(path.string()));
+  EXPECT_FALSE(single.transferred());
   std::filesystem::remove(path);
 
   Configuration probe = space.DefaultConfiguration();
-  MultiDtmPrediction a = donor.PredictConfig(probe);
-  MultiDtmPrediction b = adopter.PredictConfig(probe);
-  EXPECT_NEAR(a.crash_prob, b.crash_prob, 1e-9);
   for (size_t k = 0; k < 2; ++k) {
-    EXPECT_NEAR(a.objectives[k], b.objectives[k], 1e-9);
+    DtmPrediction a = donor.PredictConfig(probe, k);
+    DtmPrediction b = adopter.PredictConfig(probe, k);
+    EXPECT_NEAR(a.crash_prob, b.crash_prob, 1e-9);
+    EXPECT_NEAR(a.objective, b.objective, 1e-9);
   }
 }
 
-TEST(MultiMetricSearcherTest, PredictConfigEmitsPerMetricVerdicts) {
+// Propose ranks the pool by the weighted average of each head's Eq. 3 score
+// on that head's σ̂ max-scaled over the pool (NormalizeSigmas). With the
+// dissimilarity term off (alpha 0), that ranking is a function of the
+// model's last inference alone, so the proposal must be its best row.
+TEST(MultiMetricDeepTuneTest, ProposeRanksByPoolScaledSigmas) {
   ConfigSpace space = BuildUnikraftSpace();
-  MultiMetricSearcher searcher(
-      &space, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()});
-  MultiDtmPrediction prediction = searcher.PredictConfig(space.DefaultConfiguration());
-  EXPECT_EQ(prediction.objectives.size(), 2u);
-  EXPECT_EQ(prediction.sigmas.size(), 2u);
+  DeepTuneOptions options;
+  options.warmup = 4;
+  options.pool_size = 32;
+  options.scoring.alpha = 0.0;
+  const std::vector<double> weights = {1.0, 3.0};
+  DeepTuneSearcher searcher(&space, options,
+                            {MetricSpec::AppThroughput(weights[0]),
+                             MetricSpec::MemoryFootprint(weights[1])});
+  std::vector<TrialRecord> history;
+  Rng rng(47);
+  SearchContext context;
+  context.space = &space;
+  context.history = &history;
+  context.rng = &rng;
+  for (int i = 0; i < 12; ++i) {
+    TrialRecord trial;
+    trial.config = space.RandomConfiguration(rng);
+    trial.outcome.status = TrialOutcome::Status::kOk;
+    trial.outcome.metric = rng.Uniform(10000, 20000);
+    trial.outcome.memory_mb = rng.Uniform(150, 250);
+    trial.objective = trial.outcome.metric;
+    searcher.Observe(trial, context);
+    history.push_back(trial);
+  }
+  Configuration proposed = searcher.Propose(context);
+
+  const DeepTuneModel& model = searcher.model();
+  std::vector<double> max_sigma(2, 1e-12);
+  for (size_t i = 0; i < options.pool_size; ++i) {
+    for (size_t k = 0; k < 2; ++k) {
+      max_sigma[k] = std::max(max_sigma[k], model.Prediction(i, k).sigma);
+    }
+  }
+  auto best_row = [&](bool scaled) {
+    size_t best = 0;
+    double best_score = 0.0;
+    for (size_t i = 0; i < options.pool_size; ++i) {
+      double score = 0.0;
+      for (size_t k = 0; k < 2; ++k) {
+        DtmPrediction prediction = model.Prediction(i, k);
+        double sigma = scaled ? prediction.sigma / max_sigma[k] : prediction.sigma;
+        score += weights[k] * RankScore(prediction, 0.0, sigma, options.scoring);
+      }
+      if (i == 0 || score > best_score) {
+        best = i;
+        best_score = score;
+      }
+    }
+    return best;
+  };
+  const size_t best = best_row(true);
+  // Unscaled σ̂ would rank another row first, so the check below sees a
+  // missing scaling.
+  ASSERT_NE(best_row(false), best);
+  const DtmPrediction expected[2] = {model.Prediction(best, 0), model.Prediction(best, 1)};
+  for (size_t k = 0; k < 2; ++k) {
+    DtmPrediction actual = searcher.PredictConfig(proposed, k);
+    EXPECT_EQ(actual.objective, expected[k].objective) << k;
+    EXPECT_EQ(actual.sigma, expected[k].sigma) << k;
+  }
+}
+
+TEST(MultiMetricDeepTuneTest, OneHeadPerMetric) {
+  ConfigSpace space = BuildUnikraftSpace();
+  DeepTuneSearcher searcher(
+      &space, {}, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()});
+  EXPECT_EQ(searcher.Name(), "deeptune-multi");
+  EXPECT_EQ(searcher.model().head_count(), 2u);
+  DeepTuneSearcher single(&space);
+  EXPECT_EQ(single.Name(), "deeptune");
+  EXPECT_EQ(single.model().head_count(), 1u);
+  for (size_t k = 0; k < 2; ++k) {
+    DtmPrediction prediction = searcher.PredictConfig(space.DefaultConfiguration(), k);
+    EXPECT_GT(prediction.sigma, 0.0) << k;
+  }
 }
 
 }  // namespace

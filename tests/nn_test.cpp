@@ -409,7 +409,7 @@ void TrainModel(DeepTuneModel& model) {
     for (double& v : x) {
       v = rng.Uniform();
     }
-    model.AddSample(x, rng.Bernoulli(0.25), rng.Normal(0.0, 1.0));
+    model.AddSample(x, rng.Bernoulli(0.25), {rng.Normal(0.0, 1.0)});
   }
   model.Update();
 }
@@ -472,30 +472,29 @@ TEST(DtmWorkspace, NoAllocationAfterWarmup) {
   }
   EXPECT_EQ(model.workspace_grow_count(), warm);
 
-  // The same contract, counted at operator new: a warm trunk's training
-  // round and its batched inference make no heap allocation at all. The
-  // trunk is driven directly because PredictBatch returns a fresh vector.
-  DtmTrunk trunk(dim, /*head_count=*/1, DtmOptions{});
-  for (const std::vector<double>& x : RandomPool(rng, 48, dim)) {
-    double objective = rng.Normal(0.0, 1.0);
-    trunk.AddSample(x, rng.Bernoulli(0.25), &objective);
-  }
+  // The same contract, counted at operator new: a warm model's training
+  // round and its pool-ranking inference (PredictRows, read back through
+  // Prediction) make no heap allocation at all.
   Matrix candidates(128, dim);
   for (double& v : candidates.data()) {
     v = rng.Uniform();
   }
-  trunk.Update();
-  trunk.PredictRows(candidates);
+  model.PredictRows(candidates);
   uint64_t update_news = 0;
   uint64_t predict_news = 0;
+  double checksum = 0.0;
   for (int round = 0; round < 3; ++round) {
     uint64_t before = g_news.load(std::memory_order_relaxed);
-    trunk.Update();
+    model.Update();
     uint64_t after_update = g_news.load(std::memory_order_relaxed);
-    trunk.PredictRows(candidates);
+    size_t rows = model.PredictRows(candidates);
+    for (size_t i = 0; i < rows; ++i) {
+      checksum += model.Prediction(i).sigma;
+    }
     predict_news += g_news.load(std::memory_order_relaxed) - after_update;
     update_news += after_update - before;
   }
+  EXPECT_GT(checksum, 0.0);
   EXPECT_EQ(update_news, 0u) << "warm Update() allocated " << update_news << " times";
   EXPECT_EQ(predict_news, 0u) << "warm PredictRows() allocated " << predict_news
                               << " times";

@@ -5,12 +5,13 @@
 //   * pool scoring over the feature-major history ring equals the textbook
 //     Dissimilarity bit for bit, and a Propose without history scores
 //     against no known points;
-//   * a fixed-seed MultiMetricSearcher trajectory is bit-identical across
-//     kernel backends (the DeepTuneSearcher twin of this pin lives in
+//   * a fixed-seed multi-metric DeepTuneSearcher trajectory is bit-identical
+//     across kernel backends (the single-target twin of this pin lives in
 //     kernel_backend_test);
 //   * the proposal path stays allocation-stable once warm, asserted through
 //     DeepTuneSearcher::MemoryBytes so footprint regressions fail loudly;
-//   * MemoryBytes accounts for the elite set and the memoized-encode cache.
+//   * MemoryBytes accounts for the elite set;
+//   * RestoreState accepts exactly the live state ExportState writes.
 //
 // On hardware without AVX2 that backend falls back to portable and the
 // backend pin passes trivially.
@@ -18,14 +19,15 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/configspace/linux_space.h"
 #include "src/core/deeptune.h"
-#include "src/core/multi_metric.h"
 #include "src/core/proposal.h"
 #include "src/core/scoring.h"
+#include "src/core/wayfinder_api.h"
 #include "src/nn/kernels.h"
 #include "src/platform/session.h"
 #include "src/simos/testbench.h"
@@ -183,14 +185,13 @@ SessionResult RunMultiMetric(KernelBackend backend) {
   options.sample_options = SampleOptions::FavorRuntime();
   options.seed = 0x3b1;
 
-  MultiMetricOptions searcher_options;
+  DeepTuneOptions searcher_options;
   searcher_options.warmup = 6;
   searcher_options.model.steps_per_update = 8;
   searcher_options.model.kernels = backend;
   Testbench bench(&space, AppId::kNginx);
-  MultiMetricSearcher searcher(
-      &space, {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()},
-      searcher_options);
+  DeepTuneSearcher searcher(&space, searcher_options,
+                            {MetricSpec::AppThroughput(), MetricSpec::MemoryFootprint()});
   return RunSearch(&bench, &searcher, options);
 }
 
@@ -251,9 +252,8 @@ TEST(ProposalPipeline, WarmProposeFootprintIsStable) {
 }
 
 // MemoryBytes must cover the searcher's auxiliary state, not just the model:
-// the elite set and the space's memoized-encode cache (populated by the
-// searcher's Observe path).
-TEST(ProposalPipeline, MemoryBytesIncludesElitesAndEncodeCache) {
+// the elite set its Observe path fills.
+TEST(ProposalPipeline, MemoryBytesIncludesElites) {
   ConfigSpace space = BuildLinuxSearchSpace();
   DeepTuneOptions options;
   options.warmup = 2;
@@ -278,12 +278,41 @@ TEST(ProposalPipeline, MemoryBytesIncludesElitesAndEncodeCache) {
     history.push_back(trial);
   }
 
-  // Observe populated the elite set and the encode cache; both must appear
-  // in the footprint over and above the model's own growth.
-  EXPECT_GT(space.EncodeCacheBytes(), 0u);
-  size_t accounted = searcher.model().MemoryBytes() + space.EncodeCacheBytes();
-  EXPECT_GE(searcher.MemoryBytes(), accounted);
+  // Observe populated the elite set; it must appear in the footprint over
+  // and above the model's own growth.
+  EXPECT_GT(searcher.MemoryBytes(), searcher.model().MemoryBytes());
   EXPECT_GT(searcher.MemoryBytes(), fresh_bytes);
+}
+
+// --- live state --------------------------------------------------------------
+
+// Checkpoint files and journal wave records hand RestoreState text from
+// disk; it must take back exactly what ExportState writes ("pool-iteration"
+// and the decimal counter) and reject anything else without touching the
+// counter. Both registered names share the one implementation.
+TEST(ProposalPipeline, RestoreStateAcceptsOnlyWhatExportStateWrites) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  for (const char* name : {"deeptune", "deeptune-multi"}) {
+    std::unique_ptr<Searcher> searcher = MakeSearcher(name, &space, 7);
+    ASSERT_NE(searcher, nullptr) << name;
+    EXPECT_TRUE(searcher->RestoreState("")) << name << ": v1 checkpoints carry none";
+    for (const char* good : {"pool-iteration 0", "pool-iteration 42",
+                             "pool-iteration 18446744073709551615"}) {
+      ASSERT_TRUE(searcher->RestoreState(good)) << name << ": " << good;
+      EXPECT_EQ(searcher->ExportState(), good) << name;
+    }
+    ASSERT_TRUE(searcher->RestoreState("pool-iteration 9"));
+    for (const char* bad :
+         {"pool-iteration 12xyz", "pool-iteration 5 6", "pool-iteration -1",
+          "pool-iteration 7 trailing", "pool-iteration", "pool-iteration ",
+          "pool-iteration  5", "pool-iteration +5", "pool-iteration 0x10",
+          "pool-iteration 18446744073709551616", " pool-iteration 5",
+          "pool-iteration 5\n", "pool-iterations 5", "iteration 5", "pool-iteration 007",
+          "pool-iteration 00"}) {
+      EXPECT_FALSE(searcher->RestoreState(bad)) << name << ": \"" << bad << "\"";
+      EXPECT_EQ(searcher->ExportState(), "pool-iteration 9") << name << ": " << bad;
+    }
+  }
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 
 #include "src/configspace/linux_space.h"
 #include "src/configspace/unikraft_space.h"
-#include "src/core/multi_metric.h"
+#include "src/core/deeptune.h"
 #include "src/core/wayfinder_api.h"
 #include "src/platform/random_search.h"
 #include "src/platform/session.h"
@@ -110,8 +110,8 @@ TEST(SessionParallel, MultiMetricHistoryIsDeterministic) {
     TestbenchOptions bench_options;
     bench_options.seed = 0x7e58;
     Testbench bench(&space, AppId::kNginx, bench_options);
-    MultiMetricSearcher searcher(
-        &space, {MetricSpec::AppThroughput(1.0), MetricSpec::MemoryFootprint(0.5)}, {});
+    DeepTuneSearcher searcher(
+        &space, {}, {MetricSpec::AppThroughput(1.0), MetricSpec::MemoryFootprint(0.5)});
     SessionOptions options;
     options.max_iterations = 20;
     options.seed = 0x91;

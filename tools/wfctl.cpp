@@ -10,6 +10,7 @@
 // `start` options:
 //   --model-in <path>    warm-start DeepTune from a saved model (§3.3)
 //   --model-out <path>   save the trained model afterwards
+//                        (both need deeptune or deeptune-multi)
 //   --resume <path>      resume from a checkpoint written by --checkpoint
 //   --checkpoint <path>  write the full history checkpoint when done
 //   --history-csv <path> export the history as CSV
@@ -336,8 +337,13 @@ int CmdStart(int argc, char** argv) {
     return 1;
   }
   auto* deeptune = dynamic_cast<DeepTuneSearcher*>(searcher.get());
+  if (deeptune == nullptr && (!model_in.empty() || !model_out.empty())) {
+    std::fprintf(stderr, "wfctl: --model-in/--model-out need a deeptune algorithm (got %s)\n",
+                 spec.algorithm.c_str());
+    return 1;
+  }
   if (!model_in.empty()) {
-    if (deeptune == nullptr || !deeptune->LoadModel(model_in)) {
+    if (!deeptune->LoadModel(model_in)) {
       std::fprintf(stderr, "wfctl: cannot load model %s\n", model_in.c_str());
       return 1;
     }
@@ -393,7 +399,7 @@ int CmdStart(int argc, char** argv) {
     PrintArtifacts(*result.best());
   }
 
-  if (deeptune != nullptr && !model_out.empty()) {
+  if (!model_out.empty()) {
     if (!deeptune->SaveModel(model_out)) {
       std::fprintf(stderr, "wfctl: cannot save model %s\n", model_out.c_str());
       return 1;
@@ -442,13 +448,14 @@ int CmdZoo(int argc, char** argv) {
       std::printf("zoo %s is empty\n", dir.c_str());
       return 0;
     }
-    std::printf("%-16s %-8s %s\n", "entry", "dim", "fingerprint mass");
+    std::printf("%-16s %-8s %-6s %s\n", "entry", "dim", "heads", "fingerprint mass");
     for (const ZooEntry& entry : entries) {
       double mass = 0.0;
       for (double v : entry.fingerprint) {
         mass += v;
       }
-      std::printf("%-16s %-8zu %.3f\n", entry.name.c_str(), entry.input_dim, mass);
+      std::printf("%-16s %-8zu %-6zu %.3f\n", entry.name.c_str(), entry.input_dim,
+                  entry.head_count, mass);
     }
     return 0;
   }
@@ -459,6 +466,15 @@ int CmdZoo(int argc, char** argv) {
       return 1;
     }
     ConfigSpace space = BuildJobSpace(parsed.spec);
+    // Only donors the job's searcher can load (same dim and head count).
+    std::string searcher_error;
+    std::unique_ptr<Searcher> searcher = MakeJobSearcher(parsed.spec, &space, &searcher_error);
+    auto* deeptune = dynamic_cast<DeepTuneSearcher*>(searcher.get());
+    if (deeptune == nullptr) {
+      std::fprintf(stderr, "wfctl: zoo rank needs a deeptune algorithm (got %s)\n",
+                   parsed.spec.algorithm.c_str());
+      return 1;
+    }
     TestbenchOptions bench_options;
     bench_options.substrate = parsed.spec.SubstrateKind();
     Testbench bench(&space, parsed.spec.app, bench_options);
@@ -466,7 +482,8 @@ int CmdZoo(int argc, char** argv) {
                 GetApp(parsed.spec.app).name.c_str());
     std::vector<double> fingerprint =
         ComputeImportanceFingerprint(bench, 300, parsed.spec.seed ^ 0xf19);
-    std::vector<DonorMatch> matches = zoo.RankDonors(fingerprint);
+    std::vector<DonorMatch> matches =
+        zoo.RankDonors(fingerprint, deeptune->model().head_count());
     if (matches.empty()) {
       std::printf("no compatible donors in %s\n", dir.c_str());
       return 0;
