@@ -12,7 +12,10 @@
 //     the batched DTM ranking pass, against a 48-trial history;
 //   * propose_score_pool128/hist128: pool scoring alone — the Eq. 2
 //     dissimilarity of 128 encoded candidates against a full 128-trial
-//     history ring, through the searchers' shared PoolDissimilarity.
+//     history ring, through the searchers' shared PoolDissimilarity;
+//   * propose_assemble_pool128/elites4: pool assembly alone — line search,
+//     elite mutation, random sampling, constraints and encoding of 128
+//     candidates from 4 elites over the Linux space, on warm buffers.
 //
 // A dtm_update_* model makes under a thousand Adam steps per instance (32
 // per Update), far short of the ~6,500 after which dead units' Adam moments
@@ -178,6 +181,27 @@ double BenchScorePool() {
   return OpsPerSec([&] { PoolDissimilarity(encoded, ring, ring.count(), ops, &ds); });
 }
 
+// Pool assembly alone, warm: 128 candidates from 4 elites, as DeepTune
+// assembles them once its elite set is full.
+double BenchAssemblePool() {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  Rng rng(19);
+  std::vector<Configuration> elites;
+  for (int e = 0; e < 4; ++e) {
+    elites.push_back(space.RandomConfiguration(rng, SampleOptions::FavorRuntime()));
+  }
+  ProposalPoolSpec spec;
+  spec.pool_size = 128;
+  std::vector<Configuration> pool;
+  Matrix encoded;
+  PoolScratch scratch;
+  uint64_t pool_seed = 0;
+  return OpsPerSec([&] {
+    AssembleProposalPool(space, elites, SampleOptions::FavorRuntime(), spec, ++pool_seed, pool,
+                         encoded, scratch);
+  });
+}
+
 }  // namespace
 }  // namespace wayfinder
 
@@ -218,6 +242,7 @@ int main(int argc, char** argv) {
   // family gates in bench_compare.py like the other micro anchors.
   Report("propose_pool128", "serial", BenchPropose(128));
   Report("propose_score_pool128", "hist128", BenchScorePool());
+  Report("propose_assemble_pool128", "elites4", BenchAssemblePool());
 
   // Replay append (default backend).
   {

@@ -3,6 +3,7 @@
 #ifndef WAYFINDER_SRC_CONFIGSPACE_CONFIG_SPACE_H_
 #define WAYFINDER_SRC_CONFIGSPACE_CONFIG_SPACE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -28,6 +29,7 @@ class Configuration {
   size_t Size() const { return values_.size(); }
 
   int64_t Raw(size_t index) const { return values_[index]; }
+  // Stores `value` clamped into the parameter's domain.
   void SetRaw(size_t index, int64_t value);
 
   // Name-based access; aborts on unknown names (programming error).
@@ -76,12 +78,25 @@ struct SampleOptions {
 };
 
 // Ordered collection of parameters.
+//
+// Add and Freeze also compile each parameter into a compact record (its clamp
+// bounds, sampling and encoding rule with their precomputed constants, phase,
+// default and frozen value) and resolve every `depends_on`/`selects` name to
+// an index, so the sampling, clamping, encoding and constraint loops below
+// read a few cache lines of flat arrays instead of hashing names and walking
+// ParamSpecs. Each compiled value is the same expression on the same operands
+// the ParamSpec form computes, so every result keeps its bits.
 class ConfigSpace {
  public:
   ConfigSpace() = default;
 
-  // Adds a parameter; duplicate names abort.
+  // Adds a parameter; duplicate names abort. A `depends_on`/`selects` name
+  // that no parameter has yet resolves when a parameter of that name is added.
   size_t Add(ParamSpec spec);
+
+  // Releases the growth slack of the parameter list and the compiled table;
+  // call once a space is fully built (BuildJobSpace does).
+  void ShrinkToFit();
 
   size_t Size() const { return params_.size(); }
   const ParamSpec& Param(size_t index) const { return params_[index]; }
@@ -94,8 +109,11 @@ class ConfigSpace {
   // from `value` (§3.5, security-aware search). Unknown names are ignored
   // and reported as false.
   bool Freeze(const std::string& name, int64_t value);
-  bool IsFrozen(size_t index) const;
-  size_t FrozenCount() const;
+  bool IsFrozen(size_t index) const { return table_[index].frozen; }
+  size_t FrozenCount() const { return frozen_.size(); }
+
+  // Param(index).Clamp(value), read from the compiled table.
+  int64_t Clamp(size_t index, int64_t value) const;
 
   // The OS's default configuration (frozen values applied).
   Configuration DefaultConfiguration() const;
@@ -103,11 +121,13 @@ class ConfigSpace {
   // Fully or phase-biased random sample; always satisfies dependency
   // constraints and frozen values.
   //
-  // Thread-safety: RandomConfiguration, Neighbor, RandomValue,
-  // ApplyConstraints, IsValid, Encode/EncodeInto/EncodeParam/DecodeParam and
-  // the *Into variants below are pure over the space's immutable members
-  // (params_, frozen_, index_by_name_), so concurrent calls on one space are
-  // safe as long as each caller owns its Rng and output Configuration.
+  // Thread-safety: the compiled table is built by Add and Freeze and is
+  // read-only afterwards. RandomConfiguration, Neighbor, RandomValue,
+  // Clamp, ApplyConstraints, IsValid, Encode/EncodeInto/EncodeParam/
+  // DecodeParam and the *Into variants below only read it (ApplyConstraints'
+  // select-floor scratch is per thread), so concurrent calls on one space
+  // are safe as long as each caller owns its Rng and output Configuration
+  // and no thread is adding or freezing parameters.
   Configuration RandomConfiguration(Rng& rng, const SampleOptions& opts = SampleOptions()) const;
   // In-place variant for hot proposal loops: overwrites `out`, which must
   // already belong to this space, instead of building a fresh Configuration.
@@ -119,13 +139,14 @@ class ConfigSpace {
                          const SampleOptions& opts = SampleOptions()) const;
   // In-place variant: copies `base` into `out` (reusing its buffer) and
   // mutates there. `weights` must be the per-parameter mutation weights
-  // MutationWeights() returns for `opts`; hoisting them out lets a pool
+  // MutationWeights() writes for `opts`; hoisting them out lets a pool
   // loop share one weight vector across thousands of candidates.
   void NeighborInto(const Configuration& base, Rng& rng, size_t mutations,
                     const std::vector<double>& weights, Configuration* out) const;
-  // Per-parameter mutation weights for `opts`: 0 for frozen parameters,
-  // else the phase's sampling probability.
-  std::vector<double> MutationWeights(const SampleOptions& opts) const;
+  // Writes the per-parameter mutation weights for `opts` into `weights`
+  // (resized to Size(), reusing its buffer): 0 for frozen parameters, else
+  // the phase's sampling probability.
+  void MutationWeights(const SampleOptions& opts, std::vector<double>* weights) const;
 
   // Draws a random in-domain value for one parameter (log-aware for numeric
   // domains spanning decades).
@@ -164,11 +185,88 @@ class ConfigSpace {
   double Log10SpaceSize() const;
 
  private:
+  // How a parameter is clamped, sampled and encoded.
+  enum class Rule : uint8_t {
+    kBool,      // Clamp to [lo, hi] = [0, 1]; uniform draw; feature v != 0.
+    kRange,     // Clamp to [lo, hi]; uniform draw; feature (v - lo) / (hi - lo).
+    kLog,       // Clamp to [lo, hi]; log-uniform draw; log1p-scaled feature.
+    kValueSet,  // Nearest member of the set; uniform member; member index / (n - 1).
+  };
+
+  // One parameter's hot-path record (40 bytes), compiled from its ParamSpec.
+  struct CompiledParam {
+    // Clamp bounds, which are also the uniform draw's bounds. For kValueSet
+    // they are [0, n - 1], the indices into the parameter's set. Tristates
+    // and strings are [0, 2] and [0, choices - 1]; a feature is 0 when
+    // lo == hi.
+    int64_t lo = 0;
+    int64_t hi = 0;
+    int64_t default_value = 0;
+    int64_t frozen_value = 0;  // Meaningful when `frozen`.
+    // kLog: index into log_scales_. kValueSet: offset of the set in
+    // value_sets_.
+    uint32_t aux = 0;
+    Rule rule = Rule::kRange;
+    ParamPhase phase = ParamPhase::kRuntime;
+    bool frozen = false;
+    bool boolish = false;  // kBool or kTristate: the kinds `selects` reaches.
+  };
+
+  // A kLog parameter's precomputed constants.
+  struct LogScale {
+    double encode_base = 0.0;  // log1p(lo).
+    double encode_span = 0.0;  // log1p(hi) - log1p(lo).
+    double sample_lo = 0.0;    // log(max(1, lo)).
+    double sample_hi = 0.0;    // log(max(1, hi)).
+  };
+
+  // `param` depends on `dep`. Sorted by param (the constraint pass visits
+  // parameters in ascending order).
+  struct DependsEdge {
+    uint32_t param;
+    uint32_t dep;
+  };
+  // `selector` selects the bool/tristate `target`, whose max_value is `cap`.
+  struct SelectEdge {
+    uint32_t selector;
+    uint32_t target;
+    int64_t cap;
+  };
+  // A `depends_on` (is_select false) or `selects` name of `param` that no
+  // parameter had when `param` was added.
+  struct PendingEdge {
+    uint32_t param;
+    bool is_select;
+  };
+
+  int64_t ClampToValueSet(const CompiledParam& record, int64_t value) const;
+  size_t ValueSetIndex(const CompiledParam& record, int64_t value) const;
+  // Records the edge from `param` to the parameter at `target`.
+  void AddEdge(uint32_t param, size_t target, bool is_select);
+
   std::vector<ParamSpec> params_;
   std::unordered_map<std::string, size_t> index_by_name_;
-  std::vector<bool> frozen_;
-  std::vector<int64_t> frozen_value_;
+
+  std::vector<CompiledParam> table_;  // One record per parameter.
+  std::vector<LogScale> log_scales_;  // One per kLog parameter.
+  std::vector<int64_t> value_sets_;   // Every kValueSet parameter's set.
+  std::vector<DependsEdge> depends_;
+  std::vector<SelectEdge> selects_;
+  std::vector<uint32_t> frozen_;      // Frozen parameters, ascending.
+  std::unordered_map<std::string, std::vector<PendingEdge>> unresolved_;
 };
+
+inline int64_t ConfigSpace::Clamp(size_t index, int64_t value) const {
+  const CompiledParam& record = table_[index];
+  if (record.rule == Rule::kValueSet) {
+    return ClampToValueSet(record, value);
+  }
+  return std::clamp(value, record.lo, record.hi);
+}
+
+inline void Configuration::SetRaw(size_t index, int64_t value) {
+  values_[index] = space_->Clamp(index, value);
+}
 
 }  // namespace wayfinder
 

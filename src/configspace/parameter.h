@@ -23,7 +23,7 @@ enum class ParamKind {
 
 // When the parameter takes effect. Drives the build-skip optimization
 // (runtime-only changes need no rebuild) and phase-biased sampling.
-enum class ParamPhase {
+enum class ParamPhase : uint8_t {
   kCompileTime,
   kBootTime,
   kRuntime,

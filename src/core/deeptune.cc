@@ -98,7 +98,7 @@ std::vector<double> DeepTuneSearcher::ScorePool(SearchContext& context) {
   spec.line_search = metrics_.empty();
   AssembleProposalPool(*space_, elites_, context.sample_options, spec,
                        proposal_.NextPoolSeed(*context.rng), proposal_.pool,
-                       proposal_.encoded);
+                       proposal_.encoded, proposal_.pool_scratch);
 
   // --- 2. Model predictions ---------------------------------------------------
   // The assembled pool is already one row-major batch matrix; rank it with a

@@ -29,6 +29,21 @@ Rng StreamFor(uint64_t pool_seed, uint64_t salt, uint64_t index) {
   return Rng(HashCombine(HashCombine(pool_seed, salt), index));
 }
 
+// Writes the encoding of `config`, derived from `base`, into `row`: a copy of
+// `base_row` (base's encoding) with only the parameters whose raw value
+// differs re-encoded. A feature depends on its parameter's raw value alone,
+// so the row equals EncodeInto(config) bit for bit.
+void EncodeFromBase(const ConfigSpace& space, const Configuration& base,
+                    const double* base_row, const Configuration& config, double* row) {
+  const size_t dim = space.FeatureDimension();
+  std::copy(base_row, base_row + dim, row);
+  for (size_t p = 0; p < dim; ++p) {
+    if (config.Raw(p) != base.Raw(p)) {
+      row[p] = space.EncodeParam(p, config.Raw(p));
+    }
+  }
+}
+
 }  // namespace
 
 void AssembleProposalPool(const ConfigSpace& space,
@@ -36,6 +51,18 @@ void AssembleProposalPool(const ConfigSpace& space,
                           const SampleOptions& sample_options,
                           const ProposalPoolSpec& spec, uint64_t pool_seed,
                           std::vector<Configuration>& pool, Matrix& encoded) {
+  PoolScratch scratch;
+  AssembleProposalPool(space, elites, sample_options, spec, pool_seed, pool, encoded, scratch);
+}
+
+// wf-hot-path: pool entries, encoded rows and the scratch are reused; a warm
+// call allocates nothing.
+void AssembleProposalPool(const ConfigSpace& space,
+                          const std::vector<Configuration>& elites,
+                          const SampleOptions& sample_options,
+                          const ProposalPoolSpec& spec, uint64_t pool_seed,
+                          std::vector<Configuration>& pool, Matrix& encoded,
+                          PoolScratch& scratch) {
   obs::ScopedTimerNs assembly_timer(g_pool_assembly_ns);
   const size_t pool_size = spec.pool_size;
   const size_t dim = space.FeatureDimension();
@@ -47,7 +74,8 @@ void AssembleProposalPool(const ConfigSpace& space,
 
   // --- pool layout (pure arithmetic over the spec) --------------------------
   // Phase-biased parameter weights, shared read-only by every candidate.
-  const std::vector<double> weights = space.MutationWeights(sample_options);
+  space.MutationWeights(sample_options, &scratch.weights);
+  const std::vector<double>& weights = scratch.weights;
   double weight_total = 0.0;
   for (double w : weights) {
     weight_total += w;
@@ -66,6 +94,16 @@ void AssembleProposalPool(const ConfigSpace& space,
   }
   const size_t mutate_end = std::max(line_total, exploit);
 
+  // Line-search and mutation candidates start from an elite and change a few
+  // parameters: each elite is encoded once, and such a candidate's row is
+  // its elite's row with the changed parameters re-encoded.
+  if (mutate_end > 0) {
+    scratch.elite_rows.Reshape(elites.size(), dim);
+    for (size_t e = 0; e < elites.size(); ++e) {
+      space.EncodeInto(elites[e], scratch.elite_rows.Row(e));
+    }
+  }
+
   // --- generation -----------------------------------------------------------
   // Each candidate mutates and encodes independently, on its own RNG stream,
   // into its own pool entry and encoded row.
@@ -73,30 +111,34 @@ void AssembleProposalPool(const ConfigSpace& space,
     Configuration& out = pool[i];
     if (i < line_total) {
       size_t group = i / kGridPoints;
-      const Configuration& base = elites[group % elites.size()];
+      const size_t elite = group % elites.size();
       // Every member of a group re-derives the group's parameter lottery —
       // cheap, and it keeps the draw off any shared stream.
       Rng group_rng = StreamFor(pool_seed, kLineGroupSalt, group);
       size_t param = group_rng.WeightedIndex(weights);
-      out = base;
+      out = elites[elite];
       double code = static_cast<double>(i % kGridPoints) /
                     static_cast<double>(kGridPoints - 1);
       out.SetRaw(param, space.DecodeParam(param, code));
       space.ApplyConstraints(&out);
+      EncodeFromBase(space, elites[elite], scratch.elite_rows.Row(elite), out,
+                     encoded.Row(i));
     } else if (i < mutate_end) {
-      const Configuration& base = elites[i % elites.size()];
+      const size_t elite = i % elites.size();
       Rng rng = StreamFor(pool_seed, kMutateSalt, i);
       size_t mutations = 1 + static_cast<size_t>(rng.UniformInt(
                                  0, static_cast<int64_t>(spec.max_mutations) - 1));
-      space.NeighborInto(base, rng, mutations, weights, &out);
+      space.NeighborInto(elites[elite], rng, mutations, weights, &out);
+      EncodeFromBase(space, elites[elite], scratch.elite_rows.Row(elite), out,
+                     encoded.Row(i));
     } else {
       Rng rng = StreamFor(pool_seed, kRandomSalt, i);
       if (out.space() != &space) {
         out = space.DefaultConfiguration();  // Bind once; reused when warm.
       }
       space.RandomConfigurationInto(rng, sample_options, &out);
+      space.EncodeInto(out, encoded.Row(i));
     }
-    space.EncodeInto(out, encoded.Row(i));
   }
 }
 

@@ -41,6 +41,12 @@ struct ProposalPoolSpec {
   bool line_search = true;
 };
 
+// AssembleProposalPool's reusable buffers.
+struct PoolScratch {
+  std::vector<double> weights;  // MutationWeights for the pool's sample options.
+  Matrix elite_rows;            // EncodeInto of each elite, one row per elite.
+};
+
 // Fills `pool` (resized to spec.pool_size) and `encoded` (reshaped to
 // pool_size x FeatureDimension) with the candidate pool for one proposal
 // iteration:
@@ -48,9 +54,16 @@ struct ProposalPoolSpec {
 //   [ line-search grids | elite mutations | random samples ]
 //
 // `pool_seed` must change per iteration (the searcher hashes its seed, an
-// iteration counter, and one serial draw from the session RNG). Both output
-// containers should persist across calls so the warm path reuses their
-// buffers.
+// iteration counter, and one serial draw from the session RNG). The output
+// containers and `scratch` should persist across calls: a warm call reuses
+// their buffers and allocates nothing.
+void AssembleProposalPool(const ConfigSpace& space,
+                          const std::vector<Configuration>& elites,
+                          const SampleOptions& sample_options,
+                          const ProposalPoolSpec& spec, uint64_t pool_seed,
+                          std::vector<Configuration>& pool, Matrix& encoded,
+                          PoolScratch& scratch);
+// One-shot form with a scratch of its own.
 void AssembleProposalPool(const ConfigSpace& space,
                           const std::vector<Configuration>& elites,
                           const SampleOptions& sample_options,
@@ -133,12 +146,14 @@ struct ProposalState {
   }
 
   // Live bytes of the proposal scratch (candidate pool, encoded batch,
-  // history ring, per-candidate dissimilarities and normalized σ̂), for the
-  // searcher's MemoryBytes accounting.
+  // assembly scratch, history ring, per-candidate dissimilarities and
+  // normalized σ̂), for the searcher's MemoryBytes accounting.
   size_t ScratchBytes() const {
-    size_t bytes =
-        (encoded.size() + dissimilarity.capacity() + sigma_norm.capacity()) * sizeof(double) +
-        history.bytes();
+    size_t bytes = (encoded.size() + pool_scratch.weights.capacity() +
+                    pool_scratch.elite_rows.size() + dissimilarity.capacity() +
+                    sigma_norm.capacity()) *
+                       sizeof(double) +
+                   history.bytes();
     for (const Configuration& candidate : pool) {
       bytes += candidate.Size() * sizeof(int64_t);
     }
@@ -149,6 +164,7 @@ struct ProposalState {
   uint64_t iteration = 0;
   std::vector<Configuration> pool;
   Matrix encoded;
+  PoolScratch pool_scratch;
   EncodedHistoryRing history;
   std::vector<double> dissimilarity;  // Eq. 2 per pool row (PoolDissimilarity).
   std::vector<double> sigma_norm;     // One head's σ̂ per pool row (NormalizeSigmas).

@@ -40,12 +40,6 @@ Matrix Matrix::Xavier(size_t rows, size_t cols, Rng& rng) {
   return m;
 }
 
-Matrix Matrix::FromRow(const std::vector<double>& row) {
-  Matrix m(1, row.size());
-  m.data_ = row;
-  return m;
-}
-
 namespace {
 
 // Shared body of MatMulInto / MatMulAddBiasInto: one fused gemm_rows call
@@ -133,12 +127,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 Matrix MatMulBt(const Matrix& a, const Matrix& b) {
   Matrix out;
   MatMulBtInto(a, b, out);
-  return out;
-}
-
-Matrix MatMulAt(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulAtInto(a, b, out);
   return out;
 }
 

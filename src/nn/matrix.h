@@ -54,9 +54,6 @@ class Matrix {
   // Xavier/Glorot-uniform initialization for a (fan_in x fan_out) weight.
   static Matrix Xavier(size_t rows, size_t cols, Rng& rng);
 
-  // From one row vector.
-  static Matrix FromRow(const std::vector<double>& row);
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
@@ -90,7 +87,6 @@ void ReluInPlace(Matrix& m, const KernelOps* ops = nullptr);
 // --- allocating wrappers (call the fast kernels) ---------------------------
 Matrix MatMul(const Matrix& a, const Matrix& b);
 Matrix MatMulBt(const Matrix& a, const Matrix& b);
-Matrix MatMulAt(const Matrix& a, const Matrix& b);
 
 // --- naive reference kernels (textbook loops, correctness baseline) --------
 Matrix NaiveMatMul(const Matrix& a, const Matrix& b);

@@ -211,6 +211,7 @@ ConfigSpace BuildJobSpace(const JobSpec& spec) {
   for (const FrozenParam& frozen : spec.freeze) {
     space.Freeze(frozen.name, frozen.value);
   }
+  space.ShrinkToFit();
   return space;
 }
 

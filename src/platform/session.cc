@@ -522,6 +522,12 @@ void SearchSession::Resume(const std::vector<TrialRecord>& prior) {
     } else {
       ++builds_skipped_;
     }
+    // Step hands Observe each trial's Eq. 4 score over the trials up to and
+    // including it; the stored one is over the whole prior. (Batch sessions
+    // refresh once per wave, and the prior records no wave boundaries.)
+    if (options_.objective == ObjectiveKind::kScore) {
+      RefreshScores();
+    }
     searcher_->Observe(history_.back(), context);
   }
   if (!history_.empty()) {

@@ -360,6 +360,47 @@ INSTANTIATE_TEST_SUITE_P(Searchers, LiveResumeTest,
                            return std::string(info.param);
                          });
 
+// Eq. 4 score objectives are min-max normalized over the history, so they
+// change as trials commit. The serial loop hands Observe each trial's score
+// over the trials up to it; a resume must replay the same values, not the
+// scores over the whole checkpointed prefix.
+TEST(CheckpointV2Test, SerialScoreResumeWithLiveStateIsExact) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  TestbenchOptions bench_options;
+  bench_options.seed = 0x7ef9;
+  SessionOptions options;
+  options.max_iterations = 40;
+  options.seed = 0x87;
+  options.objective = ObjectiveKind::kScore;
+
+  Testbench bench_a(&space, AppId::kNginx, bench_options);
+  auto searcher_a = MakeSearcher("deeptune", &space, 0xda);
+  SessionResult uninterrupted = RunSearch(&bench_a, searcher_a.get(), options);
+  ASSERT_EQ(uninterrupted.history.size(), 40u);
+
+  std::string checkpoint_text = [&] {
+    Testbench bench(&space, AppId::kNginx, bench_options);
+    auto searcher = MakeSearcher("deeptune", &space, 0xda);
+    SessionOptions prefix = options;
+    prefix.max_iterations = 24;
+    SearchSession session(&bench, searcher.get(), prefix);
+    while (session.Step()) {
+    }
+    CheckpointLiveState live = session.ExportLiveState();
+    return CheckpointToText(session.history(), &live);
+  }();
+
+  CheckpointLoadResult loaded = LoadCheckpointText(space, checkpoint_text);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  Testbench bench_b(&space, AppId::kNginx, bench_options);
+  auto searcher_b = MakeSearcher("deeptune", &space, 0xda);
+  SearchSession resumed(&bench_b, searcher_b.get(), options);
+  ASSERT_TRUE(resumed.Resume(loaded.history, loaded.live));
+  while (resumed.Step()) {
+  }
+  ExpectSameTrials(uninterrupted.history, resumed.Finish().history, "serial score resume");
+}
+
 // ---------------------------------------------------------------------------
 // Session resume.
 

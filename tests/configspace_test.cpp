@@ -7,6 +7,8 @@
 #include "src/configspace/config_space.h"
 #include "src/configspace/linux_space.h"
 #include "src/configspace/unikraft_space.h"
+#include "src/platform/job_file.h"
+#include "tests/config_space_reference.h"
 
 namespace wayfinder {
 namespace {
@@ -272,6 +274,64 @@ TEST_P(SpaceBuilderTest, RandomSamplesAreValid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Builders, SpaceBuilderTest, ::testing::Values(0, 1));
+
+// --- Compiled table vs the ParamSpec forms -----------------------------------
+// Clamp, sampling, encoding and constraints read a compiled per-parameter
+// table; each must reproduce the ParamSpec-walking form it replaced bit for
+// bit (tests/config_space_reference.h).
+
+TEST(CompiledSpace, LinuxJobSpaceMatchesReference) {
+  JobSpec job;
+  job.os = "linux";
+  reference::ExpectMatchesReference(BuildJobSpace(job), 0x11a, 12, "linux");
+}
+
+TEST(CompiledSpace, UnikraftValueSetsMatchReference) {
+  JobSpec job;
+  job.os = "unikraft";
+  reference::ExpectMatchesReference(BuildJobSpace(job), 0x11b, 40, "unikraft");
+}
+
+TEST(CompiledSpace, SmallSpaceMatchesReference) {
+  reference::ExpectMatchesReference(SmallSpace(), 0x11c, 200, "small");
+}
+
+TEST(CompiledSpace, FrozenParametersMatchReference) {
+  // Frozen values out of domain, on a dependency gate, a parameter behind
+  // one, a log-scaled knob and a value set; refreezing moves the value.
+  JobSpec job;
+  job.os = "linux";
+  ConfigSpace space = BuildJobSpace(job);
+  size_t gated = space.Size();
+  for (size_t i = 0; i < space.Size() && gated == space.Size(); ++i) {
+    if (!space.Param(i).depends_on.empty()) {
+      gated = i;
+    }
+  }
+  ASSERT_LT(gated, space.Size());
+  const ParamSpec& child = space.Param(gated);
+  ASSERT_TRUE(space.Freeze(child.depends_on[0], 0));
+  ASSERT_TRUE(space.Freeze(child.name, child.max_value + 5));
+  size_t frozen_log = 0;
+  for (size_t i = 0; i < space.Size() && frozen_log < 2; ++i) {
+    const ParamSpec& spec = space.Param(i);
+    if (spec.log_scale && !space.IsFrozen(i)) {
+      ASSERT_TRUE(space.Freeze(spec.name, frozen_log == 0 ? -7 : spec.max_value / 3));
+      ++frozen_log;
+    }
+  }
+  ASSERT_TRUE(space.Freeze("net.core.somaxconn", 4096));
+  const size_t frozen = space.FrozenCount();
+  ASSERT_TRUE(space.Freeze("net.core.somaxconn", 1 << 30));
+  EXPECT_EQ(space.FrozenCount(), frozen);
+  EXPECT_EQ(space.DefaultConfiguration().Get("net.core.somaxconn"), 65536);
+  reference::ExpectMatchesReference(space, 0x11d, 12, "frozen linux");
+
+  ConfigSpace unikraft = BuildUnikraftSpace();
+  ASSERT_TRUE(unikraft.Freeze("nginx.worker_connections", 900));
+  EXPECT_EQ(unikraft.DefaultConfiguration().Get("nginx.worker_connections"), 1024);
+  reference::ExpectMatchesReference(unikraft, 0x11e, 40, "frozen unikraft");
+}
 
 }  // namespace
 }  // namespace wayfinder

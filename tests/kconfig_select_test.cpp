@@ -6,6 +6,7 @@
 
 #include "src/configspace/config_space.h"
 #include "src/configspace/kconfig.h"
+#include "tests/config_space_reference.h"
 
 namespace wayfinder {
 namespace {
@@ -274,6 +275,103 @@ TEST(KconfigSelectTest, RandomSamplesAlwaysSatisfySelectEdges) {
     Configuration config = space.RandomConfiguration(rng);
     ASSERT_TRUE(space.IsValid(config)) << config.DiffString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// The compiled constraint table against the name-resolving reference
+// (tests/config_space_reference.h): values, change counts, encodings and Rng
+// states on random raw configurations, samples and NeighborInto outputs.
+
+// One space with every edge shape ApplyConstraints handles.
+const char* const kEdgeCorpus =
+    // A depends_on naming a symbol added later, and one naming no symbol.
+    "config EARLY\n"
+    "\tbool \"early\"\n"
+    "\tdepends on LATE_GATE\n"
+    "config ORPHAN\n"
+    "\ttristate \"orphan\"\n"
+    "\tdepends on NOWHERE\n"
+    "\tselect MISSING\n"
+    // Tristate selectors at m and y, raising a bool and a tristate.
+    "config MODS\n"
+    "\ttristate \"mods\"\n"
+    "\tselect MOD_BOOL\n"
+    "\tselect MOD_TRI\n"
+    "config MOD_BOOL\n"
+    "\tbool \"b\"\n"
+    "config MOD_TRI\n"
+    "\ttristate \"t\"\n"
+    "\tselect CHAIN_END\n"
+    // The end of a select chain, whose own dependency the select overrides.
+    "config CHAIN_END\n"
+    "\tbool \"c\"\n"
+    "\tdepends on LATE_GATE\n"
+    // A select of numeric and string symbols (ignored), which depend on a
+    // gate and fall back to their defaults.
+    "config NUMERIC_SELECTOR\n"
+    "\tbool \"n\"\n"
+    "\tselect SIZE\n"
+    "\tselect NAME\n"
+    "config SIZE\n"
+    "\tint \"size\"\n"
+    "\trange 0 100\n"
+    "\tdefault 10\n"
+    "\tdepends on LATE_GATE\n"
+    "config BIG\n"
+    "\thex \"big\"\n"
+    "\tdefault 0x1000\n"
+    "\tdepends on MOD_TRI\n"
+    "config NAME\n"
+    "\tstring \"name\"\n"
+    "\tdefault \"x\"\n"
+    "\tdepends on LATE_GATE\n"
+    // A select cycle whose members depend on a gate: while the gate is off
+    // they trade places every pass until the 8-pass cap.
+    "config SWING_A\n"
+    "\tbool \"a\"\n"
+    "\tselect SWING_B\n"
+    "\tdepends on LATE_GATE\n"
+    "config SWING_B\n"
+    "\tbool \"b\"\n"
+    "\tselect SWING_A\n"
+    "\tdepends on LATE_GATE\n"
+    "config LATE_GATE\n"
+    "\tbool \"gate\"\n"
+    "\tselect SELF_LOOP\n"
+    "config SELF_LOOP\n"
+    "\ttristate \"self\"\n"
+    "\tselect SELF_LOOP\n"
+    "\tdepends on SELF_LOOP\n";
+
+TEST(KconfigSelectTest, SelectCycleStopsAtThePassCap) {
+  ConfigSpace space = SpaceFrom(kEdgeCorpus);
+  Configuration config = space.DefaultConfiguration();
+  config.Set("LATE_GATE", 0);
+  config.Set("SWING_A", 0);
+  config.Set("SWING_B", 1);
+  std::vector<int64_t> expected = config.values();
+  size_t expected_changes = reference::ReferenceSpace(space).ApplyConstraints(&expected);
+  // Each of the 8 passes raises one member and forces the other off.
+  EXPECT_EQ(expected_changes, 16u);
+  EXPECT_EQ(space.ApplyConstraints(&config), expected_changes);
+  EXPECT_EQ(config.values(), expected);
+}
+
+TEST(KconfigSelectTest, CompiledEdgesMatchReference) {
+  reference::ExpectMatchesReference(SpaceFrom(kEdgeCorpus), 0x5e1, 300, "edge corpus");
+
+  // The same symbols added in reverse, so every edge resolves backwards, and
+  // with two frozen symbols.
+  KconfigParseResult parsed = ParseKconfig(kEdgeCorpus);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  ConfigSpace reversed;
+  for (auto it = parsed.params.rbegin(); it != parsed.params.rend(); ++it) {
+    reversed.Add(*it);
+  }
+  reference::ExpectMatchesReference(reversed, 0x5e2, 300, "reversed corpus");
+  ASSERT_TRUE(reversed.Freeze("MOD_TRI", 1));
+  ASSERT_TRUE(reversed.Freeze("LATE_GATE", 0));
+  reference::ExpectMatchesReference(reversed, 0x5e3, 300, "frozen corpus");
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 //   * a fixed-seed multi-metric DeepTuneSearcher trajectory is bit-identical
 //     across kernel backends (the single-target twin of this pin lives in
 //     kernel_backend_test);
+//   * every delta-encoded exploit row equals EncodeInto of its candidate,
+//     and a warm pool assembly makes no heap allocation (counted at
+//     operator new);
 //   * the proposal path stays allocation-stable once warm, asserted through
 //     DeepTuneSearcher::MemoryBytes so footprint regressions fail loudly;
 //   * MemoryBytes accounts for the elite set;
@@ -18,8 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -29,9 +36,31 @@
 #include "src/core/scoring.h"
 #include "src/core/wayfinder_api.h"
 #include "src/nn/kernels.h"
+#include "src/platform/job_file.h"
 #include "src/platform/session.h"
 #include "src/simos/testbench.h"
 #include "src/util/rng.h"
+
+// Global operator new replacement so the warm-assembly test can count heap
+// activity, as nn_test does; every other test ignores it.
+namespace {
+std::atomic<uint64_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace wayfinder {
 namespace {
@@ -51,6 +80,64 @@ TEST(ProposalPipeline, PoolSeedChangesThePool) {
     differing += pool_a[i].values() == pool_b[i].values() ? 0 : 1;
   }
   EXPECT_GT(differing, 0u);
+}
+
+// The Linux job space with 4 elites: the pool DeepTune assembles once its
+// elite set is full.
+struct ElitePool {
+  ElitePool() : space(BuildJobSpace(JobSpec())) {
+    Rng rng(0xe117e);
+    for (int e = 0; e < 4; ++e) {
+      elites.push_back(space.RandomConfiguration(rng));
+    }
+  }
+  ConfigSpace space;
+  std::vector<Configuration> elites;
+};
+
+// Line-search and mutation rows are their elite's encoded row with only the
+// changed parameters re-encoded; each must equal a full EncodeInto.
+TEST(ProposalPipeline, DeltaEncodedRowsMatchEncodeInto) {
+  ElitePool setup;
+  const ConfigSpace& space = setup.space;
+  std::vector<Configuration> pool;
+  Matrix encoded;
+  PoolScratch scratch;
+  std::vector<double> row(space.FeatureDimension());
+  size_t exploit_rows = 0;
+  for (bool line_search : {true, false}) {
+    ProposalPoolSpec spec;
+    spec.line_search = line_search;
+    for (uint64_t seed : {3u, 4u, 5u}) {
+      AssembleProposalPool(space, setup.elites, SampleOptions(), spec, seed, pool, encoded,
+                           scratch);
+      ASSERT_EQ(pool.size(), spec.pool_size);
+      for (size_t i = 0; i < pool.size(); ++i) {
+        space.EncodeInto(pool[i], row.data());
+        ASSERT_EQ(std::memcmp(row.data(), encoded.Row(i), row.size() * sizeof(double)), 0)
+            << "seed " << seed << " row " << i;
+        exploit_rows += pool[i] == setup.elites[i % setup.elites.size()] ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(exploit_rows, 0u);
+}
+
+TEST(ProposalPipeline, WarmAssemblyAllocatesNothing) {
+  ElitePool setup;
+  ProposalPoolSpec spec;
+  std::vector<Configuration> pool;
+  Matrix encoded;
+  PoolScratch scratch;
+  AssembleProposalPool(setup.space, setup.elites, SampleOptions(), spec, 1, pool, encoded,
+                       scratch);
+  uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (uint64_t seed = 2; seed < 6; ++seed) {
+    AssembleProposalPool(setup.space, setup.elites, SampleOptions(), spec, seed, pool,
+                         encoded, scratch);
+  }
+  uint64_t news = g_news.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(news, 0u) << "warm AssembleProposalPool allocated " << news << " times";
 }
 
 // --- pool scoring -------------------------------------------------------------
