@@ -80,10 +80,9 @@ class DeepTuneModel {
     return {trunk_.CrashProb(row), trunk_.Objective(row, head), trunk_.Sigma(row, head)};
   }
 
-  // Convenience forms: head `head` of one configuration, or of each one.
+  // Head `head` of one configuration, staged through the workspace's input
+  // row (the single-candidate form PredictConfig and ParameterImpacts use).
   DtmPrediction Predict(const std::vector<double>& x, size_t head = 0);
-  std::vector<DtmPrediction> PredictBatch(const std::vector<std::vector<double>>& xs,
-                                          size_t head = 0);
 
   // Per-head objective normalization (z-score over successful observations).
   double NormalizeObjective(double objective, size_t head = 0) const {
@@ -93,9 +92,6 @@ class DeepTuneModel {
     return trunk_.DenormalizeObjective(head, normalized);
   }
 
-  // Trainable blocks in a stable order (for Adam and serialization).
-  std::vector<ParamBlock*> Params() { return trunk_.Params(); }
-
   // Transfer learning (§3.3): persist/restore the trained weights. Loading
   // requires an identical architecture (input dim, head count, options).
   bool Save(const std::string& path) const { return trunk_.Save(path); }
@@ -103,8 +99,6 @@ class DeepTuneModel {
 
   // Live state footprint (weights + optimizer moments + replay buffer).
   size_t MemoryBytes() const { return trunk_.MemoryBytes(); }
-
-  const DtmOptions& options() const { return trunk_.options(); }
 
   // Times any workspace buffer had to (re)allocate. Stable across repeated
   // same-shaped Forward/Update rounds — the zero-alloc-after-warmup

@@ -202,19 +202,6 @@ size_t DtmTrunk::PredictRows(const Matrix& xs) {
   return xs.rows();
 }
 
-size_t DtmTrunk::PredictRows(const std::vector<std::vector<double>>& xs) {
-  if (xs.empty()) {
-    return 0;
-  }
-  // Stage through the workspace so repeat same-shaped calls don't allocate.
-  ws_.Count(ws_.x.Reshape(xs.size(), input_dim_) ? 1 : 0);
-  for (size_t i = 0; i < xs.size(); ++i) {
-    assert(xs[i].size() == input_dim_);
-    std::copy(xs[i].begin(), xs[i].end(), ws_.x.Row(i));
-  }
-  return PredictRows(ws_.x);
-}
-
 // wf-hot-path: workspace-arena — single-row staging through ws_.x.
 size_t DtmTrunk::PredictRow(const std::vector<double>& x) {
   assert(x.size() == input_dim_);
@@ -257,7 +244,7 @@ void DtmTrunk::ForwardNaive(const Matrix& xs) {
   Matrix phi = ConcatCols(ConcatCols(rbf_naive(xs, rbf0_), rbf_naive(h1, rbf1_)),
                           rbf_naive(h2, rbf2_));
   ws_.s = dense_naive(phi, unc_head_);
-  ws_.probs = Softmax(crash_logits);
+  SoftmaxInto(crash_logits, ws_.probs);
 }
 
 bool DtmTrunk::Save(const std::string& path) const {

@@ -19,8 +19,9 @@
 // trunk itself:
 //
 //   * `workspace_grow_count()` is stable across repeated same-shaped
-//     forward/update rounds, and a warm `Update()` or `PredictRows(Matrix)`
-//     makes no heap allocation at all (nn_test counts operator new);
+//     forward/update rounds, and a warm `Update()`, `PredictRows(Matrix)`
+//     or `PredictRow(x)` makes no heap allocation at all (nn_test counts
+//     operator new);
 //   * results are bit-identical across SIMD kernel backends (the backends
 //     evaluate the same expression trees — src/nn/kernels.h).
 //
@@ -94,12 +95,11 @@ class DtmTrunk {
   double Update();
 
   // --- inference -----------------------------------------------------------
-  // Stage + one fused forward pass (softmax included); read results through
-  // the row/head accessors below. Returns the staged row count. The Matrix
-  // overload runs straight off the caller's row-major candidate matrix with
-  // no per-candidate staging.
+  // One fused forward pass (softmax included) straight off the caller's
+  // row-major candidate matrix; read results through the row/head accessors
+  // below. Returns the row count. PredictRow stages one configuration
+  // through the workspace's input matrix first.
   size_t PredictRows(const Matrix& xs);
-  size_t PredictRows(const std::vector<std::vector<double>>& xs);
   size_t PredictRow(const std::vector<double>& x);
 
   // Valid after a PredictRows/PredictRow call, for rows < the returned count.
@@ -125,8 +125,6 @@ class DtmTrunk {
   // Live state footprint (weights + optimizer moments + replay buffer +
   // workspace arena + the dropout mask and RBF scratch the layers hold).
   size_t MemoryBytes() const;
-
-  const DtmOptions& options() const { return options_; }
 
   // Times any workspace buffer had to (re)allocate. Stable across repeated
   // same-shaped rounds — the zero-alloc-after-warmup guarantee tests pin.

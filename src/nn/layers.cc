@@ -16,12 +16,16 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, Rng& rng) {
   bias_.grad.Resize(1, out_dim);
 }
 
+// wf-hot-path: workspace-arena — one fused x W + b into the caller's `y`;
+// the input is cached by pointer, not copied.
 size_t DenseLayer::ForwardInto(const Matrix& x, Matrix& y, const KernelOps* ops) {
   assert(x.cols() == weight_.value.rows());
   last_input_ = &x;
   return MatMulAddBiasInto(x, weight_.value, bias_.value, y, ops);
 }
 
+// wf-hot-path: workspace-arena — dW and db accumulate into the parameter
+// blocks' own gradients; dX lands in the caller's `dx`.
 size_t DenseLayer::BackwardInto(const Matrix& dy, Matrix* dx, const KernelOps* ops) {
   // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
   assert(last_input_ != nullptr);
@@ -31,19 +35,6 @@ size_t DenseLayer::BackwardInto(const Matrix& dy, Matrix* dx, const KernelOps* o
     return 0;
   }
   return MatMulBtInto(dy, weight_.value, *dx, ops);
-}
-
-Matrix DenseLayer::Forward(const Matrix& x) {
-  input_copy_ = x;
-  Matrix y;
-  ForwardInto(input_copy_, y);
-  return y;
-}
-
-Matrix DenseLayer::Backward(const Matrix& dy) {
-  Matrix dx;
-  BackwardInto(dy, &dx);
-  return dx;
 }
 
 // wf-hot-path: workspace-arena — clamps the caller's matrix in place; the
@@ -64,18 +55,8 @@ void ReluLayer::BackwardInPlace(Matrix& dy) {
   }
 }
 
-Matrix ReluLayer::Forward(const Matrix& x) {
-  input_copy_ = x;
-  ForwardInPlace(input_copy_);
-  return input_copy_;
-}
-
-Matrix ReluLayer::Backward(const Matrix& dy) {
-  Matrix dx = dy;
-  BackwardInPlace(dx);
-  return dx;
-}
-
+// wf-hot-path: workspace-arena — the mask is a member reshaped in place and
+// the activation is scaled in place.
 void DropoutLayer::ForwardInPlace(Matrix& x, Rng& rng, bool training) {
   active_ = training && rate_ > 0.0;
   if (!active_) {
@@ -102,18 +83,6 @@ void DropoutLayer::BackwardInPlace(Matrix& dy) {
 
 size_t DropoutLayer::ScratchBytes() const { return last_mask_.size() * sizeof(double); }
 
-Matrix DropoutLayer::Forward(const Matrix& x, Rng& rng, bool training) {
-  Matrix y = x;
-  ForwardInPlace(y, rng, training);
-  return y;
-}
-
-Matrix DropoutLayer::Backward(const Matrix& dy) {
-  Matrix dx = dy;
-  BackwardInPlace(dx);
-  return dx;
-}
-
 RbfLayer::RbfLayer(size_t in_dim, size_t centroids, double gamma, Rng& rng)
     : gamma_(gamma) {
   // Centroids start as a small cloud around the origin (inputs are roughly
@@ -125,6 +94,8 @@ RbfLayer::RbfLayer(size_t in_dim, size_t centroids, double gamma, Rng& rng)
   centroids_.grad.Resize(centroids, in_dim);
 }
 
+// wf-hot-path: workspace-arena — phi is the caller's buffer; the centroid
+// norms reuse a member vector sized once per centroid count.
 size_t RbfLayer::ForwardInto(const Matrix& z, Matrix& phi, const KernelOps* ops) {
   assert(z.cols() == centroids_.value.cols());
   assert(&z != &phi);
@@ -155,6 +126,8 @@ size_t RbfLayer::ForwardInto(const Matrix& z, Matrix& phi, const KernelOps* ops)
   return grew;
 }
 
+// wf-hot-path: workspace-arena — axpy_diff straight into the centroid
+// gradient and the caller's `dz`; reads z and phi through cached pointers.
 size_t RbfLayer::BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate,
                               const KernelOps* ops) {
   // dphi/dz_n   = phi_nc * (c - z_n) / gamma^2
@@ -189,22 +162,12 @@ size_t RbfLayer::BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate,
   return grew;
 }
 
-Matrix RbfLayer::Forward(const Matrix& z) {
-  input_copy_ = z;
-  ForwardInto(input_copy_, phi_copy_);
-  return phi_copy_;
-}
-
-Matrix RbfLayer::Backward(const Matrix& dphi) {
-  Matrix dz;
-  BackwardInto(dphi, &dz);
-  return dz;
-}
-
 size_t RbfLayer::ScratchBytes() const {
   return (centroid_sq_norms_.size() + chamfer_dist_.size()) * sizeof(double);
 }
 
+// wf-hot-path: workspace-arena — the K x N distance table is a member
+// reshaped in place; gradients go straight into the centroid block.
 double RbfLayer::AccumulateChamferGradient(double weight, const KernelOps* ops) {
   // Chamfer distance between the centroid set C and the cached batch Z:
   //   L = 1/K sum_c min_n ||c - z_n||^2  +  1/N sum_n min_c ||z_n - c||^2.

@@ -1,19 +1,17 @@
 // Neural-network building blocks for the DeepTune Model: dense layers,
 // ReLU, dropout, and the Gaussian RBF layer of the uncertainty branch.
 //
-// Layers are stateful for one forward/backward round: Forward caches what
-// Backward needs, Backward accumulates parameter gradients and returns the
-// gradient w.r.t. the input. Parameters are exposed as (value, grad) blocks
-// consumed by the Adam optimizer.
+// Layers are stateful for one forward/backward round: the forward pass
+// caches what the backward pass needs, and the backward pass accumulates
+// parameter gradients and writes the gradient w.r.t. the input. Parameters
+// are exposed as (value, grad) blocks consumed by the Adam optimizer.
 //
-// Each layer offers two paths:
-//   * the fast path (`ForwardInto` / `ForwardInPlace`, `BackwardInto` /
-//     `BackwardInPlace`) writes into caller-owned workspace matrices and
-//     caches its activations *by pointer*, so a forward/backward round does
-//     no heap allocation once the workspace is warm. The referenced inputs
-//     must stay alive (and unmodified where noted) until the backward pass.
-//   * the allocating wrappers (`Forward` / `Backward`) keep the original
-//     value-returning API; they copy their inputs so temporaries are safe.
+// Every pass (`ForwardInto` / `ForwardInPlace`, `BackwardInto` /
+// `BackwardInPlace`) writes into caller-owned workspace matrices and caches
+// its activations *by pointer*, so a forward/backward round does no heap
+// allocation once the workspace is warm. The referenced inputs must stay
+// alive (and unmodified where noted) until the backward pass: a temporary
+// passed to a forward leaves the backward reading a dead object.
 #ifndef WAYFINDER_SRC_NN_LAYERS_H_
 #define WAYFINDER_SRC_NN_LAYERS_H_
 
@@ -37,13 +35,10 @@ class DenseLayer {
  public:
   DenseLayer(size_t in_dim, size_t out_dim, Rng& rng);
 
-  // Fast path. Caches `x` by pointer; returns `y` buffer growths.
+  // Caches `x` by pointer; returns `y` buffer growths.
   size_t ForwardInto(const Matrix& x, Matrix& y, const KernelOps* ops = nullptr);
   // Accumulates dL/dW, dL/db; writes dL/dX into `dx` unless null.
   size_t BackwardInto(const Matrix& dy, Matrix* dx, const KernelOps* ops = nullptr);
-
-  Matrix Forward(const Matrix& x);
-  Matrix Backward(const Matrix& dy);
 
   std::vector<ParamBlock*> Params() { return {&weight_, &bias_}; }
   size_t in_dim() const { return weight_.value.rows(); }
@@ -56,25 +51,20 @@ class DenseLayer {
   ParamBlock weight_;  // in x out
   ParamBlock bias_;    // 1 x out
   const Matrix* last_input_ = nullptr;
-  Matrix input_copy_;  // Backing store for the allocating wrapper.
 };
 
 // Elementwise max(0, x).
 class ReluLayer {
  public:
-  // Fast path: clips in place and caches `x` by pointer. Backward masks on
+  // Clips in place and caches `x` by pointer. The backward pass masks on
   // the *output* (y > 0 ⟺ pre-activation > 0), so callers may keep mutating
   // zero entries (e.g. dropout) without breaking the mask.
   void ForwardInPlace(Matrix& x, const KernelOps* ops = nullptr);
   // dy is masked in place.
   void BackwardInPlace(Matrix& dy);
 
-  Matrix Forward(const Matrix& x);
-  Matrix Backward(const Matrix& dy);
-
  private:
   const Matrix* mask_source_ = nullptr;  // Entries <= 0 gate the gradient.
-  Matrix input_copy_;
 };
 
 // Inverted dropout; identity when `training` is false.
@@ -82,12 +72,9 @@ class DropoutLayer {
  public:
   explicit DropoutLayer(double rate) : rate_(rate) {}
 
-  // Fast path: scales in place (no-op when inactive).
+  // Scales in place (no-op when inactive).
   void ForwardInPlace(Matrix& x, Rng& rng, bool training);
   void BackwardInPlace(Matrix& dy);
-
-  Matrix Forward(const Matrix& x, Rng& rng, bool training);
-  Matrix Backward(const Matrix& dy);
 
   double rate() const { return rate_; }
   // Bytes held by the cached mask (batch x width doubles once trained).
@@ -110,17 +97,14 @@ class RbfLayer {
  public:
   RbfLayer(size_t in_dim, size_t centroids, double gamma, Rng& rng);
 
-  // Fast path. Caches `z` and `phi` by pointer; returns `phi` growths.
-  // `z` and `phi` must stay unmodified until Backward /
+  // Caches `z` and `phi` by pointer; returns `phi` growths.
+  // `z` and `phi` must stay unmodified until BackwardInto /
   // AccumulateChamferGradient runs.
   size_t ForwardInto(const Matrix& z, Matrix& phi, const KernelOps* ops = nullptr);
   // Accumulates the centroid gradient; unless `dz` is null, writes (or with
   // `accumulate`, adds) dL/dZ into it.
   size_t BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate = false,
                       const KernelOps* ops = nullptr);
-
-  Matrix Forward(const Matrix& z);
-  Matrix Backward(const Matrix& dphi);
 
   std::vector<ParamBlock*> Params() { return {&centroids_}; }
   const Matrix& centroid_values() const { return centroids_.value; }
@@ -130,8 +114,8 @@ class RbfLayer {
 
   // Adds the Chamfer regularizer gradient (dL_cham/dC) for the cached batch
   // to the centroid gradient and returns the loss value. Call between
-  // Forward and the optimizer step. The gradient is not propagated into the
-  // batch (the regularizer shapes centroids, not the trunk).
+  // ForwardInto and the optimizer step. The gradient is not propagated into
+  // the batch (the regularizer shapes centroids, not the trunk).
   double AccumulateChamferGradient(double weight, const KernelOps* ops = nullptr);
 
   // Bytes held by the reused scratch: centroid norms and the Chamfer table.
@@ -142,8 +126,6 @@ class RbfLayer {
   double gamma_;
   const Matrix* last_input_ = nullptr;
   const Matrix* last_phi_ = nullptr;
-  Matrix input_copy_;
-  Matrix phi_copy_;
   std::vector<double> centroid_sq_norms_;  // Forward scratch.
   Matrix chamfer_dist_;                    // K x N centroid-to-batch distances.
 };

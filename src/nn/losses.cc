@@ -6,12 +6,8 @@
 
 namespace wayfinder {
 
-Matrix Softmax(const Matrix& logits) {
-  Matrix probs;
-  SoftmaxInto(logits, probs);
-  return probs;
-}
-
+// wf-hot-path: workspace-arena — row-wise softmax into the caller's
+// reshaped `probs`; the inference tail of every PredictRows.
 size_t SoftmaxInto(const Matrix& logits, Matrix& probs) {
   size_t grew = probs.Reshape(logits.rows(), logits.cols()) ? 1 : 0;
   for (size_t i = 0; i < logits.rows(); ++i) {
@@ -33,12 +29,8 @@ size_t SoftmaxInto(const Matrix& logits, Matrix& probs) {
   return grew;
 }
 
-double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& target_class,
-                           Matrix* dlogits) {
-  Matrix probs;
-  return SoftmaxCrossEntropy(logits, target_class, dlogits, probs);
-}
-
+// wf-hot-path: workspace-arena — probabilities in the caller's scratch and
+// the gradient in the caller's `dlogits`, both reused across steps.
 double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& target_class,
                            Matrix* dlogits, Matrix& probs_scratch) {
   assert(logits.rows() == target_class.size());
@@ -59,34 +51,8 @@ double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& target_
   return loss * inv_n;
 }
 
-double HeteroscedasticLoss(const Matrix& yhat, const Matrix& s, const std::vector<double>& y,
-                           const std::vector<bool>& mask, Matrix* dyhat, Matrix* ds) {
-  assert(yhat.rows() == y.size() && s.rows() == y.size());
-  dyhat->Resize(yhat.rows(), 1);
-  ds->Resize(s.rows(), 1);
-  size_t active = 0;
-  for (bool m : mask) {
-    active += m ? 1 : 0;
-  }
-  if (active == 0) {
-    return 0.0;
-  }
-  double inv_n = 1.0 / static_cast<double>(active);
-  double loss = 0.0;
-  for (size_t i = 0; i < y.size(); ++i) {
-    if (!mask[i]) {
-      continue;
-    }
-    double err = yhat.At(i, 0) - y[i];
-    double si = std::clamp(s.At(i, 0), -10.0, 10.0);
-    double precision = std::exp(-si);
-    loss += (0.5 * precision * err * err + 0.5 * si) * inv_n;
-    dyhat->At(i, 0) = precision * err * inv_n;
-    ds->At(i, 0) = 0.5 * (1.0 - precision * err * err) * inv_n;
-  }
-  return loss;
-}
-
+// wf-hot-path: workspace-arena — reads the staged N x K target matrix and
+// writes both gradients into the caller's reused matrices.
 double HeteroscedasticLossMulti(const Matrix& yhat, const Matrix& s, const Matrix& y,
                                 const std::vector<bool>& mask, Matrix* dyhat, Matrix* ds) {
   assert(yhat.rows() == y.rows() && s.rows() == y.rows());
@@ -109,39 +75,6 @@ double HeteroscedasticLossMulti(const Matrix& yhat, const Matrix& s, const Matri
     }
     for (size_t k = 0; k < targets; ++k) {
       double err = yhat.At(i, k) - y.At(i, k);
-      double sik = std::clamp(s.At(i, k), -10.0, 10.0);
-      double precision = std::exp(-sik);
-      loss += (0.5 * precision * err * err + 0.5 * sik) * inv_n;
-      dyhat->At(i, k) = precision * err * inv_n;
-      ds->At(i, k) = 0.5 * (1.0 - precision * err * err) * inv_n;
-    }
-  }
-  return loss;
-}
-
-double HeteroscedasticLossMulti(const Matrix& yhat, const Matrix& s,
-                                const std::vector<std::vector<double>>& y,
-                                const std::vector<bool>& mask, Matrix* dyhat, Matrix* ds) {
-  assert(yhat.rows() == y.size() && s.rows() == y.size());
-  const size_t targets = yhat.cols();
-  dyhat->Resize(yhat.rows(), targets);
-  ds->Resize(s.rows(), targets);
-  size_t active = 0;
-  for (bool m : mask) {
-    active += m ? 1 : 0;
-  }
-  if (active == 0 || targets == 0) {
-    return 0.0;
-  }
-  double inv_n = 1.0 / static_cast<double>(active * targets);
-  double loss = 0.0;
-  for (size_t i = 0; i < y.size(); ++i) {
-    if (!mask[i]) {
-      continue;
-    }
-    assert(y[i].size() == targets);
-    for (size_t k = 0; k < targets; ++k) {
-      double err = yhat.At(i, k) - y[i][k];
       double sik = std::clamp(s.At(i, k), -10.0, 10.0);
       double precision = std::exp(-sik);
       loss += (0.5 * precision * err * err + 0.5 * sik) * inv_n;

@@ -8,8 +8,9 @@
 //   * L_Cham — Chamfer regularizer on RBF centroids, implemented inside
 //              RbfLayer::AccumulateChamferGradient.
 //
-// Every function returns the (mean) loss and writes the gradient w.r.t. the
-// network outputs into the provided matrix.
+// Every loss returns the (mean) loss and writes the gradient w.r.t. the
+// network outputs into caller-owned matrices, so the trunk's warm training
+// loop allocates nothing per step.
 #ifndef WAYFINDER_SRC_NN_LOSSES_H_
 #define WAYFINDER_SRC_NN_LOSSES_H_
 
@@ -20,35 +21,21 @@
 namespace wayfinder {
 
 // Softmax + categorical cross-entropy. `logits` is N x C, `target_class`
-// has N entries in [0, C). Gradient is (softmax - onehot)/N.
-double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& target_class,
-                           Matrix* dlogits);
-// Workspace form: the softmax probabilities land in the caller-provided
-// scratch matrix, so warm training loops do not allocate per step.
+// has N entries in [0, C). Gradient is (softmax - onehot)/N. The softmax
+// probabilities land in `probs_scratch`.
 double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& target_class,
                            Matrix* dlogits, Matrix& probs_scratch);
 
-// Row-wise softmax probabilities.
-Matrix Softmax(const Matrix& logits);
-// Allocation-free variant for warm workspaces; returns `probs` growths.
+// Row-wise softmax probabilities into `probs`; returns `probs` growths.
 size_t SoftmaxInto(const Matrix& logits, Matrix& probs);
 
-// Heteroscedastic regression loss. `yhat` (N x 1) predicted mean, `s`
-// (N x 1) predicted log-variance, `y` targets. Writes d/dyhat and d/ds.
-// `mask[i] == false` excludes a row (e.g. crashed trials have no metric).
-double HeteroscedasticLoss(const Matrix& yhat, const Matrix& s, const std::vector<double>& y,
-                           const std::vector<bool>& mask, Matrix* dyhat, Matrix* ds);
-
-// Multi-target heteroscedastic regression for the multi-metric DTM
-// extension (Â§3.2): `yhat` and `s` are N x K â one column per target metric
-// â and `y` is row-major N x K. The loss is the mean over active rows and
-// all K columns, so metrics contribute equally regardless of K.
-double HeteroscedasticLossMulti(const Matrix& yhat, const Matrix& s,
-                                const std::vector<std::vector<double>>& y,
-                                const std::vector<bool>& mask, Matrix* dyhat, Matrix* ds);
-
-// Workspace form: `y` is a staged N x K target matrix, so a warm training
-// loop passes flat scratch instead of building nested vectors per step.
+// Heteroscedastic regression over K targets (one column per head; K = 1 is
+// the paper's single-objective DTM, K > 1 the multi-metric extension of
+// §3.2). `yhat` and `s` are N x K predicted means and log-variances, `y` is
+// the N x K target matrix. Writes d/dyhat and d/ds. `mask[i] == false`
+// excludes row i (e.g. crashed trials have no metric). The loss is the mean
+// over active rows and all K columns, so metrics contribute equally
+// regardless of K.
 double HeteroscedasticLossMulti(const Matrix& yhat, const Matrix& s, const Matrix& y,
                                 const std::vector<bool>& mask, Matrix* dyhat, Matrix* ds);
 

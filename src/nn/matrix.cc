@@ -57,16 +57,22 @@ size_t MatMulImpl(const Matrix& a, const Matrix& b, const double* bias, Matrix& 
 
 }  // namespace
 
+// wf-hot-path: workspace-arena — MatMulAddBiasInto without the bias: one
+// gemm_rows call into the caller's reshaped `out`.
 size_t MatMulInto(const Matrix& a, const Matrix& b, Matrix& out, const KernelOps* ops) {
   return MatMulImpl(a, b, /*bias=*/nullptr, out, ops);
 }
 
+// wf-hot-path: workspace-arena — the fused x W + b of DenseLayer::ForwardInto,
+// straight into the caller's reshaped `out`.
 size_t MatMulAddBiasInto(const Matrix& a, const Matrix& b, const Matrix& bias, Matrix& out,
                          const KernelOps* ops) {
   assert(bias.rows() == 1 && bias.cols() == b.cols());
   return MatMulImpl(a, b, bias.Row(0), out, ops);
 }
 
+// wf-hot-path: workspace-arena — one dot_rows call per output row into the
+// caller's reshaped `out` (dense dX, RBF cross terms).
 size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const KernelOps* ops) {
   assert(a.cols() == b.cols());
   assert(&out != &a && &out != &b);
@@ -80,15 +86,8 @@ size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const KernelO
   return grew;
 }
 
-size_t MatMulAtInto(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.rows() == b.rows());
-  assert(&out != &a && &out != &b);
-  size_t grew = out.Reshape(a.cols(), b.cols()) ? 1 : 0;
-  std::memset(out.data().data(), 0, out.size() * sizeof(double));
-  MatMulAtAccum(a, b, out);
-  return grew;
-}
-
+// wf-hot-path: workspace-arena — accumulates dW into the parameter block's
+// own gradient, one gemm_at_row call per row; no temporary product.
 void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const KernelOps* ops) {
   assert(a.rows() == b.rows());
   assert(acc.rows() == a.cols() && acc.cols() == b.cols());
@@ -105,6 +104,8 @@ void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const KernelOp
   }
 }
 
+// wf-hot-path: workspace-arena — db accumulated row by row into the bias
+// gradient with vadd.
 void ColSumAccum(const Matrix& m, Matrix& acc, const KernelOps* ops) {
   assert(acc.rows() == 1 && acc.cols() == m.cols());
   const KernelOps& k_ops = ResolveKernels(ops);
@@ -114,20 +115,9 @@ void ColSumAccum(const Matrix& m, Matrix& acc, const KernelOps* ops) {
   }
 }
 
+// wf-hot-path: workspace-arena — clamps the activation buffer in place.
 void ReluInPlace(Matrix& m, const KernelOps* ops) {
   ResolveKernels(ops).relu(m.data().data(), m.size());
-}
-
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulInto(a, b, out);
-  return out;
-}
-
-Matrix MatMulBt(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulBtInto(a, b, out);
-  return out;
 }
 
 Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
@@ -186,12 +176,6 @@ void AddRowInPlace(Matrix& m, const Matrix& bias) {
   }
 }
 
-Matrix ColSum(const Matrix& m) {
-  Matrix out(1, m.cols(), 0.0);
-  ColSumAccum(m, out);
-  return out;
-}
-
 Matrix ConcatCols(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   Matrix out(a.rows(), a.cols() + b.cols());
@@ -203,6 +187,8 @@ Matrix ConcatCols(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+// wf-hot-path: workspace-arena — joins the three RBF activations with
+// memcpy into the caller's reshaped `out`.
 size_t ConcatCols3Into(const Matrix& a, const Matrix& b, const Matrix& c, Matrix& out) {
   assert(a.rows() == b.rows() && b.rows() == c.rows());
   size_t grew = out.Reshape(a.rows(), a.cols() + b.cols() + c.cols()) ? 1 : 0;
@@ -215,12 +201,8 @@ size_t ConcatCols3Into(const Matrix& a, const Matrix& b, const Matrix& c, Matrix
   return grew;
 }
 
-Matrix SliceCols(const Matrix& m, size_t begin, size_t end) {
-  Matrix out;
-  SliceColsInto(m, begin, end, out);
-  return out;
-}
-
+// wf-hot-path: workspace-arena — splits the uncertainty head's dphi with
+// memcpy into the caller's reshaped `out`.
 size_t SliceColsInto(const Matrix& m, size_t begin, size_t end, Matrix& out) {
   assert(begin <= end && end <= m.cols());
   assert(&out != &m);

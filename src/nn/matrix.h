@@ -1,16 +1,17 @@
 // Dense row-major matrix and the kernels the DeepTune Model needs.
 //
 // Two kernel tiers:
-//   * fast `*Into` kernels — 4x k-unrolled, row-streaming, writing into a
-//     caller-provided output so the hot path (DTM forward/backward rounds)
-//     never allocates after warmup. Their inner loops run on the dispatched
-//     SIMD backend (src/nn/kernels.h: portable or AVX2, selected at runtime;
-//     backends are bit-identical by construction). Every fast kernel takes
-//     an optional `const KernelOps* ops` (nullptr = DefaultKernels()).
-//   * `Naive*` reference kernels — textbook triple loops, kept as the
-//     correctness baseline for tests and the `--naive` benchmark fallback.
-// The allocating wrappers (MatMul &c.) call the fast kernels and remain the
-// convenient API for cold paths.
+//   * fast kernels (`*Into` / `*Accum` / `*InPlace`) — row-streaming, writing
+//     into a caller-provided output so the hot path (DTM forward/backward
+//     rounds) never allocates after warmup. Their inner loops run on the
+//     dispatched SIMD backend (src/nn/kernels.h: portable or AVX2, selected
+//     at runtime; backends are bit-identical by construction). Every fast
+//     kernel takes an optional `const KernelOps* ops` (nullptr =
+//     DefaultKernels()). These are the only kernels the trunk runs.
+//   * reference helpers (`Naive*`, `ConcatCols`, `AddRowInPlace`,
+//     `RowSqDist`/`SqDist`) — textbook loops returning fresh matrices, kept
+//     as the correctness baseline for tests, the trunk's naive forward, and
+//     the `--naive` benchmark fallback.
 #ifndef WAYFINDER_SRC_NN_MATRIX_H_
 #define WAYFINDER_SRC_NN_MATRIX_H_
 
@@ -31,7 +32,6 @@ class Matrix {
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   size_t size() const { return data_.size(); }
-  bool Empty() const { return data_.empty(); }
 
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
@@ -72,39 +72,29 @@ size_t MatMulAddBiasInto(const Matrix& a, const Matrix& b, const Matrix& bias, M
 // out = a * b^T            (a: NxK, b: MxK)
 size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out,
                     const KernelOps* ops = nullptr);
-// out = a^T * b            (a: KxN, b: KxM)
-size_t MatMulAtInto(const Matrix& a, const Matrix& b, Matrix& out);
 // acc += a^T * b — gradient accumulation without a temporary (acc: NxM).
 void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc,
                    const KernelOps* ops = nullptr);
 // acc += column-wise sums of m (acc: 1 x M).
 void ColSumAccum(const Matrix& m, Matrix& acc, const KernelOps* ops = nullptr);
+// Writes [a | b | c] into `out`.
+size_t ConcatCols3Into(const Matrix& a, const Matrix& b, const Matrix& c, Matrix& out);
+// Writes columns [begin, end) of m into `out`.
+size_t SliceColsInto(const Matrix& m, size_t begin, size_t end, Matrix& out);
 
 // --- in-place elementwise helpers ------------------------------------------
 // m = max(0, m).
 void ReluInPlace(Matrix& m, const KernelOps* ops = nullptr);
 
-// --- allocating wrappers (call the fast kernels) ---------------------------
-Matrix MatMul(const Matrix& a, const Matrix& b);
-Matrix MatMulBt(const Matrix& a, const Matrix& b);
-
-// --- naive reference kernels (textbook loops, correctness baseline) --------
+// --- reference helpers (textbook loops, correctness baseline) --------------
 Matrix NaiveMatMul(const Matrix& a, const Matrix& b);
 Matrix NaiveMatMulBt(const Matrix& a, const Matrix& b);
 Matrix NaiveMatMulAt(const Matrix& a, const Matrix& b);
 
 // Adds `bias` (1 x M) to every row of `m` in place.
 void AddRowInPlace(Matrix& m, const Matrix& bias);
-// Column-wise sums into a 1 x M matrix.
-Matrix ColSum(const Matrix& m);
 // Concatenates two matrices with equal row counts side by side.
 Matrix ConcatCols(const Matrix& a, const Matrix& b);
-// Writes [a | b | c] into `out`; returns `out` buffer growths.
-size_t ConcatCols3Into(const Matrix& a, const Matrix& b, const Matrix& c, Matrix& out);
-// Splits off columns [begin, end) into a new matrix.
-Matrix SliceCols(const Matrix& m, size_t begin, size_t end);
-// Writes columns [begin, end) of m into `out`; returns `out` buffer growths.
-size_t SliceColsInto(const Matrix& m, size_t begin, size_t end, Matrix& out);
 // Squared Euclidean distance between row r of a and row s of b.
 double RowSqDist(const Matrix& a, size_t r, const Matrix& b, size_t s);
 // Same, over raw pointers.

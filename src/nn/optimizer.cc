@@ -16,12 +16,8 @@ Adam::Adam(std::vector<ParamBlock*> params, const AdamOptions& options)
   }
 }
 
-void Adam::ZeroGrad() {
-  for (ParamBlock* p : params_) {
-    p->ZeroGrad();
-  }
-}
-
+// wf-hot-path: workspace-arena — clips and updates every block in place;
+// the moments were sized once, at construction.
 void Adam::Step(const KernelOps* ops) {
   ++step_;
   const KernelOps& k_ops = ResolveKernels(ops);

@@ -29,13 +29,6 @@ class Adam {
   // `ops` selects the kernel backend (nullptr = DefaultKernels()).
   void Step(const KernelOps* ops = nullptr);
 
-  // Zeroes gradients without stepping (e.g. after a skipped batch).
-  void ZeroGrad();
-
-  size_t step_count() const { return step_; }
-  const AdamOptions& options() const { return options_; }
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
-
  private:
   std::vector<ParamBlock*> params_;
   AdamOptions options_;

@@ -396,15 +396,14 @@ size_t SearchSession::CommitWave() {
   return n;
 }
 
-void SearchSession::MaybeDetectDrift(SearchContext& context) {
+bool SearchSession::DriftFired(size_t* best_index) {
   if (!options_.drift_detection) {
-    return;
+    return false;
   }
   const size_t window = std::max<size_t>(options_.drift_window, 2);
   // All-time best successful objective, its index, the total success count,
   // and the best within the trailing window of successes.
   double best = 0.0;
-  size_t best_index = 0;
   bool have_best = false;
   size_t successes = 0;
   for (size_t i = 0; i < history_.size(); ++i) {
@@ -414,7 +413,7 @@ void SearchSession::MaybeDetectDrift(SearchContext& context) {
     ++successes;
     if (!have_best || history_[i].objective > best) {
       best = history_[i].objective;
-      best_index = i;
+      *best_index = i;
       have_best = true;
     }
   }
@@ -422,7 +421,7 @@ void SearchSession::MaybeDetectDrift(SearchContext& context) {
   // full window of fresh successes after the previous event.
   if (!have_best || successes < 2 * window ||
       successes - successes_at_last_drift_ < window) {
-    return;
+    return false;
   }
   double recent_best = 0.0;
   bool have_recent = false;
@@ -440,12 +439,20 @@ void SearchSession::MaybeDetectDrift(SearchContext& context) {
   }
   double scale = std::max(std::fabs(best), 1e-9);
   if (best - recent_best <= options_.drift_threshold * scale) {
-    return;
+    return false;
   }
   // Drift: even the best of a whole recent window sits far below the
   // historical elite — the landscape moved, not just one unlucky trial.
   ++drift_events_;
   successes_at_last_drift_ = successes;
+  return true;
+}
+
+void SearchSession::MaybeDetectDrift(SearchContext& context) {
+  size_t best_index = 0;
+  if (!DriftFired(&best_index)) {
+    return;
+  }
   trace_.RecordInstant(obs::TraceKind::kDriftRevalidate, history_.size());
   searcher_->OnDrift(context);
 
@@ -502,6 +509,9 @@ SessionResult SearchSession::Finish() {
 void SearchSession::Resume(const std::vector<TrialRecord>& prior) {
   assert(history_.empty() && "Resume must precede the first Step()");
   SearchContext context = MakeContext();
+  const bool serial = options_.parallel_evaluations <= 1;
+  bool revalidation_next = false;
+  size_t best_index = 0;
   for (const TrialRecord& trial : prior) {
     history_.push_back(trial);
     seen_hashes_.insert(trial.config.Hash());
@@ -529,6 +539,17 @@ void SearchSession::Resume(const std::vector<TrialRecord>& prior) {
       RefreshScores();
     }
     searcher_->Observe(history_.back(), context);
+    // Step runs the drift detector after each observation except a
+    // re-validation's, and a firing's re-validation is the next trial it
+    // commits. Replaying that rebuilds the event count (which seeds later
+    // re-validations), the cooldown, and the searcher's OnDrift state.
+    // Batch sessions detect at wave boundaries the prior does not record.
+    if (revalidation_next) {
+      revalidation_next = false;
+    } else if (serial && DriftFired(&best_index)) {
+      searcher_->OnDrift(context);
+      revalidation_next = true;
+    }
   }
   if (!history_.empty()) {
     clock_.Advance(history_.back().sim_time_end - clock_.Now());

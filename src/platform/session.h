@@ -236,6 +236,11 @@ class SearchSession {
   // Drift detector + elite re-validation; runs after each observation wave
   // when options_.drift_detection is set.
   void MaybeDetectDrift(SearchContext& context);
+  // The detector's decision over the committed history. On a firing it
+  // counts the event, restarts the cooldown, stores the all-time best's
+  // index in `best_index`, and returns true. Resume replays it so the
+  // counters and OnDrift calls match the run that produced the history.
+  bool DriftFired(size_t* best_index);
   // Batch executor, first half of a step: proposes one batch for the free
   // window slots, respecting the iteration/time budget, and evaluates it
   // inline in slot order. Lock-step keys the proposal and per-trial

@@ -401,6 +401,73 @@ TEST(CheckpointV2Test, SerialScoreResumeWithLiveStateIsExact) {
   ExpectSameTrials(uninterrupted.history, resumed.Finish().history, "serial score resume");
 }
 
+// A serial drift event changes what follows it: OnDrift retrains DeepTune,
+// the event count seeds the next elite re-validation, and the cooldown
+// gates the next firing. The replay must rebuild all three from the prior
+// trials, so each cell checkpoints after a firing (asserted, so the pin is
+// never vacuous) and resumes into the uninterrupted run.
+TEST(CheckpointV2Test, SerialDriftResumeWithLiveStateIsExact) {
+  ConfigSpace space = BuildUnikraftSpace();
+  TestbenchOptions clean_options;
+  clean_options.substrate = Substrate::kUnikraftKvm;
+  clean_options.seed = 0xfa17;
+  const double clean_span = [&] {
+    Testbench bench(&space, AppId::kNginx, clean_options);
+    RandomSearcher searcher;
+    SessionOptions options;
+    options.max_iterations = 40;
+    options.seed = 0x90;
+    return RunSearch(&bench, &searcher, options).total_sim_seconds;
+  }();
+
+  struct Cell {
+    const char* algorithm;
+    uint64_t seed;
+    size_t cut;  // Step() calls before the checkpoint.
+  };
+  for (const Cell& cell : {Cell{"random", 2, 35}, Cell{"deeptune", 6, 20}}) {
+    const std::string label =
+        std::string(cell.algorithm) + " seed " + std::to_string(cell.seed);
+    TestbenchOptions bench_options = clean_options;
+    bench_options.seed = 0xfa17 + cell.seed;
+    bench_options.faults.drift_at = 0.3 * clean_span;
+    bench_options.faults.drift_magnitude = 1.0;
+    SessionOptions options;
+    options.max_iterations = 60;
+    options.seed = 0x90 + cell.seed;
+    options.drift_detection = true;
+    options.drift_window = 4;
+    options.drift_threshold = 0.1;
+
+    Testbench bench_a(&space, AppId::kNginx, bench_options);
+    auto searcher_a = MakeSearcher(cell.algorithm, &space, 0xabc + cell.seed);
+    SearchSession live_run(&bench_a, searcher_a.get(), options);
+    for (size_t i = 0; i < cell.cut; ++i) {
+      ASSERT_TRUE(live_run.Step()) << label;
+    }
+    const size_t events_at_cut = live_run.drift_events();
+    ASSERT_GT(events_at_cut, 0u) << label;
+    CheckpointLiveState live = live_run.ExportLiveState();
+    const std::string checkpoint_text = CheckpointToText(live_run.history(), &live);
+    while (live_run.Step()) {
+    }
+    SessionResult uninterrupted = live_run.Finish();
+
+    CheckpointLoadResult loaded = LoadCheckpointText(space, checkpoint_text);
+    ASSERT_TRUE(loaded.ok) << loaded.error;
+    Testbench bench_b(&space, AppId::kNginx, bench_options);
+    auto searcher_b = MakeSearcher(cell.algorithm, &space, 0xabc + cell.seed);
+    SearchSession resumed(&bench_b, searcher_b.get(), options);
+    ASSERT_TRUE(resumed.Resume(loaded.history, loaded.live));
+    EXPECT_EQ(resumed.drift_events(), events_at_cut) << label;
+    while (resumed.Step()) {
+    }
+    SessionResult result = resumed.Finish();
+    ExpectSameTrials(uninterrupted.history, result.history, label + " drift resume");
+    EXPECT_EQ(result.drift_events, uninterrupted.drift_events) << label;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Session resume.
 

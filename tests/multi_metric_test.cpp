@@ -22,11 +22,24 @@ namespace {
 // ---------------------------------------------------------------------------
 // HeteroscedasticLossMulti.
 
+// Fills an N x K target matrix row by row.
+Matrix Targets(const std::vector<std::vector<double>>& rows) {
+  Matrix y(rows.size(), rows.empty() ? 0 : rows[0].size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t k = 0; k < rows[i].size(); ++k) {
+      y.At(i, k) = rows[i][k];
+    }
+  }
+  return y;
+}
+
+// K = 1 is the paper's single-objective L_Reg (Kendall & Gal): per row,
+// 0.5 exp(-s) (yhat - y)^2 + 0.5 s, averaged over the rows, with gradients
+// exp(-s) (yhat - y) / N and 0.5 (1 - exp(-s) (yhat - y)^2) / N.
 TEST(MultiLossTest, SingleColumnMatchesScalarLoss) {
   Matrix yhat(3, 1);
   Matrix s(3, 1);
-  std::vector<double> y = {1.0, -0.5, 2.0};
-  std::vector<std::vector<double>> y_multi = {{1.0}, {-0.5}, {2.0}};
+  Matrix y = Targets({{1.0}, {-0.5}, {2.0}});
   std::vector<bool> mask = {true, true, true};
   yhat.At(0, 0) = 0.8;
   yhat.At(1, 0) = 0.0;
@@ -35,20 +48,23 @@ TEST(MultiLossTest, SingleColumnMatchesScalarLoss) {
   s.At(1, 0) = -0.2;
   s.At(2, 0) = 0.3;
 
-  Matrix dy1, ds1, dy2, ds2;
-  double scalar = HeteroscedasticLoss(yhat, s, y, mask, &dy1, &ds1);
-  double multi = HeteroscedasticLossMulti(yhat, s, y_multi, mask, &dy2, &ds2);
-  EXPECT_NEAR(scalar, multi, 1e-12);
+  Matrix dy, ds;
+  double loss = HeteroscedasticLossMulti(yhat, s, y, mask, &dy, &ds);
+  double expected = 0.0;
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(dy1.At(i, 0), dy2.At(i, 0), 1e-12);
-    EXPECT_NEAR(ds1.At(i, 0), ds2.At(i, 0), 1e-12);
+    double err = yhat.At(i, 0) - y.At(i, 0);
+    double precision = std::exp(-s.At(i, 0));
+    expected += (0.5 * precision * err * err + 0.5 * s.At(i, 0)) / 3.0;
+    EXPECT_NEAR(dy.At(i, 0), precision * err / 3.0, 1e-12) << i;
+    EXPECT_NEAR(ds.At(i, 0), 0.5 * (1.0 - precision * err * err) / 3.0, 1e-12) << i;
   }
+  EXPECT_NEAR(loss, expected, 1e-12);
 }
 
 TEST(MultiLossTest, MaskedRowsContributeNothing) {
   Matrix yhat(2, 2);
   Matrix s(2, 2);
-  std::vector<std::vector<double>> y = {{1.0, 2.0}, {100.0, -100.0}};
+  Matrix y = Targets({{1.0, 2.0}, {100.0, -100.0}});
   std::vector<bool> mask = {true, false};
   yhat.At(0, 0) = 1.0;
   yhat.At(0, 1) = 2.0;
@@ -67,7 +83,7 @@ TEST(MultiLossTest, MaskedRowsContributeNothing) {
 TEST(MultiLossTest, AllMaskedIsZero) {
   Matrix yhat(2, 3);
   Matrix s(2, 3);
-  std::vector<std::vector<double>> y = {{1, 2, 3}, {4, 5, 6}};
+  Matrix y = Targets({{1, 2, 3}, {4, 5, 6}});
   std::vector<bool> mask = {false, false};
   Matrix dy, ds;
   EXPECT_DOUBLE_EQ(HeteroscedasticLossMulti(yhat, s, y, mask, &dy, &ds), 0.0);
@@ -76,7 +92,7 @@ TEST(MultiLossTest, AllMaskedIsZero) {
 TEST(MultiLossTest, GradientMatchesFiniteDifference) {
   Matrix yhat(2, 2);
   Matrix s(2, 2);
-  std::vector<std::vector<double>> y = {{0.5, -1.0}, {1.5, 0.2}};
+  Matrix y = Targets({{0.5, -1.0}, {1.5, 0.2}});
   std::vector<bool> mask = {true, true};
   yhat.At(0, 0) = 0.2;
   yhat.At(0, 1) = -0.6;
@@ -237,30 +253,29 @@ TEST(MultiHeadDtmTest, NoAllocationAfterWarmup) {
   options.seed = 13;
   DeepTuneModel model(7, options, /*head_count=*/2);
   FeedSamples(model, 48);
-  std::vector<std::vector<double>> pool(96, std::vector<double>(7));
   Rng rng(35);
-  for (auto& x : pool) {
-    for (double& v : x) {
-      v = rng.Uniform();
-    }
+  std::vector<double> probe(7);
+  for (double& v : probe) {
+    v = rng.Uniform();
   }
-  Matrix staged(pool.size(), 7);
+  Matrix staged(96, 7);
   for (double& v : staged.data()) {
     v = rng.Uniform();
   }
 
-  // Warm the workspace: one predict round at this pool shape plus one
-  // training round at the configured batch size.
-  model.PredictBatch(pool);
+  // Warm the workspace: one single-row predict, one predict round at this
+  // pool shape, and one training round at the configured batch size.
+  model.Predict(probe, 1);
+  model.PredictRows(staged);
   model.Update();
-  model.PredictBatch(pool);
+  model.Predict(probe, 1);
   size_t warm = model.workspace_grow_count();
 
-  // Steady state: repeated same-shaped rounds, through both the staging and
-  // the pool-ranking entry points, must not grow any buffer — two heads
-  // share the one-head model's zero-alloc-after-warmup guarantee.
+  // Steady state: repeated same-shaped rounds, through both the single-row
+  // staging and the pool-ranking entry points, must not grow any buffer —
+  // two heads share the one-head model's zero-alloc-after-warmup guarantee.
   for (int round = 0; round < 5; ++round) {
-    model.PredictBatch(pool);
+    model.Predict(probe, 1);
     model.PredictRows(staged);
     model.Update();
   }
@@ -293,34 +308,31 @@ TEST(MultiHeadDtmTest, TrainingUnchangedByKernelBackend) {
   }
 }
 
-TEST(MultiHeadDtmTest, PoolRankingFormMatchesVectorApi) {
+TEST(MultiHeadDtmTest, PoolRankingFormMatchesSingleRowApi) {
   DtmOptions options;
   options.seed = 23;
   DeepTuneModel model(4, options, /*head_count=*/2);
   FeedSamples(model, 32);
   model.Update();
-  std::vector<std::vector<double>> pool(9, std::vector<double>(4));
+  Matrix staged(9, 4);
   Rng rng(37);
-  for (auto& x : pool) {
-    for (double& v : x) {
-      v = rng.Uniform();
-    }
-  }
-  Matrix staged(pool.size(), 4);
-  for (size_t i = 0; i < pool.size(); ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      staged.At(i, j) = pool[i][j];
-    }
+  for (double& v : staged.data()) {
+    v = rng.Uniform();
   }
   for (size_t k = 0; k < 2; ++k) {
-    std::vector<DtmPrediction> from_vectors = model.PredictBatch(pool, k);
-    ASSERT_EQ(model.PredictRows(staged), pool.size());
-    ASSERT_EQ(from_vectors.size(), pool.size());
-    for (size_t i = 0; i < from_vectors.size(); ++i) {
-      DtmPrediction in_place = model.Prediction(i, k);
-      EXPECT_EQ(from_vectors[i].crash_prob, in_place.crash_prob) << i;
-      EXPECT_EQ(from_vectors[i].objective, in_place.objective) << i;
-      EXPECT_EQ(from_vectors[i].sigma, in_place.sigma) << i;
+    // Predict() reuses the workspace the pool results live in, so copy the
+    // pool rows out first.
+    std::vector<DtmPrediction> in_place(model.PredictRows(staged));
+    ASSERT_EQ(in_place.size(), staged.rows());
+    for (size_t i = 0; i < in_place.size(); ++i) {
+      in_place[i] = model.Prediction(i, k);
+    }
+    for (size_t i = 0; i < in_place.size(); ++i) {
+      DtmPrediction single =
+          model.Predict(std::vector<double>(staged.Row(i), staged.Row(i) + 4), k);
+      EXPECT_EQ(single.crash_prob, in_place[i].crash_prob) << i;
+      EXPECT_EQ(single.objective, in_place[i].objective) << i;
+      EXPECT_EQ(single.sigma, in_place[i].sigma) << i;
     }
   }
 }

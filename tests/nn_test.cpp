@@ -52,7 +52,8 @@ TEST(MatrixTest, MatMulKnownValues) {
   for (size_t i = 0; i < b.size(); ++i) {
     b.data()[i] = v++;
   }
-  Matrix c = MatMul(a, b);
+  Matrix c;
+  MatMulInto(a, b, c);
   // a = [1 2 3; 4 5 6], b = [7 8; 9 10; 11 12].
   EXPECT_DOUBLE_EQ(c.At(0, 0), 58.0);
   EXPECT_DOUBLE_EQ(c.At(0, 1), 64.0);
@@ -70,15 +71,17 @@ TEST(MatrixTest, TransposedProductsAgree) {
   for (double& v : b.data()) {
     v = rng.Normal();
   }
-  // a * b^T via MatMulBt must equal explicit transpose multiplication.
+  // a * b^T via MatMulBtInto must equal explicit transpose multiplication.
   Matrix bt(5, 6);
   for (size_t i = 0; i < 6; ++i) {
     for (size_t j = 0; j < 5; ++j) {
       bt.At(j, i) = b.At(i, j);
     }
   }
-  Matrix direct = MatMul(a, bt);
-  Matrix fused = MatMulBt(a, b);
+  Matrix direct;
+  MatMulInto(a, bt, direct);
+  Matrix fused;
+  MatMulBtInto(a, b, fused);
   for (size_t i = 0; i < direct.size(); ++i) {
     EXPECT_NEAR(direct.data()[i], fused.data()[i], 1e-12);
   }
@@ -89,7 +92,8 @@ TEST(MatrixTest, ConcatAndSliceRoundTrip) {
   Matrix b(2, 3, 2.0);
   Matrix c = ConcatCols(a, b);
   ASSERT_EQ(c.cols(), 5u);
-  Matrix back = SliceCols(c, 2, 5);
+  Matrix back;
+  SliceColsInto(c, 2, 5, back);
   for (size_t i = 0; i < back.size(); ++i) {
     EXPECT_DOUBLE_EQ(back.data()[i], 2.0);
   }
@@ -100,7 +104,8 @@ TEST(MatrixTest, ColSumAndAddRow) {
   for (size_t i = 0; i < m.size(); ++i) {
     m.data()[i] = static_cast<double>(i);
   }
-  Matrix sums = ColSum(m);
+  Matrix sums(1, 2, 0.0);
+  ColSumAccum(m, sums);
   EXPECT_DOUBLE_EQ(sums.At(0, 0), 0.0 + 2.0 + 4.0);
   EXPECT_DOUBLE_EQ(sums.At(0, 1), 1.0 + 3.0 + 5.0);
   Matrix bias(1, 2);
@@ -120,8 +125,12 @@ TEST(GradCheck, DenseRelu) {
   for (double& v : x.data()) {
     v = rng.Normal();
   }
+  // The layers cache their activations by pointer, so the forward output
+  // outlives the lambda.
+  Matrix y;
   auto loss_fn = [&]() {
-    Matrix y = relu.Forward(dense.Forward(x));
+    dense.ForwardInto(x, y);
+    relu.ForwardInPlace(y);
     double loss = 0.0;
     for (double v : y.data()) {
       loss += v;
@@ -134,7 +143,9 @@ TEST(GradCheck, DenseRelu) {
   Matrix dy(2, 3, 1.0);
   dense.weight().ZeroGrad();
   dense.bias().ZeroGrad();
-  dense.Backward(relu.Backward(dy));
+  relu.BackwardInPlace(dy);
+  Matrix dx;
+  dense.BackwardInto(dy, &dx);
 
   const double eps = 1e-6;
   for (size_t i = 0; i < dense.weight().value.size(); ++i) {
@@ -157,18 +168,22 @@ TEST(GradCheck, RbfLayer) {
   for (double& v : z.data()) {
     v = rng.Normal(0.0, 0.5);
   }
+  // The layer caches `input` and `phi` by pointer, so `phi` outlives the
+  // lambda and the backward pass below reads the forward over `z`.
+  Matrix phi;
   auto loss_fn = [&](const Matrix& input) {
-    Matrix phi = rbf.Forward(input);
+    rbf.ForwardInto(input, phi);
     double loss = 0.0;
     for (double v : phi.data()) {
       loss += v * v;
     }
     return 0.5 * loss;
   };
-  Matrix phi = rbf.Forward(z);
+  loss_fn(z);
   Matrix dphi = phi;  // dL/dphi = phi for L = 0.5 sum phi^2.
   rbf.centroids().ZeroGrad();
-  Matrix dz = rbf.Backward(dphi);
+  Matrix dz;
+  rbf.BackwardInto(dphi, &dz);
 
   const double eps = 1e-6;
   for (size_t i = 0; i < z.size(); ++i) {
@@ -198,11 +213,13 @@ TEST(RbfLayerTest, OutlierActivationsVanish) {
   Matrix far(1, 4, 50.0);
   double near_max = 0.0;
   double far_max = 0.0;
-  Matrix near_phi = rbf.Forward(near);
+  Matrix near_phi;
+  rbf.ForwardInto(near, near_phi);
   for (double v : near_phi.data()) {
     near_max = std::max(near_max, v);
   }
-  Matrix far_phi = rbf.Forward(far);
+  Matrix far_phi;
+  rbf.ForwardInto(far, far_phi);
   for (double v : far_phi.data()) {
     far_max = std::max(far_max, v);
   }
@@ -215,10 +232,10 @@ TEST(ChamferTest, PullsCentroidsTowardData) {
   RbfLayer rbf(2, 2, 1.0, rng);
   // Batch clustered at (5, 5); centroids start near the origin.
   Matrix z(8, 2, 5.0);
-  rbf.Forward(z);
+  Matrix phi;
   for (int step = 0; step < 200; ++step) {
     rbf.centroids().ZeroGrad();
-    rbf.Forward(z);
+    rbf.ForwardInto(z, phi);
     double loss = rbf.AccumulateChamferGradient(1.0);
     (void)loss;
     for (size_t i = 0; i < rbf.centroids().value.size(); ++i) {
@@ -234,8 +251,8 @@ TEST(DropoutTest, IdentityWhenEvaluating) {
   DropoutLayer dropout(0.5);
   Rng rng(23);
   Matrix x(4, 4, 1.0);
-  Matrix y = dropout.Forward(x, rng, /*training=*/false);
-  for (double v : y.data()) {
+  dropout.ForwardInPlace(x, rng, /*training=*/false);
+  for (double v : x.data()) {
     EXPECT_DOUBLE_EQ(v, 1.0);
   }
 }
@@ -245,8 +262,8 @@ TEST(DropoutTest, InvertedScalingPreservesExpectation) {
   Rng rng(29);
   Matrix x(64, 64, 1.0);
   double sum = 0.0;
-  Matrix y = dropout.Forward(x, rng, /*training=*/true);
-  for (double v : y.data()) {
+  dropout.ForwardInPlace(x, rng, /*training=*/true);
+  for (double v : x.data()) {
     sum += v;
   }
   EXPECT_NEAR(sum / static_cast<double>(x.size()), 1.0, 0.05);
@@ -257,8 +274,11 @@ TEST(LossTest, SoftmaxCrossEntropyKnown) {
   logits.At(0, 0) = 0.0;
   logits.At(0, 1) = 0.0;
   Matrix dlogits;
-  double loss = SoftmaxCrossEntropy(logits, {1}, &dlogits);
+  Matrix probs;
+  double loss = SoftmaxCrossEntropy(logits, {1}, &dlogits, probs);
   EXPECT_NEAR(loss, std::log(2.0), 1e-12);
+  EXPECT_NEAR(probs.At(0, 0), 0.5, 1e-12);
+  EXPECT_NEAR(probs.At(0, 1), 0.5, 1e-12);
   EXPECT_NEAR(dlogits.At(0, 0), 0.5, 1e-12);
   EXPECT_NEAR(dlogits.At(0, 1), -0.5, 1e-12);
 }
@@ -268,10 +288,12 @@ TEST(LossTest, HeteroscedasticGradientSigns) {
   Matrix s(2, 1, 0.0);
   yhat.At(0, 0) = 2.0;  // Over-prediction of y=1.
   yhat.At(1, 0) = 0.0;  // Masked row.
+  Matrix y(2, 1);
+  y.At(0, 0) = 1.0;
+  y.At(1, 0) = 5.0;
   Matrix dyhat;
   Matrix ds;
-  double loss =
-      HeteroscedasticLoss(yhat, s, {1.0, 5.0}, {true, false}, &dyhat, &ds);
+  double loss = HeteroscedasticLossMulti(yhat, s, y, {true, false}, &dyhat, &ds);
   EXPECT_GT(loss, 0.0);
   EXPECT_GT(dyhat.At(0, 0), 0.0);   // Push prediction down.
   EXPECT_DOUBLE_EQ(dyhat.At(1, 0), 0.0);  // Masked: no gradient.
@@ -366,8 +388,8 @@ TEST(KernelEquivalence, FastTransposedProductsMatchNaive) {
     EXPECT_NEAR(fast_bt.data()[i], naive_bt.data()[i], 1e-9);
   }
   Matrix c = RandomMatrix(rng, 9, 11);  // For At: shares rows with a.
-  Matrix fast_at;
-  MatMulAtInto(a, c, fast_at);
+  Matrix fast_at(a.cols(), c.cols(), 0.0);  // MatMulAtAccum adds into it.
+  MatMulAtAccum(a, c, fast_at);
   Matrix naive_at = NaiveMatMulAt(a, c);
   for (size_t i = 0; i < fast_at.size(); ++i) {
     EXPECT_NEAR(fast_at.data()[i], naive_at.data()[i], 1e-9);
@@ -388,13 +410,11 @@ TEST(KernelEquivalence, FusedBiasMatchesSeparateOps) {
   }
 }
 
-std::vector<std::vector<double>> RandomPool(Rng& rng, size_t n, size_t dim) {
-  std::vector<std::vector<double>> pool(n);
-  for (auto& x : pool) {
-    x.resize(dim);
-    for (double& v : x) {
-      v = rng.Uniform();
-    }
+// An n x dim candidate pool, one configuration per row.
+Matrix RandomPool(Rng& rng, size_t n, size_t dim) {
+  Matrix pool(n, dim);
+  for (double& v : pool.data()) {
+    v = rng.Uniform();
   }
   return pool;
 }
@@ -414,7 +434,7 @@ void TrainModel(DeepTuneModel& model) {
   model.Update();
 }
 
-TEST(DtmEquivalence, FastPredictBatchMatchesNaiveReference) {
+TEST(DtmEquivalence, FastPredictRowsMatchesNaiveReference) {
   const size_t dim = 33;
   DtmOptions fast_options;
   DtmOptions naive_options;
@@ -425,14 +445,15 @@ TEST(DtmEquivalence, FastPredictBatchMatchesNaiveReference) {
   TrainModel(naive);
 
   Rng rng(9);
-  auto pool = RandomPool(rng, 64, dim);
-  auto fast_pred = fast.PredictBatch(pool);
-  auto naive_pred = naive.PredictBatch(pool);
-  ASSERT_EQ(fast_pred.size(), naive_pred.size());
-  for (size_t i = 0; i < fast_pred.size(); ++i) {
-    EXPECT_NEAR(fast_pred[i].crash_prob, naive_pred[i].crash_prob, 1e-9);
-    EXPECT_NEAR(fast_pred[i].objective, naive_pred[i].objective, 1e-9);
-    EXPECT_NEAR(fast_pred[i].sigma, naive_pred[i].sigma, 1e-9);
+  Matrix pool = RandomPool(rng, 64, dim);
+  ASSERT_EQ(fast.PredictRows(pool), pool.rows());
+  ASSERT_EQ(naive.PredictRows(pool), pool.rows());
+  for (size_t i = 0; i < pool.rows(); ++i) {
+    DtmPrediction f = fast.Prediction(i);
+    DtmPrediction n = naive.Prediction(i);
+    EXPECT_NEAR(f.crash_prob, n.crash_prob, 1e-9);
+    EXPECT_NEAR(f.objective, n.objective, 1e-9);
+    EXPECT_NEAR(f.sigma, n.sigma, 1e-9);
   }
 }
 
@@ -441,10 +462,15 @@ TEST(DtmEquivalence, SinglePredictMatchesBatchRow) {
   DeepTuneModel model(dim, {});
   TrainModel(model);
   Rng rng(13);
-  auto pool = RandomPool(rng, 8, dim);
-  auto batch = model.PredictBatch(pool);
-  for (size_t i = 0; i < pool.size(); ++i) {
-    DtmPrediction single = model.Predict(pool[i]);
+  Matrix pool = RandomPool(rng, 8, dim);
+  // Predict() reuses the workspace the batch results live in, so copy the
+  // batch rows out first.
+  std::vector<DtmPrediction> batch(model.PredictRows(pool));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = model.Prediction(i);
+  }
+  for (size_t i = 0; i < pool.rows(); ++i) {
+    DtmPrediction single = model.Predict(std::vector<double>(pool.Row(i), pool.Row(i) + dim));
     EXPECT_EQ(single.crash_prob, batch[i].crash_prob);
     EXPECT_EQ(single.objective, batch[i].objective);
     EXPECT_EQ(single.sigma, batch[i].sigma);
@@ -456,25 +482,29 @@ TEST(DtmWorkspace, NoAllocationAfterWarmup) {
   DeepTuneModel model(dim, {});
   TrainModel(model);
   Rng rng(17);
-  auto pool = RandomPool(rng, 96, dim);
+  Matrix pool = RandomPool(rng, 96, dim);
+  const std::vector<double> probe(pool.Row(0), pool.Row(0) + dim);
 
-  // Warm the workspace: one predict round at this pool shape plus one
-  // training round at the configured batch size.
-  model.PredictBatch(pool);
+  // Warm the workspace: one predict round at this pool shape, one staged
+  // single-row predict, and one training round at the configured batch size.
+  model.PredictRows(pool);
+  model.Predict(probe);
   model.Update();
-  model.PredictBatch(pool);
+  model.PredictRows(pool);
   size_t warm = model.workspace_grow_count();
 
   // Steady state: repeated same-shaped forwards must not grow any buffer.
   for (int round = 0; round < 5; ++round) {
-    model.PredictBatch(pool);
+    model.PredictRows(pool);
+    model.Predict(probe);
     model.Update();
   }
   EXPECT_EQ(model.workspace_grow_count(), warm);
 
   // The same contract, counted at operator new: a warm model's training
-  // round and its pool-ranking inference (PredictRows, read back through
-  // Prediction) make no heap allocation at all.
+  // round, its pool-ranking inference (PredictRows, read back through
+  // Prediction) and its single-row staging path (Predict, which
+  // PredictConfig and ParameterImpacts use) make no heap allocation at all.
   Matrix candidates(128, dim);
   for (double& v : candidates.data()) {
     v = rng.Uniform();
@@ -482,6 +512,7 @@ TEST(DtmWorkspace, NoAllocationAfterWarmup) {
   model.PredictRows(candidates);
   uint64_t update_news = 0;
   uint64_t predict_news = 0;
+  uint64_t single_news = 0;
   double checksum = 0.0;
   for (int round = 0; round < 3; ++round) {
     uint64_t before = g_news.load(std::memory_order_relaxed);
@@ -491,13 +522,17 @@ TEST(DtmWorkspace, NoAllocationAfterWarmup) {
     for (size_t i = 0; i < rows; ++i) {
       checksum += model.Prediction(i).sigma;
     }
-    predict_news += g_news.load(std::memory_order_relaxed) - after_update;
+    uint64_t after_predict = g_news.load(std::memory_order_relaxed);
+    checksum += model.Predict(probe).sigma;
+    single_news += g_news.load(std::memory_order_relaxed) - after_predict;
+    predict_news += after_predict - after_update;
     update_news += after_update - before;
   }
   EXPECT_GT(checksum, 0.0);
   EXPECT_EQ(update_news, 0u) << "warm Update() allocated " << update_news << " times";
   EXPECT_EQ(predict_news, 0u) << "warm PredictRows() allocated " << predict_news
                               << " times";
+  EXPECT_EQ(single_news, 0u) << "warm Predict() allocated " << single_news << " times";
 }
 
 TEST(MatrixTest, ReshapeReportsGrowthOnlyWhenBufferGrows) {

@@ -110,7 +110,7 @@ def is_anchor(key):
     if key[0] == "obs_record":
         # Raw record-path rates are a few ns per op: at that scale the
         # number is dominated by binary code layout and cycle jitter, not by
-        # the code under review (a duplicate PredictBatch record in a second
+        # the code under review (a duplicate predict record in a second
         # binary once swung 0.75-1.0x on layout alone). Tracked, never
         # gated — the end-to-end obs_overhead pair is the gate.
         return False
