@@ -23,18 +23,6 @@ const char* ParamKindName(ParamKind kind) {
   return "?";
 }
 
-const char* ParamPhaseName(ParamPhase phase) {
-  switch (phase) {
-    case ParamPhase::kCompileTime:
-      return "compile";
-    case ParamPhase::kBootTime:
-      return "boot";
-    case ParamPhase::kRuntime:
-      return "runtime";
-  }
-  return "?";
-}
-
 int64_t ParamSpec::DomainSize() const {
   if (!value_set.empty()) {
     return static_cast<int64_t>(value_set.size());

@@ -30,7 +30,6 @@ enum class ParamPhase : uint8_t {
 };
 
 const char* ParamKindName(ParamKind kind);
-const char* ParamPhaseName(ParamPhase phase);
 
 // Static description of one configuration parameter.
 struct ParamSpec {

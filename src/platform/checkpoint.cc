@@ -28,34 +28,6 @@ void WriteCheckpoint(std::ostream& out, const std::vector<TrialRecord>& history,
       out << "searcher-state " << live->searcher_state << "\n";
     }
   }
-  // Aggregate failure taxonomy, derived from the trial statuses so readers
-  // that ignore the line lose nothing; written only when any class fired.
-  size_t build_failed = 0, boot_failed = 0, run_crashed = 0, timeouts = 0;
-  for (const TrialRecord& trial : history) {
-    switch (trial.outcome.status) {
-      case TrialOutcome::Status::kBuildFailed: ++build_failed; break;
-      case TrialOutcome::Status::kBootFailed: ++boot_failed; break;
-      case TrialOutcome::Status::kRunCrashed: ++run_crashed; break;
-      case TrialOutcome::Status::kTimeout: ++timeouts; break;
-      case TrialOutcome::Status::kOk: break;
-    }
-  }
-  if (build_failed + boot_failed + run_crashed + timeouts > 0) {
-    out << "failures";
-    if (build_failed > 0) {
-      out << " " << TrialStatusName(TrialOutcome::Status::kBuildFailed) << " " << build_failed;
-    }
-    if (boot_failed > 0) {
-      out << " " << TrialStatusName(TrialOutcome::Status::kBootFailed) << " " << boot_failed;
-    }
-    if (run_crashed > 0) {
-      out << " " << TrialStatusName(TrialOutcome::Status::kRunCrashed) << " " << run_crashed;
-    }
-    if (timeouts > 0) {
-      out << " " << TrialStatusName(TrialOutcome::Status::kTimeout) << " " << timeouts;
-    }
-    out << "\n";
-  }
   for (const TrialRecord& trial : history) {
     const TrialOutcome& o = trial.outcome;
     out << "trial " << trial.iteration << " " << TrialStatusName(o.status) << " " << o.metric
@@ -143,34 +115,14 @@ CheckpointLoadResult ReadCheckpoint(const ConfigSpace& space, std::istream& in) 
       }
       continue;
     }
-    if (version >= 2 && result.history.empty() && keyword == "failures") {
-      // Name/count pairs in TrialStatusName vocabulary; unknown names are
-      // skipped so future classes do not break older readers.
-      std::string name;
-      size_t count = 0;
-      while (trial_in >> name >> count) {
-        TrialOutcome::Status status;
-        if (!TrialStatusFromName(name, &status)) {
-          continue;
-        }
-        switch (status) {
-          case TrialOutcome::Status::kBuildFailed: result.build_failures = count; break;
-          case TrialOutcome::Status::kBootFailed: result.boot_failures = count; break;
-          case TrialOutcome::Status::kRunCrashed: result.run_crashes = count; break;
-          case TrialOutcome::Status::kTimeout: result.timeouts = count; break;
-          case TrialOutcome::Status::kOk: break;
-        }
-      }
-      continue;
-    }
     if (keyword != "trial") {
       // Forward compatibility: unknown keywords in the header area (before
       // the first trial) are future optional sections in the spirit of the
-      // live-state and failures lines — skipped, not preserved (a reader
-      // this old cannot round-trip what it cannot parse). A `values` line
-      // here is structural damage, not a future section, and an unknown
-      // keyword between trial records would silently detach a trial from
-      // its values — both still reject.
+      // live-state lines — skipped, not preserved (a reader this old cannot
+      // round-trip what it cannot parse). So is the taxonomy aggregate line
+      // older writers put there. A `values` line here is structural damage,
+      // not a future section, and an unknown keyword between trial records
+      // would silently detach a trial from its values — both still reject.
       if (version >= 2 && result.history.empty() && keyword != "values") {
         continue;
       }

@@ -11,17 +11,16 @@
 //   rng-session <rng state tokens>        (v2, optional)
 //   rng-searcher <rng state tokens>       (v2, optional)
 //   searcher-state <opaque single line>   (v2, optional)
-//   failures <status-name> <count> ...    (v2, optional; nonzero classes)
 //   trial <iter> <status> <metric> <memory> <build_s> <boot_s> <run_s>
 //         ... <skipped> <objective> <sim_end> <searcher_s> [failure reason]
 //   values <v0> <v1> ... (param-count raw values)
 //   ... (one trial/values pair per record)
 //
-// The `failures` line aggregates the per-class failure taxonomy
-// (TrialStatusName tokens — the same vocabulary the trial lines use), and a
-// failed trial's line may end with its free-text failure reason; both are
-// optional trailing extensions, so v2 files written before them still load
-// and old readers that stop at searcher_s stay compatible.
+// A failed trial's line may end with its free-text failure reason, an
+// optional trailing extension: v2 files written before it still load and
+// old readers that stop at searcher_s stay compatible. The failure taxonomy
+// is derived from the trial statuses; files whose header area carries an
+// older writer's `failures` aggregate line still load (it is skipped).
 //
 // v2 adds the three optional live-state lines. With them, Resume() continues
 // the interrupted run bit-exactly — including model-based searchers, whose
@@ -70,13 +69,6 @@ struct CheckpointLoadResult {
   bool ok = false;
   std::vector<TrialRecord> history;
   CheckpointLiveState live;  // All-empty for v1 files.
-  // Aggregate failure taxonomy from the optional v2 `failures` line (all
-  // zero when the file predates it); the writer derives it from the trial
-  // statuses, so it always agrees with `history`.
-  size_t build_failures = 0;
-  size_t boot_failures = 0;
-  size_t run_crashes = 0;
-  size_t timeouts = 0;
   std::string error;
 };
 

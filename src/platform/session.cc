@@ -125,33 +125,37 @@ void SearchSession::CommitTrial(PendingTrial&& pending, double end_time,
     stamp(obs::TraceKind::kCommit);
     trace_.RecordBatch(instants, n);
   }
-  TrialOutcome outcome = pending.outcome;
-  if (outcome.ok() && options_.deploy_check != nullptr &&
-      !options_.deploy_check(pending.config, outcome)) {
+  TrialRecord record;
+  record.iteration = history_.size();
+  record.config = std::move(pending.config);
+  record.outcome = std::move(pending.outcome);
+  if (record.outcome.ok() && options_.deploy_check != nullptr &&
+      !options_.deploy_check(record.config, record.outcome)) {
     // §3.5: a failed deployment check is learned exactly like a crash.
-    outcome.status = TrialOutcome::Status::kRunCrashed;
-    outcome.failure_reason = "deployment check failed";
-    outcome.metric = 0.0;
+    record.outcome.status = TrialOutcome::Status::kRunCrashed;
+    record.outcome.failure_reason = "deployment check failed";
+    record.outcome.metric = 0.0;
   }
-  if (!pending.skip_build) {
+  record.objective = ComputeObjective(record.outcome);
+  record.sim_time_end = end_time;
+  retries_ += pending.retries;
+  AppendCommitted(std::move(record));
+}
+
+void SearchSession::AppendCommitted(TrialRecord record) {
+  // The build cache warms from the last image that actually built. The
+  // testbench sets build_skipped from the flag the trial was evaluated with.
+  if (!record.outcome.build_skipped) {
     ++builds_;
-    if (outcome.status != TrialOutcome::Status::kBuildFailed) {
-      last_built_image_ = pending.config;
+    if (record.outcome.status != TrialOutcome::Status::kBuildFailed) {
+      last_built_image_ = record.config;
     }
   } else {
     ++builds_skipped_;
   }
-
-  TrialRecord record;
-  record.iteration = history_.size();
-  record.config = std::move(pending.config);
-  record.outcome = outcome;
-  record.objective = ComputeObjective(outcome);
-  record.sim_time_end = end_time;
-  retries_ += pending.retries;
-  if (!outcome.ok()) {
+  if (record.crashed()) {
     ++crashes_;
-    failures_.Add(outcome.status);
+    failures_.Add(record.outcome.status);
   }
   history_.push_back(std::move(record));
 }
@@ -506,32 +510,18 @@ SessionResult SearchSession::Finish() {
   return result;
 }
 
-void SearchSession::Resume(const std::vector<TrialRecord>& prior) {
+bool SearchSession::Resume(const std::vector<TrialRecord>& prior,
+                           const CheckpointLiveState& live) {
   assert(history_.empty() && "Resume must precede the first Step()");
+  // The replay runs against fresh RNG streams (Observe must not consume the
+  // restored state); the live positions overwrite them afterwards.
   SearchContext context = MakeContext();
   const bool serial = options_.parallel_evaluations <= 1;
   bool revalidation_next = false;
   size_t best_index = 0;
   for (const TrialRecord& trial : prior) {
-    history_.push_back(trial);
     seen_hashes_.insert(trial.config.Hash());
-    if (trial.crashed()) {
-      ++crashes_;
-      failures_.Add(trial.outcome.status);
-    }
-    // The build-skip cache warms from the last image that actually built —
-    // mirroring CommitTrial exactly, so a resumed session's cache state
-    // matches the run that produced the history. (A build-skipped trial has
-    // the same compile/boot parameters as that image anyway; only
-    // SameImageParams-irrelevant runtime fields could differ.)
-    if (!trial.outcome.build_skipped) {
-      ++builds_;
-      if (trial.outcome.status != TrialOutcome::Status::kBuildFailed) {
-        last_built_image_ = trial.config;
-      }
-    } else {
-      ++builds_skipped_;
-    }
+    AppendCommitted(trial);
     // Step hands Observe each trial's Eq. 4 score over the trials up to and
     // including it; the stored one is over the whole prior. (Batch sessions
     // refresh once per wave, and the prior records no wave boundaries.)
@@ -558,14 +548,6 @@ void SearchSession::Resume(const std::vector<TrialRecord>& prior) {
   if (options_.objective == ObjectiveKind::kScore) {
     RefreshScores();
   }
-}
-
-bool SearchSession::Resume(const std::vector<TrialRecord>& prior,
-                           const CheckpointLiveState& live) {
-  // Replay first: it runs against fresh RNG streams exactly like a plain
-  // resume (Observe must not consume the restored state), then the live
-  // positions overwrite the fresh ones.
-  Resume(prior);
   if (!live.session_rng.empty() && !rng_.DeserializeState(live.session_rng)) {
     return false;
   }

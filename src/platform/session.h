@@ -146,20 +146,14 @@ class SearchSession {
   SessionResult Run();
 
   // Restores a previously checkpointed history before the first Step():
-  // re-seeds the dedup set, counters, and simulated clock, and replays
-  // every trial through the searcher's Observe so its model catches up.
-  // Aborts if called after stepping.
-  void Resume(const std::vector<TrialRecord>& prior);
-
-  // Resume plus checkpoint-v2 live state: after the replay, the session and
-  // searcher RNG streams and the searcher's opaque state are restored to
-  // the interrupted run's exact position, so the continuation is
-  // bit-identical to the uninterrupted run — including model-based
-  // searchers (the model retrains from the replay; the live state carries
-  // what replay cannot rebuild). Empty live fields are skipped (a v1
-  // checkpoint degrades to the plain Resume above). False when any present
-  // field fails to parse; the session is then unusable.
-  bool Resume(const std::vector<TrialRecord>& prior, const CheckpointLiveState& live);
+  // each trial goes through CommitTrial's bookkeeping (AppendCommitted) and
+  // the searcher's Observe, then the simulated clock is re-seated. Non-empty
+  // checkpoint-v2 live fields then restore the RNG streams and the
+  // searcher's opaque state, so the continuation is bit-identical to the
+  // uninterrupted run, model-based searchers included; an empty `live` (a
+  // v1 checkpoint) replays only. False when a present field fails to parse
+  // (the session is then unusable). Aborts if called after stepping.
+  bool Resume(const std::vector<TrialRecord>& prior, const CheckpointLiveState& live = {});
 
   // Snapshot of the live randomness for a v2 checkpoint. Meaningful only
   // at a commit boundary — AtCommitBoundary() true — because a sliding
@@ -190,7 +184,6 @@ class SearchSession {
   const SimClock& clock() const { return clock_; }
   size_t transient_retries() const { return retries_; }
   size_t drift_events() const { return drift_events_; }
-  const FailureTally& failures() const { return failures_; }
   // Per-session trace ring (src/obs/trace.h). Recording self-gates on
   // obs::Enabled(), so a metrics-off run never reads the wall clock here.
   // Exposed non-const so the service layer can stamp durability events
@@ -219,13 +212,17 @@ class SearchSession {
   // Dedup helper: re-proposes while `config` repeats history, then marks its
   // hash seen. Mirrors the serial retry loop exactly.
   void DedupProposal(SearchContext& context, Configuration* config);
-  // Commits one evaluated trial: deploy check, counters, build cache,
-  // objective, history append. Shared by the serial and batch paths.
+  // Commits one evaluated trial: deploy check, objective, retry count,
+  // then AppendCommitted. Shared by the serial and batch paths.
   // stamp_ns, when nonzero, is a TraceClock stamp the caller already took
   // (the serial loop reuses its evaluate-span end read); zero means read
   // the clock here. Only consulted while recording is enabled.
   void CommitTrial(PendingTrial&& pending, double end_time,
                    int64_t stamp_ns = 0);
+  // The bookkeeping a committed record determines (build counts, the build
+  // cache, crash and failure counts), then the history append. CommitTrial
+  // and Resume's replay both run it.
+  void AppendCommitted(TrialRecord record);
   // One evaluation under the re-measurement policy: evaluate, retry
   // transient failures up to retry_transient times on counter-derived
   // streams keyed off `seed_base`, then median-of-measure_repeats the

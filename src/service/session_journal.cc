@@ -171,9 +171,9 @@ bool SessionJournal::AppendSubmit(const std::string& id, const std::string& job_
   return AppendLine(SubmitLine(id, job_text, warm_start));
 }
 
-bool SessionJournal::AppendWave(const std::string& id, size_t trials_total, bool full,
+bool SessionJournal::AppendWave(const std::string& id, size_t trials_total,
                                 const std::string& checkpoint_text) {
-  return AppendLine(WaveLine(id, trials_total, full, checkpoint_text));
+  return AppendLine(WaveLine(id, trials_total, checkpoint_text));
 }
 
 bool SessionJournal::AppendState(const std::string& id, const std::string& state,
@@ -211,10 +211,10 @@ std::string SessionJournal::SubmitLine(const std::string& id, const std::string&
          JournalEscape(job_text) + "\n";
 }
 
-std::string SessionJournal::WaveLine(const std::string& id, size_t trials_total, bool full,
+std::string SessionJournal::WaveLine(const std::string& id, size_t trials_total,
                                      const std::string& checkpoint_text) {
-  return "wave " + id + " " + std::to_string(trials_total) + " " +
-         (full ? "full" : "delta") + " " + JournalEscape(checkpoint_text) + "\n";
+  return "wave " + id + " " + std::to_string(trials_total) + " delta " +
+         JournalEscape(checkpoint_text) + "\n";
 }
 
 std::string SessionJournal::StateLine(const std::string& id, const std::string& state,
@@ -295,13 +295,13 @@ SessionJournal::ReplayResult SessionJournal::Replay(const std::string& path) {
       if (session == nullptr) {
         continue;  // Wave without a submit: journal predates truncation.
       }
+      // Older writers' whole-history `full` records are placed like deltas.
       WaveRecord wave;
       std::string mode;
       record >> wave.trials_total >> mode;
       if (!record || (mode != "delta" && mode != "full")) {
         continue;
       }
-      wave.full = mode == "full";
       wave.checkpoint_text = JournalUnescape(rest_of(record));
       session->waves.push_back(std::move(wave));
     } else if (keyword == "state") {

@@ -10,18 +10,19 @@
 //
 //   wayfinder-journal v1
 //   submit <id> <warm 0|1> <job-hash-hex> <escaped job text>
-//   wave <id> <trials-total> <delta|full> <escaped checkpoint-v2 text>
+//   wave <id> <trials-total> delta <escaped checkpoint-v2 text>
 //   state <id> <state-name> [escaped error]
 //
 // A `wave` payload is ordinary checkpoint-v2 text (src/platform/checkpoint.h)
-// of either the trials committed since the previous wave record (`delta`) or
-// the whole refreshed history (`full`, used by score-objective sessions whose
-// past objectives are re-normalized every wave), plus the session's live
-// RNG/searcher state when it was exportable at that boundary. Recovery
-// concatenates the deltas (a `full` restarts the accumulation), takes the
-// last live state, and hands both to SearchSession::Resume — so the parser,
-// the domain validation, and the bit-exact resume semantics are all the
-// checkpoint code's, not a second implementation.
+// of the trials committed since the previous wave record, plus the session's
+// live RNG/searcher state when it was exportable at that boundary. Its place
+// in the history is trials_total minus its trial count: the compacted
+// record, and older writers' whole-history `full` records, start at 0.
+// Recovery places each record, re-derives what the trials determine (Eq. 4
+// objectives, the failure taxonomy), and hands the history and the last
+// live state to SearchSession::Resume — so the parser, the domain
+// validation, and the bit-exact resume semantics are all the checkpoint
+// code's, not a second implementation.
 //
 // Multi-line payloads ride in a single journal line via backslash escaping
 // (\\ \n \r — see JournalEscape); every record is therefore exactly one
@@ -81,7 +82,7 @@ class SessionJournal {
   // Appends one record + fsync. False once degraded (first failure wins and
   // is kept in degraded_reason()).
   bool AppendSubmit(const std::string& id, const std::string& job_text, bool warm_start);
-  bool AppendWave(const std::string& id, size_t trials_total, bool full,
+  bool AppendWave(const std::string& id, size_t trials_total,
                   const std::string& checkpoint_text);
   bool AppendState(const std::string& id, const std::string& state,
                    const std::string& error);
@@ -98,8 +99,7 @@ class SessionJournal {
   // Replay: the read side, used by SessionManager::Recover.
 
   struct WaveRecord {
-    size_t trials_total = 0;
-    bool full = false;
+    size_t trials_total = 0;  // Committed trials once this record is applied.
     std::string checkpoint_text;
   };
 
@@ -131,7 +131,7 @@ class SessionJournal {
   static std::string Header();
   static std::string SubmitLine(const std::string& id, const std::string& job_text,
                                 bool warm_start);
-  static std::string WaveLine(const std::string& id, size_t trials_total, bool full,
+  static std::string WaveLine(const std::string& id, size_t trials_total,
                               const std::string& checkpoint_text);
   static std::string StateLine(const std::string& id, const std::string& state,
                                const std::string& error);

@@ -242,38 +242,42 @@ void SessionManager::FillRunningSlots() {
   }
 }
 
-void SessionManager::PersistNewTrials(Managed* managed) {
-  const std::vector<TrialRecord>& history = managed->session->history();
+void SessionManager::MirrorLocked(Managed* managed, const std::vector<TrialRecord>& history) {
+  std::vector<TrialRecord>& committed = managed->committed;
+  const size_t mirrored = committed.size();
+  size_t scan_from = mirrored;
   if (managed->spec.objective == ObjectiveKind::kScore) {
-    // Score sessions re-normalize PAST objectives after every wave
-    // (RefreshScores), so the mirror and the best are rebuilt wholesale.
-    managed->committed.assign(history.begin(), history.end());
+    // Score sessions re-normalize PAST objectives every wave (Eq. 4 over the
+    // whole history): refresh the mirrored ones in place and rescan the best.
+    for (size_t i = 0; i < mirrored; ++i) {
+      committed[i].objective = history[i].objective;
+    }
+    scan_from = 0;
     managed->has_best = false;
-    for (const TrialRecord& trial : history) {
-      if (trial.HasObjective() &&
-          (!managed->has_best || trial.objective > managed->best)) {
-        managed->has_best = true;
-        managed->best = trial.objective;
-      }
-    }
-  } else {
-    for (size_t i = managed->committed.size(); i < history.size(); ++i) {
-      managed->committed.push_back(history[i]);
-      if (history[i].HasObjective() &&
-          (!managed->has_best || history[i].objective > managed->best)) {
-        managed->has_best = true;
-        managed->best = history[i].objective;
-      }
+  }
+  committed.insert(committed.end(), history.begin() + static_cast<std::ptrdiff_t>(mirrored),
+                   history.end());
+  for (size_t i = scan_from; i < committed.size(); ++i) {
+    if (committed[i].HasObjective() &&
+        (!managed->has_best || committed[i].objective > managed->best)) {
+      managed->has_best = true;
+      managed->best = committed[i].objective;
     }
   }
-  managed->trials = history.size();
-  if (!history.empty()) {
-    managed->sim_seconds = history.back().sim_time_end;
+  for (size_t i = mirrored; i < committed.size(); ++i) {
+    managed->failures.Add(committed[i].outcome.status);
   }
-  // Failure taxonomy and retry/drift counters mirror session state.
-  managed->failures = managed->session->failures();
-  managed->retries = managed->session->transient_retries();
-  managed->drift_events = managed->session->drift_events();
+  // Retry and drift counts live in the session, not the trial records: a
+  // resumed session re-counts them from the replay point (documented in
+  // docs/robustness.md), and a recovered terminal one has none.
+  if (managed->session != nullptr) {
+    managed->retries = managed->session->transient_retries();
+    managed->drift_events = managed->session->drift_events();
+  }
+}
+
+void SessionManager::PersistNewTrials(Managed* managed) {
+  MirrorLocked(managed, managed->session->history());
   if (obs::Enabled()) {
     // Observability mirror refresh: same wave-boundary, same mutex_ hold as
     // every other status field, so the NotifyLocked version bump below
@@ -290,7 +294,7 @@ void SessionManager::PersistNewTrials(Managed* managed) {
           static_cast<double>(obs::NowNs() - managed->run_start_ns) * 1e-9;
       if (elapsed_sec > 0.0) {
         managed->trials_per_sec =
-            static_cast<double>(managed->trials) / elapsed_sec;
+            static_cast<double>(managed->committed.size()) / elapsed_sec;
       }
     }
   }
@@ -319,21 +323,18 @@ void SessionManager::JournalWaveLocked(Managed* managed) {
   if (journal_ == nullptr || managed->committed.size() == managed->journaled) {
     return;
   }
-  // Score sessions re-normalize PAST objectives every wave, so their wave
-  // records carry the whole refreshed history (`full`); everyone else logs
-  // just the delta since the last record. The payload is ordinary
-  // checkpoint-v2 text — live RNG/searcher state rides along whenever the
-  // session sits at a clean commit boundary, which is what makes recovery
-  // bit-exact.
-  const bool full = managed->spec.objective == ObjectiveKind::kScore;
+  // The record is the delta since the last one, as ordinary checkpoint-v2
+  // text; live RNG/searcher state rides along whenever the session sits at a
+  // clean commit boundary, which is what makes recovery bit-exact. A score
+  // session's earlier trials keep the objectives they were journaled with:
+  // recovery re-derives Eq. 4 over the whole history.
   std::vector<TrialRecord> slice(
-      managed->committed.begin() +
-          static_cast<std::ptrdiff_t>(full ? 0 : managed->journaled),
+      managed->committed.begin() + static_cast<std::ptrdiff_t>(managed->journaled),
       managed->committed.end());
   CheckpointLiveState live;
   std::string payload =
       CheckpointToText(slice, LiveStateLocked(*managed, &live) ? &live : nullptr);
-  journal_->AppendWave(managed->id, managed->committed.size(), full, payload);
+  journal_->AppendWave(managed->id, managed->committed.size(), payload);
   if (managed->session != nullptr) {
     managed->session->trace().RecordInstant(obs::TraceKind::kJournalAppend,
                                             managed->committed.size());
@@ -405,37 +406,6 @@ bool SessionManager::JournalHealthy(std::string* reason) const {
   return true;
 }
 
-void SessionManager::SeedMirrorLocked(Managed* managed, std::vector<TrialRecord> history) {
-  managed->committed = std::move(history);
-  managed->journaled = managed->committed.size();
-  managed->trials = managed->committed.size();
-  managed->has_best = false;
-  for (const TrialRecord& trial : managed->committed) {
-    if (trial.HasObjective() && (!managed->has_best || trial.objective > managed->best)) {
-      managed->has_best = true;
-      managed->best = trial.objective;
-    }
-  }
-  if (!managed->committed.empty()) {
-    managed->sim_seconds = managed->committed.back().sim_time_end;
-  }
-  // Counters mirror the session, which Resume() has already tallied the
-  // history into. Retry/drift counters live in the session, not the trial
-  // records; a resumed session re-counts them from the replay point
-  // (documented in docs/robustness.md). A recovered terminal session has
-  // no session object, so its taxonomy is counted from its history.
-  if (managed->session != nullptr) {
-    managed->failures = managed->session->failures();
-    managed->retries = managed->session->transient_retries();
-    managed->drift_events = managed->session->drift_events();
-  } else {
-    managed->failures = FailureTally();
-    for (const TrialRecord& trial : managed->committed) {
-      managed->failures.Add(trial.outcome.status);
-    }
-  }
-}
-
 bool SessionManager::Recover(std::string* summary) {
   if (journal_ == nullptr) {
     *summary = journal_open_error_.empty() ? "no journal configured"
@@ -481,29 +451,42 @@ bool SessionManager::Recover(std::string* summary) {
       managed->id = rec.id;
       managed->recovered = true;
 
-      // Reassemble the history: deltas concatenate, a `full` record restarts
-      // the accumulation, and the newest exportable live state wins.
+      // Reassemble the history. A record's place follows from its
+      // trials_total: it continues the history, or restarts it from trial 0
+      // (the compacted record, and older writers' `full` records). Anything
+      // else is a gap or an overlap. The newest exportable live state wins.
       std::vector<TrialRecord> history;
       CheckpointLiveState live;
-      bool waves_ok = true;
+      std::string wave_error;
       for (const SessionJournal::WaveRecord& wave : rec.waves) {
         CheckpointLoadResult loaded =
             LoadCheckpointText(*managed->space, wave.checkpoint_text);
         if (!loaded.ok) {
-          error = "wave payload: " + loaded.error;
-          waves_ok = false;
+          wave_error = "wave payload: " + loaded.error;
           break;
         }
-        if (wave.full) {
+        // A payload larger than its total starts nowhere.
+        const size_t count = loaded.history.size();
+        const size_t start = count <= wave.trials_total ? wave.trials_total - count : SIZE_MAX;
+        if (start == 0) {
           history = std::move(loaded.history);
-        } else {
+        } else if (start == history.size()) {
           history.insert(history.end(), loaded.history.begin(), loaded.history.end());
+        } else {
+          wave_error = "wave record of " + std::to_string(count) + " trials totaling " +
+                       std::to_string(wave.trials_total) + " does not continue " +
+                       std::to_string(history.size()) + " recovered trials";
+          break;
         }
         live = loaded.live;  // Absent on a mid-window wave: replay-only.
       }
-      if (!waves_ok) {
-        fail_entry(error);
+      if (!wave_error.empty()) {
+        fail_entry(wave_error);
         continue;
+      }
+      // A record keeps each score objective as of its own wave.
+      if (managed->spec.objective == ObjectiveKind::kScore) {
+        RefreshScoreObjectives(&history);
       }
 
       if (terminal) {
@@ -524,20 +507,20 @@ bool SessionManager::Recover(std::string* summary) {
         managed->session.reset();
         managed->searcher.reset();
         managed->bench.reset();
-        SeedMirrorLocked(managed.get(), std::move(history));
+        MirrorLocked(managed.get(), history);
         sessions_.push_back(std::move(managed));
         ++finished;
         continue;
       }
 
       if (!history.empty()) {
-        bool resume_ok = live.Any() ? managed->session->Resume(history, live)
-                                    : (managed->session->Resume(history), true);
-        if (!resume_ok) {
+        // Empty live state (a mid-window wave) resumes replay-only.
+        if (!managed->session->Resume(history, live)) {
           fail_entry("checkpoint live state rejected by resume");
           continue;
         }
-        SeedMirrorLocked(managed.get(), std::move(history));
+        MirrorLocked(managed.get(), history);
+        managed->journaled = managed->committed.size();
         ++resumed;
       } else {
         // Never stepped: a warm one sees the sessions before it in the
@@ -585,8 +568,8 @@ void SessionManager::RewriteJournalLocked() {
   if (journal_ == nullptr) {
     return;
   }
-  // The compacted equivalent of the fleet: one submit record, one
-  // full-history wave, one state record per session. Replacing the file
+  // The compacted equivalent of the fleet: one submit record, one wave
+  // record from trial 0, one state record per session. Replacing the file
   // atomically bounds journal growth across restarts — without this, every
   // recovery would replay (and re-copy) every crash's deltas forever.
   std::string text = SessionJournal::Header();
@@ -597,8 +580,7 @@ void SessionManager::RewriteJournalLocked() {
       CheckpointLiveState live;
       std::string payload = CheckpointToText(
           managed->committed, LiveStateLocked(*managed, &live) ? &live : nullptr);
-      text += SessionJournal::WaveLine(managed->id, managed->committed.size(), true,
-                                       payload);
+      text += SessionJournal::WaveLine(managed->id, managed->committed.size(), payload);
     }
     if (managed->state != State::kSubmitted) {
       text += SessionJournal::StateLine(managed->id, StateName(managed->state),
@@ -735,11 +717,11 @@ SessionStatus SessionManager::Snapshot(const Managed& managed) const {
   status.name = managed.spec.name;
   status.algorithm = managed.spec.algorithm;
   status.state = StateName(managed.state);
-  status.trials = managed.trials;
+  status.trials = managed.committed.size();
   status.iterations = managed.spec.iterations;
   status.has_best = managed.has_best;
   status.best = managed.best;
-  status.sim_seconds = managed.sim_seconds;
+  status.sim_seconds = managed.committed.empty() ? 0.0 : managed.committed.back().sim_time_end;
   status.warm_started = managed.warm_started;
   status.build_failed = managed.failures.build_failed;
   status.boot_failed = managed.failures.boot_failed;

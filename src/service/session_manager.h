@@ -92,7 +92,7 @@ class SessionManager {
   // never-stepped warm one warm-starts from the sessions before it in the
   // journal), and anything that cannot be rebuilt is recorded `failed` with
   // an `unrecoverable:` reason instead of being dropped. The journal is then
-  // compacted (one submit + one full-history wave + one state per session,
+  // compacted (one submit + one wave from trial 0 + one state per session,
   // written atomically). Call once, before the first Submit; returns false
   // only when the journal itself cannot be read. *summary describes what
   // happened either way. Recovered sessions carry `recovered: true` status.
@@ -203,11 +203,10 @@ class SessionManager {
     // A recovered done or stopped session's last journaled live state: it
     // has no session object, and it committed nothing after that wave.
     CheckpointLiveState final_live;
-    // Status snapshot fields, refreshed at wave boundaries under mutex_.
-    size_t trials = 0;
+    // Status snapshot fields, refreshed with the mirror under mutex_ (the
+    // trial count and simulated time are read off the mirror itself).
     bool has_best = false;
     double best = 0.0;
-    double sim_seconds = 0.0;
     // Failure taxonomy + robustness counters, mirrored from the session at
     // wave boundaries like the fields above.
     FailureTally failures;
@@ -249,20 +248,21 @@ class SessionManager {
   // Mirrors the session's new trials and status counters at a wave boundary
   // and journals them. Caller holds mutex_.
   void PersistNewTrials(Managed* managed);
+  // Brings the committed mirror and status fields up to `history` (the
+  // session's, or a recovered one): appends the trials it lacks and
+  // refreshes a score session's re-normalized objectives in place. Caller
+  // holds mutex_.
+  void MirrorLocked(Managed* managed, const std::vector<TrialRecord>& history);
   // The live state a checkpoint of `managed` may carry: exported from the
   // session when it sits at a clean commit boundary, or a recovered
   // finished session's final_live. False when there is none. Caller holds
   // mutex_ and the driver is not inside StepBatch.
   bool LiveStateLocked(const Managed& managed, CheckpointLiveState* live) const;
-  // Journals the trials committed since the last wave record (score
-  // sessions re-journal the whole refreshed history), with live RNG /
-  // searcher state when exportable. Caller holds mutex_.
+  // Journals the trials committed since the last wave record, with live
+  // RNG / searcher state when exportable. Caller holds mutex_.
   void JournalWaveLocked(Managed* managed);
   // Journals the session's current lifecycle state. Caller holds mutex_.
   void JournalStateLocked(const Managed& managed);
-  // Recovery helper: seats a reassembled history as the committed mirror
-  // (status fields, taxonomy, journaled counter). Caller holds mutex_.
-  void SeedMirrorLocked(Managed* managed, std::vector<TrialRecord> history);
   // Rewrites the journal as the compacted equivalent of the current fleet
   // (atomic replace). Caller holds mutex_.
   void RewriteJournalLocked();

@@ -1,7 +1,5 @@
 #include "src/simos/apps.h"
 
-#include <cstdlib>
-
 namespace wayfinder {
 
 double SubsystemWeights::For(const std::string& subsystem) const {
@@ -197,14 +195,6 @@ bool TryParseApp(const std::string& name, AppId* out) {
     }
   }
   return false;
-}
-
-AppId ParseApp(const std::string& name) {
-  AppId id = AppId::kNginx;
-  if (!TryParseApp(name, &id)) {
-    std::abort();
-  }
-  return id;
 }
 
 }  // namespace wayfinder

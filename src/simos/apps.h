@@ -60,9 +60,8 @@ struct AppProfile {
 const AppProfile& GetApp(AppId id);
 const std::vector<AppProfile>& AllApps();
 const char* AppName(AppId id);
-// Lookup by name ("nginx", "redis", "sqlite", "npb"); aborts on unknown
-// names — use TryParseApp for user input.
-AppId ParseApp(const std::string& name);
+// Lookup by name ("nginx", "redis", "sqlite", "npb"); false on unknown
+// names.
 bool TryParseApp(const std::string& name, AppId* out);
 
 }  // namespace wayfinder

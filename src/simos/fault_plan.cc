@@ -1,7 +1,5 @@
 #include "src/simos/fault_plan.h"
 
-#include <cstdio>
-
 namespace wayfinder {
 
 bool FaultPlan::Active() const {
@@ -9,28 +7,11 @@ bool FaultPlan::Active() const {
          noise_sigma > 0.0 || drift_at > 0.0;
 }
 
-bool FaultPlan::InjectsTransients() const {
-  return flake_prob > 0.0 || timeout_prob > 0.0 || hang_prob > 0.0;
-}
-
 double FaultPlan::NoiseSigmaFor(uint64_t config_hash) const {
   // Map the hash into [0.5, 1.5): configurations deterministically differ in
   // how noisy their measurements are.
   double unit = static_cast<double>(config_hash % 1024u) / 1024.0;
   return noise_sigma * (0.5 + unit);
-}
-
-std::string FaultPlan::Describe() const {
-  if (!Active()) {
-    return "clean";
-  }
-  char buffer[160];
-  std::snprintf(buffer, sizeof(buffer),
-                "flake=%.3g timeout=%.3g hang=%.3g watchdog=%.0fs noise=%.3g "
-                "drift@%.0fs x%.2g",
-                flake_prob, timeout_prob, hang_prob, timeout_seconds, noise_sigma,
-                drift_at, drift_magnitude);
-  return buffer;
 }
 
 }  // namespace wayfinder

@@ -16,7 +16,6 @@
 #define WAYFINDER_SRC_SIMOS_FAULT_PLAN_H_
 
 #include <cstdint>
-#include <string>
 
 namespace wayfinder {
 
@@ -49,16 +48,10 @@ struct FaultPlan {
   // True when any knob injects anything. An inactive plan is the strict
   // no-op contract above.
   bool Active() const;
-  // True when the plan can produce transient-class failures a retry could
-  // clear (flake, timeout, hang).
-  bool InjectsTransients() const;
   // Config-dependent noise level: noise_sigma scaled into [0.5x, 1.5x] by
   // the configuration hash, so variance is a deterministic property of the
   // configuration — the heteroscedastic part.
   double NoiseSigmaFor(uint64_t config_hash) const;
-  // One-line human summary for logs and the wfctl status footer; "clean"
-  // when inactive.
-  std::string Describe() const;
 };
 
 }  // namespace wayfinder

@@ -1,13 +1,12 @@
 #include "src/util/log.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace wayfinder {
 
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarning)};
+constexpr LogLevel kThreshold = LogLevel::kWarning;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -35,12 +34,8 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
-
 bool LogEnabled(LogLevel level) {
-  return static_cast<int>(level) >= g_level.load();
+  return static_cast<int>(level) >= static_cast<int>(kThreshold);
 }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {

@@ -2,7 +2,7 @@
 //
 // Usage: WF_LOG(Info) << "built image in " << seconds << "s";
 // Messages below the threshold are formatted lazily (the stream body is not
-// evaluated). Defaults to Warning so tests and benches stay quiet.
+// evaluated). The threshold is Warning, so tests and benches stay quiet.
 #ifndef WAYFINDER_SRC_UTIL_LOG_H_
 #define WAYFINDER_SRC_UTIL_LOG_H_
 
@@ -12,10 +12,6 @@
 namespace wayfinder {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-// Sets/gets the global threshold; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // One log statement; flushes to stderr on destruction.
 class LogMessage {

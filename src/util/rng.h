@@ -54,15 +54,6 @@ class Rng {
   // Requires at least one strictly positive weight.
   size_t WeightedIndex(const std::vector<double>& weights);
 
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& items) {
-    for (size_t i = items.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
-      std::swap(items[i - 1], items[j]);
-    }
-  }
-
   // Returns a statistically independent child generator. Forking advances
   // this generator, so repeated forks yield distinct streams.
   Rng Fork();

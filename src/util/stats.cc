@@ -166,16 +166,6 @@ std::vector<double> SmoothSeries(const std::vector<double>& values, size_t windo
   return out;
 }
 
-std::vector<double> EmaSeries(const std::vector<double>& values, double alpha) {
-  std::vector<double> out(values.size());
-  double ema = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    ema = (i == 0) ? values[i] : alpha * values[i] + (1.0 - alpha) * ema;
-    out[i] = ema;
-  }
-  return out;
-}
-
 std::vector<double> RunningBest(const std::vector<double>& values, bool maximize) {
   std::vector<double> out(values.size());
   for (size_t i = 0; i < values.size(); ++i) {

@@ -53,7 +53,6 @@ class ZScoreNormalizer {
   // through centered only.
   std::vector<double> Transform(const std::vector<double>& row) const;
   bool IsFitted() const { return !means_.empty(); }
-  size_t Width() const { return means_.size(); }
   const std::vector<double>& means() const { return means_; }
   const std::vector<double>& stds() const { return stds_; }
 
@@ -78,9 +77,6 @@ struct MeanCi {
   double hi() const { return mean + half_width; }
 };
 MeanCi MeanConfidenceInterval(const std::vector<double>& values, double z = 1.96);
-
-// Exponential moving average with factor alpha in (0, 1].
-std::vector<double> EmaSeries(const std::vector<double>& values, double alpha);
 
 // Running best: out[i] = max (or min) of values[0..i].
 std::vector<double> RunningBest(const std::vector<double>& values, bool maximize);

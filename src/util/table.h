@@ -26,8 +26,6 @@ class TablePrinter {
   // Writes the aligned table, header first, followed by a separator line.
   void Print(std::ostream& os) const;
 
-  size_t RowCount() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

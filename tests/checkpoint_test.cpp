@@ -3,7 +3,6 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -174,27 +173,39 @@ TEST(CheckpointV2Test, LiveStateRoundTrips) {
 }
 
 TEST(CheckpointV2Test, V1FilesStillLoad) {
-  // A v1 writer's output: same trial/values body, old header, none of the
-  // v2-only lines (live state, the `failures` taxonomy aggregate).
+  // A v1 writer's output: same trial/values body, old header, no live-state
+  // lines.
   ConfigSpace space = BuildLinuxSearchSpace();
   std::vector<TrialRecord> history = RunSome(space, 8, 83);
-  std::string v2_text = CheckpointToText(history);
-  ASSERT_EQ(v2_text.find("wayfinder-checkpoint v2"), 0u);
-  std::string text;
-  std::istringstream lines(v2_text);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("failures", 0) == 0) {
-      continue;
-    }
-    text += line + "\n";
-  }
+  std::string text = CheckpointToText(history);
+  ASSERT_EQ(text.find("wayfinder-checkpoint v2"), 0u);
   text.replace(0, std::string("wayfinder-checkpoint v2").size(), "wayfinder-checkpoint v1");
 
   CheckpointLoadResult loaded = LoadCheckpointText(space, text);
   ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.history.size(), history.size());
+  ASSERT_EQ(loaded.history.size(), history.size());
   EXPECT_FALSE(loaded.live.Any());
-  EXPECT_EQ(loaded.timeouts, 0u);
+  for (size_t i = 0; i < history.size(); ++i) {
+    EXPECT_EQ(loaded.history[i].outcome.status, history[i].outcome.status) << i;
+  }
+}
+
+// Older v2 writers put a `failures` taxonomy aggregate in the header area.
+// The taxonomy is derived from the trial statuses; such files still load, to
+// the same trials and live state.
+TEST(CheckpointV2Test, FailuresLineFromOlderWritersStillLoads) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  std::vector<TrialRecord> history = RunSome(space, 8, 84);
+  CheckpointLiveState live;
+  live.session_rng = Rng(85).SerializeState();
+  std::string text = CheckpointToText(history, &live);
+  std::string old_text = text;
+  old_text.insert(old_text.find("\ntrial ") + 1, "failures run-crashed 2 timeout 1\n");
+
+  CheckpointLoadResult loaded = LoadCheckpointText(space, old_text);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.live.session_rng, live.session_rng);
+  EXPECT_EQ(CheckpointToText(loaded.history, &loaded.live), text);
 }
 
 TEST(CheckpointV2Test, LiveStateLinesRejectedUnderV1Header) {
@@ -208,7 +219,7 @@ TEST(CheckpointV2Test, LiveStateLinesRejectedUnderV1Header) {
 }
 
 // Forward compatibility: a FUTURE writer may add optional header-area
-// sections in the spirit of the live-state and `failures` lines. This
+// sections in the spirit of the live-state lines. This
 // reader must load such a file — skipping what it cannot parse — rather
 // than refuse a checkpoint that is otherwise perfectly usable.
 TEST(CheckpointV2Test, UnknownHeaderSectionsAreSkipped) {

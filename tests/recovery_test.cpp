@@ -5,7 +5,12 @@
 // The acceptance pins live here:
 //   * kill -9 mid-search + restart converges to the SAME final result as an
 //     uninterrupted run for a deterministic searcher (bit-exact Resume
-//     through the journaled checkpoint-v2 live state);
+//     through the journaled checkpoint-v2 live state), and so does recovery
+//     from every wave boundary of the serial and lock-step cells the
+//     wave-cut harness covers;
+//   * every wave record is a delta placed by its trials_total: score
+//     sessions journal linearly, older `full` records still recover, and a
+//     record that does not continue the history fails the session loudly;
 //   * under injected ENOSPC / torn writes / fsync failures / crash-around-
 //     rename, no committed trial and no accepted submission is ever lost —
 //     the daemon degrades with a reported reason instead of crashing, and
@@ -31,6 +36,8 @@
 
 #include "src/platform/checkpoint.h"
 #include "src/platform/fs_faults.h"
+#include "src/platform/job_file.h"
+#include "src/platform/session.h"
 #include "src/service/client.h"
 #include "src/service/session_journal.h"
 #include "src/service/session_manager.h"
@@ -48,15 +55,20 @@ std::string FreshDir(const char* name) {
 }
 
 std::string DeterministicJob(const char* name, size_t iterations, uint64_t seed,
-                             const char* application = "nginx") {
+                             const char* application = "nginx",
+                             const char* algorithm = "random",
+                             const char* metric = "performance", size_t parallel = 1) {
   std::string yaml;
   yaml += std::string("name: ") + name + "\n";
   yaml += "os: linux\n";
   yaml += std::string("application: ") + application + "\n";
-  yaml += "metric: performance\n";
+  yaml += std::string("metric: ") + metric + "\n";
   yaml += "budget:\n  iterations: " + std::to_string(iterations) + "\n";
-  yaml += "search:\n  algorithm: random\n";
+  yaml += std::string("search:\n  algorithm: ") + algorithm + "\n";
   yaml += "  seed: " + std::to_string(seed) + "\n";
+  if (parallel > 1) {
+    yaml += "parallel: " + std::to_string(parallel) + "\n";
+  }
   return yaml;
 }
 
@@ -93,15 +105,21 @@ std::string BlankWallClock(const std::string& checkpoint_text) {
   return out;
 }
 
-size_t CountWaveRecords(const std::string& journal_path) {
+// The journal's records of one kind (`prefix` is "submit ", "wave " ...),
+// newline-terminated, in file order.
+std::vector<std::string> JournalLines(const std::string& journal_path, const char* prefix) {
   std::ifstream in(journal_path);
-  size_t waves = 0;
+  std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) {
-    if (line.rfind("wave ", 0) == 0) {
-      ++waves;
+    if (line.rfind(prefix, 0) == 0) {
+      lines.push_back(line + "\n");
     }
   }
-  return waves;
+  return lines;
+}
+
+size_t CountWaveRecords(const std::string& journal_path) {
+  return JournalLines(journal_path, "wave ").size();
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +145,7 @@ TEST(SessionJournalTest, AppendsReplayInSubmissionOrder) {
     ASSERT_TRUE(journal.Open().ok);
     ASSERT_TRUE(journal.AppendSubmit("s1", "job: one\n", true));
     ASSERT_TRUE(journal.AppendSubmit("s2", "job: two\n", false));
-    ASSERT_TRUE(journal.AppendWave("s1", 3, false, "wayfinder-checkpoint v2\nparams 0\n"));
+    ASSERT_TRUE(journal.AppendWave("s1", 3, "wayfinder-checkpoint v2\nparams 0\n"));
     ASSERT_TRUE(journal.AppendState("s1", "paused", ""));
     ASSERT_TRUE(journal.AppendState("s2", "failed", "step failed: boot crash"));
   }
@@ -141,7 +159,10 @@ TEST(SessionJournalTest, AppendsReplayInSubmissionOrder) {
   EXPECT_EQ(replay.sessions[0].state, "paused");
   ASSERT_EQ(replay.sessions[0].waves.size(), 1u);
   EXPECT_EQ(replay.sessions[0].waves[0].trials_total, 3u);
-  EXPECT_FALSE(replay.sessions[0].waves[0].full);
+  EXPECT_EQ(replay.sessions[0].waves[0].checkpoint_text,
+            "wayfinder-checkpoint v2\nparams 0\n");
+  // Every wave record is a delta: its trials_total places it.
+  EXPECT_NE(ReadFileOrEmpty(path).find("\nwave s1 3 delta "), std::string::npos);
   EXPECT_EQ(replay.sessions[1].state, "failed");
   EXPECT_EQ(replay.sessions[1].error, "step failed: boot crash");
 }
@@ -203,7 +224,7 @@ TEST(SessionJournalTest, FirstFailedAppendDegradesPermanently) {
   FsFaultPlan plan;
   plan.fail_write_at = 0;  // The very next write fails with ENOSPC.
   FsFaultInjector::Instance().Arm(plan);
-  EXPECT_FALSE(journal.AppendWave("s1", 1, false, "payload"));
+  EXPECT_FALSE(journal.AppendWave("s1", 1, "payload"));
   FsFaultInjector::Instance().Disarm();
 
   EXPECT_FALSE(journal.healthy());
@@ -553,9 +574,9 @@ TEST(RecoveryTest, UnopenableJournalStillServes) {
   manager.Shutdown();
 }
 
-// After recovery the journal is compacted: one submit + at most one full
-// wave + one state record per session, and a second recovery over the
-// compacted file reproduces the same fleet.
+// After recovery the journal is compacted: one submit + at most one wave
+// record (the delta from trial 0) + one state record per session, and a
+// second recovery over the compacted file reproduces the same fleet.
 TEST(RecoveryTest, JournalIsCompactedAfterRecovery) {
   std::string dir = FreshDir("wf-rec-compact");
   std::string job = DeterministicJob("compacted", 8, 71);
@@ -575,7 +596,7 @@ TEST(RecoveryTest, JournalIsCompactedAfterRecovery) {
     ASSERT_TRUE(manager.Recover(&summary)) << summary;
     manager.Shutdown();
   }
-  EXPECT_EQ(CountWaveRecords(journal_path), 1u);  // One full record now.
+  EXPECT_EQ(CountWaveRecords(journal_path), 1u);  // One record from trial 0 now.
   // Round trip: the compacted journal recovers the same session.
   SessionManager manager(ManagerOptions(dir));
   std::string summary;
@@ -585,6 +606,240 @@ TEST(RecoveryTest, JournalIsCompactedAfterRecovery) {
   EXPECT_EQ(status.state, "done");
   EXPECT_EQ(status.trials, 8u);
   manager.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Journal format: every wave record is a delta placed by its trials_total.
+
+// Runs `job` to the end under a journaling manager over `dir` and returns
+// its result text.
+std::string RunToEnd(const std::string& dir, const std::string& job) {
+  SessionManager manager(ManagerOptions(dir));
+  std::string id, error, text;
+  EXPECT_TRUE(manager.Submit(job, false, &id, &error)) << error;
+  EXPECT_TRUE(manager.WaitDone(id, 120000));
+  EXPECT_TRUE(manager.Result(id, &text, &error)) << error;
+  manager.Shutdown();
+  return text;
+}
+
+// Recovers a fresh manager over `dir`, lets session s1 finish, and returns
+// its result text.
+std::string RecoverToEnd(const std::string& dir) {
+  SessionManager manager(ManagerOptions(dir));
+  std::string summary, text, error;
+  EXPECT_TRUE(manager.Recover(&summary)) << summary;
+  EXPECT_TRUE(manager.WaitDone("s1", 120000));
+  EXPECT_TRUE(manager.Result("s1", &text, &error)) << error;
+  manager.Shutdown();
+  return text;
+}
+
+// A result's trials as checkpoint text, searcher wall time zeroed and live
+// state dropped: equal texts mean equal configurations, statuses, outcomes,
+// objectives and simulated clocks, bit for bit (doubles print with 17
+// significant digits).
+std::string TrialsText(const ConfigSpace& space, const std::string& result_text) {
+  CheckpointLoadResult loaded = LoadCheckpointText(space, result_text);
+  EXPECT_TRUE(loaded.ok) << loaded.error;
+  for (TrialRecord& trial : loaded.history) {
+    trial.searcher_seconds = 0.0;
+  }
+  return CheckpointToText(loaded.history);
+}
+
+void WriteJournal(const std::string& dir, const std::string& records) {
+  std::filesystem::create_directories(dir + "/store");
+  std::ofstream(dir + "/store/journal.wfj", std::ios::binary)
+      << SessionJournal::Header() << records;
+}
+
+// A score session's objectives are re-normalized every wave, yet its
+// records are deltas like everyone else's: the journal grows linearly, at
+// the performance job's rate per trial (the whole-history records it
+// replaces cost ~199x at this size). The final Eq. 4 objectives still
+// reach the result, live and after recovery: both equal the standalone
+// run's trials.
+TEST(JournalFormatTest, ScoreSessionJournalsDeltas) {
+  double bytes_per_trial[2] = {0.0, 0.0};
+  std::string result[2];
+  const char* metrics[2] = {"performance", "score"};
+  const std::string dirs[2] = {FreshDir("wf-fmt-size-performance"),
+                               FreshDir("wf-fmt-size-score")};
+  for (int i = 0; i < 2; ++i) {
+    result[i] = RunToEnd(dirs[i], DeterministicJob("size", 500, 7, "nginx", "random", metrics[i]));
+    bytes_per_trial[i] =
+        static_cast<double>(std::filesystem::file_size(dirs[i] + "/store/journal.wfj")) /
+        500.0;
+  }
+  EXPECT_LE(bytes_per_trial[1], 1.2 * bytes_per_trial[0])
+      << "score " << bytes_per_trial[1] << " B/trial vs performance "
+      << bytes_per_trial[0] << " B/trial";
+
+  const std::string job = DeterministicJob("size", 500, 7, "nginx", "random", "score");
+  ConfigSpace space = BuildJobSpace(ParseJobText(job).spec);
+  JobRunResult standalone = RunJobText(job);
+  ASSERT_TRUE(standalone.ok) << standalone.error;
+  const std::string expected =
+      TrialsText(space, CheckpointToText(standalone.session.history));
+  EXPECT_EQ(TrialsText(space, result[1]), expected);
+  EXPECT_EQ(TrialsText(space, RecoverToEnd(dirs[1])), expected);
+}
+
+// Journals from older writers hold `full` whole-history records for score
+// sessions. They start at trial 0, so they recover unchanged: a cut
+// mid-run resumes to the uninterrupted result, and a finished session
+// comes back with the final objectives.
+TEST(JournalFormatTest, OlderFullRecordsStillRecover) {
+  const std::string job = DeterministicJob("full", 16, 7, "nginx", "random", "score");
+  ConfigSpace space = BuildJobSpace(ParseJobText(job).spec);
+  std::string dir = FreshDir("wf-fmt-full");
+  const std::string reference = RunToEnd(dir, job);
+  CheckpointLoadResult final_history = LoadCheckpointText(space, reference);
+  ASSERT_TRUE(final_history.ok) << final_history.error;
+  SessionJournal::ReplayResult replay = SessionJournal::Replay(dir + "/store/journal.wfj");
+  ASSERT_TRUE(replay.ok) << replay.error;
+  ASSERT_EQ(replay.sessions.size(), 1u);
+  const std::vector<SessionJournal::WaveRecord>& waves = replay.sessions[0].waves;
+  ASSERT_GE(waves.size(), 4u);
+
+  // The older writer's records, by hand: each the whole history up to its
+  // wave, objectives re-normalized over that prefix, and the wave's live
+  // state.
+  std::vector<std::string> full_lines;
+  for (const SessionJournal::WaveRecord& wave : waves) {
+    std::vector<TrialRecord> prefix(
+        final_history.history.begin(),
+        final_history.history.begin() + static_cast<std::ptrdiff_t>(wave.trials_total));
+    RefreshScoreObjectives(&prefix);
+    CheckpointLoadResult delta = LoadCheckpointText(space, wave.checkpoint_text);
+    ASSERT_TRUE(delta.ok) << delta.error;
+    full_lines.push_back("wave s1 " + std::to_string(wave.trials_total) + " full " +
+                         JournalEscape(CheckpointToText(prefix, &delta.live)) + "\n");
+  }
+  const std::string submit = JournalLines(dir + "/store/journal.wfj", "submit ")[0];
+
+  std::string cut = submit;
+  for (size_t i = 0; i < full_lines.size() / 2; ++i) {
+    cut += full_lines[i];
+  }
+  std::string cut_dir = FreshDir("wf-fmt-full-cut");
+  WriteJournal(cut_dir, cut);
+  EXPECT_EQ(TrialsText(space, RecoverToEnd(cut_dir)), TrialsText(space, reference));
+
+  std::string whole = submit;
+  for (const std::string& line : full_lines) {
+    whole += line;
+  }
+  whole += SessionJournal::StateLine("s1", "done", "");
+  std::string done_dir = FreshDir("wf-fmt-full-done");
+  WriteJournal(done_dir, whole);
+  EXPECT_EQ(RecoverToEnd(done_dir), reference);
+}
+
+// A wave record that neither continues the recovered history nor restarts
+// it from trial 0 (a gap, an overlap, or more trials than its total) is
+// not silently spliced: the session comes back failed and says why.
+TEST(JournalFormatTest, MisplacedWaveRecordIsUnrecoverable) {
+  const std::string job = DeterministicJob("placed", 8, 7);
+  ConfigSpace space = BuildJobSpace(ParseJobText(job).spec);
+  std::string dir = FreshDir("wf-fmt-placed");
+  CheckpointLoadResult run = LoadCheckpointText(space, RunToEnd(dir, job));
+  ASSERT_TRUE(run.ok) << run.error;
+  auto slice = [&](size_t begin, size_t end) {
+    return CheckpointToText(std::vector<TrialRecord>(
+        run.history.begin() + static_cast<std::ptrdiff_t>(begin),
+        run.history.begin() + static_cast<std::ptrdiff_t>(end)));
+  };
+  const std::string head =
+      SessionJournal::SubmitLine("s1", job, false) + SessionJournal::WaveLine("s1", 3, slice(0, 3));
+  const std::pair<const char*, std::string> cases[] = {
+      {"gap", SessionJournal::WaveLine("s1", 7, slice(5, 7))},
+      {"overlap", SessionJournal::WaveLine("s1", 4, slice(2, 4))},
+      {"oversized", SessionJournal::WaveLine("s1", 2, slice(3, 6))},
+  };
+  for (const auto& [name, line] : cases) {
+    SCOPED_TRACE(name);
+    std::string case_dir = FreshDir("wf-fmt-placed-case");
+    WriteJournal(case_dir, head + line);
+    SessionManager manager(ManagerOptions(case_dir));
+    std::string summary;
+    ASSERT_TRUE(manager.Recover(&summary)) << summary;
+    EXPECT_NE(summary.find("1 unrecoverable"), std::string::npos) << summary;
+    SessionStatus status;
+    ASSERT_TRUE(manager.Status("s1", &status));
+    EXPECT_EQ(status.state, "failed");
+    EXPECT_EQ(status.error.rfind("unrecoverable: ", 0), 0u) << status.error;
+    manager.Shutdown();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The wave-cut harness: recovered ≡ uninterrupted at every wave boundary.
+//
+// One job runs to the end under a journaling manager. Then, for every proper
+// prefix of its wave records (a crash just after that wave's fsync), a fresh
+// manager recovers submit + prefix, lets the session finish, and its trials
+// must equal the uninterrupted run's bit for bit. Every record of these cells
+// carries live state (serial and lock-step waves always end at a commit
+// boundary), which the test asserts so it cannot pass on replay alone.
+//
+// Cells that do not hold yet, measured at 40 trials with this harness, stay
+// out of the assertion (ROADMAP, first open item):
+//   * lock-step K = 4 deeptune score: 4 of 9 cuts diverge (replay feeds
+//     Observe and the score refresh trial by trial; the live run did both
+//     per wave);
+//   * sliding K = 4 deeptune performance: 39 of 39 cuts diverge (a sliding
+//     window is almost never empty at a wave boundary, so 1 of 40 records
+//     carries live state and recovery resumes replay-only).
+TEST(WaveCutTest, EveryCutRecoversToTheUninterruptedRun) {
+  struct Cell {
+    const char* algorithm;
+    const char* metric;
+    size_t iterations;
+    size_t parallel;
+  };
+  // Deeptune cells are smaller: each cut replays its prefix through Observe,
+  // which retrains the model once per trial.
+  const Cell cells[] = {
+      {"random", "performance", 40, 1}, {"random", "score", 40, 1},
+      {"deeptune", "performance", 20, 1}, {"deeptune", "score", 20, 1},
+      {"random", "score", 40, 4}, {"deeptune", "performance", 24, 4},
+  };
+  for (const Cell& cell : cells) {
+    const std::string label = std::string(cell.algorithm) + " " + cell.metric + " K=" +
+                              std::to_string(cell.parallel);
+    SCOPED_TRACE(label);
+    const std::string job = DeterministicJob("wave-cut", cell.iterations, 7, "nginx",
+                                             cell.algorithm, cell.metric, cell.parallel);
+    ConfigSpace space = BuildJobSpace(ParseJobText(job).spec);
+    std::string dir = FreshDir("wf-wave-cut");
+    const std::string reference = TrialsText(space, RunToEnd(dir, job));
+    const std::string journal_path = dir + "/store/journal.wfj";
+    const std::string submit = JournalLines(journal_path, "submit ")[0];
+    const std::vector<std::string> waves = JournalLines(journal_path, "wave ");
+    ASSERT_EQ(waves.size(), cell.iterations / cell.parallel);
+
+    SessionJournal::ReplayResult replay = SessionJournal::Replay(journal_path);
+    ASSERT_TRUE(replay.ok) << replay.error;
+    size_t live_records = 0;
+    for (const SessionJournal::WaveRecord& wave : replay.sessions[0].waves) {
+      live_records += LoadCheckpointText(space, wave.checkpoint_text).live.Any() ? 1 : 0;
+    }
+    EXPECT_EQ(live_records, waves.size());
+
+    size_t diverged = 0;
+    std::string prefix = submit;
+    for (size_t cut = 1; cut < waves.size(); ++cut) {
+      prefix += waves[cut - 1];
+      std::string cut_dir = FreshDir("wf-wave-cut-prefix");
+      WriteJournal(cut_dir, prefix);
+      if (TrialsText(space, RecoverToEnd(cut_dir)) != reference) {
+        ++diverged;
+      }
+    }
+    EXPECT_EQ(diverged, 0u) << "of " << waves.size() - 1 << " cuts";
+  }
 }
 
 // One daemon generation, the way `wfd` runs it: RunWfdForeground in a forked

@@ -87,16 +87,6 @@ TEST(Rng, WeightedIndexRespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[1]) / 20000.0, 0.75, 0.02);
 }
 
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(23);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6};
-  std::vector<int> shuffled = v;
-  rng.Shuffle(shuffled);
-  std::multiset<int> a(v.begin(), v.end());
-  std::multiset<int> b(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(a, b);
-}
-
 TEST(Rng, ForkProducesIndependentStream) {
   Rng a(31);
   Rng child = a.Fork();
@@ -215,7 +205,6 @@ TEST(TablePrinterTest, AlignsColumns) {
   std::string text = oss.str();
   EXPECT_NE(text.find("longer-name"), std::string::npos);
   EXPECT_NE(text.find("value"), std::string::npos);
-  EXPECT_EQ(table.RowCount(), 2u);
 }
 
 TEST(TablePrinterTest, NumFormatsPrecision) {
