@@ -5,7 +5,13 @@
 //
 //   * dtm_update_*: one full Update() — minibatch gather from the replay
 //     buffer, forward/backward, losses, Chamfer, Adam — on the portable and
-//     avx2 kernel backends;
+//     avx2 kernel backends. dtm_update_<D>d_<N>s trains on N uniform random
+//     feature rows; dtm_update_linux298_100s on what the paper's loop trains
+//     on: 100 nginx configurations of the Linux job space, sampled as a
+//     session samples them, encoded (298 features, ~30% of them 0) and
+//     labelled by the simulator, warmed until at least 40 of dense-1's 64
+//     units are dead per minibatch (the record's `dead_units`), as they are
+//     late in a run;
 //   * dtm_add_sample: replay-buffer append;
 //   * propose_pool128: one full DeepTuneSearcher::Propose over the Linux
 //     space — pool assembly (line search + mutation + random + encode) plus
@@ -48,8 +54,11 @@
 #include "src/core/proposal.h"
 #include "src/core/scoring.h"
 #include "src/nn/kernels.h"
+#include "src/platform/job_file.h"
 #include "src/platform/trial.h"
+#include "src/simos/testbench.h"
 #include "src/util/rng.h"
+#include "src/util/sim_clock.h"
 
 namespace wayfinder {
 namespace {
@@ -121,6 +130,87 @@ double BenchUpdate(size_t dim, size_t samples, KernelBackend backend) {
     pad.emplace_back(769 + 331 * instance + 97 * instance * instance, 0.0);
   }
   return best;
+}
+
+// 100 nginx configurations of the Linux job space (the e2ebench dt-serial
+// job's space), drawn with the session's sampling bias, encoded row by row,
+// with the simulator's crash flag and metric.
+struct LinuxReplay {
+  Matrix features;
+  std::vector<bool> crashed;
+  std::vector<double> metric;
+};
+
+LinuxReplay BuildLinuxReplay(size_t samples) {
+  JobParseResult parsed = ParseJobText(
+      "name: micro-linux298\nos: linux\napplication: nginx\nmetric: performance\n"
+      "budget:\n  iterations: 100\nsearch:\n  algorithm: deeptune\n  seed: 7\n");
+  ConfigSpace space = BuildJobSpace(parsed.spec);
+  Testbench bench(&space, parsed.spec.app, parsed.spec.ToTestbenchOptions());
+  const SampleOptions sampling = parsed.spec.ToSessionOptions().sample_options;
+  LinuxReplay replay;
+  replay.features.Reshape(samples, space.FeatureDimension());
+  Rng rng(29);
+  SimClock clock;
+  for (size_t i = 0; i < samples; ++i) {
+    Configuration config = space.RandomConfiguration(rng, sampling);
+    space.EncodeInto(config, replay.features.Row(i));
+    TrialOutcome outcome = bench.Evaluate(config, rng, &clock);
+    replay.crashed.push_back(!outcome.ok());
+    replay.metric.push_back(outcome.ok() ? outcome.metric : 0.0);
+  }
+  return replay;
+}
+
+// Mean, over 64 minibatches of 32 replay rows drawn with replacement, of the
+// dense-1 units that are 0 in every row of the minibatch (relu(x W1 + b1),
+// before dropout).
+double DeadDense1Units(DtmTrunk& trunk, const Matrix& features) {
+  std::vector<ParamBlock*> params = trunk.Params();
+  const Matrix& w1 = params[0]->value;
+  const Matrix& b1 = params[1]->value;
+  Rng rng(23);
+  Matrix batch(32, features.cols());
+  Matrix h1;
+  size_t dead = 0;
+  const int batches = 64;
+  for (int b = 0; b < batches; ++b) {
+    for (size_t r = 0; r < batch.rows(); ++r) {
+      size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(features.rows()) - 1));
+      std::copy(features.Row(i), features.Row(i) + features.cols(), batch.Row(r));
+    }
+    MatMulAddBiasInto(batch, w1, b1, h1);
+    for (size_t c = 0; c < h1.cols(); ++c) {
+      bool live = false;
+      for (size_t r = 0; r < h1.rows() && !live; ++r) {
+        live = h1.At(r, c) > 0.0;
+      }
+      dead += live ? 0 : 1;
+    }
+  }
+  return static_cast<double>(dead) / batches;
+}
+
+// One Update of a trunk trained on the Linux replay, warmed (at most 400
+// Updates) until at least 40 of its 64 dense-1 units are dead per minibatch.
+double BenchUpdateLinux298(const LinuxReplay& replay, KernelBackend backend,
+                           double* dead_units) {
+  DtmOptions options;
+  options.kernels = backend;
+  DtmTrunk trunk(replay.features.cols(), 1, options);
+  for (size_t i = 0; i < replay.features.rows(); ++i) {
+    const double* row = replay.features.Row(i);
+    trunk.AddSample(std::vector<double>(row, row + replay.features.cols()), replay.crashed[i],
+                    &replay.metric[i]);
+  }
+  *dead_units = DeadDense1Units(trunk, replay.features);
+  for (int update = 0; update < 400 && *dead_units < 40.0; ++update) {
+    trunk.Update();
+    if (update % 10 == 9) {
+      *dead_units = DeadDense1Units(trunk, replay.features);
+    }
+  }
+  return OpsPerSec([&] { trunk.Update(); });
 }
 
 // Full Propose — pool assembly + batched prediction + scoring — on a warm
@@ -236,6 +326,19 @@ int main(int argc, char** argv) {
   if (portable_ops > 0.0) {
     std::printf("{\"bench\": \"dtm_update_speedup\", \"avx2_over_portable\": %.2f}\n",
                 avx2_ops / portable_ops);
+  }
+
+  // Update on the Linux job space's encoded nginx configurations.
+  const LinuxReplay replay = BuildLinuxReplay(100);
+  const std::string linux_bench =
+      "dtm_update_linux" + std::to_string(replay.features.cols()) + "_100s";
+  for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
+    double dead_units = 0.0;
+    double ops = BenchUpdateLinux298(replay, backend, &dead_units);
+    std::printf(
+        "{\"bench\": \"%s\", \"variant\": \"%s\", \"ops_per_sec\": %.2f, "
+        "\"dead_units\": %.1f}\n",
+        linux_bench.c_str(), KernelBackendName(backend), ops, dead_units);
   }
 
   // Full Propose — pool assembly + batched prediction. The `propose_*`

@@ -344,6 +344,38 @@ bool OpensFunctionBody(const CodeView& v, size_t brace) {
   return false;
 }
 
+// True when code[i] names an allocating type (a std container, string or
+// function, or the nn Matrix) that starts a declaration or a temporary: the
+// type, with its template arguments, followed by a declarator name, '(' or
+// '{'. References and pointers to one (`const Matrix&`, `std::string*`),
+// qualified names (`Matrix::Xavier`) and member access stay silent, and so
+// does a lambda's `-> Matrix` return type.
+bool ConstructsAllocatingType(const CodeView& v, size_t i) {
+  const Token& t = v.at(i);
+  const bool std_qualified = i >= 2 && v.IsPunct(i - 1, "::") && v.IsIdent(i - 2, "std");
+  bool allocating = false;
+  if (t.text == "Matrix") {
+    allocating = i == 0 || !(v.IsPunct(i - 1, ".") || v.IsPunct(i - 1, "->") ||
+                             (v.IsPunct(i - 1, "::") && !v.IsIdent(i - 2, "wayfinder")));
+  } else if (std_qualified) {
+    allocating = t.text == "vector" || t.text == "string" || t.text == "map" ||
+                 t.text == "unordered_map" || t.text == "function";
+  }
+  if (!allocating) {
+    return false;
+  }
+  size_t after = i + 1;
+  if (v.IsPunct(after, "<")) {
+    after = MatchingClose(v, after, '<', '>') + 1;
+  }
+  if (after >= v.size()) {
+    return false;
+  }
+  const Token& next = v.at(after);
+  return next.kind == TokenKind::kIdentifier || v.IsPunct(after, "(") ||
+         v.IsPunct(after, "{");
+}
+
 void CheckFunctionContextRules(const std::string& path,
                                const std::vector<Token>& tokens,
                                bool durability_in_scope,
@@ -440,27 +472,13 @@ void CheckFunctionContextRules(const std::string& path,
                    "' inside a wf-hot-path function; hot paths must reuse "
                    "the workspace arena (grow-only buffers), not allocate "
                    "per call"});
-        } else if (t.text == "vector" && code_i >= 2 &&
-                   v.IsPunct(code_i - 1, "::") &&
-                   v.IsIdent(code_i - 2, "std") &&
-                   code_i + 1 < v.size() && v.IsPunct(code_i + 1, "<")) {
-          // std::vector<...> followed by a declarator or temporary is a
-          // fresh buffer; references/pointers to one are fine.
-          size_t close = MatchingClose(v, code_i + 1, '<', '>');
-          if (close < v.size() && close + 1 < v.size()) {
-            const Token& after = v.at(close + 1);
-            bool constructs =
-                (after.kind == TokenKind::kIdentifier) ||
-                (after.kind == TokenKind::kPunct &&
-                 (after.text == "(" || after.text == "{"));
-            if (constructs) {
-              out->push_back(
-                  {path, t.line, "hot-path-alloc",
-                   "std::vector constructed inside a wf-hot-path function; "
-                   "hot paths must reuse the workspace arena, not build "
-                   "fresh buffers per call"});
-            }
-          }
+        } else if (ConstructsAllocatingType(v, code_i)) {
+          out->push_back(
+              {path, t.line, "hot-path-alloc",
+               (t.text == "Matrix" ? std::string("Matrix") : "std::" + t.text) +
+                   " constructed inside a wf-hot-path function; hot paths "
+                   "must reuse the workspace arena, not build fresh buffers "
+                   "per call"});
         }
       }
     }

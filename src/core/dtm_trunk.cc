@@ -114,6 +114,22 @@ void DtmTrunk::Forward(const Matrix& x, bool training) {
   ws_.Count(unc_head_.ForwardInto(ws_.phi, ws_.s, kernels_));
 }
 
+// wf-hot-path: workspace-arena — h1_live was reserved at the hidden-1 width,
+// so its appends never allocate.
+void DtmTrunk::CollectLiveH1() {
+  // Live means ReLU-1's backward keeps the gradient somewhere in the column:
+  // its mask is the post-dropout h1, and it zeroes the entries with h1 <= 0.
+  ws_.h1_live.clear();
+  for (size_t c = 0; c < ws_.h1.cols(); ++c) {
+    for (size_t n = 0; n < ws_.h1.rows(); ++n) {
+      if (!(ws_.h1.At(n, c) <= 0.0)) {
+        ws_.h1_live.push_back(c);
+        break;
+      }
+    }
+  }
+}
+
 // wf-hot-path: workspace-arena — the whole training loop (gather, forward,
 // backward, Adam) runs out of ws_; zero heap allocation once warm.
 double DtmTrunk::Update() {
@@ -126,7 +142,7 @@ double DtmTrunk::Update() {
   size_t batch = std::min(options_.batch_size, xs_.size());
   ws_.Count(ws_.x.Reshape(batch, input_dim_) ? 1 : 0);
   ws_.Count(ws_.y.Reshape(batch, head_count_) ? 1 : 0);
-  ws_.ReserveGather(batch);
+  ws_.ReserveGather(batch, options_.hidden1);
   for (size_t step = 0; step < options_.steps_per_update; ++step) {
     // Sample a minibatch (with replacement) from the replay buffer.
     for (size_t b = 0; b < batch; ++b) {
@@ -148,6 +164,7 @@ double DtmTrunk::Update() {
     }
 
     Forward(ws_.x, /*training=*/true);
+    CollectLiveH1();
 
     // --- Losses ------------------------------------------------------------
     double loss_cce =
@@ -171,15 +188,18 @@ double DtmTrunk::Update() {
     for (size_t i = 0; i < ws_.dh2.size(); ++i) {
       ws_.dh2.data()[i] += ws_.dh2_scratch.data()[i];
     }
-    rbf2_.BackwardInto(ws_.dphi2, &ws_.dh2, /*accumulate=*/true, kernels_);
+    ws_.Count(rbf2_.BackwardInto(ws_.dphi2, &ws_.dh2, /*accumulate=*/true, kernels_));
     relu2_.BackwardInPlace(ws_.dh2);
-    ws_.Count(dense2_.BackwardInto(ws_.dh2, &ws_.dh1, kernels_));
-    rbf1_.BackwardInto(ws_.dphi1, &ws_.dh1, /*accumulate=*/true, kernels_);
+    // dh1 only in the columns ReLU-1 passes; the rest are 0 after its mask
+    // whatever dense-2 and RBF-1 write there.
+    ws_.Count(dense2_.BackwardLiveInto(ws_.dh2, ws_.h1_live, ws_.dh1, kernels_));
+    ws_.Count(rbf1_.BackwardInto(ws_.dphi1, &ws_.dh1, /*accumulate=*/true, kernels_));
     dropout_.BackwardInPlace(ws_.dh1);
     relu1_.BackwardInPlace(ws_.dh1);
-    dense1_.BackwardInto(ws_.dh1, /*dx=*/nullptr, kernels_);
-    // Input gradient discarded.
-    rbf0_.BackwardInto(ws_.dphi0, /*dz=*/nullptr, /*accumulate=*/false, kernels_);
+    // dh1 is mostly 0 behind dead units, so dW1 takes MatMulAtAccum's
+    // b-sparse form. The input gradient is discarded.
+    ws_.Count(dense1_.BackwardInto(ws_.dh1, /*dx=*/nullptr, kernels_));
+    ws_.Count(rbf0_.BackwardInto(ws_.dphi0, /*dz=*/nullptr, /*accumulate=*/false, kernels_));
 
     adam_->Step(kernels_);
   }
@@ -256,11 +276,12 @@ bool DtmTrunk::Load(const std::string& path) {
   return LoadParamsFromFile(Params(), path);
 }
 
-void DtmTrunk::Workspace::ReserveGather(size_t batch) {
-  size_t caps = crash_target.capacity() + mask.capacity();
+void DtmTrunk::Workspace::ReserveGather(size_t batch, size_t hidden1) {
+  size_t caps = crash_target.capacity() + mask.capacity() + h1_live.capacity();
   crash_target.resize(batch);
   mask.resize(batch);
-  size_t caps_after = crash_target.capacity() + mask.capacity();
+  h1_live.reserve(hidden1);
+  size_t caps_after = crash_target.capacity() + mask.capacity() + h1_live.capacity();
   if (caps_after != caps) {
     ++grow_count;
   }
@@ -275,7 +296,8 @@ size_t DtmTrunk::Workspace::Bytes() const {
   for (const Matrix* m : buffers) {
     bytes += m->size() * sizeof(double);
   }
-  bytes += crash_target.size() * sizeof(int) + mask.size() / 8;
+  bytes += crash_target.size() * sizeof(int) + mask.size() / 8 +
+           h1_live.capacity() * sizeof(size_t);
   return bytes;
 }
 
@@ -292,6 +314,10 @@ size_t DtmTrunk::MemoryBytes() const {
   bytes += crashed_.size() / 8 + objectives_.size() * sizeof(double);
   // The scratch arena and the layers' own reused scratch are live state too.
   bytes += ws_.Bytes();
+  for (const DenseLayer* dense :
+       {&dense1_, &dense2_, &crash_head_, &perf_head_, &unc_head_}) {
+    bytes += dense->ScratchBytes();
+  }
   bytes += dropout_.ScratchBytes() + rbf0_.ScratchBytes() + rbf1_.ScratchBytes() +
            rbf2_.ScratchBytes();
   return bytes;

@@ -150,18 +150,24 @@ class DtmTrunk {
     // Training-loop gather scratch: minibatch targets.
     std::vector<int> crash_target;
     std::vector<bool> mask;
+    // Columns of h1 that ReLU-1 passes in some row of the minibatch (after
+    // dropout): the only columns of dh1 the backward pass computes.
+    std::vector<size_t> h1_live;
     size_t grow_count = 0;
 
     void Count(size_t grew) { grow_count += grew; }
-    // Resizes the gather scratch, counting vector buffer growth like Matrix
-    // reshapes so the zero-alloc guarantee covers the whole training loop.
-    void ReserveGather(size_t batch);
+    // Resizes the gather scratch and reserves h1_live at the hidden-1 width,
+    // counting vector buffer growth like Matrix reshapes so the zero-alloc
+    // guarantee covers the whole training loop.
+    void ReserveGather(size_t batch, size_t hidden1);
     size_t Bytes() const;
   };
 
   // Fast path: runs the network over `x` into the workspace. `x` must stay
   // alive/unmodified until the round's backward pass completes.
   void Forward(const Matrix& x, bool training);
+  // Fills ws_.h1_live from the training forward's h1.
+  void CollectLiveH1();
   // The seed implementation, verbatim in structure: textbook kernels and a
   // fresh matrix per op, landing its outputs in the same workspace slots the
   // fast path uses. Correctness/perf baseline for equivalence tests and the

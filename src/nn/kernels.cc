@@ -70,6 +70,15 @@ void PortableAxpyDiff(double a, const double* x, const double* y, double* out, s
   }
 }
 
+// wf-hot-path: no scratch — the RBF backward's loop of axpy_diff calls into
+// the caller's row.
+void PortableAxpyDiffRows(const double* s, const double* const* x_rows, size_t count,
+                          const double* y, double* acc, size_t n) {
+  for (size_t r = 0; r < count; ++r) {
+    PortableAxpyDiff(s[r], x_rows[r], y, acc, n);
+  }
+}
+
 void PortableVadd(const double* x, double* y, size_t n) {
   for (size_t j = 0; j < n; ++j) {
     y[j] += x[j];
@@ -214,9 +223,10 @@ void PortableAdamUpdate(double* value, double* grad, double* m, double* v, size_
 }
 
 constexpr KernelOps kPortableOps = {
-    "portable",          PortableGemmRows,      PortableGemmAtRow, PortableAxpyDiff,
-    PortableVadd,        PortableDotRows,       PortableSqDistRows, PortableSqNorm,
-    PortableNearestSqDist, PortableScal,        PortableRelu,      PortableAdamUpdate,
+    "portable",           PortableGemmRows,      PortableGemmAtRow,  PortableAxpyDiff,
+    PortableAxpyDiffRows, PortableVadd,          PortableDotRows,    PortableSqDistRows,
+    PortableSqNorm,       PortableNearestSqDist, PortableScal,       PortableRelu,
+    PortableAdamUpdate,
 };
 
 // --- dispatch ---------------------------------------------------------------

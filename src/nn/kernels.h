@@ -72,10 +72,11 @@ struct AdamScalars {
 // kernel allocates or assumes alignment (loads are unaligned).
 //
 // The kernels that produce several outputs per call (`gemm_rows`,
-// `gemm_at_row`, `dot_rows`, `sqdist_rows`, `nearest_sqdist`) block across
-// independent outputs only: an output's adds happen in the order its own
-// expression tree below states, whichever other outputs share its loads,
-// its vector, or its call. Both backends must reproduce each tree.
+// `gemm_at_row`, `axpy_diff_rows`, `dot_rows`, `sqdist_rows`,
+// `nearest_sqdist`) block across independent outputs only: an output's adds
+// happen in the order its own expression tree below states, whichever other
+// outputs share its loads, its vector, or its call. Both backends must
+// reproduce each tree.
 struct KernelOps {
   const char* name;  // "portable" | "avx2"
 
@@ -98,10 +99,24 @@ struct KernelOps {
   // 32-wide tile of acc (eight add chains), then a 16-wide one, stays in
   // registers across the whole k loop. The AVX2 backend finds the nonzero
   // a[k] once per chunk of k, without a branch, instead of once per tile.
+  // MatMulAtAccum (src/nn/matrix.h) runs it in two roles: down a column of
+  // its `a` (skipping zero inputs), or, in its b-sparse form, down a column
+  // of the output gradient (skipping the zeros dead ReLU units leave). The
+  // widened skip drops only ±0 products, which is exact when every operand
+  // is finite and no acc entry is -0; matrix.h states the precondition.
   void (*gemm_at_row)(const double* a, size_t a_stride, size_t k_dim, const double* b,
                       size_t b_stride, double* acc, size_t m);
   // out[j] += a * (x[j] - y[j]) — RBF centroid/input gradient body.
   void (*axpy_diff)(double a, const double* x, const double* y, double* out, size_t n);
+  // `count` axpy_diff calls into one output row, in order:
+  //   acc[j] += s[r] * (x_rows[r][j] - y[j])   for r = 0 .. count-1,
+  // so every acc[j] sees the same adds as the loop of calls. The AVX2
+  // backend holds a 16-wide tile of acc and of y in registers across all
+  // `count` rows, where the loop of calls streams acc through memory once
+  // per row. The RBF backward pass runs it once per centroid (rows: the
+  // batch) and once per batch row (rows: the centroids).
+  void (*axpy_diff_rows)(const double* s, const double* const* x_rows, size_t count,
+                         const double* y, double* acc, size_t n);
   // y[j] += x[j].
   void (*vadd)(const double* x, double* y, size_t n);
   // out[r] = a . b[r] for the `rows` rows b[r] = b + r*b_stride, each a

@@ -197,6 +197,49 @@ void Avx2AxpyDiff(double a, const double* x, const double* y, double* out, size_
   }
 }
 
+// A 4V-wide tile of axpy_diff_rows: V accumulators of acc and V vectors of
+// y stay in registers while the `count` rows stream past, ascending r.
+template <size_t V>
+inline void AxpyDiffRowsTile(const double* s, const double* const* x_rows, size_t count,
+                             const double* y, double* acc, size_t j) {
+  __m256d t[V];
+  __m256d vy[V];
+  for (size_t v = 0; v < V; ++v) {
+    t[v] = _mm256_loadu_pd(acc + j + 4 * v);
+    vy[v] = _mm256_loadu_pd(y + j + 4 * v);
+  }
+  for (size_t r = 0; r < count; ++r) {
+    const __m256d vs = _mm256_set1_pd(s[r]);
+    const double* x = x_rows[r] + j;
+    for (size_t v = 0; v < V; ++v) {
+      const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(x + 4 * v), vy[v]);
+      t[v] = _mm256_add_pd(t[v], _mm256_mul_pd(vs, d));
+    }
+  }
+  for (size_t v = 0; v < V; ++v) {
+    _mm256_storeu_pd(acc + j + 4 * v, t[v]);
+  }
+}
+
+// wf-hot-path: no scratch — register tiles only, into the caller's row.
+void Avx2AxpyDiffRows(const double* s, const double* const* x_rows, size_t count,
+                      const double* y, double* acc, size_t n) {
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    AxpyDiffRowsTile<4>(s, x_rows, count, y, acc, j);
+  }
+  for (; j + 4 <= n; j += 4) {
+    AxpyDiffRowsTile<1>(s, x_rows, count, y, acc, j);
+  }
+  for (; j < n; ++j) {
+    double t = acc[j];
+    for (size_t r = 0; r < count; ++r) {
+      t += s[r] * (x_rows[r][j] - y[j]);
+    }
+    acc[j] = t;
+  }
+}
+
 void Avx2Vadd(const double* x, double* y, size_t n) {
   size_t j = 0;
   for (; j + 4 <= n; j += 4) {
@@ -420,9 +463,10 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",         Avx2GemmRows,          Avx2GemmAtRow,     Avx2AxpyDiff,
-    Avx2Vadd,       Avx2DotRows,           Avx2SqDistRows,    Avx2SqNorm,
-    Avx2NearestSqDist, Avx2Scal,           Avx2Relu,          Avx2AdamUpdate,
+    "avx2",           Avx2GemmRows,      Avx2GemmAtRow, Avx2AxpyDiff,
+    Avx2AxpyDiffRows, Avx2Vadd,          Avx2DotRows,   Avx2SqDistRows,
+    Avx2SqNorm,       Avx2NearestSqDist, Avx2Scal,      Avx2Relu,
+    Avx2AdamUpdate,
 };
 
 }  // namespace

@@ -25,16 +25,30 @@ size_t DenseLayer::ForwardInto(const Matrix& x, Matrix& y, const KernelOps* ops)
 }
 
 // wf-hot-path: workspace-arena — dW and db accumulate into the parameter
-// blocks' own gradients; dX lands in the caller's `dx`.
-size_t DenseLayer::BackwardInto(const Matrix& dy, Matrix* dx, const KernelOps* ops) {
-  // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
+// blocks' own gradients, through the member scratch.
+size_t DenseLayer::AccumulateParamGrads(const Matrix& dy, const KernelOps* ops) {
+  // dW += X^T dY ; db += colsum(dY).
   assert(last_input_ != nullptr);
-  MatMulAtAccum(*last_input_, dy, weight_.grad, ops);
+  size_t grew = MatMulAtAccum(*last_input_, dy, weight_.grad, scratch_, ops);
   ColSumAccum(dy, bias_.grad, ops);
+  return grew;
+}
+
+// wf-hot-path: workspace-arena — dX = dY W^T lands in the caller's `dx`.
+size_t DenseLayer::BackwardInto(const Matrix& dy, Matrix* dx, const KernelOps* ops) {
+  size_t grew = AccumulateParamGrads(dy, ops);
   if (dx == nullptr) {
-    return 0;
+    return grew;
   }
-  return MatMulBtInto(dy, weight_.value, *dx, ops);
+  return grew + MatMulBtInto(dy, weight_.value, *dx, ops);
+}
+
+// wf-hot-path: workspace-arena — dX in the caller's `dx`, the live weight
+// rows in the member scratch.
+size_t DenseLayer::BackwardLiveInto(const Matrix& dy, const std::vector<size_t>& live_inputs,
+                                    Matrix& dx, const KernelOps* ops) {
+  size_t grew = AccumulateParamGrads(dy, ops);
+  return grew + MatMulBtColsInto(dy, weight_.value, live_inputs, scratch_, dx, ops);
 }
 
 // wf-hot-path: workspace-arena — clamps the caller's matrix in place; the
@@ -126,8 +140,9 @@ size_t RbfLayer::ForwardInto(const Matrix& z, Matrix& phi, const KernelOps* ops)
   return grew;
 }
 
-// wf-hot-path: workspace-arena — axpy_diff straight into the centroid
-// gradient and the caller's `dz`; reads z and phi through cached pointers.
+// wf-hot-path: workspace-arena — the scale table is a member reshaped in
+// place; axpy_diff_rows adds straight into the centroid gradient and the
+// caller's `dz`, its row lists on the stack.
 size_t RbfLayer::BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate,
                               const KernelOps* ops) {
   // dphi/dz_n   = phi_nc * (c - z_n) / gamma^2
@@ -136,34 +151,72 @@ size_t RbfLayer::BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate,
   const Matrix& z = *last_input_;
   const Matrix& phi = *last_phi_;
   const KernelOps& k_ops = ResolveKernels(ops);
-  size_t k = centroids_.value.rows();
-  size_t d = centroids_.value.cols();
-  size_t grew = 0;
+  const size_t rows = z.rows();
+  const size_t k = centroids_.value.rows();
+  const size_t d = centroids_.value.cols();
+  size_t grew = scale_.Reshape(rows, k) ? 1 : 0;
   if (dz != nullptr && !accumulate) {
-    grew = dz->Reshape(z.rows(), d) ? 1 : 0;
+    grew += dz->Reshape(rows, d) ? 1 : 0;
     dz->Fill(0.0);
   }
-  double inv = 1.0 / (gamma_ * gamma_);
-  for (size_t n = 0; n < z.rows(); ++n) {
-    const double* zrow = z.Row(n);
-    double* dzrow = dz != nullptr ? dz->Row(n) : nullptr;
+  const double inv = 1.0 / (gamma_ * gamma_);
+  for (size_t n = 0; n < rows; ++n) {
     for (size_t c = 0; c < k; ++c) {
-      double scale = dphi.At(n, c) * phi.At(n, c) * inv;
-      if (scale == 0.0) {
-        continue;
-      }
-      const double* crow = centroids_.value.Row(c);
-      if (dzrow != nullptr) {
-        k_ops.axpy_diff(scale, crow, zrow, dzrow, d);  // dz += scale * (c - z)
-      }
-      k_ops.axpy_diff(scale, zrow, crow, centroids_.grad.Row(c), d);  // dc += scale * (z - c)
+      scale_.At(n, c) = dphi.At(n, c) * phi.At(n, c) * inv;
     }
+  }
+  // The nonzero-scale rows of one sum, flushed to axpy_diff_rows in order
+  // every kRows entries.
+  constexpr size_t kRows = 64;
+  double s[kRows];
+  const double* x_rows[kRows];
+  size_t count = 0;
+  auto add = [&](double scale, const double* x, const double* y, double* acc) {
+    s[count] = scale;
+    x_rows[count] = x;
+    if (++count == kRows) {
+      k_ops.axpy_diff_rows(s, x_rows, count, y, acc, d);
+      count = 0;
+    }
+  };
+  auto flush = [&](const double* y, double* acc) {
+    if (count > 0) {
+      k_ops.axpy_diff_rows(s, x_rows, count, y, acc, d);
+      count = 0;
+    }
+  };
+  // dc += scale * (z - c), over the batch: the centroid's gradient tile and
+  // its own tile stay in registers while the rows stream past.
+  for (size_t c = 0; c < k; ++c) {
+    const double* crow = centroids_.value.Row(c);
+    double* grad_row = centroids_.grad.Row(c);
+    for (size_t n = 0; n < rows; ++n) {
+      if (scale_.At(n, c) != 0.0) {
+        add(scale_.At(n, c), z.Row(n), crow, grad_row);
+      }
+    }
+    flush(crow, grad_row);
+  }
+  if (dz == nullptr) {
+    return grew;
+  }
+  // dz += scale * (c - z), over the centroids: the row's dz tile stays in
+  // registers.
+  for (size_t n = 0; n < rows; ++n) {
+    const double* zrow = z.Row(n);
+    double* dzrow = dz->Row(n);
+    for (size_t c = 0; c < k; ++c) {
+      if (scale_.At(n, c) != 0.0) {
+        add(scale_.At(n, c), centroids_.value.Row(c), zrow, dzrow);
+      }
+    }
+    flush(zrow, dzrow);
   }
   return grew;
 }
 
 size_t RbfLayer::ScratchBytes() const {
-  return (centroid_sq_norms_.size() + chamfer_dist_.size()) * sizeof(double);
+  return (centroid_sq_norms_.size() + chamfer_dist_.size() + scale_.size()) * sizeof(double);
 }
 
 // wf-hot-path: workspace-arena — the K x N distance table is a member

@@ -39,6 +39,14 @@ class DenseLayer {
   size_t ForwardInto(const Matrix& x, Matrix& y, const KernelOps* ops = nullptr);
   // Accumulates dL/dW, dL/db; writes dL/dX into `dx` unless null.
   size_t BackwardInto(const Matrix& dy, Matrix* dx, const KernelOps* ops = nullptr);
+  // BackwardInto for a layer whose input came out of a ReLU: writes dL/dX
+  // only in the input columns `live_inputs` (ascending) and 0 in the rest,
+  // whose gradient the ReLU's backward pass zeroes anyway
+  // (MatMulBtColsInto).
+  size_t BackwardLiveInto(const Matrix& dy, const std::vector<size_t>& live_inputs,
+                          Matrix& dx, const KernelOps* ops = nullptr);
+  // Both backward passes return the growths of `dx` and of the layer's
+  // scratch, which is sized on the first backward pass.
 
   std::vector<ParamBlock*> Params() { return {&weight_, &bias_}; }
   size_t in_dim() const { return weight_.value.rows(); }
@@ -47,10 +55,20 @@ class DenseLayer {
   ParamBlock& weight() { return weight_; }
   ParamBlock& bias() { return bias_; }
 
+  // Bytes held by the backward scratch.
+  size_t ScratchBytes() const { return scratch_.size() * sizeof(double); }
+
  private:
+  // dW += X^T dY and db += colsum(dY), shared by both backward passes.
+  // Returns scratch growths.
+  size_t AccumulateParamGrads(const Matrix& dy, const KernelOps* ops);
+
   ParamBlock weight_;  // in x out
   ParamBlock bias_;    // 1 x out
   const Matrix* last_input_ = nullptr;
+  // MatMulAtAccum's staged gradient columns, then BackwardLiveInto's copy
+  // of the live weight rows.
+  Matrix scratch_;
 };
 
 // Elementwise max(0, x).
@@ -102,7 +120,12 @@ class RbfLayer {
   // AccumulateChamferGradient runs.
   size_t ForwardInto(const Matrix& z, Matrix& phi, const KernelOps* ops = nullptr);
   // Accumulates the centroid gradient; unless `dz` is null, writes (or with
-  // `accumulate`, adds) dL/dZ into it.
+  // `accumulate`, adds) dL/dZ into it. Every gradient element receives the
+  // adds of the per-(n, c) loop in its order: a centroid's row adds over the
+  // batch rows n ascending, a batch row's dz over the centroids c ascending,
+  // skipping the pairs whose scale dphi * phi / gamma^2 is 0. Each sum runs
+  // as one axpy_diff_rows call, its tile held in registers. Returns `dz`
+  // and scale-table growths.
   size_t BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate = false,
                       const KernelOps* ops = nullptr);
 
@@ -118,7 +141,8 @@ class RbfLayer {
   // the batch (the regularizer shapes centroids, not the trunk).
   double AccumulateChamferGradient(double weight, const KernelOps* ops = nullptr);
 
-  // Bytes held by the reused scratch: centroid norms and the Chamfer table.
+  // Bytes held by the reused scratch: centroid norms, the Chamfer table and
+  // the backward pass's scale table.
   size_t ScratchBytes() const;
 
  private:
@@ -128,6 +152,7 @@ class RbfLayer {
   const Matrix* last_phi_ = nullptr;
   std::vector<double> centroid_sq_norms_;  // Forward scratch.
   Matrix chamfer_dist_;                    // K x N centroid-to-batch distances.
+  Matrix scale_;                           // N x K backward scales.
 };
 
 }  // namespace wayfinder

@@ -1,5 +1,6 @@
 #include "src/nn/matrix.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -55,6 +56,15 @@ size_t MatMulImpl(const Matrix& a, const Matrix& b, const double* bias, Matrix& 
   return grew;
 }
 
+// Entries of x[0 .. n) that are not ±0.
+size_t CountNonzero(const double* x, size_t n) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    count += x[i] != 0.0 ? 1 : 0;
+  }
+  return count;
+}
+
 }  // namespace
 
 // wf-hot-path: workspace-arena — MatMulAddBiasInto without the bias: one
@@ -86,22 +96,106 @@ size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const KernelO
   return grew;
 }
 
+// wf-hot-path: workspace-arena — the selected rows of b are copied into the
+// caller's `scratch`, sized to all of b once; the dot products of one output
+// row go through a stack buffer.
+size_t MatMulBtColsInto(const Matrix& a, const Matrix& b, const std::vector<size_t>& cols,
+                        Matrix& scratch, Matrix& out, const KernelOps* ops) {
+  assert(a.cols() == b.cols());
+  assert(cols.size() <= b.rows());
+  assert(&out != &a && &out != &b && &scratch != &b);
+  size_t grew = out.Reshape(a.rows(), b.rows()) ? 1 : 0;
+  grew += scratch.Reshape(b.rows(), b.cols()) ? 1 : 0;
+  for (size_t t = 0; t < cols.size(); ++t) {
+    assert(cols[t] < b.rows() && (t == 0 || cols[t - 1] < cols[t]));
+    std::memcpy(scratch.Row(t), b.Row(cols[t]), b.cols() * sizeof(double));
+  }
+  const KernelOps& k_ops = ResolveKernels(ops);
+  constexpr size_t kDotChunk = 64;
+  double dots[kDotChunk];
+  for (size_t i = 0; i < a.rows(); ++i) {
+    double* orow = out.Row(i);
+    std::fill(orow, orow + b.rows(), 0.0);
+    for (size_t t0 = 0; t0 < cols.size(); t0 += kDotChunk) {
+      const size_t count = std::min(kDotChunk, cols.size() - t0);
+      k_ops.dot_rows(a.Row(i), scratch.Row(t0), b.cols(), count, a.cols(), dots);
+      for (size_t t = 0; t < count; ++t) {
+        orow[cols[t0 + t]] = dots[t];
+      }
+    }
+  }
+  return grew;
+}
+
 // wf-hot-path: workspace-arena — accumulates dW into the parameter block's
-// own gradient, one gemm_at_row call per row; no temporary product.
-void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const KernelOps* ops) {
+// own gradient; the b-sparse form stages acc's live columns in the caller's
+// `scratch`, sized on the first call.
+size_t MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, Matrix& scratch,
+                     const KernelOps* ops) {
   assert(a.rows() == b.rows());
   assert(acc.rows() == a.cols() && acc.cols() == b.cols());
+  assert(&scratch != &a && &scratch != &b && &scratch != &acc);
+  constexpr size_t kLiveChunk = 64;
+  const size_t n = a.cols();
+  const size_t m = b.cols();
+  // Reshaped whichever form runs, so a later switch of form never grows it.
+  const size_t grew = scratch.Reshape(std::min(m, kLiveChunk), n) ? 1 : 0;
   if (a.rows() == 0) {
-    return;  // An empty a has no row 0 to take column pointers from.
+    return grew;  // An empty a has no row 0 to take column pointers from.
   }
-  // Row i of acc is column i of a against all of b: one gemm_at_row call
-  // keeps a tile of acc row i in registers across the k (batch) loop, where
-  // a k-outer loop would stream the whole of acc through memory per k.
   const KernelOps& k_ops = ResolveKernels(ops);
-  for (size_t i = 0; i < a.cols(); ++i) {
-    k_ops.gemm_at_row(a.Row(0) + i, a.cols(), a.rows(), b.Row(0), b.cols(), acc.Row(i),
-                      b.cols());
+  // The form that multiplies fewer products: nnz(a) * m for the a-sparse
+  // form, nnz(b) * n for the b-sparse one. Counting a stops once its cost
+  // passes b's, which does not change the choice.
+  const size_t b_cost = CountNonzero(b.Row(0), b.size()) * n;
+  size_t a_cost = 0;
+  for (size_t k = 0; k < a.rows() && a_cost <= b_cost; ++k) {
+    a_cost += CountNonzero(a.Row(k), n) * m;
   }
+  if (a_cost <= b_cost) {
+    // a-sparse: row i of acc is column i of a against all of b. One
+    // gemm_at_row call keeps a tile of acc row i in registers across the k
+    // (batch) loop, where a k-outer loop would stream the whole of acc
+    // through memory per k.
+    for (size_t i = 0; i < n; ++i) {
+      k_ops.gemm_at_row(a.Row(0) + i, n, a.rows(), b.Row(0), m, acc.Row(i), m);
+    }
+    return grew;
+  }
+  // b-sparse: column j of acc is column j of b against all of a, the same
+  // gemm_at_row with the operands' roles swapped. A column of b that is all
+  // ±0 adds nothing and is skipped. Up to kLiveChunk live columns of acc at
+  // a time are staged as rows of `scratch`, read and written back one acc
+  // row at a time, so the products run on contiguous rows and acc is
+  // streamed twice rather than once per live column.
+  size_t live[kLiveChunk];
+  for (size_t j = 0; j < m;) {
+    size_t count = 0;
+    for (; j < m && count < kLiveChunk; ++j) {
+      for (size_t k = 0; k < b.rows(); ++k) {
+        if (b.At(k, j) != 0.0) {
+          live[count++] = j;
+          break;
+        }
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const double* acc_row = acc.Row(i);
+      for (size_t t = 0; t < count; ++t) {
+        scratch.At(t, i) = acc_row[live[t]];
+      }
+    }
+    for (size_t t = 0; t < count; ++t) {
+      k_ops.gemm_at_row(b.Row(0) + live[t], m, b.rows(), a.Row(0), n, scratch.Row(t), n);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      double* acc_row = acc.Row(i);
+      for (size_t t = 0; t < count; ++t) {
+        acc_row[live[t]] = scratch.At(t, i);
+      }
+    }
+  }
+  return grew;
 }
 
 // wf-hot-path: workspace-arena — db accumulated row by row into the bias

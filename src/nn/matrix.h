@@ -72,9 +72,37 @@ size_t MatMulAddBiasInto(const Matrix& a, const Matrix& b, const Matrix& bias, M
 // out = a * b^T            (a: NxK, b: MxK)
 size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out,
                     const KernelOps* ops = nullptr);
+// out = a * b^T in the columns `cols` (ascending, each < M) and 0 in every
+// other column. Each computed element is MatMulBtInto's, bit for bit (the
+// same dot_rows tree). The selected rows of b are copied into `scratch`,
+// which is reshaped to b's full shape, so a warm call never grows it. For a
+// layer whose input passed a ReLU: the columns that are 0 in every row of
+// the ReLU's output get their gradient zeroed anyway.
+size_t MatMulBtColsInto(const Matrix& a, const Matrix& b, const std::vector<size_t>& cols,
+                        Matrix& scratch, Matrix& out, const KernelOps* ops = nullptr);
 // acc += a^T * b — gradient accumulation without a temporary (acc: NxM).
-void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc,
-                   const KernelOps* ops = nullptr);
+// Every acc[i][j] adds the products a[k][i] * b[k][j] in ascending k, in one
+// of two forms chosen by cost, min(nnz(a) * M, nnz(b) * N) (a property of
+// the operands, not a setting; ties take the a-sparse form):
+//   * a-sparse — skips the k where a[k][i] == ±0 (one gemm_at_row per row
+//     of acc);
+//   * b-sparse — skips the k where b[k][j] == ±0 and the columns of b that
+//     are all ±0 (one gemm_at_row per live column of acc, with the roles of
+//     a and b swapped, on the live columns staged as rows of `scratch`).
+//     Dense-1's weight gradient takes it: most of dH1 is 0 behind dead ReLU
+//     units.
+// Both add every product whose factors are both nonzero, in the same k
+// order, so they differ only in which ±0 terms they add. Adding ±0 changes
+// nothing unless the running sum is -0 (then +0 + -0 = +0), or a factor is
+// infinite or NaN (then inf * 0 = NaN). So the two forms agree bit for bit
+// whenever every operand is finite and no acc entry is -0 on entry (a sum
+// that starts at +0 or a nonzero never reaches -0). The trunk satisfies
+// both: inputs and activations are finite, and every gradient starts at +0
+// (Adam stores +0 after each step). `scratch` is reshaped to
+// min(M, 64) x N on every call, whichever form runs, so a warm call never
+// grows it. Returns its growths.
+size_t MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, Matrix& scratch,
+                     const KernelOps* ops = nullptr);
 // acc += column-wise sums of m (acc: 1 x M).
 void ColSumAccum(const Matrix& m, Matrix& acc, const KernelOps* ops = nullptr);
 // Writes [a | b | c] into `out`.

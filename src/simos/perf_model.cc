@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <unordered_map>
 
@@ -253,6 +255,15 @@ double PerfModel::Response(AppId app, size_t param, double x) const {
 }
 
 PerfModel::PerfModel(const ConfigSpace* space, Substrate substrate, uint64_t seed)
+    : PerfModel(space, substrate, seed,
+                {AppId::kNginx, AppId::kRedis, AppId::kSqlite, AppId::kNpb}) {}
+
+PerfModel::PerfModel(const ConfigSpace* space, Substrate substrate, uint64_t seed,
+                     AppId only_app)
+    : PerfModel(space, substrate, seed, {only_app}) {}
+
+PerfModel::PerfModel(const ConfigSpace* space, Substrate substrate, uint64_t seed,
+                     std::initializer_list<AppId> apps)
     : space_(space), substrate_(substrate) {
   // Bloat mass: each enabled compile-time bool/tristate contributes hashed
   // cache/TLB pressure; the default configuration's mass anchors zero.
@@ -278,14 +289,24 @@ PerfModel::PerfModel(const ConfigSpace* space, Substrate substrate, uint64_t see
     default_bloat_ = default_mass / total_mass;
   }
 
-  for (AppId app : {AppId::kNginx, AppId::kRedis, AppId::kSqlite, AppId::kNpb}) {
+  for (AppId app : apps) {
     Targets targets = TargetsFor(substrate_, app);
     baseline_[static_cast<size_t>(app)] = targets.baseline;
     bloat_drag_[static_cast<size_t>(app)] = targets.bloat_drag;
     BuildEffects(app, seed);
     RescaleEffects(app);
     BuildInteractions(app, seed);
+    built_[static_cast<size_t>(app)] = true;
   }
+}
+
+size_t PerfModel::Index(AppId app) const {
+  const size_t index = static_cast<size_t>(app);
+  if (index >= built_.size() || !built_[index]) {
+    std::fprintf(stderr, "PerfModel: no tables for app %zu (built for one app only)\n", index);
+    std::abort();
+  }
+  return index;
 }
 
 void PerfModel::BuildEffects(AppId app, uint64_t seed) {
@@ -403,12 +424,13 @@ void PerfModel::BuildInteractions(AppId app, uint64_t seed) {
 }
 
 double PerfModel::Goodness(AppId app, const Configuration& config) const {
-  const auto& effects = effects_[static_cast<size_t>(app)];
+  const size_t index = Index(app);
+  const auto& effects = effects_[index];
   double goodness = 0.0;
   for (size_t i = 0; i < effects.size(); ++i) {
     goodness += Response(app, i, space_->EncodeParam(i, config.Raw(i)));
   }
-  for (const Interaction& inter : interactions_[static_cast<size_t>(app)]) {
+  for (const Interaction& inter : interactions_[index]) {
     double da = space_->EncodeParam(inter.a, config.Raw(inter.a)) - effects[inter.a].default_code;
     double db = space_->EncodeParam(inter.b, config.Raw(inter.b)) - effects[inter.b].default_code;
     goodness += inter.coefficient * da * db;
@@ -423,14 +445,14 @@ double PerfModel::Goodness(AppId app, const Configuration& config) const {
       bloat += compile_mass_[i] * enabled;
     }
   }
-  goodness += bloat_drag_[static_cast<size_t>(app)] * (default_bloat_ - bloat);
+  goodness += bloat_drag_[index] * (default_bloat_ - bloat);
   return goodness;
 }
 
 double PerfModel::MeanMetric(AppId app, const Configuration& config) const {
   const AppProfile& profile = GetApp(app);
   double goodness = Goodness(app, config);
-  double baseline = baseline_[static_cast<size_t>(app)];
+  double baseline = baseline_[Index(app)];
   return profile.maximize ? baseline * std::exp(goodness) : baseline * std::exp(-goodness);
 }
 
@@ -442,11 +464,11 @@ double PerfModel::SampleMetric(AppId app, const Configuration& config, Rng& run_
 }
 
 double PerfModel::BaselineMetric(AppId app) const {
-  return baseline_[static_cast<size_t>(app)];
+  return baseline_[Index(app)];
 }
 
 std::vector<double> PerfModel::TrueImportance(AppId app) const {
-  const auto& effects = effects_[static_cast<size_t>(app)];
+  const auto& effects = effects_[Index(app)];
   std::vector<double> importance(effects.size(), 0.0);
   for (size_t i = 0; i < effects.size(); ++i) {
     double max_abs = 0.0;
@@ -459,7 +481,7 @@ std::vector<double> PerfModel::TrueImportance(AppId app) const {
 }
 
 double PerfModel::MaxHeadroom(AppId app) const {
-  const auto& effects = effects_[static_cast<size_t>(app)];
+  const auto& effects = effects_[Index(app)];
   double sum = 0.0;
   for (size_t i = 0; i < effects.size(); ++i) {
     double best = 0.0;

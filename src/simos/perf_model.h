@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "src/configspace/config_space.h"
@@ -38,8 +39,14 @@ enum class Substrate { kLinuxKvm, kUnikraftKvm, kLinuxRiscvQemu };
 
 class PerfModel {
  public:
+  // Builds the tables of all four apps.
   PerfModel(const ConfigSpace* space, Substrate substrate = Substrate::kLinuxKvm,
             uint64_t seed = 0x5eedf00d);
+  // Builds the tables of `only_app` alone, a quarter of the work (Testbench
+  // holds one of these per bench). Each app's effects, rescale and
+  // interactions derive from (seed, parameter name, app) alone, so its
+  // values keep the four-app model's bits. Asking about another app aborts.
+  PerfModel(const ConfigSpace* space, Substrate substrate, uint64_t seed, AppId only_app);
 
   const ConfigSpace& space() const { return *space_; }
   Substrate substrate() const { return substrate_; }
@@ -85,6 +92,12 @@ class PerfModel {
     double coefficient = 0.0;  // Applied to the product of deviations.
   };
 
+  // Builds the shared bloat mass, then the tables of each app in `apps`.
+  PerfModel(const ConfigSpace* space, Substrate substrate, uint64_t seed,
+            std::initializer_list<AppId> apps);
+  // The table index of `app`; aborts when its tables were not built.
+  size_t Index(AppId app) const;
+
   static double ShapeValue(const ParamEffect& effect, double x);
   // Response anchored at the default (0 there), before pos/neg rescale.
   static double RawResponse(const ParamEffect& effect, double x);
@@ -96,6 +109,7 @@ class PerfModel {
 
   const ConfigSpace* space_;
   Substrate substrate_;
+  std::array<bool, 4> built_{};  // Apps whose tables were built.
   std::array<std::vector<ParamEffect>, 4> effects_;
   std::array<std::vector<Interaction>, 4> interactions_;
   std::array<double, 4> pos_scale_{1.0, 1.0, 1.0, 1.0};

@@ -42,12 +42,12 @@ Testbench::Testbench(const ConfigSpace* space, AppId app, const TestbenchOptions
     : space_(space),
       app_(app),
       options_(options),
-      perf_model_(space, options.substrate, options.seed),
+      perf_model_(space, options.substrate, options.seed, app),
       crash_model_(space, HashCombine(options.seed, 0xc4a5)),
       memory_model_(space, options.default_footprint_mb, HashCombine(options.seed, 0x3e30)) {
   if (options_.faults.drift_at > 0.0) {
     drifted_perf_ = std::make_shared<PerfModel>(space, options.substrate,
-                                                HashCombine(options.seed, 0xd21f7));
+                                                HashCombine(options.seed, 0xd21f7), app);
   }
 }
 

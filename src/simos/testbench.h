@@ -96,6 +96,7 @@ class Testbench {
 
   AppId app() const { return app_; }
   const ConfigSpace& space() const { return *space_; }
+  // Built for app() only: asking it about another app aborts.
   const PerfModel& perf_model() const { return perf_model_; }
   const CrashModel& crash_model() const { return crash_model_; }
   const MemoryModel& memory_model() const { return memory_model_; }

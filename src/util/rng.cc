@@ -29,37 +29,12 @@ uint64_t HashCombine(uint64_t a, uint64_t b) {
   return SplitMix64(state);
 }
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& word : state_) {
     word = SplitMix64(sm);
   }
 }
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 random bits into the mantissa.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   assert(lo <= hi);

@@ -466,8 +466,165 @@ TEST(KernelBackend, MatMulAtAccumMatchesKOrderedLoop) {
           }
         }
       }
-      MatMulAtAccum(a, b, acc, ops);
+      Matrix scratch;
+      MatMulAtAccum(a, b, acc, scratch, ops);
       EXPECT_EQ(acc.data(), expected.data()) << ops->name << " m=" << m;
+    }
+  }
+}
+
+// Entries of v that are not ±0.
+size_t Nonzeros(const Matrix& v) {
+  size_t count = 0;
+  for (double x : v.data()) {
+    count += x != 0.0 ? 1 : 0;
+  }
+  return count;
+}
+
+// MatMulAtAccum's b-sparse form against the same k-ordered loop: a b that
+// is over 90% zeros with whole zero columns (a dead unit's gradient), -0.0
+// entries in a and b, acc starting at +0 and at random values, widths
+// around every gemm_at_row tile, and an m = 200 whose live columns take
+// more than one 64-column staging chunk.
+// Both forms add the same nonzero products in the same k order, so the
+// result is the reference's bit for bit.
+TEST(KernelBackend, MatMulAtAccumBSparseMatchesKOrderedLoop) {
+  Rng rng(83);
+  const size_t k_dim = 32;
+  for (const KernelOps* ops : BothBackends()) {
+    for (size_t n : {7u, 37u, 298u}) {
+      for (size_t m : {1u, 2u, 5u, 15u, 16u, 17u, 64u, 200u}) {
+        for (bool zero_acc : {true, false}) {
+          SCOPED_TRACE(std::string(ops->name) + " n=" + std::to_string(n) +
+                       " m=" + std::to_string(m) + (zero_acc ? " acc=+0" : " acc=random"));
+          Matrix a = RandomMatrix(rng, k_dim, n);
+          for (double& v : a.data()) {
+            if (rng.Bernoulli(0.3)) {
+              v = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+            }
+          }
+          // At most 5% live entries (at least one), plus as many -0.0, none
+          // in the columns j % 3 == 1 when m > 1.
+          Matrix b(k_dim, m, 0.0);
+          auto random_entry = [&]() -> double& {
+            size_t j = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(m) - 1));
+            if (m > 1 && j % 3 == 1) {
+              j -= 1;
+            }
+            return b.At(static_cast<size_t>(rng.UniformInt(0, k_dim - 1)), j);
+          };
+          for (size_t t = 0; t < std::max<size_t>(1, b.size() / 20); ++t) {
+            random_entry() = rng.Normal();
+            double& zero = random_entry();
+            if (zero == 0.0) {
+              zero = -0.0;
+            }
+          }
+          ASSERT_GT(Nonzeros(b), 0u);
+          ASSERT_LE(Nonzeros(b) * 10, b.size());
+          // The b-sparse form is the cheaper one, so it is the one tested.
+          ASSERT_LT(Nonzeros(b) * n, Nonzeros(a) * m);
+          Matrix acc = zero_acc ? Matrix(n, m, 0.0) : RandomMatrix(rng, n, m);
+          Matrix expected = acc;
+          for (size_t k = 0; k < k_dim; ++k) {
+            for (size_t i = 0; i < n; ++i) {
+              if (a.At(k, i) == 0.0) {
+                continue;
+              }
+              for (size_t j = 0; j < m; ++j) {
+                expected.At(i, j) += a.At(k, i) * b.At(k, j);
+              }
+            }
+          }
+          Matrix scratch;
+          MatMulAtAccum(a, b, acc, scratch, ops);
+          ExpectSameBits(acc.data(), expected.data(), "MatMulAtAccum b-sparse");
+        }
+      }
+    }
+  }
+}
+
+// MatMulBtColsInto: the selected columns are MatMulBtInto's bit for bit,
+// every other column is +0, across dot_rows' 4-row blocks and tails and
+// past its 64-row chunk.
+TEST(KernelBackend, MatMulBtColsIntoMatchesFullProductOnItsColumns) {
+  Rng rng(85);
+  for (const KernelOps* ops : BothBackends()) {
+    for (size_t rows_b : {1u, 5u, 64u, 70u}) {
+      for (size_t every : {1u, 3u, 4u}) {
+        Matrix a = RandomMatrix(rng, 9, 33);
+        Matrix b = RandomMatrix(rng, rows_b, 33);
+        std::vector<size_t> cols;
+        for (size_t c = every - 1; c < rows_b; c += every) {
+          cols.push_back(c);
+        }
+        Matrix full;
+        MatMulBtInto(a, b, full, ops);
+        Matrix want(a.rows(), rows_b, 0.0);
+        for (size_t i = 0; i < a.rows(); ++i) {
+          for (size_t c : cols) {
+            want.At(i, c) = full.At(i, c);
+          }
+        }
+        Matrix scratch;
+        Matrix got(a.rows(), rows_b, 7.0);  // Stale values must be overwritten.
+        MatMulBtColsInto(a, b, cols, scratch, got, ops);
+        ExpectSameBits(got.data(), want.data(),
+                       std::string(ops->name) + " MatMulBtColsInto rows_b=" +
+                           std::to_string(rows_b) + " every=" + std::to_string(every));
+      }
+    }
+  }
+}
+
+// axpy_diff_rows against a loop of axpy_diff calls (which the scalar
+// reference below writes out) on both backends: count 0 leaves acc
+// untouched, n around the 16- and 4-wide tiles with scalar tails, and the
+// RBF shapes (a batch of 32 rows at 298 wide, 12 centroids at 64 and 32).
+TEST(KernelBackend, AxpyDiffRowsMatchesLoopOfAxpyDiff) {
+  Rng rng(87);
+  struct Shape {
+    size_t count, n;
+  };
+  std::vector<Shape> shapes;
+  for (size_t count : {0u, 1u, 2u, 5u}) {
+    for (size_t n : {0u, 1u, 3u, 4u, 6u, 15u, 16u, 17u, 21u, 33u}) {
+      shapes.push_back({count, n});
+    }
+  }
+  shapes.push_back({32, 298});
+  shapes.push_back({12, 64});
+  shapes.push_back({12, 32});
+  for (const Shape& shape : shapes) {
+    std::vector<std::vector<double>> x(shape.count);
+    std::vector<const double*> x_rows(shape.count);
+    std::vector<double> s = RandomArray(rng, shape.count);
+    for (size_t r = 0; r < shape.count; ++r) {
+      x[r] = RandomArray(rng, shape.n);
+      x_rows[r] = x[r].data();
+    }
+    const std::vector<double> y = RandomArray(rng, shape.n);
+    const std::vector<double> acc0 = RandomArray(rng, shape.n);
+    std::vector<double> want = acc0;
+    for (size_t r = 0; r < shape.count; ++r) {
+      for (size_t j = 0; j < shape.n; ++j) {
+        want[j] += s[r] * (x[r][j] - y[j]);
+      }
+    }
+    for (const KernelOps* ops : BothBackends()) {
+      const std::string what = std::string(ops->name) + " count=" +
+                               std::to_string(shape.count) + " n=" + std::to_string(shape.n);
+      std::vector<double> got = acc0;
+      ops->axpy_diff_rows(s.data(), x_rows.data(), shape.count, y.data(), got.data(),
+                          shape.n);
+      ExpectSameBits(got, want, "axpy_diff_rows " + what);
+      std::vector<double> looped = acc0;
+      for (size_t r = 0; r < shape.count; ++r) {
+        ops->axpy_diff(s[r], x_rows[r], y.data(), looped.data(), shape.n);
+      }
+      ExpectSameBits(got, looped, "axpy_diff loop " + what);
     }
   }
 }
@@ -758,8 +915,9 @@ TEST(KernelBackend, MatrixKernelsMatchAcrossBackends) {
 
         Matrix c = RandomMatrix(rng, n, m);
         Matrix acc_p(k, m, 0.25), acc_s(k, m, 0.25);
-        MatMulAtAccum(a, c, acc_p, portable);
-        MatMulAtAccum(a, c, acc_s, simd);
+        Matrix scratch;
+        MatMulAtAccum(a, c, acc_p, scratch, portable);
+        MatMulAtAccum(a, c, acc_s, scratch, simd);
         for (size_t i = 0; i < acc_p.size(); ++i) {
           EXPECT_EQ(acc_p.data()[i], acc_s.data()[i]);
         }

@@ -7,10 +7,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <sstream>
 
 #include "src/core/dtm.h"
+#include "src/nn/kernels.h"
 #include "src/nn/layers.h"
 #include "src/nn/losses.h"
 #include "src/nn/matrix.h"
@@ -206,6 +208,88 @@ TEST(GradCheck, RbfLayer) {
   }
 }
 
+// The RBF backward pass as a per-(n, c) loop: each pair with a nonzero
+// scale adds into the row's dz, then into the centroid's gradient. Every
+// element of both therefore adds in the order BackwardInto must keep.
+void RbfBackwardReference(const RbfLayer& layer, const Matrix& z, const Matrix& phi,
+                          const Matrix& dphi, Matrix& centroid_grad, Matrix* dz) {
+  const Matrix& c = layer.centroid_values();
+  const double inv = 1.0 / (layer.gamma() * layer.gamma());
+  for (size_t n = 0; n < z.rows(); ++n) {
+    for (size_t ci = 0; ci < c.rows(); ++ci) {
+      double scale = dphi.At(n, ci) * phi.At(n, ci) * inv;
+      if (scale == 0.0) {
+        continue;
+      }
+      for (size_t j = 0; j < c.cols(); ++j) {
+        if (dz != nullptr) {
+          dz->At(n, j) += scale * (c.At(ci, j) - z.At(n, j));
+        }
+        centroid_grad.At(ci, j) += scale * (z.At(n, j) - c.At(ci, j));
+      }
+    }
+  }
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
+}
+
+// RbfLayer::BackwardInto equals the per-(n, c) loop bit for bit on both
+// backends: without dz (RBF-0), writing dz, and adding into a prefilled dz
+// (RBF-1 and -2), with zero scales from zero upstream gradients and from a
+// far-away row whose activations underflow to 0, at widths around the
+// kernel tiles and with a batch longer than the 64-row flush.
+TEST(RbfLayerTest, BackwardMatchesPerPairLoop) {
+  const KernelOps* backends[] = {&KernelsFor(KernelBackend::kPortable),
+                                 &KernelsFor(KernelBackend::kAvx2)};
+  for (const KernelOps* ops : backends) {
+    for (size_t d : {3u, 17u, 298u}) {
+      for (size_t rows : {1u, 32u, 100u}) {
+        for (int mode = 0; mode < 3; ++mode) {  // No dz, write dz, add into dz.
+          SCOPED_TRACE(std::string(ops->name) + " d=" + std::to_string(d) +
+                       " rows=" + std::to_string(rows) + " mode=" + std::to_string(mode));
+          Rng rng(41 + d + rows);
+          RbfLayer rbf(d, 12, 0.7 * std::sqrt(static_cast<double>(d)), rng);
+          Matrix z(rows, d);
+          for (double& v : z.data()) {
+            v = rng.Normal(0.0, 0.5);
+          }
+          for (size_t j = 0; j < d; ++j) {
+            z.At(rows - 1, j) = 1e3;  // Far from every centroid: phi underflows.
+          }
+          Matrix phi;
+          rbf.ForwardInto(z, phi, ops);
+          Matrix dphi(rows, 12);
+          for (double& v : dphi.data()) {
+            v = rng.Bernoulli(0.3) ? 0.0 : rng.Normal();
+          }
+          Matrix start_grad(12, d);
+          for (double& v : start_grad.data()) {
+            v = rng.Normal();
+          }
+          Matrix want_grad = start_grad;
+          Matrix want_dz(rows, d, 0.0);
+          if (mode == 2) {
+            for (double& v : want_dz.data()) {
+              v = rng.Normal();
+            }
+          }
+          Matrix got_dz = want_dz;
+          RbfBackwardReference(rbf, z, phi, dphi, want_grad, mode == 0 ? nullptr : &want_dz);
+          rbf.centroids().grad = start_grad;
+          rbf.BackwardInto(dphi, mode == 0 ? nullptr : &got_dz, /*accumulate=*/mode == 2, ops);
+          EXPECT_TRUE(SameBits(rbf.centroids().grad, want_grad));
+          if (mode != 0) {
+            EXPECT_TRUE(SameBits(got_dz, want_dz));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(RbfLayerTest, OutlierActivationsVanish) {
   Rng rng(17);
   RbfLayer rbf(4, 3, 0.5, rng);
@@ -389,7 +473,8 @@ TEST(KernelEquivalence, FastTransposedProductsMatchNaive) {
   }
   Matrix c = RandomMatrix(rng, 9, 11);  // For At: shares rows with a.
   Matrix fast_at(a.cols(), c.cols(), 0.0);  // MatMulAtAccum adds into it.
-  MatMulAtAccum(a, c, fast_at);
+  Matrix scratch;
+  MatMulAtAccum(a, c, fast_at, scratch);
   Matrix naive_at = NaiveMatMulAt(a, c);
   for (size_t i = 0; i < fast_at.size(); ++i) {
     EXPECT_NEAR(fast_at.data()[i], naive_at.data()[i], 1e-9);
@@ -477,6 +562,94 @@ TEST(DtmEquivalence, SinglePredictMatchesBatchRow) {
   }
 }
 
+// Order-sensitive hash of the bit patterns of `values`, chained onto `h`.
+uint64_t HashBits(uint64_t h, const double* values, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &values[i], sizeof(bits));
+    h = HashCombine(h, bits);
+  }
+  return h;
+}
+
+// Holds dense-1's units with c % 4 != 0 dead: a -1e3 bias keeps x W1 + b1
+// below 0 for every input in [0, 1]^width, through any short training.
+void KillDense1Units(DtmTrunk& trunk) {
+  Matrix& bias1 = trunk.Params()[1]->value;
+  for (size_t c = 0; c < bias1.cols(); ++c) {
+    if (c % 4 != 0) {
+      bias1.At(0, c) = -1e3;
+    }
+  }
+}
+
+// A trunk at the Linux job space's width (298 features, 30% of them 0) whose
+// dense-1 units with c % 4 != 0 carry a -1e3 bias: x W1 + b1 stays below 0
+// there for every input in [0, 1]^298, so 48 of the 64 units are dead on
+// every minibatch (asserted below, so the pin cannot hold vacuously) and the
+// backward pass runs its live-unit forms. Twenty Updates on a fixed replay,
+// then one PredictRows pass. The digest of every Params() value and every
+// prediction was recorded before the backward pass skipped dead units, and
+// both kernel backends must reproduce it bit for bit.
+TEST(DtmGolden, DeadUnitTrunkKeepsItsBits) {
+  const size_t dim = 298;
+  Rng rng(0x601d);
+  Matrix replay(64, dim);
+  for (double& v : replay.data()) {
+    v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform();
+  }
+  std::vector<bool> crashed(replay.rows());
+  std::vector<double> objective(replay.rows());
+  for (size_t i = 0; i < replay.rows(); ++i) {
+    crashed[i] = rng.Bernoulli(0.2);
+    objective[i] = rng.Normal(100.0, 10.0);
+  }
+  Matrix pool(16, dim);
+  for (double& v : pool.data()) {
+    v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform();
+  }
+  for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
+    SCOPED_TRACE(KernelBackendName(backend));
+    DtmOptions options;
+    options.kernels = backend;
+    DtmTrunk trunk(dim, 1, options);
+    std::vector<ParamBlock*> params = trunk.Params();
+    ASSERT_EQ(params[1]->value.cols(), 64u);
+    KillDense1Units(trunk);
+    for (size_t i = 0; i < replay.rows(); ++i) {
+      trunk.AddSample(std::vector<double>(replay.Row(i), replay.Row(i) + dim), crashed[i],
+                      &objective[i]);
+    }
+    for (int update = 0; update < 20; ++update) {
+      trunk.Update();
+    }
+
+    // The 48 units are still dead for every replay row after training.
+    Matrix h1 = NaiveMatMul(replay, params[0]->value);
+    AddRowInPlace(h1, params[1]->value);
+    size_t dead = 0;
+    for (size_t c = 0; c < h1.cols(); ++c) {
+      bool any_live = false;
+      for (size_t n = 0; n < h1.rows(); ++n) {
+        any_live = any_live || h1.At(n, c) > 0.0;
+      }
+      dead += any_live ? 0 : 1;
+    }
+    EXPECT_GE(dead, 48u);
+
+    uint64_t digest = StableHash("dtm-golden");
+    for (ParamBlock* p : params) {
+      digest = HashBits(digest, p->value.data().data(), p->value.size());
+    }
+    ASSERT_EQ(trunk.PredictRows(pool), pool.rows());
+    for (size_t i = 0; i < pool.rows(); ++i) {
+      const double out[3] = {trunk.CrashProb(i), trunk.Objective(i, 0), trunk.Sigma(i, 0)};
+      digest = HashBits(digest, out, 3);
+    }
+    EXPECT_EQ(digest, 0xa6198a23bcd19b7dULL) << std::hex << digest;
+  }
+}
+
 TEST(DtmWorkspace, NoAllocationAfterWarmup) {
   const size_t dim = 25;
   DeepTuneModel model(dim, {});
@@ -533,6 +706,30 @@ TEST(DtmWorkspace, NoAllocationAfterWarmup) {
   EXPECT_EQ(predict_news, 0u) << "warm PredictRows() allocated " << predict_news
                               << " times";
   EXPECT_EQ(single_news, 0u) << "warm Predict() allocated " << single_news << " times";
+
+  // The same at the Linux job space's width with 48 of 64 dense-1 units
+  // dead, where Update runs the live-unit backward: dW1 in MatMulAtAccum's
+  // b-sparse form, dense-2's dh1 in the live columns only, and the RBF
+  // scale tables.
+  DtmTrunk dead(298, 1, DtmOptions{});
+  KillDense1Units(dead);
+  for (size_t i = 0; i < 64; ++i) {
+    std::vector<double> x(298);
+    for (double& v : x) {
+      v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform();
+    }
+    const double objective = rng.Normal(0.0, 1.0);
+    dead.AddSample(x, rng.Bernoulli(0.25), &objective);
+  }
+  dead.Update();
+  const size_t dead_warm = dead.workspace_grow_count();
+  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (int round = 0; round < 3; ++round) {
+    dead.Update();
+  }
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u)
+      << "warm dead-unit Update() allocated";
+  EXPECT_EQ(dead.workspace_grow_count(), dead_warm);
 }
 
 TEST(MatrixTest, ReshapeReportsGrowthOnlyWhenBufferGrows) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/configspace/linux_space.h"
 #include "src/configspace/unikraft_space.h"
@@ -46,6 +47,56 @@ TEST_F(SimosFixture, PerfModelIsDeterministic) {
   EXPECT_DOUBLE_EQ(a, b);
   PerfModel other(&space_);
   EXPECT_DOUBLE_EQ(other.MeanMetric(AppId::kNginx, config), a);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// A Testbench builds the PerfModel tables of its own app only. Every app's
+// tables derive from (seed, parameter name, app), so the one-app model's
+// metrics equal the four-app model's bit for bit, on every substrate and
+// under a drifted seed; asking it about another app aborts.
+TEST(PerfModelOneApp, MatchesTheFourAppModelBitForBit) {
+  ConfigSpace linux_space = BuildLinuxSearchSpace();
+  ConfigSpace unikraft_space = BuildUnikraftSpace();
+  struct Case {
+    const ConfigSpace* space;
+    Substrate substrate;
+    uint64_t seed;
+  };
+  const Case cases[] = {
+      {&linux_space, Substrate::kLinuxKvm, 0xbe27c4},
+      {&linux_space, Substrate::kLinuxRiscvQemu, 0xbe27c4},
+      {&linux_space, Substrate::kLinuxKvm, HashCombine(0xbe27c4, 0xd21f7)},
+      {&unikraft_space, Substrate::kUnikraftKvm, 0x5eedf00d},
+  };
+  for (const Case& c : cases) {
+    const PerfModel all(c.space, c.substrate, c.seed);
+    for (const AppProfile& app : AllApps()) {
+      SCOPED_TRACE(app.name);
+      const PerfModel one(c.space, c.substrate, c.seed, app.id);
+      EXPECT_EQ(Bits(one.BaselineMetric(app.id)), Bits(all.BaselineMetric(app.id)));
+      Rng config_rng(7);
+      for (int i = 0; i < 20; ++i) {
+        Configuration config = c.space->RandomConfiguration(config_rng);
+        EXPECT_EQ(Bits(one.MeanMetric(app.id, config)), Bits(all.MeanMetric(app.id, config)));
+        Rng run_one(100 + i);
+        Rng run_all(100 + i);
+        EXPECT_EQ(Bits(one.SampleMetric(app.id, config, run_one)),
+                  Bits(all.SampleMetric(app.id, config, run_all)));
+      }
+    }
+  }
+}
+
+TEST(PerfModelOneApp, AnotherAppAborts) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  Testbench bench(&space, AppId::kRedis);
+  EXPECT_GT(bench.perf_model().BaselineMetric(AppId::kRedis), 0.0);
+  EXPECT_DEATH(bench.perf_model().BaselineMetric(AppId::kNginx), "no tables");
 }
 
 TEST_F(SimosFixture, SampleNoiseMatchesAppCv) {

@@ -466,6 +466,42 @@ TEST(HotPathAlloc, UnmarkedFunctionsAndReferencesAreSilent) {
   EXPECT_EQ(CountRule(diags, "hot-path-alloc"), 0) << FormatText(diags);
 }
 
+TEST(HotPathAlloc, FiresOnEveryAllocatingType) {
+  // A declaration or a temporary of each allocating type: Matrix (plain and
+  // qualified), std::string, std::map, std::unordered_map, std::function,
+  // and a thread_local container.
+  std::string bad = HotMarker() +
+                    "void Step(Workspace& ws) {\n"
+                    "  Matrix tmp(4, 4);\n"
+                    "  wayfinder::Matrix copy = ws.h1;\n"
+                    "  std::string s(\"x\");\n"
+                    "  std::map<int, double> by_id;\n"
+                    "  std::unordered_map<std::string, int> index;\n"
+                    "  std::function<void(int)> callback = [](int) {};\n"
+                    "  thread_local std::vector<double> scratch;\n"
+                    "  Use(Matrix(2, 2), std::string{\"y\"});\n"
+                    "}\n";
+  auto diags = Lint("src/nn/fixture.cc", bad);
+  EXPECT_EQ(CountRule(diags, "hot-path-alloc"), 9) << FormatText(diags);
+}
+
+TEST(HotPathAlloc, ReferencesPointersAndNamesOfAllocatingTypesAreSilent) {
+  std::string good = HotMarker() +
+                     "size_t Step(const Matrix& x, Matrix* out, const std::string& name) {\n"
+                     "  const Matrix& h1 = x;\n"
+                     "  Matrix* slot = out;\n"
+                     "  std::string_view view = name;\n"
+                     "  const std::map<int, double>& table = Table();\n"
+                     "  std::function<void()>* hook = nullptr;\n"
+                     "  size_t npos = std::string::npos;\n"
+                     "  Rng rng = Matrix::Seed(h1.rows());\n"
+                     "  auto f = [&]() -> Matrix& { return *slot; };\n"
+                     "  return ws.Matrix + npos + Use(view, table, hook, rng, f);\n"
+                     "}\n";
+  auto diags = Lint("src/nn/fixture.cc", good);
+  EXPECT_EQ(CountRule(diags, "hot-path-alloc"), 0) << FormatText(diags);
+}
+
 TEST(HotPathAlloc, MarkerOnDeclarationDoesNotLeak) {
   // A marker above a *declaration* must not arm the next unrelated body.
   std::string src = HotMarker() +
