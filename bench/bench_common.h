@@ -5,6 +5,10 @@
 // substrate; see DESIGN.md §2 for the substitutions) and writes the raw
 // data as CSV into the working directory for plotting.
 //
+// The bench_micro_* binaries instead time the library's hot paths and print
+// one JSON rate record per line (OpsPerSec, PrintRate below) for
+// tools/run_benches.sh and tools/bench_compare.py.
+//
 // Environment knobs:
 //   WF_RUNS   repetitions averaged per curve (default 3; paper uses 5)
 //   WF_ITERS  search iterations per session   (default 250, as in §4.1)
@@ -12,6 +16,8 @@
 #ifndef WAYFINDER_BENCH_BENCH_COMMON_H_
 #define WAYFINDER_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -89,6 +95,55 @@ inline double FinalSmoothedObjective(const std::vector<SessionResult>& results) 
 }
 
 inline std::string CsvPath(const std::string& name) { return name + ".csv"; }
+
+// --- Micro benches -----------------------------------------------------------
+
+// The micro benches' measurement window: a third of 0.4 s, or of 0.15 s in
+// smoke mode (WF_FAST set to anything but "" or "0").
+inline double MicroWindowSeconds() {
+  const char* fast = std::getenv("WF_FAST");
+  const bool smoke = fast != nullptr && fast[0] != '\0' && fast[0] != '0';
+  return (smoke ? 0.15 : 0.4) / 3;
+}
+
+// Calls `op` once to warm up (fills workspaces, takes first-touch page faults
+// and allocator growth off the clock), then back to back through three
+// windows of at least `window_seconds` each, and returns the best window's
+// rate: `units_per_call` units per call of `op`, per second. Best-of-3
+// defends the regression gate against one-sided wall-clock noise (frequency
+// drift, co-tenant load): slowdowns only ever push a window down, so the
+// fastest window is the closest sample to the machine's steady-state rate.
+template <typename Op>
+double OpsPerSec(double window_seconds, size_t units_per_call, Op&& op) {
+  using Clock = std::chrono::steady_clock;
+  op();
+  double best = 0.0;
+  for (int window = 0; window < 3; ++window) {
+    size_t calls = 0;
+    auto start = Clock::now();
+    double elapsed = 0.0;
+    do {
+      op();
+      ++calls;
+      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+    } while (elapsed < window_seconds);
+    best = std::max(best, static_cast<double>(calls * units_per_call) / elapsed);
+  }
+  return best;
+}
+
+// Prints one rate record. `gate` declares whether tools/bench_compare.py
+// gates the record PR-over-PR; a record whose rate moves with the host (its
+// storage stack, its code layout, an injected failure mix) rather than with
+// the code under review declares false and is only tracked. `extra` holds
+// further fields, each written as `, "key": value`.
+inline void PrintRate(const std::string& bench, const std::string& variant,
+                      double ops_per_sec, bool gate, const std::string& extra = "") {
+  std::printf("{\"bench\": \"%s\", \"variant\": \"%s\", \"ops_per_sec\": %.2f, "
+              "\"gate\": %s%s}\n",
+              bench.c_str(), variant.c_str(), ops_per_sec, gate ? "true" : "false",
+              extra.c_str());
+}
 
 }  // namespace wayfinder
 

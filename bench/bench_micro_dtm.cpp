@@ -1,7 +1,7 @@
 // Micro-benchmarks of the DeepTune Model's per-iteration primitives — the
 // constants behind Figure 8's "update < 1 s" claim — emitting one JSON
 // object per line so tools/run_benches.sh and tools/bench_compare.py can
-// track them PR-over-PR.
+// track them PR-over-PR. Every rate record gates.
 //
 //   * dtm_update_*: one full Update() — minibatch gather from the replay
 //     buffer, forward/backward, losses, Chamfer, Adam — on the portable and
@@ -40,7 +40,6 @@
 //   WF_FAST=1 shortens the measurement window (smoke mode, the
 //   run_benches.sh default).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/configspace/linux_space.h"
 #include "src/core/deeptune.h"
 #include "src/core/dtm.h"
@@ -63,43 +63,12 @@
 namespace wayfinder {
 namespace {
 
-double g_measure_seconds = 0.4;
-
 std::vector<double> RandomFeatures(Rng& rng, size_t dim) {
   std::vector<double> x(dim);
   for (double& v : x) {
     v = rng.Uniform();
   }
   return x;
-}
-
-// Runs `op` across three measurement windows and returns the best window's
-// executions/sec. Best-of-N defends the regression gate against one-sided
-// wall-clock noise (frequency drift, co-tenant load): slowdowns only ever
-// push a window down, so the fastest window is the closest sample to the
-// machine's steady-state rate.
-template <typename Op>
-double OpsPerSec(Op&& op) {
-  using Clock = std::chrono::steady_clock;
-  op();  // Warm up (fills workspaces so steady state is measured).
-  double best = 0.0;
-  for (int window = 0; window < 3; ++window) {
-    size_t iters = 0;
-    auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-      op();
-      ++iters;
-      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    } while (elapsed < g_measure_seconds / 3);
-    best = std::max(best, static_cast<double>(iters) / elapsed);
-  }
-  return best;
-}
-
-void Report(const std::string& bench, const std::string& variant, double ops_per_sec) {
-  std::printf("{\"bench\": \"%s\", \"variant\": \"%s\", \"ops_per_sec\": %.2f}\n",
-              bench.c_str(), variant.c_str(), ops_per_sec);
 }
 
 void SeedReplayBuffer(DeepTuneModel& model, size_t dim, size_t samples) {
@@ -126,7 +95,7 @@ double BenchUpdate(size_t dim, size_t samples, KernelBackend backend) {
     options.kernels = backend;
     auto model = std::make_unique<DeepTuneModel>(dim, options);
     SeedReplayBuffer(*model, dim, samples);
-    best = std::max(best, OpsPerSec([&] { model->Update(); }));
+    best = std::max(best, OpsPerSec(MicroWindowSeconds(), 1, [&] { model->Update(); }));
     pad.emplace_back(769 + 331 * instance + 97 * instance * instance, 0.0);
   }
   return best;
@@ -210,7 +179,7 @@ double BenchUpdateLinux298(const LinuxReplay& replay, KernelBackend backend,
       *dead_units = DeadDense1Units(trunk, replay.features);
     }
   }
-  return OpsPerSec([&] { trunk.Update(); });
+  return OpsPerSec(MicroWindowSeconds(), 1, [&] { trunk.Update(); });
 }
 
 // Full Propose — pool assembly + batched prediction + scoring — on a warm
@@ -246,7 +215,7 @@ double BenchPropose(size_t pool) {
     searcher.Observe(trial, context);
     history.push_back(trial);
   }
-  return OpsPerSec([&] { searcher.Propose(context); });
+  return OpsPerSec(MicroWindowSeconds(), 1, [&] { searcher.Propose(context); });
 }
 
 // Pool scoring alone, on the default kernel table: 128 candidates (a random
@@ -265,10 +234,13 @@ double BenchScorePool() {
   spec.pool_size = 128;
   std::vector<Configuration> pool;
   Matrix encoded;
-  AssembleProposalPool(space, {}, SampleOptions::FavorRuntime(), spec, 17, pool, encoded);
+  PoolScratch scratch;
+  AssembleProposalPool(space, {}, SampleOptions::FavorRuntime(), spec, 17, pool, encoded,
+                       scratch);
   const KernelOps& ops = DefaultKernels();
   std::vector<double> ds;
-  return OpsPerSec([&] { PoolDissimilarity(encoded, ring, ring.count(), ops, &ds); });
+  return OpsPerSec(MicroWindowSeconds(), 1,
+                   [&] { PoolDissimilarity(encoded, ring, ring.count(), ops, &ds); });
 }
 
 // Pool assembly alone, warm: 128 candidates from 4 elites, as DeepTune
@@ -286,7 +258,7 @@ double BenchAssemblePool() {
   Matrix encoded;
   PoolScratch scratch;
   uint64_t pool_seed = 0;
-  return OpsPerSec([&] {
+  return OpsPerSec(MicroWindowSeconds(), 1, [&] {
     AssembleProposalPool(space, elites, SampleOptions::FavorRuntime(), spec, ++pool_seed, pool,
                          encoded, scratch);
   });
@@ -306,11 +278,6 @@ int main(int argc, char** argv) {
       samples = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     }
   }
-  if (const char* fast = std::getenv("WF_FAST")) {
-    if (fast[0] != '\0' && fast[0] != '0') {
-      g_measure_seconds = 0.15;
-    }
-  }
 
   const bool has_avx2 = KernelBackendAvailable(KernelBackend::kAvx2);
   std::printf("{\"bench\": \"kernel_backend\", \"default\": \"%s\", \"avx2_available\": %s}\n",
@@ -320,9 +287,9 @@ int main(int argc, char** argv) {
   const std::string update_bench =
       "dtm_update_" + std::to_string(dim) + "d_" + std::to_string(samples) + "s";
   double portable_ops = BenchUpdate(dim, samples, KernelBackend::kPortable);
-  Report(update_bench, KernelBackendName(KernelBackend::kPortable), portable_ops);
+  PrintRate(update_bench, KernelBackendName(KernelBackend::kPortable), portable_ops, true);
   double avx2_ops = BenchUpdate(dim, samples, KernelBackend::kAvx2);
-  Report(update_bench, KernelBackendName(KernelBackend::kAvx2), avx2_ops);
+  PrintRate(update_bench, KernelBackendName(KernelBackend::kAvx2), avx2_ops, true);
   if (portable_ops > 0.0) {
     std::printf("{\"bench\": \"dtm_update_speedup\", \"avx2_over_portable\": %.2f}\n",
                 avx2_ops / portable_ops);
@@ -335,17 +302,15 @@ int main(int argc, char** argv) {
   for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
     double dead_units = 0.0;
     double ops = BenchUpdateLinux298(replay, backend, &dead_units);
-    std::printf(
-        "{\"bench\": \"%s\", \"variant\": \"%s\", \"ops_per_sec\": %.2f, "
-        "\"dead_units\": %.1f}\n",
-        linux_bench.c_str(), KernelBackendName(backend), ops, dead_units);
+    char dead[40];
+    std::snprintf(dead, sizeof(dead), ", \"dead_units\": %.1f", dead_units);
+    PrintRate(linux_bench, KernelBackendName(backend), ops, true, dead);
   }
 
-  // Full Propose — pool assembly + batched prediction. The `propose_*`
-  // family gates in bench_compare.py like the other micro anchors.
-  Report("propose_pool128", "serial", BenchPropose(128));
-  Report("propose_score_pool128", "hist128", BenchScorePool());
-  Report("propose_assemble_pool128", "elites4", BenchAssemblePool());
+  // Full Propose — pool assembly + batched prediction.
+  PrintRate("propose_pool128", "serial", BenchPropose(128), true);
+  PrintRate("propose_score_pool128", "hist128", BenchScorePool(), true);
+  PrintRate("propose_assemble_pool128", "elites4", BenchAssemblePool(), true);
 
   // Replay append (default backend).
   {
@@ -358,9 +323,10 @@ int main(int argc, char** argv) {
       Rng rng(3);
       std::vector<double> x = RandomFeatures(rng, dim);
       const std::vector<double> objective = {1.0};
-      best = std::max(best, OpsPerSec([&] { model->AddSample(x, false, objective); }));
+      best = std::max(best, OpsPerSec(MicroWindowSeconds(), 1,
+                                      [&] { model->AddSample(x, false, objective); }));
     }
-    Report("dtm_add_sample", "fast", best);
+    PrintRate("dtm_add_sample", "fast", best, true);
   }
   return 0;
 }

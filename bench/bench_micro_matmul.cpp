@@ -11,16 +11,17 @@
 // Usage: bench_micro_matmul [--naive] [--dim D]
 //   --naive     only measure the reference path (the seed implementation)
 //
-// Output: one JSON object per line ({"bench": ..., "ops_per_sec": ...}),
-// then a summary object with the pool-1024 fast-vs-naive speedup.
+// Output: one gated JSON rate record per line (PrintRate in
+// bench/bench_common.h), then a summary object with the pool-1024
+// fast-vs-naive speedup.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/core/dtm.h"
 #include "src/nn/kernels.h"
 #include "src/nn/matrix.h"
@@ -45,36 +46,9 @@ Matrix RandomMatrix(Rng& rng, size_t rows, size_t cols) {
   return m;
 }
 
-// Runs `op` across three ~0.13 s measurement windows and returns the best
-// window's executions per second. Best-of-N is the standard defense against
-// one-sided wall-clock noise (frequency drift, co-tenant load): slowdowns
-// only ever push a window down, so the fastest window is the closest sample
-// to the machine's true steady-state rate — which is what the PR-over-PR
-// regression gate needs to compare.
-template <typename Op>
-double OpsPerSec(Op&& op) {
-  using Clock = std::chrono::steady_clock;
-  // Warm up (fills workspaces so steady state is measured).
-  op();
-  double best = 0.0;
-  for (int window = 0; window < 3; ++window) {
-    size_t iters = 0;
-    auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-      op();
-      ++iters;
-      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    } while (elapsed < 0.4 / 3);
-    best = std::max(best, static_cast<double>(iters) / elapsed);
-  }
-  return best;
-}
-
-void Report(const std::string& bench, const std::string& variant, double ops_per_sec) {
-  std::printf("{\"bench\": \"%s\", \"variant\": \"%s\", \"ops_per_sec\": %.2f}\n",
-              bench.c_str(), variant.c_str(), ops_per_sec);
-}
+// Every measurement here runs in ~0.13 s windows, smoke mode included, and
+// every record gates.
+constexpr double kWindowSeconds = 0.4 / 3;
 
 double BenchPredict(size_t dim, size_t pool, bool naive) {
   // Measured over several model instances, keeping the best: mid-size pools
@@ -110,7 +84,8 @@ double BenchPredict(size_t dim, size_t pool, bool naive) {
     for (double& v : candidates.data()) {
       v = (v + 3.0) / 6.0;  // Roughly [0, 1], like encoded configurations.
     }
-    best = std::max(best, OpsPerSec([&] { model->PredictRows(candidates); }));
+    best = std::max(best,
+                    OpsPerSec(kWindowSeconds, 1, [&] { model->PredictRows(candidates); }));
     pad.emplace_back(769 + 331 * instance + 97 * instance * instance, 0.0);
   }
   return best;
@@ -137,37 +112,40 @@ int main(int argc, char** argv) {
   Matrix bias = RandomMatrix(rng, 1, 64);
   Matrix out;
 
+  const std::string matmul = "matmul_256x" + std::to_string(dim) + "x64";
+  const std::string fused = "matmul_fused_bias_256x" + std::to_string(dim) + "x64";
   if (!naive_only) {
     // "fast" runs the process-default kernel backend (avx2 on AVX2 CPUs);
     // the explicit portable variant keeps the scalar-fast-path trajectory
     // comparable PR-over-PR.
-    Report("matmul_256x" + std::to_string(dim) + "x64", "fast",
-           OpsPerSec([&] { MatMulInto(a, b, out); }));
-    Report("matmul_fused_bias_256x" + std::to_string(dim) + "x64", "fast",
-           OpsPerSec([&] { MatMulAddBiasInto(a, b, bias, out); }));
+    PrintRate(matmul, "fast", OpsPerSec(kWindowSeconds, 1, [&] { MatMulInto(a, b, out); }),
+              true);
+    PrintRate(fused, "fast",
+              OpsPerSec(kWindowSeconds, 1, [&] { MatMulAddBiasInto(a, b, bias, out); }), true);
     if (KernelBackendAvailable(KernelBackend::kAvx2)) {
       const KernelOps* portable = &KernelsFor(KernelBackend::kPortable);
-      Report("matmul_256x" + std::to_string(dim) + "x64", "fast_portable",
-             OpsPerSec([&] { MatMulInto(a, b, out, portable); }));
-      Report("matmul_fused_bias_256x" + std::to_string(dim) + "x64", "fast_portable",
-             OpsPerSec([&] { MatMulAddBiasInto(a, b, bias, out, portable); }));
+      PrintRate(matmul, "fast_portable",
+                OpsPerSec(kWindowSeconds, 1, [&] { MatMulInto(a, b, out, portable); }), true);
+      PrintRate(fused, "fast_portable",
+                OpsPerSec(kWindowSeconds, 1,
+                          [&] { MatMulAddBiasInto(a, b, bias, out, portable); }),
+                true);
     }
   }
-  Report("matmul_256x" + std::to_string(dim) + "x64", "naive",
-         OpsPerSec([&] { NaiveMatMul(a, b); }));
+  PrintRate(matmul, "naive", OpsPerSec(kWindowSeconds, 1, [&] { NaiveMatMul(a, b); }), true);
 
   double naive_1024 = 0.0;
   double fast_1024 = 0.0;
   for (size_t pool : {size_t{64}, size_t{256}, size_t{1024}}) {
     std::string bench = "predict_batch_" + std::to_string(pool);
     double naive_ops = BenchPredict(dim, pool, /*naive=*/true);
-    Report(bench, "naive", naive_ops);
+    PrintRate(bench, "naive", naive_ops, true);
     if (pool == 1024) {
       naive_1024 = naive_ops;
     }
     if (!naive_only) {
       double fast_ops = BenchPredict(dim, pool, /*naive=*/false);
-      Report(bench, "fast", fast_ops);
+      PrintRate(bench, "fast", fast_ops, true);
       if (pool == 1024) {
         fast_1024 = fast_ops;
       }

@@ -17,6 +17,12 @@
 //     off — the price every instrumented site pays in a metrics-off
 //     process (should be within a few x of the empty-loop bound).
 //
+// The two obs_overhead rates gate PR-over-PR. The obs_record rates declare
+// `"gate": false`: at a few ns per op they are dominated by binary code
+// layout and cycle jitter, not by the code under review (a duplicate
+// predict record in a second binary once swung 0.75-1.0x on layout alone),
+// so the end-to-end obs_overhead pair is their gate.
+//
 // Usage: bench_micro_obs [--iterations N]
 //   WF_FAST=1 shortens the measurement window (smoke mode).
 #include <algorithm>
@@ -26,6 +32,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/configspace/linux_space.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -35,29 +42,7 @@
 namespace wayfinder {
 namespace {
 
-double g_measure_seconds = 0.4;
-
 using Clock = std::chrono::steady_clock;
-
-// Best-of-3 windows (see bench_micro_dtm): wall-clock noise only ever slows
-// a window down, so the fastest window approximates the steady-state rate.
-template <typename Op>
-double OpsPerSec(size_t ops_per_call, Op&& op) {
-  op();  // Warm up.
-  double best = 0.0;
-  for (int window = 0; window < 3; ++window) {
-    size_t calls = 0;
-    auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-      op();
-      ++calls;
-      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    } while (elapsed < g_measure_seconds / 3);
-    best = std::max(best, static_cast<double>(calls * ops_per_call) / elapsed);
-  }
-  return best;
-}
 
 void RunOneSession(const ConfigSpace& space, size_t iterations, uint64_t seed) {
   Testbench bench(&space, AppId::kNginx);
@@ -108,12 +93,6 @@ int main(int argc, char** argv) {
       iterations = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     }
   }
-  if (const char* fast = std::getenv("WF_FAST")) {
-    if (fast[0] != '\0' && fast[0] != '0') {
-      g_measure_seconds = 0.15;
-    }
-  }
-
   // --- end-to-end overhead: metrics off vs on, paired chunks -----------------
   ConfigSpace space = BuildLinuxSearchSpace();
   obs::SetEnabled(false);
@@ -157,12 +136,8 @@ int main(int argc, char** argv) {
     sum += pair_ratios[i];
   }
   double median_ratio = sum / static_cast<double>(pair_ratios.size() - 2 * q1);
-  std::printf("{\"bench\": \"obs_overhead\", \"variant\": "
-              "\"session_trials_per_sec_metrics_off\", \"ops_per_sec\": %.2f}\n",
-              best_off);
-  std::printf("{\"bench\": \"obs_overhead\", \"variant\": "
-              "\"session_trials_per_sec_metrics_on\", \"ops_per_sec\": %.2f}\n",
-              best_on);
+  PrintRate("obs_overhead", "session_trials_per_sec_metrics_off", best_off, true);
+  PrintRate("obs_overhead", "session_trials_per_sec_metrics_on", best_on, true);
   // The gate record: median of the paired chunk ratios, the noise-robust
   // overhead estimate tools/bench_compare.py checks against its budget.
   std::printf("{\"bench\": \"obs_overhead\", \"variant\": \"ratio\", "
@@ -176,37 +151,33 @@ int main(int argc, char** argv) {
   obs::TraceRing ring(obs::TraceRing::kDefaultCapacity);
 
   obs::SetEnabled(true);
-  double counter_rate = OpsPerSec(kOps, [&] {
+  double counter_rate = OpsPerSec(MicroWindowSeconds(), kOps, [&] {
     for (size_t i = 0; i < kOps; ++i) {
       counter.Add(1);
     }
   });
-  std::printf("{\"bench\": \"obs_record\", \"variant\": \"counter_add\", "
-              "\"ops_per_sec\": %.0f}\n", counter_rate);
-  double histogram_rate = OpsPerSec(kOps, [&] {
+  PrintRate("obs_record", "counter_add", counter_rate, false);
+  double histogram_rate = OpsPerSec(MicroWindowSeconds(), kOps, [&] {
     for (size_t i = 0; i < kOps; ++i) {
       histogram.Record(i * 977);
     }
   });
-  std::printf("{\"bench\": \"obs_record\", \"variant\": \"histogram_record\", "
-              "\"ops_per_sec\": %.0f}\n", histogram_rate);
-  double ring_rate = OpsPerSec(kOps, [&] {
+  PrintRate("obs_record", "histogram_record", histogram_rate, false);
+  double ring_rate = OpsPerSec(MicroWindowSeconds(), kOps, [&] {
     for (size_t i = 0; i < kOps; ++i) {
       ring.Record(obs::TraceKind::kEvaluate, i, static_cast<int64_t>(i) + 1, 1);
     }
   });
-  std::printf("{\"bench\": \"obs_record\", \"variant\": \"trace_ring_record\", "
-              "\"ops_per_sec\": %.0f}\n", ring_rate);
+  PrintRate("obs_record", "trace_ring_record", ring_rate, false);
 
   obs::SetEnabled(false);
-  double disabled_rate = OpsPerSec(kOps, [&] {
+  double disabled_rate = OpsPerSec(MicroWindowSeconds(), kOps, [&] {
     for (size_t i = 0; i < kOps; ++i) {
       counter.Add(1);
       histogram.Record(i);
       ring.Record(obs::TraceKind::kEvaluate, i, 1, 1);
     }
   });
-  std::printf("{\"bench\": \"obs_record\", \"variant\": \"disabled_noop\", "
-              "\"ops_per_sec\": %.0f}\n", disabled_rate);
+  PrintRate("obs_record", "disabled_noop", disabled_rate, false);
   return 0;
 }

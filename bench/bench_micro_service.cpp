@@ -7,44 +7,21 @@
 //     shell; the sessions themselves are deliberately tiny (random, 4
 //     trials) so the anchor tracks service overhead, which is what this
 //     layer adds on top of the session engine bench_micro_session anchors.
+//     Gates PR-over-PR.
 //
 // Usage: bench_micro_service   (WF_FAST=1 shortens the windows, smoke mode)
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
 
+#include "bench/bench_common.h"
 #include "src/service/client.h"
 #include "src/service/wfd.h"
 
 namespace wayfinder {
 namespace {
-
-double g_measure_seconds = 0.4;
-
-// Best-of-3 windows (see bench_micro_session): noise only slows a window
-// down, so the fastest window approximates the steady-state rate.
-template <typename Op>
-double OpsPerSec(Op&& op) {
-  using Clock = std::chrono::steady_clock;
-  op();  // Warm up (socket file, first connection).
-  double best = 0.0;
-  for (int window = 0; window < 3; ++window) {
-    size_t iters = 0;
-    auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-      op();
-      ++iters;
-      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    } while (elapsed < g_measure_seconds / 3);
-    best = std::max(best, static_cast<double>(iters) / elapsed);
-  }
-  return best;
-}
 
 std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -61,7 +38,7 @@ double BenchSubmitRoundtrip() {
   }
   std::thread serve([&] { server.Serve(); });
   uint64_t seed = 1;
-  double rate = OpsPerSec([&] {
+  double rate = OpsPerSec(MicroWindowSeconds(), 1, [&] {
     std::string yaml = "name: bench-roundtrip\nos: linux\napplication: nginx\n"
                        "budget:\n  iterations: 4\nsearch:\n  algorithm: random\n"
                        "  seed: " + std::to_string(seed++) + "\n";
@@ -88,13 +65,6 @@ double BenchSubmitRoundtrip() {
 
 int main() {
   using namespace wayfinder;
-  if (const char* fast = std::getenv("WF_FAST")) {
-    if (fast[0] != '\0' && fast[0] != '0') {
-      g_measure_seconds = 0.15;
-    }
-  }
-  double roundtrips = BenchSubmitRoundtrip();
-  std::printf("{\"bench\": \"service_submit_roundtrip\", \"variant\": \"socket\", "
-              "\"ops_per_sec\": %.2f}\n", roundtrips);
+  PrintRate("service_submit_roundtrip", "socket", BenchSubmitRoundtrip(), true);
   return 0;
 }

@@ -12,13 +12,13 @@
 //   * session_trials_per_sec/fault10: the serial loop under a ~10%
 //     mixed-fault plan with one transient retry — the hostile-world
 //     overhead (fault draws, retry re-measurement, taxonomy bookkeeping).
-//     Tracked but NEVER gated: the committed-trials/sec rate moves with the
+//     Declares `"gate": false`: the committed-trials/sec rate moves with the
 //     injected failure mix, not just with code changes.
 //   * session_trials_per_sec/journal: the full managed path — SessionManager
 //     with a store, so the write-ahead session journal is on and every wave
-//     boundary pays its fsync'd journal append. Tracked but
-//     NEVER gated: fsync cost is a property of the box's storage stack
-//     (tmpfs vs SSD vs spinning CI disk), not of the code under review.
+//     boundary pays its fsync'd journal append. Declares `"gate": false`:
+//     fsync cost is a property of the box's storage stack (tmpfs vs SSD vs
+//     spinning CI disk), not of the code under review.
 //
 // A cheap searcher (random) keeps the measurement on the session machinery —
 // dedup, build-skip, virtual-time merge — rather than on model updates,
@@ -26,15 +26,13 @@
 //
 // Usage: bench_micro_session [--iterations N] [--parallel K]
 //   WF_FAST=1 shortens the measurement window (smoke mode).
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
-#include <filesystem>
-
+#include "bench/bench_common.h"
 #include "src/configspace/linux_space.h"
 #include "src/platform/random_search.h"
 #include "src/platform/session.h"
@@ -44,33 +42,10 @@
 namespace wayfinder {
 namespace {
 
-double g_measure_seconds = 0.4;
-
-// Best-of-3 windows (see bench_micro_dtm): wall-clock noise only ever slows
-// a window down, so the fastest window approximates the steady-state rate.
-template <typename Op>
-double TrialsPerSec(size_t trials_per_op, Op&& op) {
-  using Clock = std::chrono::steady_clock;
-  op();  // Warm up: first-touch page faults and allocator growth stay untimed.
-  double best = 0.0;
-  for (int window = 0; window < 3; ++window) {
-    size_t iters = 0;
-    auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-      op();
-      ++iters;
-      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    } while (elapsed < g_measure_seconds / 3);
-    best = std::max(best, static_cast<double>(iters * trials_per_op) / elapsed);
-  }
-  return best;
-}
-
 double BenchSession(const ConfigSpace& space, size_t iterations, size_t parallel,
                     uint64_t seed, const FaultPlan& faults = FaultPlan(),
                     size_t retries = 0) {
-  return TrialsPerSec(iterations, [&] {
+  return OpsPerSec(MicroWindowSeconds(), iterations, [&] {
     TestbenchOptions bench_options;
     bench_options.faults = faults;
     Testbench bench(&space, AppId::kNginx, bench_options);
@@ -101,7 +76,7 @@ double BenchJournaledSession(size_t iterations, uint64_t seed) {
   job += "budget:\n  iterations: " + std::to_string(iterations) + "\n";
   job += "search:\n  algorithm: random\n";
   job += "  seed: " + std::to_string(seed) + "\n";
-  return TrialsPerSec(iterations, [&] {
+  return OpsPerSec(MicroWindowSeconds(), iterations, [&] {
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     SessionManagerOptions options;
@@ -131,21 +106,13 @@ int main(int argc, char** argv) {
       parallel = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     }
   }
-  if (const char* fast = std::getenv("WF_FAST")) {
-    if (fast[0] != '\0' && fast[0] != '0') {
-      g_measure_seconds = 0.15;
-    }
-  }
-
   ConfigSpace space = BuildLinuxSearchSpace();
   double serial = BenchSession(space, iterations, 1, 0xbe9c);
-  std::printf("{\"bench\": \"session_trials_per_sec\", \"variant\": \"serial\", "
-              "\"ops_per_sec\": %.2f}\n", serial);
+  PrintRate("session_trials_per_sec", "serial", serial, true);
   double batched = 0.0;
   if (parallel > 1) {
     batched = BenchSession(space, iterations, parallel, 0xbe9c);
-    std::printf("{\"bench\": \"session_trials_per_sec\", \"variant\": \"parallel%zu\", "
-                "\"ops_per_sec\": %.2f}\n", parallel, batched);
+    PrintRate("session_trials_per_sec", "parallel" + std::to_string(parallel), batched, true);
   }
   if (serial > 0.0 && batched > 0.0) {
     std::printf("{\"bench\": \"session_parallel_speedup\", \"parallel_over_serial\": %.2f}\n",
@@ -157,11 +124,9 @@ int main(int argc, char** argv) {
   hostile.hang_prob = 0.01;
   hostile.timeout_seconds = 120.0;
   hostile.noise_sigma = 0.1;
-  double faulted = BenchSession(space, iterations, 1, 0xbe9c, hostile, 1);
-  std::printf("{\"bench\": \"session_trials_per_sec\", \"variant\": \"fault10\", "
-              "\"ops_per_sec\": %.2f}\n", faulted);
-  double journaled = BenchJournaledSession(iterations, 0xbe9c);
-  std::printf("{\"bench\": \"session_trials_per_sec\", \"variant\": \"journal\", "
-              "\"ops_per_sec\": %.2f}\n", journaled);
+  PrintRate("session_trials_per_sec", "fault10",
+            BenchSession(space, iterations, 1, 0xbe9c, hostile, 1), false);
+  PrintRate("session_trials_per_sec", "journal", BenchJournaledSession(iterations, 0xbe9c),
+            false);
   return 0;
 }

@@ -12,6 +12,8 @@
 //   * transport_codec/binary: encode+decode round trips per second of a
 //     realistic 8-session fleet status response through the TLV codec.
 //
+// Both rate records gate PR-over-PR.
+//
 // Usage: bench_micro_transport   (WF_FAST=1 shortens the windows, smoke mode)
 #include <algorithm>
 #include <atomic>
@@ -23,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/service/binary_codec.h"
 #include "src/service/client.h"
 #include "src/service/wfd.h"
@@ -31,29 +34,7 @@
 namespace wayfinder {
 namespace {
 
-double g_measure_seconds = 0.4;
-
 using Clock = std::chrono::steady_clock;
-
-// Best-of-3 windows (see bench_micro_session): noise only slows a window
-// down, so the fastest window approximates the steady-state rate.
-template <typename Op>
-double OpsPerSec(size_t units_per_op, Op&& op) {
-  op();  // Warm up.
-  double best = 0.0;
-  for (int window = 0; window < 3; ++window) {
-    size_t iters = 0;
-    auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-      op();
-      ++iters;
-      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    } while (elapsed < g_measure_seconds / 3);
-    best = std::max(best, static_cast<double>(iters * units_per_op) / elapsed);
-  }
-  return best;
-}
 
 std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -125,8 +106,7 @@ ConcurrentResult MeasureClients(size_t clients, const std::string& socket_path,
   for (int window = 0; window < 3; ++window) {
     uint64_t before = completed.load();
     auto start = Clock::now();
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(g_measure_seconds / 3));
+    std::this_thread::sleep_for(std::chrono::duration<double>(MicroWindowSeconds()));
     double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
     result.ops_per_sec = std::max(
         result.ops_per_sec, static_cast<double>(completed.load() - before) / elapsed);
@@ -211,7 +191,7 @@ ServiceResponse MakeFleetResponse() {
 double BenchCodec() {
   const ServiceResponse fleet = MakeFleetResponse();
   size_t checksum = 0;
-  double rate = OpsPerSec(1, [&] {
+  double rate = OpsPerSec(MicroWindowSeconds(), 1, [&] {
     std::string wire = EncodeResponseBinary(fleet);
     ServiceResponse decoded;
     std::string error;
@@ -232,18 +212,11 @@ double BenchCodec() {
 
 int main() {
   using namespace wayfinder;
-  if (const char* fast = std::getenv("WF_FAST")) {
-    if (fast[0] != '\0' && fast[0] != '0') {
-      g_measure_seconds = 0.15;
-    }
-  }
   constexpr size_t kClients = 64;
   ConcurrentResult epoll = BenchEpollRoundtrip(kClients);
-  std::printf("{\"bench\": \"transport_roundtrip\", \"variant\": \"clients64_epoll\", "
-              "\"ops_per_sec\": %.2f}\n", epoll.ops_per_sec);
+  PrintRate("transport_roundtrip", "clients64_epoll", epoll.ops_per_sec, true);
   std::printf("{\"bench\": \"transport_latency\", \"variant\": \"clients64_epoll\", "
               "\"p99_ms\": %.4f}\n", epoll.p99_ms);
-  std::printf("{\"bench\": \"transport_codec\", \"variant\": \"binary\", "
-              "\"ops_per_sec\": %.2f}\n", BenchCodec());
+  PrintRate("transport_codec", "binary", BenchCodec(), true);
   return 0;
 }

@@ -32,16 +32,6 @@ Configuration BayesSearcher::Propose(SearchContext& context) {
   return best_candidate;
 }
 
-void BayesSearcher::Refit() {
-  if (options_.max_fit_points > 0 && xs_.size() > options_.max_fit_points) {
-    std::vector<std::vector<double>> xs(xs_.end() - options_.max_fit_points, xs_.end());
-    std::vector<double> ys(ys_.end() - options_.max_fit_points, ys_.end());
-    gp_.Fit(xs, ys);
-    return;
-  }
-  gp_.Fit(xs_, ys_);
-}
-
 void BayesSearcher::Observe(const TrialRecord& trial, SearchContext& context) {
   (void)context;
   ++observed_;
@@ -65,7 +55,7 @@ void BayesSearcher::Observe(const TrialRecord& trial, SearchContext& context) {
   xs_.push_back(space_->Encode(trial.config));
   ys_.push_back(y);
   // Full refit per observation: the O(n^3) cost the paper measures.
-  Refit();
+  gp_.Fit(xs_, ys_);
 }
 
 size_t BayesSearcher::MemoryBytes() const {

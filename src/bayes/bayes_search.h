@@ -18,9 +18,6 @@ struct BayesOptions {
   size_t warmup = 10;
   // Crashed trials enter the GP at (worst observed - this many std devs).
   double crash_pessimism = 1.0;
-  // Refits are capped to the most recent window to keep sessions of a few
-  // hundred iterations tractable; 0 = no cap (true O(n^3) growth).
-  size_t max_fit_points = 0;
 };
 
 class BayesSearcher : public Searcher {
@@ -35,8 +32,6 @@ class BayesSearcher : public Searcher {
   const GaussianProcess& gp() const { return gp_; }
 
  private:
-  void Refit();
-
   const ConfigSpace* space_;
   BayesOptions options_;
   GaussianProcess gp_;

@@ -1,7 +1,5 @@
 #include "src/configspace/cmdline.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 namespace wayfinder {
@@ -14,101 +12,6 @@ std::string RenderAssignment(const ParamSpec& spec, int64_t value) {
     return value != 0 ? spec.name : spec.name + "=0";
   }
   return spec.name + "=" + spec.FormatValue(value);
-}
-
-// Parses a single value string for `spec`; returns false on malformed or
-// out-of-vocabulary input and leaves `error` describing it.
-bool ParseValue(const ParamSpec& spec, const std::string& text, int64_t* out,
-                std::string* error) {
-  switch (spec.kind) {
-    case ParamKind::kBool: {
-      if (text == "1" || text == "y" || text == "on" || text == "true") {
-        *out = 1;
-        return true;
-      }
-      if (text == "0" || text == "n" || text == "off" || text == "false") {
-        *out = 0;
-        return true;
-      }
-      *error = spec.name + ": not a boolean: " + text;
-      return false;
-    }
-    case ParamKind::kTristate: {
-      if (text == "y") {
-        *out = 2;
-        return true;
-      }
-      if (text == "m") {
-        *out = 1;
-        return true;
-      }
-      if (text == "n") {
-        *out = 0;
-        return true;
-      }
-      *error = spec.name + ": not a tristate: " + text;
-      return false;
-    }
-    case ParamKind::kInt:
-    case ParamKind::kHex: {
-      const char* begin = text.c_str();
-      char* end = nullptr;
-      long long parsed = std::strtoll(begin, &end, 0);
-      if (end == begin || *end != '\0') {
-        *error = spec.name + ": not a number: " + text;
-        return false;
-      }
-      *out = static_cast<int64_t>(parsed);
-      return true;
-    }
-    case ParamKind::kString: {
-      for (size_t i = 0; i < spec.choices.size(); ++i) {
-        if (spec.choices[i] == text) {
-          *out = static_cast<int64_t>(i);
-          return true;
-        }
-      }
-      *error = spec.name + ": unknown choice: " + text;
-      return false;
-    }
-  }
-  *error = spec.name + ": unknown parameter kind";
-  return false;
-}
-
-// Applies one name/value pair to `result` (shared by both parsers).
-// `has_value` distinguishes "name" (bare flag) from "name=" (empty value).
-void ApplyAssignment(const ConfigSpace& space, const std::string& name,
-                     const std::string& value, bool has_value, ConfigParseResult* result) {
-  auto index = space.Find(name);
-  if (!index.has_value()) {
-    result->unknown.push_back(name);
-    return;
-  }
-  const ParamSpec& spec = space.Param(*index);
-  int64_t raw = 0;
-  if (!has_value) {
-    // Bare flag: only sensible for booleans ("quiet", "nosmt").
-    if (spec.kind != ParamKind::kBool) {
-      result->ok = false;
-      result->error = name + ": missing value";
-      return;
-    }
-    raw = 1;
-  } else {
-    std::string error;
-    if (!ParseValue(spec, value, &raw, &error)) {
-      result->ok = false;
-      result->error = error;
-      return;
-    }
-  }
-  if (!spec.InDomain(raw)) {
-    result->ok = false;
-    result->error = name + ": value out of range: " + value;
-    return;
-  }
-  result->config.SetRaw(*index, raw);
 }
 
 }  // namespace
@@ -145,111 +48,6 @@ std::string RenderSysctlConf(const Configuration& config) {
     oss << spec.name << " = " << value << "\n";
   }
   return oss.str();
-}
-
-ConfigParseResult ParseCmdline(const ConfigSpace& space, const std::string& cmdline) {
-  ConfigParseResult result;
-  result.ok = true;
-  result.config = space.DefaultConfiguration();
-
-  size_t i = 0;
-  while (i < cmdline.size() && result.ok) {
-    while (i < cmdline.size() && std::isspace(static_cast<unsigned char>(cmdline[i])) != 0) {
-      ++i;
-    }
-    if (i >= cmdline.size()) {
-      break;
-    }
-    // Token: NAME [ = VALUE ], where VALUE may be quoted and contain spaces.
-    std::string name;
-    while (i < cmdline.size() && cmdline[i] != '=' &&
-           std::isspace(static_cast<unsigned char>(cmdline[i])) == 0) {
-      name.push_back(cmdline[i]);
-      ++i;
-    }
-    bool has_value = i < cmdline.size() && cmdline[i] == '=';
-    std::string value;
-    if (has_value) {
-      ++i;  // Consume '='.
-      if (i < cmdline.size() && cmdline[i] == '"') {
-        ++i;
-        while (i < cmdline.size() && cmdline[i] != '"') {
-          value.push_back(cmdline[i]);
-          ++i;
-        }
-        if (i >= cmdline.size()) {
-          result.ok = false;
-          result.error = name + ": unterminated quote";
-          break;
-        }
-        ++i;  // Consume closing quote.
-      } else {
-        while (i < cmdline.size() &&
-               std::isspace(static_cast<unsigned char>(cmdline[i])) == 0) {
-          value.push_back(cmdline[i]);
-          ++i;
-        }
-      }
-    }
-    if (!name.empty()) {
-      ApplyAssignment(space, name, value, has_value, &result);
-    }
-  }
-  if (result.ok) {
-    space.ApplyConstraints(&result.config);
-  }
-  return result;
-}
-
-ConfigParseResult ParseSysctlConf(const ConfigSpace& space, const std::string& text) {
-  ConfigParseResult result;
-  result.ok = true;
-  result.config = space.DefaultConfiguration();
-
-  std::istringstream in(text);
-  std::string line;
-  int line_number = 0;
-  while (std::getline(in, line) && result.ok) {
-    ++line_number;
-    // Strip comments, then whitespace.
-    size_t comment = line.find_first_of("#;");
-    if (comment != std::string::npos) {
-      line = line.substr(0, comment);
-    }
-    size_t begin = line.find_first_not_of(" \t");
-    if (begin == std::string::npos) {
-      continue;
-    }
-    size_t end = line.find_last_not_of(" \t");
-    line = line.substr(begin, end - begin + 1);
-
-    size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      result.ok = false;
-      result.error = "line " + std::to_string(line_number) + ": expected key = value";
-      break;
-    }
-    auto trim = [](std::string s) {
-      size_t b = s.find_first_not_of(" \t");
-      if (b == std::string::npos) {
-        return std::string();
-      }
-      size_t e = s.find_last_not_of(" \t");
-      return s.substr(b, e - b + 1);
-    };
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) {
-      result.ok = false;
-      result.error = "line " + std::to_string(line_number) + ": empty key";
-      break;
-    }
-    ApplyAssignment(space, key, value, /*has_value=*/true, &result);
-  }
-  if (result.ok) {
-    space.ApplyConstraints(&result.config);
-  }
-  return result;
 }
 
 }  // namespace wayfinder

@@ -5,13 +5,11 @@
 // boot-time options, and /etc/sysctl.d entries for runtime options. These
 // codecs render a Configuration's non-default boot/runtime values in those
 // formats — what wfctl prints so a discovered configuration can actually be
-// deployed — and parse them back (the inverse direction seeds a search from
-// an existing deployment).
+// deployed.
 #ifndef WAYFINDER_SRC_CONFIGSPACE_CMDLINE_H_
 #define WAYFINDER_SRC_CONFIGSPACE_CMDLINE_H_
 
 #include <string>
-#include <vector>
 
 #include "src/configspace/config_space.h"
 
@@ -28,25 +26,6 @@ std::string RenderCmdline(const Configuration& config);
 // Renders the runtime parameters that differ from their defaults in
 // sysctl.conf syntax ("key = value" lines), in space order.
 std::string RenderSysctlConf(const Configuration& config);
-
-struct ConfigParseResult {
-  bool ok = false;
-  Configuration config;
-  // Tokens/keys naming parameters the space does not know. Like the kernel,
-  // unknown parameters are collected rather than treated as errors.
-  std::vector<std::string> unknown;
-  std::string error;  // Set when ok is false (malformed value, bad choice).
-};
-
-// Parses a kernel command line into a configuration: starts from the
-// space's default configuration, overrides each recognized token, and
-// re-applies constraints. Accepts `name`, `name=value`, and quoted values
-// (name="a b"). Bool values accept 0/1/y/n/on/off.
-ConfigParseResult ParseCmdline(const ConfigSpace& space, const std::string& cmdline);
-
-// Parses sysctl.conf text ("key = value"; '#'/';' comments; blank lines)
-// the same way.
-ConfigParseResult ParseSysctlConf(const ConfigSpace& space, const std::string& text);
 
 }  // namespace wayfinder
 

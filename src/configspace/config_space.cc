@@ -438,14 +438,6 @@ size_t ConfigSpace::CountPhase(ParamPhase phase) const {
   return count;
 }
 
-size_t ConfigSpace::CountKind(ParamKind kind) const {
-  size_t count = 0;
-  for (const auto& spec : params_) {
-    count += spec.kind == kind ? 1 : 0;
-  }
-  return count;
-}
-
 double ConfigSpace::Log10SpaceSize() const {
   double log_size = 0.0;
   for (const auto& spec : params_) {

@@ -176,9 +176,8 @@ class ConfigSpace {
   // Inverse of EncodeParam (rounds to the nearest domain value).
   int64_t DecodeParam(size_t index, double feature) const;
 
-  // Number of parameters per phase / kind, for the census experiments.
+  // Number of parameters per phase, for the census experiments.
   size_t CountPhase(ParamPhase phase) const;
-  size_t CountKind(ParamKind kind) const;
 
   // log10 of the number of distinct configurations (sum of log10 domain
   // sizes); the Unikraft space of Figure 9 reports ~13.6 (3.7e13).

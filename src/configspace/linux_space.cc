@@ -345,8 +345,7 @@ ConfigSpace BuildLinuxSpace(const LinuxSpaceOptions& options) {
   Rng rng(HashCombine(options.seed, StableHash(options.version)));
 
   for (ParamSpec& spec : CuratedLinuxParams()) {
-    bool keep = (spec.phase == kCt && options.include_compile) ||
-                (spec.phase == kBt && options.include_boot) ||
+    bool keep = spec.phase == kCt || (spec.phase == kBt && options.include_boot) ||
                 (spec.phase == kRt && options.include_runtime);
     if (keep) {
       space.Add(std::move(spec));
@@ -366,9 +365,7 @@ ConfigSpace BuildLinuxSpace(const LinuxSpaceOptions& options) {
     return synthetic > 0.0 ? static_cast<size_t>(synthetic) : size_t{0};
   };
 
-  if (options.include_compile) {
-    AddSyntheticCompile(&space, scaled(full_compile, 29), rng);
-  }
+  AddSyntheticCompile(&space, scaled(full_compile, 29), rng);
   if (options.include_boot) {
     AddSyntheticBoot(&space, scaled(full_boot, 16), rng);
   }

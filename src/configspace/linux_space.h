@@ -38,7 +38,7 @@ struct LinuxSpaceOptions {
   // is always included; 1.0 reproduces the Table 1 census, while search
   // experiments use a small scale for tractable model inputs.
   double scale = 1.0;
-  bool include_compile = true;
+  // Compile-time options are always generated; these drop the other phases.
   bool include_boot = true;
   bool include_runtime = true;
   uint64_t seed = 0x1105c0de;

@@ -138,11 +138,4 @@ bool ModelZoo::Adopt(const std::string& name, DeepTuneSearcher* searcher) const 
   return searcher->LoadModel(ModelPath(name));
 }
 
-bool ModelZoo::Remove(const std::string& name) {
-  std::error_code ec;
-  bool removed_model = fs::remove(ModelPath(name), ec);
-  bool removed_fingerprint = fs::remove(FingerprintPath(name), ec);
-  return removed_model || removed_fingerprint;
-}
-
 }  // namespace wayfinder

@@ -63,9 +63,6 @@ class ModelZoo {
   // count) differs from the searcher's.
   bool Adopt(const std::string& name, DeepTuneSearcher* searcher) const;
 
-  // Removes an entry; false when absent.
-  bool Remove(const std::string& name);
-
   const std::string& directory() const { return directory_; }
 
  private:

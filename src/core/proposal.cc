@@ -46,15 +46,6 @@ void EncodeFromBase(const ConfigSpace& space, const Configuration& base,
 
 }  // namespace
 
-void AssembleProposalPool(const ConfigSpace& space,
-                          const std::vector<Configuration>& elites,
-                          const SampleOptions& sample_options,
-                          const ProposalPoolSpec& spec, uint64_t pool_seed,
-                          std::vector<Configuration>& pool, Matrix& encoded) {
-  PoolScratch scratch;
-  AssembleProposalPool(space, elites, sample_options, spec, pool_seed, pool, encoded, scratch);
-}
-
 // wf-hot-path: pool entries, encoded rows and the scratch are reused; a warm
 // call allocates nothing.
 void AssembleProposalPool(const ConfigSpace& space,

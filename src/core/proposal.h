@@ -63,12 +63,6 @@ void AssembleProposalPool(const ConfigSpace& space,
                           const ProposalPoolSpec& spec, uint64_t pool_seed,
                           std::vector<Configuration>& pool, Matrix& encoded,
                           PoolScratch& scratch);
-// One-shot form with a scratch of its own.
-void AssembleProposalPool(const ConfigSpace& space,
-                          const std::vector<Configuration>& elites,
-                          const SampleOptions& sample_options,
-                          const ProposalPoolSpec& spec, uint64_t pool_seed,
-                          std::vector<Configuration>& pool, Matrix& encoded);
 
 // Batch selection over a scored pool, for DeepTuneSearcher::ProposeBatch:
 // appends up to `n` distinct candidates to `batch` in stable score-descending

@@ -58,10 +58,8 @@ int RandomForestRegressor::BuildNode(Tree& tree, const std::vector<std::vector<d
     return static_cast<int>(tree.nodes.size() - 1);
   }
 
-  size_t mtry = options_.features_per_split != 0
-                    ? options_.features_per_split
-                    : std::max<size_t>(1, static_cast<size_t>(std::sqrt(
-                                              static_cast<double>(feature_count_))));
+  size_t mtry = std::max<size_t>(
+      1, static_cast<size_t>(std::sqrt(static_cast<double>(feature_count_))));
   SplitResult best;
   for (size_t trial = 0; trial < mtry; ++trial) {
     size_t feature = static_cast<size_t>(

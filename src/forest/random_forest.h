@@ -15,8 +15,6 @@ struct ForestOptions {
   size_t trees = 60;
   size_t max_depth = 9;
   size_t min_samples_leaf = 4;
-  // Features tried per split; 0 = sqrt(d).
-  size_t features_per_split = 0;
   uint64_t seed = 0xf02e57;
 };
 

@@ -133,7 +133,6 @@ class RbfLayer {
   const Matrix& centroid_values() const { return centroids_.value; }
   ParamBlock& centroids() { return centroids_; }
   double gamma() const { return gamma_; }
-  size_t centroid_count() const { return centroids_.value.rows(); }
 
   // Adds the Chamfer regularizer gradient (dL_cham/dC) for the cached batch
   // to the centroid gradient and returns the loss value. Call between

@@ -86,7 +86,7 @@ SearchContext SearchSession::MakeContext() {
 }
 
 void SearchSession::DedupProposal(SearchContext& context, Configuration* config) {
-  for (size_t retry = 0; retry < options_.dedup_retries; ++retry) {
+  for (size_t retry = 0; retry < kDedupRetries; ++retry) {
     if (seen_hashes_.count(config->Hash()) == 0) {
       break;
     }

@@ -56,9 +56,6 @@ struct SessionOptions {
   ObjectiveKind objective = ObjectiveKind::kAppMetric;
   SampleOptions sample_options;  // Phase bias (favor runtime/compile-time).
   uint64_t seed = 0x5e55;
-  // Re-propose when a searcher suggests an already-evaluated configuration
-  // (up to this many retries; 0 disables dedup).
-  size_t dedup_retries = 8;
   // Virtual testbenches evaluating concurrently. 1 = the serial loop,
   // bit-identical to the pre-batch session. K > 1 proposes K-wide batches
   // and merges completions in virtual-time order; K is part of the
@@ -209,8 +206,10 @@ class SearchSession {
   void RefreshScores();
   bool SameImageParams(const Configuration& a, const Configuration& b) const;
   SearchContext MakeContext();
-  // Dedup helper: re-proposes while `config` repeats history, then marks its
-  // hash seen. Mirrors the serial retry loop exactly.
+  // Dedup helper: re-proposes, up to kDedupRetries times, while `config`
+  // repeats history, then marks its hash seen. Mirrors the serial retry
+  // loop exactly.
+  static constexpr size_t kDedupRetries = 8;
   void DedupProposal(SearchContext& context, Configuration* config);
   // Commits one evaluated trial: deploy check, objective, retry count,
   // then AppendCommitted. Shared by the serial and batch paths.
@@ -258,7 +257,7 @@ class SearchSession {
   Rng searcher_rng_;
   std::vector<TrialRecord> history_;
   // Hashes of every evaluated (or batch-pending) configuration; O(1) lookup
-  // keeps dedup flat at 250+ iterations x dedup_retries and under batching.
+  // keeps dedup flat at 250+ iterations x kDedupRetries and under batching.
   std::unordered_set<uint64_t> seen_hashes_;
   std::optional<Configuration> last_built_image_;
   // Batch executor state: the trials in flight, in proposal order (refills

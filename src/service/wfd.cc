@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/obs/metrics.h"
 #include "src/service/binary_codec.h"
@@ -62,6 +63,40 @@ int RunWfdForeground(const WfdOptions& options) {
   g_foreground_server = nullptr;
   std::printf("wfd drained and stopped\n");
   return 0;
+}
+
+bool ParseWfdFlags(int argc, char** argv, WfdOptions* options, std::string* error) {
+  for (int i = 0; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const char* value = nullptr;
+    auto take = [&] { return (value = i + 1 < argc ? argv[++i] : nullptr) != nullptr; };
+    bool rejected = false;
+    if (flag == "--socket" && take()) {
+      options->socket_path = value;
+    } else if (flag == "--store" && take()) {
+      options->manager.store_dir = value;
+    } else if (flag == "--checkpoint-dir" && take()) {
+      options->manager.checkpoint_dir = value;
+    } else if (flag == "--max-sessions" && take()) {
+      options->manager.max_running = std::strtoul(value, nullptr, 10);
+      rejected = options->manager.max_running == 0;
+    } else if (flag == "--idle-timeout-ms" && take()) {
+      options->idle_timeout_ms = static_cast<int>(std::strtol(value, nullptr, 10));
+      rejected = options->idle_timeout_ms <= 0;
+    } else if (flag == "--no-recover") {
+      options->recover = false;
+    } else if (flag == "--metrics") {
+      options->metrics = true;
+    } else {
+      *error = "unknown argument or flag without a value: " + flag;
+      return false;
+    }
+    if (rejected) {
+      *error = flag + " needs a positive count";
+      return false;
+    }
+  }
+  return true;
 }
 
 WfdServer::WfdServer(const WfdOptions& options)

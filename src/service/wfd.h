@@ -128,6 +128,13 @@ class WfdServer : private TransportHandler {
 // `wfctl serve` call, so the two cannot drift apart.
 int RunWfdForeground(const WfdOptions& options);
 
+// Parses the daemon's flags (--socket, --store, --checkpoint-dir,
+// --max-sessions, --idle-timeout-ms, --no-recover, --metrics) in argv[0,
+// argc) into `options`: the ONE parser both `wfd` and `wfctl serve` call.
+// False, with `error` set, on an unknown argument, a flag missing its value,
+// 0 sessions or a non-positive idle timeout.
+bool ParseWfdFlags(int argc, char** argv, WfdOptions* options, std::string* error);
+
 }  // namespace wayfinder
 
 #endif  // WAYFINDER_SRC_SERVICE_WFD_H_

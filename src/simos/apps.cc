@@ -173,20 +173,6 @@ const std::vector<AppProfile>& AllApps() {
 
 const AppProfile& GetApp(AppId id) { return AllApps()[static_cast<size_t>(id)]; }
 
-const char* AppName(AppId id) {
-  switch (id) {
-    case AppId::kNginx:
-      return "nginx";
-    case AppId::kRedis:
-      return "redis";
-    case AppId::kSqlite:
-      return "sqlite";
-    case AppId::kNpb:
-      return "npb";
-  }
-  return "?";
-}
-
 bool TryParseApp(const std::string& name, AppId* out) {
   for (const AppProfile& app : AllApps()) {
     if (app.name == name) {

@@ -59,7 +59,6 @@ struct AppProfile {
 // Profile registry.
 const AppProfile& GetApp(AppId id);
 const std::vector<AppProfile>& AllApps();
-const char* AppName(AppId id);
 // Lookup by name ("nginx", "redis", "sqlite", "npb"); false on unknown
 // names.
 bool TryParseApp(const std::string& name, AppId* out);

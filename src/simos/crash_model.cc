@@ -170,7 +170,7 @@ CrashOutcome CrashModel::Check(AppId app, const Configuration& config, Rng& run_
   if (outcome.crashed) {
     return outcome;
   }
-  if (run_rng.Bernoulli(flake_probability_)) {
+  if (run_rng.Bernoulli(kFlakeProbability)) {
     return {true, ParamPhase::kRuntime, "transient benchmark failure"};
   }
   return {};

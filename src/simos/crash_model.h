@@ -40,7 +40,7 @@ class CrashModel {
  public:
   explicit CrashModel(const ConfigSpace* space, uint64_t seed = 0xdeadc0de);
 
-  // Deterministic verdict plus a small random flake (default 0.5%).
+  // Deterministic verdict plus a small random flake (0.5%).
   CrashOutcome Check(AppId app, const Configuration& config, Rng& run_rng) const;
 
   // Deterministic part only (no flake); used by tests and by the analysis
@@ -69,16 +69,13 @@ class CrashModel {
   // The essential tristate option ("n" fails to boot), if the space has one.
   std::optional<size_t> essential_tristate() const { return essential_tristate_; }
 
-  double flake_probability() const { return flake_probability_; }
-  void set_flake_probability(double p) { flake_probability_ = p; }
-
  private:
   const ConfigSpace* space_;
   std::vector<FragileZone> fragile_zones_;
   std::vector<bool> essential_;
   std::vector<size_t> essential_pairs_;
   std::optional<size_t> essential_tristate_;
-  double flake_probability_ = 0.005;
+  static constexpr double kFlakeProbability = 0.005;
 };
 
 }  // namespace wayfinder

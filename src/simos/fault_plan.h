@@ -21,8 +21,7 @@ namespace wayfinder {
 
 struct FaultPlan {
   // Probability a trial fails at a uniformly chosen stage for reasons
-  // unrelated to the configuration (host hiccup, QEMU flake). Combines
-  // independently with TestbenchOptions::transient_flake_prob.
+  // unrelated to the configuration (host hiccup, QEMU flake).
   double flake_prob = 0.0;
   // Probability the benchmark phase exceeds the watchdog budget; the trial
   // is charged `timeout_seconds` of simulated run time and reports
@@ -45,9 +44,6 @@ struct FaultPlan {
   // Blend weight of the drifted landscape in [0, 1]; 1 = full shift.
   double drift_magnitude = 1.0;
 
-  // True when any knob injects anything. An inactive plan is the strict
-  // no-op contract above.
-  bool Active() const;
   // Config-dependent noise level: noise_sigma scaled into [0.5x, 1.5x] by
   // the configuration hash, so variance is a deterministic property of the
   // configuration — the heteroscedastic part.

@@ -105,15 +105,10 @@ TrialOutcome Testbench::EvaluateImpl(const Configuration& config, Rng& rng, SimC
   const double trial_start = sim_time_origin_ + (clock != nullptr ? clock->Now() : 0.0);
   CrashOutcome crash = crash_model_.Check(app_, config, rng);
 
-  // Transient infrastructure flakes (fault injection): independent of the
-  // configuration, a trial may fail at a uniformly chosen stage. The legacy
-  // knob and the plan's combine as independent fault sources; with the plan
-  // inactive the draw sequence is exactly the pre-plan one.
-  double flake_prob = options_.transient_flake_prob;
-  if (faults.flake_prob > 0.0) {
-    flake_prob = 1.0 - (1.0 - flake_prob) * (1.0 - faults.flake_prob);
-  }
-  if (flake_prob > 0.0 && rng.Bernoulli(flake_prob)) {
+  // Transient infrastructure flakes (fault injection): label noise for the
+  // searchers, a trial failing at a uniformly chosen stage whatever its
+  // configuration. A zero probability draws nothing.
+  if (faults.flake_prob > 0.0 && rng.Bernoulli(faults.flake_prob)) {
     crash.crashed = true;
     crash.reason = "transient: infrastructure flake";
     double stage = rng.Uniform();

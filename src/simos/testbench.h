@@ -63,11 +63,6 @@ struct TestbenchOptions {
   Substrate substrate = Substrate::kLinuxKvm;
   uint64_t seed = 0xbe27c4;
   double default_footprint_mb = 210.0;
-  // Probability that a trial fails for reasons unrelated to the
-  // configuration (host hiccup, QEMU flake, benchmark-tool timeout). Such
-  // failures are label noise for the searchers: the same configuration
-  // would succeed on retry. 0 disables injection.
-  double transient_flake_prob = 0.0;
   // When positive, every phase of every evaluation costs exactly this many
   // simulated seconds (crashes included), so all trials have equal total
   // duration. A testing seam for executor-equivalence pins that need the

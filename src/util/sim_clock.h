@@ -26,8 +26,6 @@ class SimClock {
     }
   }
 
-  void Reset() { now_seconds_ = 0.0; }
-
  private:
   double now_seconds_ = 0.0;
 };

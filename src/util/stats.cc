@@ -3,19 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdint>
-#include <limits>
 
 namespace wayfinder {
 
 void RunningStats::Add(double value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
   ++count_;
   double delta = value - mean_;
   mean_ += delta / static_cast<double>(count_);
@@ -29,10 +20,6 @@ double RunningStats::Variance() const {
 }
 
 double RunningStats::StdDev() const { return std::sqrt(Variance()); }
-
-double RunningStats::Min() const { return count_ == 0 ? 0.0 : min_; }
-
-double RunningStats::Max() const { return count_ == 0 ? 0.0 : max_; }
 
 double Mean(const std::vector<double>& values) {
   if (values.empty()) {
@@ -110,45 +97,6 @@ std::vector<double> MinMaxNormalize(const std::vector<double>& values) {
   return out;
 }
 
-void ZScoreNormalizer::Fit(const std::vector<std::vector<double>>& rows) {
-  means_.clear();
-  stds_.clear();
-  if (rows.empty()) {
-    return;
-  }
-  size_t width = rows.front().size();
-  means_.assign(width, 0.0);
-  stds_.assign(width, 0.0);
-  for (const auto& row : rows) {
-    assert(row.size() == width);
-    for (size_t j = 0; j < width; ++j) {
-      means_[j] += row[j];
-    }
-  }
-  for (size_t j = 0; j < width; ++j) {
-    means_[j] /= static_cast<double>(rows.size());
-  }
-  for (const auto& row : rows) {
-    for (size_t j = 0; j < width; ++j) {
-      double d = row[j] - means_[j];
-      stds_[j] += d * d;
-    }
-  }
-  for (size_t j = 0; j < width; ++j) {
-    stds_[j] = std::sqrt(stds_[j] / static_cast<double>(rows.size()));
-  }
-}
-
-std::vector<double> ZScoreNormalizer::Transform(const std::vector<double>& row) const {
-  assert(row.size() == means_.size());
-  std::vector<double> out(row.size());
-  for (size_t j = 0; j < row.size(); ++j) {
-    double spread = stds_[j] > 1e-12 ? stds_[j] : 1.0;
-    out[j] = (row[j] - means_[j]) / spread;
-  }
-  return out;
-}
-
 std::vector<double> SmoothSeries(const std::vector<double>& values, size_t window) {
   std::vector<double> out(values.size());
   if (window == 0) {
@@ -164,32 +112,6 @@ std::vector<double> SmoothSeries(const std::vector<double>& values, size_t windo
     out[i] = sum / static_cast<double>(count);
   }
   return out;
-}
-
-std::vector<double> RunningBest(const std::vector<double>& values, bool maximize) {
-  std::vector<double> out(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i == 0) {
-      out[i] = values[i];
-    } else {
-      out[i] = maximize ? std::max(out[i - 1], values[i]) : std::min(out[i - 1], values[i]);
-    }
-  }
-  return out;
-}
-
-size_t ArgBest(const std::vector<double>& values, bool maximize) {
-  if (values.empty()) {
-    return std::numeric_limits<size_t>::max();
-  }
-  size_t best = 0;
-  for (size_t i = 1; i < values.size(); ++i) {
-    bool better = maximize ? values[i] > values[best] : values[i] < values[best];
-    if (better) {
-      best = i;
-    }
-  }
-  return best;
 }
 
 MeanCi MeanConfidenceInterval(const std::vector<double>& values, double z) {

@@ -1,5 +1,5 @@
 // Small statistics helpers shared by the optimizer, the simulated substrate,
-// and the benchmark harnesses: streaming moments, quantiles, normalizers,
+// and the benchmark harnesses: streaming moments, quantiles, normalization,
 // and series smoothing (the paper smooths all evolution figures).
 #ifndef WAYFINDER_SRC_UTIL_STATS_H_
 #define WAYFINDER_SRC_UTIL_STATS_H_
@@ -17,15 +17,11 @@ class RunningStats {
   double Mean() const;
   double Variance() const;  // Sample variance (n-1 denominator).
   double StdDev() const;
-  double Min() const;
-  double Max() const;
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // Mean of a vector; 0 for empty input.
@@ -44,23 +40,6 @@ double PearsonCorrelation(const std::vector<double>& xs, const std::vector<doubl
 // paper's mXNorm used by the throughput-memory score (Eq. 4).
 std::vector<double> MinMaxNormalize(const std::vector<double>& values);
 
-// Per-feature z-score normalizer fitted on a dataset, applied to new points.
-class ZScoreNormalizer {
- public:
-  // Fits per-column mean/std over rows (all rows must share one width).
-  void Fit(const std::vector<std::vector<double>>& rows);
-  // Applies (x - mean) / std per column; columns with ~zero spread pass
-  // through centered only.
-  std::vector<double> Transform(const std::vector<double>& row) const;
-  bool IsFitted() const { return !means_.empty(); }
-  const std::vector<double>& means() const { return means_; }
-  const std::vector<double>& stds() const { return stds_; }
-
- private:
-  std::vector<double> means_;
-  std::vector<double> stds_;
-};
-
 // Trailing moving average with the given window; used to smooth the
 // evolution series plotted in Figures 6, 9, 10, and 11.
 std::vector<double> SmoothSeries(const std::vector<double>& values, size_t window);
@@ -77,12 +56,6 @@ struct MeanCi {
   double hi() const { return mean + half_width; }
 };
 MeanCi MeanConfidenceInterval(const std::vector<double>& values, double z = 1.96);
-
-// Running best: out[i] = max (or min) of values[0..i].
-std::vector<double> RunningBest(const std::vector<double>& values, bool maximize);
-
-// Index of the best element (max if maximize, else min); SIZE_MAX for empty.
-size_t ArgBest(const std::vector<double>& values, bool maximize);
 
 }  // namespace wayfinder
 

@@ -645,7 +645,7 @@ TEST(DeployCheckTest, PassingCheckChangesNothing) {
 TEST(FaultInjectionTest, CertainFlakeFailsEveryTrial) {
   ConfigSpace space = BuildLinuxSearchSpace();
   TestbenchOptions bench_options;
-  bench_options.transient_flake_prob = 1.0;
+  bench_options.faults.flake_prob = 1.0;
   Testbench bench(&space, AppId::kNginx, bench_options);
   Rng rng(72);
   SimClock clock;
@@ -671,7 +671,7 @@ TEST(FaultInjectionTest, ZeroFlakeProbIsNoise_Free) {
 TEST(FaultInjectionTest, ModerateFlakeRateRaisesCrashRateProportionally) {
   ConfigSpace space = BuildLinuxSearchSpace();
   TestbenchOptions bench_options;
-  bench_options.transient_flake_prob = 0.5;
+  bench_options.faults.flake_prob = 0.5;
   Testbench bench(&space, AppId::kNginx, bench_options);
   Rng rng(74);
   SimClock clock;
@@ -687,7 +687,7 @@ TEST(FaultInjectionTest, ModerateFlakeRateRaisesCrashRateProportionally) {
 TEST(FaultInjectionTest, SearchSurvivesAFlakyTestbench) {
   ConfigSpace space = BuildLinuxSearchSpace();
   TestbenchOptions bench_options;
-  bench_options.transient_flake_prob = 0.3;
+  bench_options.faults.flake_prob = 0.3;
   Testbench bench(&space, AppId::kNginx, bench_options);
   RandomSearcher searcher;
   SessionOptions options;

@@ -1,5 +1,5 @@
-// Tests for the kernel-command-line and sysctl.conf codecs, including a
-// parameterized round-trip sweep over random configurations.
+// Tests for the kernel-command-line and sysctl.conf renderers, including a
+// parameterized sweep over random configurations.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -66,120 +66,53 @@ TEST_F(CmdlineFixture, SysctlRendersBoolsNumerically) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing.
-
-TEST_F(CmdlineFixture, ParsesFlagsValuesAndQuotes) {
-  ConfigParseResult result =
-      ParseCmdline(space_, "nosmt loglevel=7 mitigations=\"auto,nosmt\"");
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.config.Get("nosmt"), 1);
-  EXPECT_EQ(result.config.Get("loglevel"), 7);
-  size_t index = *space_.Find("mitigations");
-  EXPECT_EQ(space_.Param(index).FormatValue(result.config.Raw(index)), "auto,nosmt");
-}
-
-TEST_F(CmdlineFixture, UnknownTokensAreCollectedNotFatal) {
-  ConfigParseResult result = ParseCmdline(space_, "console=ttyS0 nosmt ro root=/dev/vda1");
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.config.Get("nosmt"), 1);
-  ASSERT_EQ(result.unknown.size(), 3u);
-  EXPECT_EQ(result.unknown[0], "console");
-  EXPECT_EQ(result.unknown[1], "ro");
-  EXPECT_EQ(result.unknown[2], "root");
-}
-
-TEST_F(CmdlineFixture, MalformedNumberIsAnError) {
-  ConfigParseResult result = ParseCmdline(space_, "loglevel=verbose");
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("loglevel"), std::string::npos);
-}
-
-TEST_F(CmdlineFixture, OutOfRangeValueIsAnError) {
-  ConfigParseResult result = ParseCmdline(space_, "loglevel=99");
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("range"), std::string::npos);
-}
-
-TEST_F(CmdlineFixture, BareFlagOnNonBoolIsAnError) {
-  ConfigParseResult result = ParseCmdline(space_, "loglevel");
-  EXPECT_FALSE(result.ok);
-}
-
-TEST_F(CmdlineFixture, UnterminatedQuoteIsAnError) {
-  ConfigParseResult result = ParseCmdline(space_, "mitigations=\"off");
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("quote"), std::string::npos);
-}
-
-TEST_F(CmdlineFixture, UnknownStringChoiceIsAnError) {
-  ConfigParseResult result = ParseCmdline(space_, "mitigations=nonsense");
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("choice"), std::string::npos);
-}
-
-TEST_F(CmdlineFixture, EmptyAndWhitespaceCmdlinesParse) {
-  EXPECT_TRUE(ParseCmdline(space_, "").ok);
-  EXPECT_TRUE(ParseCmdline(space_, "   \t  ").ok);
-}
-
-TEST_F(CmdlineFixture, SysctlParsesCommentsAndSpacing) {
-  ConfigParseResult result = ParseSysctlConf(space_,
-                                             "# tuning profile\n"
-                                             "\n"
-                                             "net.core.somaxconn = 4096\n"
-                                             "net.ipv4.tcp_tw_reuse=1   ; inline comment\n"
-                                             "  vm.swappiness   =   10\n");
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.config.Get("net.core.somaxconn"), 4096);
-  EXPECT_EQ(result.config.Get("net.ipv4.tcp_tw_reuse"), 1);
-  EXPECT_EQ(result.config.Get("vm.swappiness"), 10);
-}
-
-TEST_F(CmdlineFixture, SysctlMissingEqualsIsAnError) {
-  ConfigParseResult result = ParseSysctlConf(space_, "net.core.somaxconn 4096\n");
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("line 1"), std::string::npos);
-}
-
-TEST_F(CmdlineFixture, SysctlUnknownKeysAreCollected) {
-  ConfigParseResult result = ParseSysctlConf(space_, "kernel.nonexistent_knob = 65536\n");
-  ASSERT_TRUE(result.ok) << result.error;
-  ASSERT_EQ(result.unknown.size(), 1u);
-  EXPECT_EQ(result.unknown[0], "kernel.nonexistent_knob");
-}
-
-// ---------------------------------------------------------------------------
-// Round-trip property: render -> parse recovers the boot/runtime slices of
-// any random configuration, across seeds.
+// Property over random configurations, across seeds: each renderer emits one
+// assignment for every non-default value of its phase, in space order, and
+// nothing else.
 
 class CmdlineRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CmdlineRoundTrip, BootPhaseSurvivesCmdlineRoundTrip) {
+TEST_P(CmdlineRoundTrip, CmdlineCarriesEveryNonDefaultBootValue) {
   ConfigSpace space = BuildLinuxSearchSpace();
   Rng rng(GetParam());
   Configuration config = space.RandomConfiguration(rng);
-  ConfigParseResult parsed = ParseCmdline(space, RenderCmdline(config));
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_TRUE(parsed.unknown.empty());
+  Configuration defaults = space.DefaultConfiguration();
+  std::string expected;
   for (size_t i = 0; i < space.Size(); ++i) {
-    if (space.Param(i).phase == ParamPhase::kBootTime) {
-      EXPECT_EQ(parsed.config.Raw(i), config.Raw(i)) << space.Param(i).name;
+    const ParamSpec& spec = space.Param(i);
+    if (spec.phase != ParamPhase::kBootTime || config.Raw(i) == defaults.Raw(i)) {
+      continue;
     }
+    std::string assignment = spec.name;
+    if (spec.kind != ParamKind::kBool) {
+      assignment += "=" + spec.FormatValue(config.Raw(i));
+    } else if (config.Raw(i) == 0) {
+      assignment += "=0";
+    }
+    expected += (expected.empty() ? "" : " ") + assignment;
   }
+  ASSERT_FALSE(expected.empty()) << "seed left every boot parameter at its default";
+  EXPECT_EQ(RenderCmdline(config), expected);
 }
 
-TEST_P(CmdlineRoundTrip, RuntimePhaseSurvivesSysctlRoundTrip) {
+TEST_P(CmdlineRoundTrip, SysctlCarriesEveryNonDefaultRuntimeValue) {
   ConfigSpace space = BuildLinuxSearchSpace();
   Rng rng(GetParam() ^ 0x5ca1ab1e);
   Configuration config = space.RandomConfiguration(rng);
-  ConfigParseResult parsed = ParseSysctlConf(space, RenderSysctlConf(config));
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_TRUE(parsed.unknown.empty());
+  Configuration defaults = space.DefaultConfiguration();
+  std::string expected;
   for (size_t i = 0; i < space.Size(); ++i) {
-    if (space.Param(i).phase == ParamPhase::kRuntime) {
-      EXPECT_EQ(parsed.config.Raw(i), config.Raw(i)) << space.Param(i).name;
+    const ParamSpec& spec = space.Param(i);
+    if (spec.phase != ParamPhase::kRuntime || config.Raw(i) == defaults.Raw(i)) {
+      continue;
     }
+    expected += spec.name + " = " +
+                (spec.kind == ParamKind::kBool ? std::to_string(config.Raw(i))
+                                               : spec.FormatValue(config.Raw(i))) +
+                "\n";
   }
+  ASSERT_FALSE(expected.empty()) << "seed left every runtime parameter at its default";
+  EXPECT_EQ(RenderSysctlConf(config), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CmdlineRoundTrip,

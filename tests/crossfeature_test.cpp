@@ -103,7 +103,7 @@ TEST(CrossFeature, FlakyTestbenchDoesNotDerailNewSearchers) {
   ConfigSpace space = BuildUnikraftSpace();
   TestbenchOptions bench_options;
   bench_options.substrate = Substrate::kUnikraftKvm;
-  bench_options.transient_flake_prob = 0.25;
+  bench_options.faults.flake_prob = 0.25;
   for (const char* algorithm : {"annealing", "genetic", "smac"}) {
     Testbench bench(&space, AppId::kNginx, bench_options);
     auto searcher = MakeSearcher(algorithm, &space, 0xc6);

@@ -103,7 +103,6 @@ TEST(FaultPlan, EmptyPlanIsStrictNoOp) {
     ExpectSameHistory(baseline.history, armed.history, algorithm);
     EXPECT_EQ(armed.transient_retries, 0u) << algorithm;
     EXPECT_EQ(armed.drift_events, 0u) << algorithm;
-    EXPECT_FALSE(inert.plan.Active());
   }
 }
 

@@ -143,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
                       AlgoApp{"causal", AppId::kNpb}, AlgoApp{"deeptune", AppId::kRedis},
                       AlgoApp{"deeptune", AppId::kNpb}),
     [](const ::testing::TestParamInfo<AlgoApp>& info) {
-      return std::string(info.param.algorithm) + "_" + AppName(info.param.app);
+      return std::string(info.param.algorithm) + "_" + GetApp(info.param.app).name;
     });
 
 }  // namespace

@@ -169,18 +169,6 @@ TEST_F(ModelZooFixture, MismatchedDimensionsAreExcluded) {
   EXPECT_TRUE(zoo.RankDonors(std::vector<double>(3, 1.0)).empty());
 }
 
-TEST_F(ModelZooFixture, RemoveDeletesBothFiles) {
-  ConfigSpace space = BuildLinuxSearchSpace();
-  ModelZoo zoo(dir_);
-  DeepTuneSearcher model(&space);
-  ASSERT_TRUE(zoo.Publish("redis", model,
-                          std::vector<double>(space.FeatureDimension(), 1.0)));
-  ASSERT_EQ(zoo.List().size(), 1u);
-  EXPECT_TRUE(zoo.Remove("redis"));
-  EXPECT_TRUE(zoo.List().empty());
-  EXPECT_FALSE(zoo.Remove("redis"));
-}
-
 TEST_F(ModelZooFixture, RejectsPathTraversalNames) {
   ConfigSpace space = BuildLinuxSearchSpace();
   ModelZoo zoo(dir_);

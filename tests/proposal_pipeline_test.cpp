@@ -73,8 +73,9 @@ TEST(ProposalPipeline, PoolSeedChangesThePool) {
   spec.pool_size = 16;
   std::vector<Configuration> pool_a, pool_b;
   Matrix encoded_a, encoded_b;
-  AssembleProposalPool(space, {}, SampleOptions(), spec, 1, pool_a, encoded_a);
-  AssembleProposalPool(space, {}, SampleOptions(), spec, 2, pool_b, encoded_b);
+  PoolScratch scratch;
+  AssembleProposalPool(space, {}, SampleOptions(), spec, 1, pool_a, encoded_a, scratch);
+  AssembleProposalPool(space, {}, SampleOptions(), spec, 2, pool_b, encoded_b, scratch);
   size_t differing = 0;
   for (size_t i = 0; i < pool_a.size(); ++i) {
     differing += pool_a[i].values() == pool_b[i].values() ? 0 : 1;
@@ -164,7 +165,8 @@ TEST(ProposalPipeline, PoolDissimilarityMatchesReference) {
   spec.pool_size = 128;
   std::vector<Configuration> pool;
   Matrix encoded;
-  AssembleProposalPool(space, {}, SampleOptions(), spec, 7, pool, encoded);
+  PoolScratch scratch;
+  AssembleProposalPool(space, {}, SampleOptions(), spec, 7, pool, encoded, scratch);
   space.EncodeInto(history[0].config, encoded.Row(0));
   space.EncodeInto(history[299].config, encoded.Row(1));
 

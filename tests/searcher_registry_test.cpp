@@ -54,7 +54,7 @@ TEST(SearcherRegistry, EveryRegisteredNameConstructsAndRoundTrips) {
 }
 
 TEST(SearcherRegistry, EverySearcherSurvivesACrashHeavyRun) {
-  // Crash-heavy soak: at transient_flake_prob = 0.9 roughly nine of ten
+  // Crash-heavy soak: at faults.flake_prob = 0.9 roughly nine of ten
   // trials commit with NaN objectives. Every registered searcher must run a
   // 40-trial session through that regime without wedging, throwing, or
   // poisoning its model — and still propose valid configurations afterward.
@@ -63,7 +63,7 @@ TEST(SearcherRegistry, EverySearcherSurvivesACrashHeavyRun) {
     TestbenchOptions bench_options;
     bench_options.substrate = Substrate::kUnikraftKvm;
     bench_options.seed = 0xc7a5;
-    bench_options.transient_flake_prob = 0.9;
+    bench_options.faults.flake_prob = 0.9;
     Testbench bench(&space, AppId::kNginx, bench_options);
     std::unique_ptr<Searcher> searcher = MakeSearcher(name, &space, 0x1e9);
     ASSERT_NE(searcher, nullptr) << name;

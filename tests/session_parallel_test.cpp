@@ -303,7 +303,7 @@ TEST(SlidingWindow, KeepsTheWindowFullerThanLockStep) {
 
 TEST(SessionParallel, DedupAppliesWithinABatch) {
   // A degenerate one-parameter space forces duplicate proposals; dedup must
-  // retry within the round (bounded by dedup_retries) and still complete.
+  // retry within the round (at most 8 times) and still complete.
   ConfigSpace space;
   space.Add(ParamSpec::Bool("a", ParamPhase::kRuntime, "net", false));
   Testbench bench(&space, AppId::kNginx);

@@ -365,22 +365,22 @@ class CrashRateTest : public ::testing::TestWithParam<AppId> {};
 TEST_P(CrashRateTest, AboutOneThirdForRandomConfigs) {
   ConfigSpace space = BuildLinuxSearchSpace();
   CrashModel crash(&space, HashCombine(0xbe27c4, 0xc4a5));
-  Rng rng(StableHash(AppName(GetParam())));
+  Rng rng(StableHash(GetApp(GetParam()).name));
   size_t crashes = 0;
   for (int i = 0; i < 1000; ++i) {
     Configuration config = space.RandomConfiguration(rng, SampleOptions::FavorRuntime());
     crashes += crash.CheckDeterministic(GetParam(), config).crashed ? 1 : 0;
   }
   double rate = static_cast<double>(crashes) / 1000.0;
-  EXPECT_GT(rate, 0.18) << AppName(GetParam());
-  EXPECT_LT(rate, 0.48) << AppName(GetParam());
+  EXPECT_GT(rate, 0.18) << GetApp(GetParam()).name;
+  EXPECT_LT(rate, 0.48) << GetApp(GetParam()).name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, CrashRateTest,
                          ::testing::Values(AppId::kNginx, AppId::kRedis, AppId::kSqlite,
                                            AppId::kNpb),
                          [](const ::testing::TestParamInfo<AppId>& info) {
-                           return AppName(info.param);
+                           return GetApp(info.param).name;
                          });
 
 }  // namespace

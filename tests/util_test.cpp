@@ -113,8 +113,6 @@ TEST(RunningStats, MatchesBatchComputation) {
   }
   EXPECT_DOUBLE_EQ(stats.Mean(), 5.0);
   EXPECT_NEAR(stats.StdDev(), StdDev(values), 1e-12);
-  EXPECT_DOUBLE_EQ(stats.Min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.Max(), 9.0);
 }
 
 TEST(Stats, QuantileInterpolates) {
@@ -146,15 +144,6 @@ TEST(Stats, MinMaxNormalizeRangeAndConstants) {
   }
 }
 
-TEST(Stats, ZScoreNormalizerRoundTrip) {
-  std::vector<std::vector<double>> rows = {{1.0, 10.0}, {3.0, 30.0}, {5.0, 50.0}};
-  ZScoreNormalizer norm;
-  norm.Fit(rows);
-  std::vector<double> t = norm.Transform({3.0, 30.0});
-  EXPECT_NEAR(t[0], 0.0, 1e-12);
-  EXPECT_NEAR(t[1], 0.0, 1e-12);
-}
-
 TEST(Stats, SmoothSeriesWindowMean) {
   std::vector<double> v = {1, 2, 3, 4, 5};
   std::vector<double> s = SmoothSeries(v, 2);
@@ -163,28 +152,12 @@ TEST(Stats, SmoothSeriesWindowMean) {
   EXPECT_DOUBLE_EQ(s[4], 4.5);
 }
 
-TEST(Stats, RunningBestMonotone) {
-  std::vector<double> v = {3, 1, 4, 1, 5};
-  std::vector<double> best = RunningBest(v, true);
-  EXPECT_EQ(best, (std::vector<double>{3, 3, 4, 4, 5}));
-  std::vector<double> worst = RunningBest(v, false);
-  EXPECT_EQ(worst, (std::vector<double>{3, 1, 1, 1, 1}));
-}
-
-TEST(Stats, ArgBest) {
-  std::vector<double> v = {3, 9, 4};
-  EXPECT_EQ(ArgBest(v, true), 1u);
-  EXPECT_EQ(ArgBest(v, false), 0u);
-}
-
 TEST(SimClock, AdvancesAndIgnoresNegative) {
   SimClock clock;
   EXPECT_DOUBLE_EQ(clock.Now(), 0.0);
   clock.Advance(5.5);
   clock.Advance(-2.0);
   EXPECT_DOUBLE_EQ(clock.Now(), 5.5);
-  clock.Reset();
-  EXPECT_DOUBLE_EQ(clock.Now(), 0.0);
 }
 
 TEST(WallTimerTest, MeasuresElapsed) {

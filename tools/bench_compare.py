@@ -7,16 +7,13 @@ the repo root. This tool compares two of them:
 
     tools/bench_compare.py BENCH_pr2.json benches.json [--threshold 0.10]
 
-Records are keyed on (bench, variant) and compared by ops_per_sec. Only the
-*anchor* benches gate: the bench_micro_matmul kernels and pool predictions
-(matmul_*, predict_batch_*), the bench_micro_dtm update/predict/propose
-families (dtm_*, propose_*), the bench_micro_session executor anchors
-(session_*), the bench_micro_service daemon anchor (service_*), the
-bench_micro_transport event-loop/codec anchors
-(transport_*), and the bench_micro_obs observability anchors (obs_*).
-Everything else — the paper-figure harnesses, status records, speedup
-summaries — is informational; figure benches are too seed- and
-load-sensitive to gate on.
+Records are keyed on (bench, variant) and compared by ops_per_sec. Each
+rate record declares whether it gates: the bench_micro_* binaries print
+`"gate": true` on their anchors and `"gate": false` on rates that move with
+the host rather than the code (bench/bench_common.h, PrintRate). The
+candidate's declaration wins, then the baseline's; a rate record without
+one (older snapshots) gates. Records without ops_per_sec — status records,
+speedup summaries, the paper-figure harnesses' output — never gate.
 
 The obs_overhead records additionally gate WITHIN the candidate file: the
 obs_overhead/ratio record (median of bench_micro_obs's paired
@@ -40,17 +37,12 @@ import argparse
 import json
 import sys
 
-# Summary/ratio records sharing these prefixes (propose_speedup,
-# dtm_update_speedup, session_parallel_speedup, transport_*_speedup) never
-# reach the gate: they carry no ops_per_sec, so load_records() drops them.
-ANCHOR_PREFIXES = ("matmul_", "dtm_", "predict_batch_", "propose_", "session_",
-                   "service_", "transport_", "obs_")
 # Summary records (speedup ratios, backend info) carry no ops_per_sec.
 RATE_KEY = "ops_per_sec"
 
 
 def load_records(path):
-    """Returns {(bench, variant): ops_per_sec} for rate records in `path`."""
+    """Returns {(bench, variant): (ops_per_sec, gate)} for rate records in `path`."""
     records = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -67,7 +59,7 @@ def load_records(path):
                 if not isinstance(obj, dict) or RATE_KEY not in obj:
                     continue
                 key = (obj.get("bench", "?"), obj.get("variant", ""))
-                records[key] = float(obj[RATE_KEY])
+                records[key] = (float(obj[RATE_KEY]), obj.get("gate", True) is True)
     except OSError as err:
         sys.exit(f"error: cannot read {path}: {err}")
     return records
@@ -94,27 +86,9 @@ def load_obs_ratio(path):
     return None
 
 
-def is_anchor(key):
-    if key[1] == "fault10":
-        # The hostile-world session variant runs under a ~10% mixed-fault
-        # plan with retries: its committed-trials/sec rate shifts whenever
-        # the injected failure mix does, not only when the executor changes.
-        # Tracked, never gated.
-        return False
-    if key[1] == "journal":
-        # The journaled-session variant pays an fsync at every wave
-        # boundary; fsync latency is a property of the host's storage stack
-        # (tmpfs vs SSD vs spinning CI disk), not of the code under review.
-        # Tracked, never gated.
-        return False
-    if key[0] == "obs_record":
-        # Raw record-path rates are a few ns per op: at that scale the
-        # number is dominated by binary code layout and cycle jitter, not by
-        # the code under review (a duplicate predict record in a second
-        # binary once swung 0.75-1.0x on layout alone). Tracked, never
-        # gated — the end-to-end obs_overhead pair is the gate.
-        return False
-    return key[0].startswith(ANCHOR_PREFIXES)
+def gates(key, base, cand):
+    """The record's gate declaration: the candidate's, else the baseline's."""
+    return (cand.get(key) or base[key])[1]
 
 
 def main():
@@ -140,23 +114,24 @@ def main():
     rows = []
     for key in sorted(set(base) | set(cand)):
         name = f"{key[0]}/{key[1]}" if key[1] else key[0]
+        anchor = gates(key, base, cand)
         if key not in base:
-            rows.append((name, None, cand[key], None, "new"))
+            rows.append((name, None, cand[key][0], None, "new"))
             continue
         if key not in cand:
-            if is_anchor(key):
+            if anchor:
                 missing_anchors.append(name)
-                rows.append((name, base[key], None, None, "MISSING ANCHOR"))
+                rows.append((name, base[key][0], None, None, "MISSING ANCHOR"))
             else:
-                rows.append((name, base[key], None, None, "missing"))
+                rows.append((name, base[key][0], None, None, "missing"))
             continue
-        old, new = base[key], cand[key]
+        old, new = base[key][0], cand[key][0]
         ratio = new / old if old > 0 else float("inf")
         status = "ok"
-        if is_anchor(key) and ratio < 1.0 - args.threshold:
+        if anchor and ratio < 1.0 - args.threshold:
             status = "REGRESSION"
             regressions.append((name, old, new, ratio))
-        elif not is_anchor(key):
+        elif not anchor:
             status = "info"
         rows.append((name, old, new, ratio, status))
 
@@ -176,8 +151,8 @@ def main():
     if obs_ratio is None:
         obs_off = cand.get(("obs_overhead", "session_trials_per_sec_metrics_off"))
         obs_on = cand.get(("obs_overhead", "session_trials_per_sec_metrics_on"))
-        if obs_off is not None and obs_on is not None and obs_off > 0:
-            obs_ratio = obs_on / obs_off
+        if obs_off is not None and obs_on is not None and obs_off[0] > 0:
+            obs_ratio = obs_on[0] / obs_off[0]
     obs_failed = False
     if obs_ratio is not None:
         if obs_ratio < 1.0 - args.obs_overhead:

@@ -13,7 +13,8 @@
 # BENCH_pr<N>.json at the repo root (tools/run_benches.sh build BENCH_prN.json)
 # and checks it against the previous snapshot with
 #   tools/bench_compare.py BENCH_pr<N-1>.json BENCH_pr<N>.json
-# which exits non-zero when a micro anchor (matmul_*, dtm_*) regresses >10%.
+# which exits non-zero when a gated micro record (one that prints
+# "gate": true) regresses >10%.
 set -u
 
 BUILD_DIR="${1:-build}"

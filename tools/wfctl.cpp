@@ -16,7 +16,7 @@
 //   --history-csv <path> export the history as CSV
 //
 // Service mode (the wfd daemon, src/service/): `wfctl serve` runs the
-// daemon in the foreground (the standalone `wfd` binary is the same loop);
+// daemon in the foreground (the standalone `wfd` binary: same flags, same loop);
 // submit/status/watch/result/pause/resume/stop talk to it over the Unix
 // socket, so many tuning sessions share one endpoint, and with --store one
 // durable log (DIR/journal.wfj) that warm starts and crash recovery read:
@@ -80,11 +80,12 @@ int Usage() {
                "  zoo    <dir> rank <job.yaml>         rank donors for a job's app (§3.3)\n"
                "  transfer <src-job> <dst-job> <src-ckpt> <out-ckpt>\n"
                "                                       map a history across platforms (§3.5)\n"
-               "service mode (all take [--socket P] [--reconnect N]\n"
-               "              [--retry-unsafe], default %s):\n"
+               "service mode (all take [--socket P], default %s; all but serve\n"
+               "              take [--reconnect N] [--retry-unsafe]):\n"
                "  serve  [--store DIR] [--checkpoint-dir DIR] [--max-sessions N]\n"
-               "         [--no-recover] [--metrics]\n"
+               "         [--idle-timeout-ms N] [--no-recover] [--metrics]\n"
                "                                       run the wfd daemon in the foreground\n"
+               "                                       (the flags of the wfd binary)\n"
                "  submit <job.yaml> [--no-warm-start] [fault flags]\n"
                "                                       queue a job; prints its session id\n"
                "  status [id]                          one session, or the whole fleet\n"
@@ -608,16 +609,13 @@ int CmdTransfer(const std::string& source_job_path, const std::string& target_jo
 
 // --- service mode ----------------------------------------------------------
 
-// Shared flag scan for the service subcommands: consumes --socket (and
+// Shared flag scan for the client subcommands: consumes --socket (and
 // friends) from anywhere in the tail, leaves the first positional arg in
 // *positional.
 struct ServiceArgs {
   std::string socket_path = kDefaultSocketPath;
   std::string positional;
-  std::string store_dir;
-  std::string checkpoint_dir;
   std::string out_path;
-  size_t max_sessions = 4;
   int interval_ms = 250;
   bool warm_start = true;
   bool watch_metrics = false;  // metrics: refresh until interrupted.
@@ -627,8 +625,6 @@ struct ServiceArgs {
   // non-idempotent ones (submit/pause/resume/stop) in too.
   int reconnect = 0;
   bool retry_unsafe = false;
-  bool no_recover = false;  // serve: start from an empty journal.
-  bool metrics = false;  // serve: start with obs recording enabled.
   // submit: fault flags appended to the job text as a `faults:` block.
   FaultOverrides fault_overrides;
 
@@ -656,22 +652,8 @@ ServiceArgs ParseServiceArgs(int argc, char** argv) {
     std::string value;
     if (flag == "--socket") {
       args.ok &= take(&args.socket_path);
-    } else if (flag == "--store") {
-      args.ok &= take(&args.store_dir);
-    } else if (flag == "--checkpoint-dir") {
-      args.ok &= take(&args.checkpoint_dir);
     } else if (flag == "--out") {
       args.ok &= take(&args.out_path);
-    } else if (flag == "--max-sessions") {
-      if (take(&value)) {
-        args.max_sessions = static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
-        if (args.max_sessions == 0) {
-          std::fprintf(stderr, "wfctl: --max-sessions needs a positive count\n");
-          args.ok = false;
-        }
-      } else {
-        args.ok = false;
-      }
     } else if (flag == "--interval-ms") {
       if (take(&value)) {
         args.interval_ms = std::atoi(value.c_str());
@@ -697,10 +679,6 @@ ServiceArgs ParseServiceArgs(int argc, char** argv) {
       }
     } else if (flag == "--retry-unsafe") {
       args.retry_unsafe = true;
-    } else if (flag == "--no-recover") {
-      args.no_recover = true;
-    } else if (flag == "--metrics") {
-      args.metrics = true;
     } else if (const char* fault_key = FaultKeyForFlag(flag); fault_key != nullptr) {
       if (take(&value)) {
         args.fault_overrides.emplace_back(fault_key, value);
@@ -718,16 +696,17 @@ ServiceArgs ParseServiceArgs(int argc, char** argv) {
   return args;
 }
 
-int CmdServe(const ServiceArgs& args) {
+// `wfctl serve`: the `wfd` binary's flags and foreground bootstrap
+// (signal-wired graceful drain, banner, serve loop), identical to it by
+// construction.
+int CmdServe(int argc, char** argv) {
   WfdOptions options;
-  options.socket_path = args.socket_path;
-  options.manager.store_dir = args.store_dir;
-  options.manager.checkpoint_dir = args.checkpoint_dir;
-  options.manager.max_running = args.max_sessions;
-  options.recover = !args.no_recover;
-  options.metrics = args.metrics;
-  // The shared foreground bootstrap: signal-wired graceful drain, banner,
-  // serve loop — identical to the standalone `wfd` binary by construction.
+  options.socket_path = kDefaultSocketPath;
+  std::string error;
+  if (!ParseWfdFlags(argc, argv, &options, &error)) {
+    std::fprintf(stderr, "wfctl: %s\n", error.c_str());
+    return 2;
+  }
   return RunWfdForeground(options);
 }
 
@@ -755,13 +734,16 @@ int CmdMetrics(const ServiceArgs& args) {
   }
 }
 
-// `wfctl trace <id> [--out P]`: fetch the session's trial trace as Chrome
-// trace_event JSON — load it in chrome://tracing or ui.perfetto.dev. Empty
-// events array (still valid JSON) unless the daemon is recording
-// (`--metrics`).
-int CmdTrace(const ServiceArgs& args) {
+// `wfctl result|trace <id> [--out P]`: fetch one session's payload and write
+// it to stdout, or to --out with a note naming `what` was written and a
+// `hint` for using it. `result` fetches the checkpoint (v2); `trace` the
+// trial trace as Chrome trace_event JSON for chrome://tracing or
+// ui.perfetto.dev, an empty events array (still valid JSON) unless the
+// daemon is recording (`--metrics`).
+int CmdFetch(const char* command, const char* what, const std::string& hint,
+             const ServiceArgs& args) {
   ServiceRequest request;
-  request.command = "trace";
+  request.command = command;
   request.id = args.positional;
   ServiceCallResult call =
       CallServiceRetry(args.socket_path, request, args.Policy(), "");
@@ -779,8 +761,7 @@ int CmdTrace(const ServiceArgs& args) {
     std::fprintf(stderr, "wfctl: cannot write %s\n", args.out_path.c_str());
     return 1;
   }
-  std::printf("trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n",
-              args.out_path.c_str());
+  std::printf("%s written to %s (%s)\n", what, args.out_path.c_str(), hint.c_str());
   return 0;
 }
 
@@ -950,31 +931,6 @@ int CmdWatch(const ServiceArgs& args) {
   }
 }
 
-int CmdResult(const ServiceArgs& args) {
-  ServiceRequest request;
-  request.command = "result";
-  request.id = args.positional;
-  ServiceCallResult call =
-      CallServiceRetry(args.socket_path, request, args.Policy(), "");
-  if (!call.ok) {
-    std::fprintf(stderr, "wfctl: %s\n", call.error.c_str());
-    return 1;
-  }
-  if (args.out_path.empty()) {
-    std::fwrite(call.payload.data(), 1, call.payload.size(), stdout);
-    return 0;
-  }
-  std::ofstream out(args.out_path);
-  out << call.payload;
-  if (!out) {
-    std::fprintf(stderr, "wfctl: cannot write %s\n", args.out_path.c_str());
-    return 1;
-  }
-  std::printf("checkpoint written to %s (use: wfctl report <job.yaml> %s)\n",
-              args.out_path.c_str(), args.out_path.c_str());
-  return 0;
-}
-
 int CmdSessionControl(const char* command, const ServiceArgs& args) {
   ServiceRequest request;
   request.command = command;
@@ -996,7 +952,10 @@ int Main(int argc, char** argv) {
   }
   if (argc >= 2) {
     std::string service_command = argv[1];
-    if (service_command == "serve" || service_command == "submit" ||
+    if (service_command == "serve") {
+      return CmdServe(argc - 2, argv + 2);
+    }
+    if (service_command == "submit" ||
         service_command == "status" || service_command == "watch" ||
         service_command == "result" || service_command == "pause" ||
         service_command == "resume" || service_command == "stop" ||
@@ -1004,9 +963,6 @@ int Main(int argc, char** argv) {
       ServiceArgs args = ParseServiceArgs(argc - 2, argv + 2);
       if (!args.ok) {
         return 2;
-      }
-      if (service_command == "serve") {
-        return CmdServe(args);
       }
       if (service_command == "stop") {
         return CmdSessionControl("stop", args);
@@ -1029,10 +985,11 @@ int Main(int argc, char** argv) {
         return CmdWatch(args);
       }
       if (service_command == "result") {
-        return CmdResult(args);
+        return CmdFetch("result", "checkpoint", "use: wfctl report <job.yaml> " + args.out_path,
+                        args);
       }
       if (service_command == "trace") {
-        return CmdTrace(args);
+        return CmdFetch("trace", "trace", "open in chrome://tracing or ui.perfetto.dev", args);
       }
       return CmdSessionControl(service_command.c_str(), args);
     }
